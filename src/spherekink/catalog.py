@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import ProblemParams
+
 
 @dataclass(frozen=True)
 class EigenmapSpec:
@@ -69,10 +71,11 @@ def find_eigenmap(name: str) -> EigenmapSpec:
 
 
 def hypothesis_check(spec: EigenmapSpec) -> bool | None:
-    """(m-1)^2/4 < omega, or None when the eigenvalue is unspecified."""
+    """ProblemParams.hypothesis for the entry, or None when the eigenvalue is
+    unspecified."""
     if spec.omega is None:
         return None
-    return 0.25 * (spec.m - 1) ** 2 < spec.omega
+    return ProblemParams(spec.m, spec.omega).hypothesis()
 
 
 def hypothesis_label(spec: EigenmapSpec) -> str:

@@ -26,6 +26,7 @@ from .report import (
     class_of_level,
     convergence_check,
     emit_plots,
+    profile_chart,
     run_sweep,
     sweep_report_from_doc,
 )
@@ -412,22 +413,10 @@ def _cmd_plot(args, parser) -> int:
 
 
 def _plot_single(prof, out_dir) -> Path:
-    from . import svg
-    from .spectral import build_schrodinger
-
-    pot = build_schrodinger(prof).potential
-    xs, hs = svg.decimate(prof.grid, prof.h)
-    xv, vv = svg.decimate(prof.grid, pot)
-    doc = svg.line_chart(
-        [svg.Series(tuple(xs), tuple(hs), "#1f6feb", label="h(x)"),
-         svg.Series(tuple(xv), tuple(vv), "#d29922", label="V(x)",
-                    dashed=True, axis="right")],
-        title=f"profile ({prof.symmetry_class} class, {prof.zero_count} zeros)",
-        xlabel="x", ylabel="h", ylabel_right="V")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"profile_{prof.symmetry_class}_{prof.zero_count}.svg"
-    path.write_text(doc, encoding="ascii", newline="\n")
+    path.write_text(profile_chart(prof), encoding="ascii", newline="\n")
     return path
 
 

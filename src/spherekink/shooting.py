@@ -37,11 +37,22 @@ from .core import (
     asymptotic_exponents,
     count_zero_crossings,
     derivative_samples,
+    el_residual,
     energy,
     lyapunov_W,
     singular_energy,
     symmetric_grid,
 )
+
+
+# Fixed numerical controls of the solver.
+EXIT_MARGIN = 1e-3      # a trajectory has exited once |h| > pi/2 + EXIT_MARGIN
+BRACKET_TOL = 1e-14     # width the shooting bracket is bisected down to
+MAX_NEWTON_ITER = 25
+BOUNDARY_TOL = 1e-6     # largest accepted end gap pi/2 - |h|
+SCAN_POINTS = 24        # uniform scan values below the cap, before the geometric ones
+RTOL = 1e-11            # DOP853 tolerances
+ATOL = 1e-13
 
 
 class OutcomeKind(Enum):
@@ -106,15 +117,7 @@ class SolveRequest:
     total_zeros: int
     cutoff: float = 20.0
     grid_size: int = 4001
-    exit_margin: float = 1e-3
-    bracket_tol: float = 1e-14
     newton_tol: float = 1e-10
-    max_newton_iter: int = 25
-    boundary_tol: float = 1e-6
-    slope_cap: float | None = None
-    scan_points: int = 24
-    rtol: float = 1e-11
-    atol: float = 1e-13
 
     def __post_init__(self):
         if self.symmetry_class not in ("odd", "even"):
@@ -129,8 +132,6 @@ class SolveRequest:
             raise ValueError("cutoff too small: need tanh(cutoff) >= 0.999")
         if self.grid_size < 5 or self.grid_size % 2 == 0:
             raise ValueError("grid_size must be odd and >= 5")
-        if not 0 < self.exit_margin < 0.5:
-            raise ValueError("exit_margin must lie in (0, 0.5)")
 
     @property
     def zeros_half(self) -> int:
@@ -142,14 +143,12 @@ class SolveRequest:
     def scan_cap(self) -> float:
         if self.symmetry_class == "even":
             return HALF_PI
-        if self.slope_cap is not None:
-            return self.slope_cap
         # odd-class slopes of connecting orbits satisfy s^2/2 < omega/2
         return 1.5 * math.sqrt(self.params.omega)
 
 
 def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float, *,
-              exit_margin: float = 1e-3, rtol: float = 1e-11, atol: float = 1e-13) -> Trajectory:
+              exit_margin: float = EXIT_MARGIN) -> Trajectory:
     """Integrate the profile equation from (h, h')(0) = (h0, dh0) to cutoff.
 
     Stops at the first exit from |h| <= pi/2 + exit_margin and records the
@@ -162,6 +161,8 @@ def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float, *,
         out = ShootingOutcome(OutcomeKind.UNDECIDED, 0, cutoff, "equilibrium at 0")
         return Trajectory(h0, dh0, cutoff, (), out, None)
 
+    # scalar math rather than core.el_residual: DOP853 calls rhs thousands of
+    # times per integration, where numpy's per-call overhead would dominate
     m1 = params.m - 1
     om = params.omega
     if params.nu is None:
@@ -195,7 +196,7 @@ def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float, *,
     sol = solve_ivp(rhs, (0.0, float(cutoff)), (float(h0), float(dh0)),
                     method="DOP853", dense_output=True,
                     events=(crossing, exit_up, exit_down),
-                    rtol=rtol, atol=atol,
+                    rtol=RTOL, atol=ATOL,
                     max_step=0.5 / math.sqrt(1.0 + om))
 
     # drop the event the root finder reports when the start itself sits at h = 0
@@ -228,13 +229,12 @@ def _shoot(s: float, req: SolveRequest) -> Trajectory:
         if abs(s) > HALF_PI:
             raise ValueError("even-class parameter must satisfy |s| <= pi/2")
         h0, dh0 = float(s), 0.0
-    return integrate(h0, dh0, req.params, req.cutoff,
-                     exit_margin=req.exit_margin, rtol=req.rtol, atol=req.atol)
+    return integrate(h0, dh0, req.params, req.cutoff)
 
 
 def _scan_values(req: SolveRequest) -> np.ndarray:
     cap = req.scan_cap()
-    uniform = cap * np.arange(req.scan_points, 0, -1) / req.scan_points
+    uniform = cap * np.arange(SCAN_POINTS, 0, -1) / SCAN_POINTS
     geometric = cap * 0.5 ** np.arange(1, 45)
     vals = np.unique(np.concatenate([uniform, geometric]))[::-1]
     return vals
@@ -270,7 +270,8 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
             if prev is None:
                 raise NoBracketFound(
                     f"zero count already exceeds {want} at the scan cap "
-                    f"{req.scan_cap():.6g}; raise slope_cap")
+                    f"{req.scan_cap():.6g}; the requested level may not exist "
+                    f"for these parameters")
             lo, hi = s, prev
             break
         prev = s
@@ -281,7 +282,7 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
             f"for these parameters")
 
     for _ in range(200):
-        if hi - lo <= req.bracket_tol:
+        if hi - lo <= BRACKET_TOL:
             break
         mid = 0.5 * (lo + hi)
         if count(mid) <= want:
@@ -291,19 +292,11 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
     s_star = 0.5 * (lo + hi)
     guess = _initial_guess(shoot(s_star), req, sign)
 
-    lam = asymptotic_exponents(req.params).decay_exponent_plus
     l_plus = sign * (1 if want % 2 == 0 else -1) * HALF_PI
     l_minus = l_plus if req.symmetry_class == "even" else -l_plus
     grid = symmetric_grid(req.cutoff, req.grid_size)
-    u, res_norm, iters = _newton(grid, guess, req.params, l_plus, l_minus, lam,
-                                 tol=req.newton_tol, max_iter=req.max_newton_iter)
-
-    # parity is preserved by the symmetric discretisation; pin it exactly
-    if req.symmetry_class == "odd":
-        u = 0.5 * (u - u[::-1])
-    else:
-        u = 0.5 * (u + u[::-1])
-    res_norm = float(np.max(np.abs(_full_residual(grid, u, req.params, l_plus, l_minus, lam))))
+    u, res_norm, iters = _newton_finish(grid, guess, req.params, req.symmetry_class,
+                                        l_plus, l_minus, tol=req.newton_tol)
     if res_norm > req.newton_tol:
         raise PolishDiverged(f"residual {res_norm:.3e} above tolerance after symmetrisation")
 
@@ -313,9 +306,9 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
             f"polished profile has {zeros} interior zeros, requested {req.total_zeros}")
     gap_r = HALF_PI - abs(float(u[-1]))
     gap_l = HALF_PI - abs(float(u[0]))
-    if max(gap_l, gap_r) > req.boundary_tol:
+    if max(gap_l, gap_r) > BOUNDARY_TOL:
         raise PolishDiverged(
-            f"boundary gap {max(gap_l, gap_r):.3e} exceeds {req.boundary_tol:.1e}; "
+            f"boundary gap {max(gap_l, gap_r):.3e} exceeds {BOUNDARY_TOL:.1e}; "
             f"increase the cutoff")
 
     hyp = "" if req.params.hypothesis() else "; outside guaranteed regime"
@@ -363,17 +356,22 @@ def _initial_guess(traj: Trajectory, req: SolveRequest, sign: int) -> np.ndarray
 
 # -- Newton stage -------------------------------------------------------------
 
+def _interior_residual(grid, u, params):
+    """core.el_residual on second-order central differences, interior nodes."""
+    dx = grid[1] - grid[0]
+    d2 = ((u[2:] - u[1:-1]) - (u[1:-1] - u[:-2])) / (dx * dx)
+    d1 = (u[2:] - u[:-2]) / (2.0 * dx)
+    return el_residual(grid[1:-1], u[1:-1], d1, d2, params)
+
+
 def _full_residual(grid, u, params, l_plus, l_minus, lam):
     """Discrete residual including the Robin rows (ghost nodes eliminated)."""
     m1 = params.m - 1
     om = params.omega
     dx = grid[1] - grid[0]
-    nu = params.nu_at(grid)
+    nu = params.nu_at(grid[[0, -1]])
     g = np.empty_like(u)
-    d2 = ((u[2:] - u[1:-1]) - (u[1:-1] - u[:-2])) / (dx * dx)
-    d1 = (u[2:] - u[:-2]) / (2.0 * dx)
-    g[1:-1] = d2 - m1 * np.tanh(grid[1:-1]) * d1 \
-        + 0.5 * om * (1.0 + nu[1:-1]) * np.sin(2.0 * u[1:-1])
+    g[1:-1] = _interior_residual(grid, u, params)
     g[0] = (2.0 * (u[1] - u[0]) + 2.0 * dx * lam * (u[0] - l_minus)) / (dx * dx) \
         + m1 * math.tanh(grid[0]) * lam * (u[0] - l_minus) \
         + 0.5 * om * (1.0 + nu[0]) * math.sin(2.0 * u[0])
@@ -405,7 +403,7 @@ def _jacobian_banded(grid, u, params, lam):
     return ab
 
 
-def _newton(grid, u0, params, l_plus, l_minus, lam, *, tol, max_iter):
+def _newton(grid, u0, params, l_plus, l_minus, lam, *, tol):
     u = np.array(u0, dtype=float)
     res = _full_residual(grid, u, params, l_plus, l_minus, lam)
     fnorm = float(np.max(np.abs(res)))
@@ -413,8 +411,8 @@ def _newton(grid, u0, params, l_plus, l_minus, lam, *, tol, max_iter):
         raise PolishDiverged(f"initial guess residual {fnorm:.3e} is too rough")
     iters = 0
     while fnorm > tol:
-        if iters >= max_iter:
-            raise PolishDiverged(f"no convergence after {max_iter} Newton steps "
+        if iters >= MAX_NEWTON_ITER:
+            raise PolishDiverged(f"no convergence after {MAX_NEWTON_ITER} Newton steps "
                                  f"(residual {fnorm:.3e})")
         ab = _jacobian_banded(grid, u, params, lam)
         delta = solve_banded((1, 1), ab, -res)
@@ -430,7 +428,21 @@ def _newton(grid, u0, params, l_plus, l_minus, lam, *, tol, max_iter):
         else:
             raise PolishDiverged(f"line search stalled at residual {fnorm:.3e}")
         iters += 1
-    return u, fnorm, iters
+    return u, iters
+
+
+def _newton_finish(grid, u0, params, symmetry_class, l_plus, l_minus, *, tol):
+    """Newton, then exact parity pinning, then the residual of the pinned
+    profile: (u, residual max-norm, Newton iterations)."""
+    lam = asymptotic_exponents(params).decay_exponent_plus
+    u, iters = _newton(grid, u0, params, l_plus, l_minus, lam, tol=tol)
+    # parity is preserved by the symmetric discretisation; pin it exactly
+    if symmetry_class == "odd":
+        u = 0.5 * (u - u[::-1])
+    elif symmetry_class == "even":
+        u = 0.5 * (u + u[::-1])
+    res_norm = float(np.max(np.abs(_full_residual(grid, u, params, l_plus, l_minus, lam))))
+    return u, res_norm, iters
 
 
 def newton_polish(prof: Profile, req: SolveRequest) -> Profile:
@@ -441,16 +453,10 @@ def newton_polish(prof: Profile, req: SolveRequest) -> Profile:
     exactly when one is declared).
     """
     grid = prof.grid
-    lam = asymptotic_exponents(prof.params).decay_exponent_plus
     l_plus = math.copysign(HALF_PI, prof.h[-1])
     l_minus = math.copysign(HALF_PI, prof.h[0])
-    u, res_norm, iters = _newton(grid, prof.h, prof.params, l_plus, l_minus, lam,
-                                 tol=req.newton_tol, max_iter=req.max_newton_iter)
-    if prof.symmetry_class == "odd":
-        u = 0.5 * (u - u[::-1])
-    elif prof.symmetry_class == "even":
-        u = 0.5 * (u + u[::-1])
-    res_norm = float(np.max(np.abs(_full_residual(grid, u, prof.params, l_plus, l_minus, lam))))
+    u, res_norm, iters = _newton_finish(grid, prof.h, prof.params, prof.symmetry_class,
+                                        l_plus, l_minus, tol=req.newton_tol)
     return Profile(grid, u, derivative_samples(u, grid[1] - grid[0]), prof.params,
                    symmetry_class=prof.symmetry_class,
                    residual_norm=res_norm,
@@ -480,7 +486,7 @@ class SolutionDiagnostics:
 
 
 def verify_solution(prof: Profile, *, residual_tol: float = 1e-8,
-                    boundary_tol: float = 1e-6, w_tol: float = 1e-8,
+                    boundary_tol: float = BOUNDARY_TOL, w_tol: float = 1e-8,
                     sym_tol: float = TOL_SYM) -> SolutionDiagnostics:
     """Independent checks on a claimed connecting profile.
 
@@ -490,11 +496,7 @@ def verify_solution(prof: Profile, *, residual_tol: float = 1e-8,
     """
     p = prof.params
     grid, h, dh = prof.grid, prof.h, prof.dh
-    dx = grid[1] - grid[0]
-    d2 = ((h[2:] - h[1:-1]) - (h[1:-1] - h[:-2])) / (dx * dx)
-    d1 = (h[2:] - h[:-2]) / (2.0 * dx)
-    r = d2 - (p.m - 1) * np.tanh(grid[1:-1]) * d1 \
-        + 0.5 * p.omega * (1.0 + p.nu_at(grid[1:-1])) * np.sin(2.0 * h[1:-1])
+    r = _interior_residual(grid, h, p)
     residual_max = float(np.max(np.abs(r)))
     residual_rms = float(np.sqrt(np.mean(r * r)))
 

@@ -202,6 +202,13 @@ def test_sweep_with_config_file(tmp_path, capsys):
     assert (out / "solution_odd_1.json").exists()
 
 
+def test_sweep_too_coarse_grid_exits_one(tmp_path, capsys):
+    code = main(["sweep", "--m", "3", "--omega", "3", "--max-zeros", "1",
+                 "--cutoff", "16", "--grid", "501", "--out", str(tmp_path), "--quiet"])
+    assert code == 1
+    assert "grid too coarse" in capsys.readouterr().err
+
+
 def test_cli_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("m = 3\nomega = 3\nmax-zeros = 2\ncutoff = 16\ngrid = 2001\n",
@@ -254,6 +261,17 @@ def test_plot_from_sweep_report(tmp_path, capsys):
                  "--out", str(plots)]) == 0
     assert (plots / "profile_odd_1.svg").exists()
     assert (plots / "summary.svg").exists()
+
+
+def test_plot_solution_matches_sweep_chart(tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert main(["--quiet", "sweep", "--m", "3", "--omega", "3",
+                 "--max-zeros", "1", "--cutoff", "16", "--grid", "2001",
+                 "--plot", "--out", str(out)]) == 0
+    single = tmp_path / "single"
+    assert main(["--quiet", "plot", "--solution", str(out / "solution_odd_1.json"),
+                 "--out", str(single)]) == 0
+    assert (single / "profile_odd_1.svg").read_bytes() == (out / "profile_odd_1.svg").read_bytes()
 
 
 def test_plot_requires_an_input():

@@ -1,0 +1,63 @@
+"""Property tests: inertia counts and eigenvalues against a dense eigensolver
+on random small potentials, and exact float round trips through dumps."""
+
+import json
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from spherekink.serialize import dumps
+from spherekink.spectral import SchrodingerProblem, eigenvalues_below, negative_count
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def problems(draw):
+    n = draw(st.integers(5, 60))
+    half_width = draw(st.floats(1.0, 10.0))
+    v = draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
+    return SchrodingerProblem(np.linspace(-half_width, half_width, n), np.array(v),
+                              "dirichlet")
+
+
+def dense_eigs(problem):
+    dx = problem.dx
+    main = 2.0 / dx ** 2 + problem.potential[1:-1]
+    off = np.full(main.size - 1, -1.0 / dx ** 2)
+    return np.linalg.eigvalsh(np.diag(main) + np.diag(off, 1) + np.diag(off, -1))
+
+
+def spectral_scale(problem):
+    return float(np.max(np.abs(problem.potential))) + 4.0 / problem.dx ** 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(problems(), st.floats(-0.5, 1.5))
+def test_negative_count_matches_dense(problem, t):
+    lam = dense_eigs(problem)
+    # shifts anywhere from below the spectrum to above it
+    shift = float(lam[0] + t * (lam[-1] - lam[0]))
+    assume(np.min(np.abs(lam - shift)) > 1e-8 * spectral_scale(problem))
+    assert negative_count(problem, shift) == int(np.sum(lam < shift))
+
+
+@settings(max_examples=200, deadline=None)
+@given(problems(), st.integers(1, 8))
+def test_eigenvalues_below_match_dense(problem, count):
+    lam = dense_eigs(problem)
+    count = min(count, lam.size)
+    got = eigenvalues_below(problem, count)
+    assert got.shape == (count,)
+    assert np.max(np.abs(got - lam[:count])) <= 1e-10 * spectral_scale(problem)
+
+
+@given(finite)
+def test_dumps_round_trips_floats(x):
+    assert json.loads(dumps(x)) == x
+
+
+@given(st.lists(finite, max_size=20))
+def test_dumps_round_trips_float_lists(xs):
+    assert json.loads(dumps(xs)) == xs

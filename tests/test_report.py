@@ -93,6 +93,24 @@ def test_convergence_check_catches_wrong_trend(sweep33):
     assert any("H_norm fails to decrease" in f for f in check.failures)
 
 
+def test_convergence_check_energy_trend_is_strict(sweep33):
+    # an even-class inversion far smaller than the slack must still fail
+    recs = list(sweep33.records)
+    even2 = recs[0]
+    inverted = dataclasses.replace(recs[1], energy=even2.energy - 1e-9)
+    report = dataclasses.replace(sweep33, records=(even2, inverted) + tuple(recs[2:]))
+    check = convergence_check(report)
+    assert check.status == "fail"
+    assert any("energy gap fails to decrease" in f for f in check.failures)
+
+
+def test_configuration_errors_are_raised_not_recorded():
+    # N = 501 is below morse_index's grid floor: a configuration error,
+    # not a failure of the level
+    with pytest.raises(ValueError, match="grid too coarse"):
+        run_sweep(SweepConfig(m=3, omega=3.0, max_zeros=1, cutoff=16.0, grid_size=501))
+
+
 def test_failures_are_collected_not_raised():
     # levels above the first do not exist at these parameters
     report = run_sweep(SweepConfig(m=15, omega=32.0, max_zeros=3,

@@ -19,8 +19,8 @@ import json
 import sys
 from pathlib import Path
 
-from .catalog import builtin_catalog, catalog_rows, find_eigenmap
-from .core import ProblemParams, resample
+from .catalog import catalog_rows, find_eigenmap
+from .core import DEFAULT_CUTOFF, DEFAULT_GRID_SIZE, ProblemParams, resample
 from .report import (
     SweepConfig,
     class_of_level,
@@ -32,6 +32,7 @@ from .report import (
 )
 from .serialize import dumps, load_profile, save_profile
 from .shooting import (
+    DEFAULT_NEWTON_TOL,
     NoBracketFound,
     PolishDiverged,
     SolveRequest,
@@ -40,6 +41,7 @@ from .shooting import (
     verify_solution,
 )
 from .spectral import (
+    DEFAULT_NULL_BAND,
     morse_index,
     report_to_doc,
     truncated_singular_count,
@@ -103,9 +105,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--class", dest="symmetry_class", choices=("even", "odd"),
                    required=True, help="symmetry class of the profile")
     s.add_argument("--zeros", type=int, required=True, help="total interior zeros")
-    s.add_argument("--cutoff", type=float, default=20.0, help="domain half-width X")
-    s.add_argument("--grid", type=int, default=4001, help="grid points N (odd)")
-    s.add_argument("--tol", type=float, default=1e-10, help="polish residual tolerance")
+    _add_discretisation_flags(s)
     s.add_argument("--out", dest="out_file", metavar="FILE.json", default=None,
                    help="solution file (default: solution_<class>_<zeros>.json)")
     s.set_defaults(func=_cmd_solve)
@@ -113,10 +113,8 @@ def _build_parser() -> _Parser:
     w = sub.add_parser("sweep", parents=[gp()], help="solve levels 1..K and write a report")
     _add_problem_flags(w)
     w.add_argument("--max-zeros", type=int, required=True, help="highest level K")
-    w.add_argument("--cutoff", type=float, default=20.0, help="domain half-width X")
-    w.add_argument("--grid", type=int, default=4001, help="grid points N (odd)")
-    w.add_argument("--tol", type=float, default=1e-10, help="polish residual tolerance")
-    w.add_argument("--null-band", type=float, default=1e-6,
+    _add_discretisation_flags(w)
+    w.add_argument("--null-band", type=float, default=DEFAULT_NULL_BAND,
                    help="half-width of the spectral null band")
     w.add_argument("--plot", action="store_true", help="also emit SVG charts")
     w.set_defaults(func=_cmd_sweep)
@@ -127,14 +125,14 @@ def _build_parser() -> _Parser:
                    help="recompute after resampling to this half-width")
     i.add_argument("--grid", type=int, default=None,
                    help="recompute after resampling to this many points")
-    i.add_argument("--null-band", type=float, default=1e-6)
+    i.add_argument("--null-band", type=float, default=DEFAULT_NULL_BAND)
     i.set_defaults(func=_cmd_index)
 
     g = sub.add_parser("singular-index", parents=[gp()],
                        help="witness family and truncated counts at the equator map")
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--omega", type=float, required=True)
-    g.add_argument("--cutoff", type=float, default=20.0)
+    g.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
     g.add_argument("--dims", type=int, default=10, help="requested family size")
     g.set_defaults(func=_cmd_singular_index)
 
@@ -154,6 +152,13 @@ def _add_problem_flags(sp):
     sp.add_argument("--omega", type=float, default=None, help="eigenmap eigenvalue")
     sp.add_argument("--eigenmap", metavar="NAME", default=None,
                     help="take (m, omega) from the built-in catalog")
+
+
+def _add_discretisation_flags(sp):
+    sp.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF, help="domain half-width X")
+    sp.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE, help="grid points N (odd)")
+    sp.add_argument("--tol", type=float, default=DEFAULT_NEWTON_TOL,
+                    help="polish residual tolerance")
 
 
 def _problem_params(args, parser) -> ProblemParams:
@@ -230,7 +235,7 @@ def _find_subparser(parser, argv):
 
 # -- subcommands -----------------------------------------------------------------
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args, parser) -> int:
     rows = catalog_rows()
     header = ("name", "m", "n", "omega", "degree", "hypothesis")
     if args.csv:
@@ -252,18 +257,9 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_solve(args, parser) -> int:
     params = _problem_params(args, parser)
-    req = SolveRequest(params, args.symmetry_class, args.zeros,
-                       cutoff=args.cutoff, grid_size=args.grid,
-                       newton_tol=args.tol)
-    try:
-        prof = find_solution(req)
-    except NoBracketFound as exc:
-        print(f"no bracket: {exc}", file=sys.stderr)
-        return 2
-    except PolishDiverged as exc:
-        print(f"polish failed: {exc}", file=sys.stderr)
-        return 3
-
+    prof = find_solution(SolveRequest(params, args.symmetry_class, args.zeros,
+                                      cutoff=args.cutoff, grid_size=args.grid,
+                                      newton_tol=args.tol))
     name = args.out_file or f"solution_{args.symmetry_class}_{args.zeros}.json"
     path = Path(name)
     if not path.is_absolute():
@@ -313,12 +309,8 @@ def _cmd_sweep(args, parser) -> int:
     return 0
 
 
-def _cmd_index(args) -> int:
-    try:
-        prof = load_profile(args.solution)
-    except FileNotFoundError:
-        print(f"no such file: {args.solution}", file=sys.stderr)
-        return 1
+def _cmd_index(args, parser) -> int:
+    prof = load_profile(args.solution)
     cutoff = args.cutoff if args.cutoff is not None else prof.cutoff
     n = args.grid if args.grid is not None else prof.n
     if cutoff != prof.cutoff or n != prof.n:
@@ -327,17 +319,13 @@ def _cmd_index(args) -> int:
         zeros = prof.zero_count
         req = SolveRequest(prof.params, class_of_level(zeros), zeros,
                            cutoff=cutoff, grid_size=n)
-        try:
-            prof = newton_polish(prof, req)
-        except PolishDiverged as exc:
-            print(f"polish failed after resampling: {exc}", file=sys.stderr)
-            return 3
+        prof = newton_polish(prof, req)
     rep = morse_index(prof, null_band=args.null_band)
     print(dumps(report_to_doc(rep)))
     return 0
 
 
-def _cmd_singular_index(args) -> int:
+def _cmd_singular_index(args, parser) -> int:
     params = ProblemParams(args.m, args.omega)
     try:
         fam = witness_subspace(params, args.dims)
@@ -362,13 +350,8 @@ def _cmd_singular_index(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    try:
-        prof = load_profile(args.solution)
-    except FileNotFoundError:
-        print(f"no such file: {args.solution}", file=sys.stderr)
-        return 1
-    diag = verify_solution(prof)
+def _cmd_verify(args, parser) -> int:
+    diag = verify_solution(load_profile(args.solution))
     doc = {
         "residual_max": diag.residual_max,
         "residual_rms": diag.residual_rms,
@@ -392,20 +375,11 @@ def _cmd_plot(args, parser) -> int:
         parser.error("plot needs --report and/or --solution")
     written = []
     if args.report is not None:
-        try:
-            with open(args.report, "r", encoding="ascii") as f:
-                report = sweep_report_from_doc(json.load(f))
-        except FileNotFoundError:
-            print(f"no such file: {args.report}", file=sys.stderr)
-            return 1
+        with open(args.report, "r", encoding="ascii") as f:
+            report = sweep_report_from_doc(json.load(f))
         written += emit_plots(report, args.out_dir)
     if args.solution is not None:
-        try:
-            prof = load_profile(args.solution)
-        except FileNotFoundError:
-            print(f"no such file: {args.solution}", file=sys.stderr)
-            return 1
-        written.append(_plot_single(prof, args.out_dir))
+        written.append(_plot_single(load_profile(args.solution), args.out_dir))
     if not args.quiet:
         for p in written:
             print(f"wrote {p}")
@@ -443,17 +417,17 @@ def main(argv=None) -> int:
     if args.seedless and not args.quiet:
         print(_SEEDLESS_NOTE)
 
-    func = args.func
     try:
-        if func in (_cmd_solve, _cmd_sweep, _cmd_plot):
-            return func(args, parser)
-        return func(args)
+        return args.func(args, parser)
     except NoBracketFound as exc:
         print(f"spherekink: no bracket: {exc}", file=sys.stderr)
         return 2
     except PolishDiverged as exc:
         print(f"spherekink: polish failed: {exc}", file=sys.stderr)
         return 3
+    except FileNotFoundError as exc:
+        print(f"spherekink: no such file: {exc.filename}", file=sys.stderr)
+        return 1
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"spherekink: error: {exc}", file=sys.stderr)
         return 1

@@ -25,19 +25,25 @@ linearisation rates used by the solvers and the spectral reduction.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 from scipy.special import gammaln
 
-# Default tolerances.  Constraint/symmetry checks are absolute; the
-# quadrature target is what the composite rule is tuned to deliver on the
-# default grids.
+# Constraint/symmetry checks are absolute.
 TOL_CONSTRAINT = 1e-9
 TOL_SYM = 1e-9
-QUAD_TOL = 1e-10
+
+# The standard discretisation: domain half-width X and grid points N.
+DEFAULT_CUTOFF = 20.0
+DEFAULT_GRID_SIZE = 4001
+
+# Simpson grid for the nu correction to the singular energy; the cutoff is
+# widened to 1.25 times nu's support radius when that is larger.
+SINGULAR_NU_CUTOFF = 40.0
+SINGULAR_NU_GRID = 16001
 
 HALF_PI = math.pi / 2.0
 
@@ -169,15 +175,13 @@ class Profile:
     residual_norm: float | None = None
     zero_count: int | None = None
     provenance: str = ""
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate):
+    def __post_init__(self):
         for name in ("grid", "h", "dh"):
             a = np.array(getattr(self, name), dtype=float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        if validate:
-            self._check()
+        self._check()
 
     def _check(self):
         g, h, dh = self.grid, self.h, self.dh
@@ -243,7 +247,8 @@ def derivative_samples(y, dx):
     return d
 
 
-def singular_profile(params: ProblemParams, cutoff: float = 20.0, n: int = 4001) -> Profile:
+def singular_profile(params: ProblemParams, cutoff: float = DEFAULT_CUTOFF,
+                     n: int = DEFAULT_GRID_SIZE) -> Profile:
     """The constant equator profile h = 0 sampled on the standard grid."""
     g = symmetric_grid(cutoff, n)
     z = np.zeros_like(g)
@@ -321,7 +326,7 @@ def energy_tail_bound(prof: Profile) -> float:
     return total
 
 
-def singular_energy(params: ProblemParams, *, cutoff: float = 40.0, n: int = 16001) -> float:
+def singular_energy(params: ProblemParams) -> float:
     """Energy of the equator map h = 0.
 
     The unperturbed part is exact,
@@ -334,7 +339,7 @@ def singular_energy(params: ProblemParams, *, cutoff: float = 40.0, n: int = 160
     if params.nu is None:
         return base
     r = params.nu.support_radius
-    g = symmetric_grid(max(cutoff, 1.25 * r), n)
+    g = symmetric_grid(max(SINGULAR_NU_CUTOFF, 1.25 * r), SINGULAR_NU_GRID)
     corr = 0.5 * om * simpson(params.nu(g) * weight(g, m), x=g)
     return base + float(corr)
 

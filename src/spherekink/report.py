@@ -3,8 +3,8 @@
 A sweep solves every level 1..max_zeros (the parity of the level fixes its
 symmetry class), attaches energies and spectral counts, and serialises the
 lot as CSV + JSON + optional SVG.  Output bytes are a pure function of the
-configuration: records are sorted before writing, floats are rendered with
-a fixed format, and nothing stamps wall-clock time.
+configuration: records are sorted before writing, floats are written as
+their shortest exact repr, and nothing stamps wall-clock time.
 
 Levels are solved independently of each other (fan-out); a level that fails
 to bracket or polish becomes a failure entry rather than aborting the rest.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,8 @@ import scipy
 
 from . import __version__, svg
 from .core import (
+    DEFAULT_CUTOFF,
+    DEFAULT_GRID_SIZE,
     HALF_PI,
     NuPerturbation,
     ProblemParams,
@@ -32,8 +34,20 @@ from .core import (
     weighted_norm,
 )
 from .serialize import dumps, format_float, profile_from_doc, profile_to_doc
-from .shooting import NoBracketFound, PolishDiverged, SolveRequest, find_solution
-from .spectral import SpectralReport, build_schrodinger, morse_index, report_to_doc
+from .shooting import (
+    DEFAULT_NEWTON_TOL,
+    NoBracketFound,
+    PolishDiverged,
+    SolveRequest,
+    find_solution,
+)
+from .spectral import (
+    DEFAULT_NULL_BAND,
+    SpectralReport,
+    build_schrodinger,
+    morse_index,
+    report_to_doc,
+)
 
 VERSION_STAMP = f"spherekink {__version__}; numpy {np.__version__}; scipy {scipy.__version__}"
 
@@ -46,10 +60,10 @@ class SweepConfig:
     omega: float
     max_zeros: int
     nu: NuPerturbation | None = None
-    cutoff: float = 20.0
-    grid_size: int = 4001
-    newton_tol: float = 1e-10
-    null_band: float = 1e-6
+    cutoff: float = DEFAULT_CUTOFF
+    grid_size: int = DEFAULT_GRID_SIZE
+    newton_tol: float = DEFAULT_NEWTON_TOL
+    null_band: float = DEFAULT_NULL_BAND
     out_dir: str | None = None
     plots: bool = False
 

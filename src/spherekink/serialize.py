@@ -1,9 +1,10 @@
 """Deterministic JSON for profiles.
 
-The writer is hand-rolled so that output bytes depend only on the values:
-floats are always rendered with %.17g (enough digits for exact round-trip),
-keys keep insertion order, and there is no whitespace variation.  Reading
-goes through the standard json module.
+Output bytes depend only on the values.  Every float is written as its
+shortest repr, the shortest decimal that reads back as the same double, so
+the round trip is exact and 20.0 stays 20.0 and -0.0 stays -0.0.  Keys keep
+insertion order, there is no whitespace, NaN and infinities are refused, and
+numpy arrays and scalars are written as the lists and numbers they hold.
 """
 
 from __future__ import annotations
@@ -17,52 +18,23 @@ from .core import NuPerturbation, ProblemParams, Profile
 
 
 def format_float(x: float) -> str:
+    """The float spelling of dumps, for CSV cells."""
     x = float(x)
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError("non-finite values are not serialisable")
-    return "%.17g" % x
+    return repr(x)
+
+
+def _numpy_to_python(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialise {type(obj).__name__}")
 
 
 def dumps(obj) -> str:
-    """Serialise dicts/lists/scalars to JSON with %.17g floats."""
-    parts: list[str] = []
-    _write(obj, parts)
-    return "".join(parts)
-
-
-def _write(obj, parts):
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(format_float(obj))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if not isinstance(k, str):
-                raise TypeError("JSON object keys must be strings")
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(k, ensure_ascii=True))
-            parts.append(":")
-            _write(v, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        parts.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                parts.append(",")
-            _write(v, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialise {type(obj).__name__}")
+    """Compact JSON of dicts/lists/scalars/numpy values, floats as shortest repr."""
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False,
+                      default=_numpy_to_python)
 
 
 def profile_to_doc(prof: Profile) -> dict:
@@ -99,9 +71,13 @@ def profile_from_doc(doc: dict) -> Profile:
                    np.asarray(doc["dh"], dtype=float),
                    params,
                    symmetry_class=str(doc["symmetry_class"]),
-                   residual_norm=float(doc["residual_norm"]),
-                   zero_count=int(doc["zero_count"]),
+                   residual_norm=_optional(float, doc["residual_norm"]),
+                   zero_count=_optional(int, doc["zero_count"]),
                    provenance=str(doc.get("provenance", "")))
+
+
+def _optional(kind, value):
+    return None if value is None else kind(value)
 
 
 def save_profile(prof: Profile, path) -> None:

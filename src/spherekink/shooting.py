@@ -22,7 +22,7 @@ signs); all quantitative accuracy comes from the Newton stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -30,6 +30,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 
 from .core import (
+    DEFAULT_CUTOFF,
+    DEFAULT_GRID_SIZE,
     HALF_PI,
     TOL_SYM,
     Profile,
@@ -45,6 +47,8 @@ from .core import (
 )
 
 
+DEFAULT_NEWTON_TOL = 1e-10   # Newton residual max-norm a polish must reach
+
 # Fixed numerical controls of the solver.
 EXIT_MARGIN = 1e-3      # a trajectory has exited once |h| > pi/2 + EXIT_MARGIN
 BRACKET_TOL = 1e-14     # width the shooting bracket is bisected down to
@@ -53,6 +57,10 @@ BOUNDARY_TOL = 1e-6     # largest accepted end gap pi/2 - |h|
 SCAN_POINTS = 24        # uniform scan values below the cap, before the geometric ones
 RTOL = 1e-11            # DOP853 tolerances
 ATOL = 1e-13
+
+# verify_solution's thresholds, besides BOUNDARY_TOL and core.TOL_SYM.
+RESIDUAL_TOL = 1e-8     # interior residual max-norm
+W_TOL = 1e-8            # allowed decrease of the Lyapunov quantity W outside nu's support
 
 
 class OutcomeKind(Enum):
@@ -115,9 +123,9 @@ class SolveRequest:
     params: ProblemParams
     symmetry_class: str
     total_zeros: int
-    cutoff: float = 20.0
-    grid_size: int = 4001
-    newton_tol: float = 1e-10
+    cutoff: float = DEFAULT_CUTOFF
+    grid_size: int = DEFAULT_GRID_SIZE
+    newton_tol: float = DEFAULT_NEWTON_TOL
 
     def __post_init__(self):
         if self.symmetry_class not in ("odd", "even"):
@@ -147,11 +155,10 @@ class SolveRequest:
         return 1.5 * math.sqrt(self.params.omega)
 
 
-def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float, *,
-              exit_margin: float = EXIT_MARGIN) -> Trajectory:
+def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float) -> Trajectory:
     """Integrate the profile equation from (h, h')(0) = (h0, dh0) to cutoff.
 
-    Stops at the first exit from |h| <= pi/2 + exit_margin and records the
+    Stops at the first exit from |h| <= pi/2 + EXIT_MARGIN and records the
     zero crossings of h seen before the stop.  Crossing locations come from
     the integrator's root finder on its dense output.
     """
@@ -175,7 +182,7 @@ def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float, *,
             return (y[1], m1 * math.tanh(x) * y[1]
                     - 0.5 * om * (1.0 + float(nu(x))) * math.sin(2.0 * y[0]))
 
-    wall = HALF_PI + exit_margin
+    wall = HALF_PI + EXIT_MARGIN
 
     def crossing(x, y):
         return y[0]
@@ -485,9 +492,7 @@ class SolutionDiagnostics:
     passed: bool
 
 
-def verify_solution(prof: Profile, *, residual_tol: float = 1e-8,
-                    boundary_tol: float = BOUNDARY_TOL, w_tol: float = 1e-8,
-                    sym_tol: float = TOL_SYM) -> SolutionDiagnostics:
+def verify_solution(prof: Profile) -> SolutionDiagnostics:
     """Independent checks on a claimed connecting profile.
 
     The equator branch (boundary values far from +-pi/2) is flagged rather
@@ -521,18 +526,18 @@ def verify_solution(prof: Profile, *, residual_tol: float = 1e-8,
     excess = max(0.0, prof.sup_norm - HALF_PI)
 
     failures = []
-    if residual_max > residual_tol:
-        failures.append(f"residual max {residual_max:.3e} exceeds {residual_tol:.1e}")
+    if residual_max > RESIDUAL_TOL:
+        failures.append(f"residual max {residual_max:.3e} exceeds {RESIDUAL_TOL:.1e}")
     if singular:
         failures.append("boundary values sit on the equator branch, not a connecting profile")
-    elif max(gap_l, gap_r) > boundary_tol:
-        failures.append(f"boundary gap {max(gap_l, gap_r):.3e} exceeds {boundary_tol:.1e}")
-    if w_violation > w_tol:
+    elif max(gap_l, gap_r) > BOUNDARY_TOL:
+        failures.append(f"boundary gap {max(gap_l, gap_r):.3e} exceeds {BOUNDARY_TOL:.1e}")
+    if w_violation > W_TOL:
         failures.append(f"Lyapunov monotonicity violated by {w_violation:.3e}")
     if not singular and margin <= 0:
         failures.append("energy does not sit strictly below the singular level")
-    if prof.symmetry_class != "none" and sym > sym_tol:
-        failures.append(f"symmetry defect {sym:.3e} exceeds {sym_tol:.1e}")
+    if prof.symmetry_class != "none" and sym > TOL_SYM:
+        failures.append(f"symmetry defect {sym:.3e} exceeds {TOL_SYM:.1e}")
     if excess > 0:
         failures.append(f"constraint band exceeded by {excess:.3e}")
 

@@ -38,6 +38,10 @@ from .core import (
     weight,
 )
 
+DEFAULT_NULL_BAND = 1e-6   # eigenvalues within +-band of 0 count toward the nullity
+NODES_PER_UNIT = 100       # grid density of truncated_singular_count
+QUAD_DIVISIONS = 64        # Simpson divisions per tent; half as many give the error estimate
+
 
 @dataclass(frozen=True)
 class SchrodingerProblem:
@@ -168,12 +172,14 @@ class SpectralReport:
         return self.index + self.nullity_estimate
 
 
-def schrodinger_index(problem: SchrodingerProblem, *, null_band: float = 1e-6,
-                      n_leading: int | None = None) -> SpectralReport:
+def schrodinger_index(problem: SchrodingerProblem, *,
+                      null_band: float = DEFAULT_NULL_BAND) -> SpectralReport:
     """Index = eigenvalues below -null_band; nullity = those inside the band.
 
     Discrete nullity is tolerance-relative, so the count is re-checked at
     one band wider and one narrower; disagreement is flagged, not fatal.
+    The leading eigenvalues reported are the lowest index + 1, at least 3
+    and at most 8.
     """
     if null_band <= 0:
         raise ValueError("null_band must be positive")
@@ -182,7 +188,7 @@ def schrodinger_index(problem: SchrodingerProblem, *, null_band: float = 1e-6,
     def nullity_at(band):
         return negative_count(problem, band) - negative_count(problem, -band)
 
-    nullity = nullity_at(null_band)
+    nullity = negative_count(problem, null_band) - index
     sensitivity = tuple((b, nullity_at(b)) for b in (10.0 * null_band, 0.1 * null_band))
     flags = []
     if nullity >= 2:
@@ -190,33 +196,28 @@ def schrodinger_index(problem: SchrodingerProblem, *, null_band: float = 1e-6,
     if any(nb != nullity for _, nb in sensitivity):
         flags.append("nullity depends on the null band width: "
                      + ", ".join(f"{b:g} -> {nb}" for b, nb in sensitivity))
-    if n_leading is None:
-        n_leading = min(max(index + 1, 3), 8)
-    lead = eigenvalues_below(problem, n_leading)
+    lead = eigenvalues_below(problem, min(max(index + 1, 3), 8))
     return SpectralReport(index=index, nullity_estimate=nullity,
                           leading_eigenvalues=tuple(float(v) for v in lead),
                           cutoff=problem.cutoff, n=problem.n, null_band=null_band,
                           band_sensitivity=sensitivity, flags=tuple(flags))
 
 
-def morse_index(prof: Profile, *, null_band: float = 1e-6,
-                n_leading: int | None = None) -> SpectralReport:
+def morse_index(prof: Profile, *, null_band: float = DEFAULT_NULL_BAND) -> SpectralReport:
     if prof.n < 1000:
         raise ValueError("grid too coarse for a trustworthy count: need N >= 1000 "
                          "(resample the profile first)")
-    return schrodinger_index(build_schrodinger(prof), null_band=null_band,
-                             n_leading=n_leading)
+    return schrodinger_index(build_schrodinger(prof), null_band=null_band)
 
 
-def truncated_singular_count(params: ProblemParams, cutoff: float, *,
-                             nodes_per_unit: int = 100) -> int:
+def truncated_singular_count(params: ProblemParams, cutoff: float) -> int:
     """Negative-direction count of the equator branch truncated at the cutoff.
 
     Node density is fixed per unit length so counts at different cutoffs are
     comparable; under the instability condition the count grows without
     bound as the cutoff does.
     """
-    n = 2 * int(round(nodes_per_unit * cutoff)) + 1
+    n = 2 * int(round(NODES_PER_UNIT * cutoff)) + 1
     prof = singular_profile(params, cutoff=cutoff, n=n)
     return negative_count(build_schrodinger(prof), 0.0)
 
@@ -371,7 +372,7 @@ def _tent_sech2_integral(start, a, divisions):
     return float(simpson(sech(xs) ** 2 * f * f, x=xs))
 
 
-def witness_subspace(params: ProblemParams, k: int, *, quad_divisions: int = 64) -> WitnessFamily:
+def witness_subspace(params: ProblemParams, k: int) -> WitnessFamily:
     """k disjoint tents in the far field, each a strictly negative direction.
 
     With epsilon = |far-field floor|/2 and V < -epsilon beyond K, a tent of
@@ -393,8 +394,8 @@ def witness_subspace(params: ProblemParams, k: int, *, quad_divisions: int = 64)
     diag = []
     quad_err = 0.0
     for c in starts:
-        coarse = _tent_sech2_integral(c, a, quad_divisions // 2)
-        fine = _tent_sech2_integral(c, a, quad_divisions)
+        coarse = _tent_sech2_integral(c, a, QUAD_DIVISIONS // 2)
+        fine = _tent_sech2_integral(c, a, QUAD_DIVISIONS)
         quad_err = max(quad_err, abs(fine - coarse))
         q = 2.0 * a + floor * (2.0 * a ** 3 / 3.0) - beta * fine
         funcs.append(WitnessFunction(c, a, "none"))
@@ -405,8 +406,7 @@ def witness_subspace(params: ProblemParams, k: int, *, quad_divisions: int = 64)
                          quadrature_error=quad_err)
 
 
-def symmetric_witnesses(params: ProblemParams, k: int, symmetry_class: str, *,
-                        quad_divisions: int = 64) -> WitnessFamily:
+def symmetric_witnesses(params: ProblemParams, k: int, symmetry_class: str) -> WitnessFamily:
     """Even/odd combinations F(x) +- F(-x) of the plain family.
 
     Supports sit in x > 0 and their mirrors in x < 0, so the combination
@@ -415,7 +415,7 @@ def symmetric_witnesses(params: ProblemParams, k: int, symmetry_class: str, *,
     """
     if symmetry_class not in ("even", "odd"):
         raise ValueError("symmetry_class must be 'even' or 'odd'")
-    base = witness_subspace(params, k, quad_divisions=quad_divisions)
+    base = witness_subspace(params, k)
     funcs = tuple(WitnessFunction(f.start, f.half_width, symmetry_class)
                   for f in base.functions)
     return WitnessFamily(params=params, symmetry=symmetry_class,

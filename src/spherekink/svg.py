@@ -8,7 +8,7 @@ coordinates are written with a fixed format, keeping output byte-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -17,6 +17,9 @@ _MARGIN_L = 64.0
 _MARGIN_R = 64.0
 _MARGIN_T = 40.0
 _MARGIN_B = 48.0
+_WIDTH = 720.0
+_HEIGHT = 440.0
+_MAX_POINTS = 1200   # decimate's cap on the points kept per series
 
 
 def _px(v: float) -> str:
@@ -71,13 +74,13 @@ def _scale(lo, hi, p_lo, p_hi):
 
 
 def line_chart(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
-               ylabel_right: str = "", hlines=(), width: float = 720.0,
-               height: float = 440.0) -> str:
+               ylabel_right: str = "", hlines=()) -> str:
     """Chart with an optional independent right-hand axis.
 
     series: iterable of Series; hlines: (y, color, dashed, axis) tuples of
     horizontal reference lines included in the axis range of their side.
     """
+    width, height = _WIDTH, _HEIGHT
     series = list(series)
     if not series:
         raise ValueError("line_chart needs at least one series")
@@ -180,12 +183,12 @@ def line_chart(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
     return "\n".join(e) + "\n"
 
 
-def decimate(xs: np.ndarray, ys: np.ndarray, max_points: int = 1200):
+def decimate(xs: np.ndarray, ys: np.ndarray):
     """Thin dense series for plotting, always keeping both endpoints."""
     n = xs.size
-    if n <= max_points:
+    if n <= _MAX_POINTS:
         return xs, ys
-    stride = -(-n // max_points)
+    stride = -(-n // _MAX_POINTS)
     idx = np.arange(0, n, stride)
     if idx[-1] != n - 1:
         idx = np.append(idx, n - 1)

@@ -120,9 +120,14 @@ def test_verify_passes_stored_solution(solved, capsys):
     assert doc["energy_margin"] > 0.3
 
 
-def test_verify_missing_file(capsys):
-    assert main(["verify", "--solution", "nope.json"]) == 1
-    assert "no such file" in capsys.readouterr().err
+@pytest.mark.parametrize("command", [["verify", "--solution"], ["index", "--solution"],
+                                     ["plot", "--solution"], ["plot", "--report"]],
+                         ids=["verify", "index", "plot-solution", "plot-report"])
+def test_verify_missing_file(command, tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    assert main(["--out", str(tmp_path)] + command + [missing]) == 1
+    assert f"no such file: {missing}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_flags_equator_branch(tmp_path, capsys):

@@ -2,6 +2,7 @@
 on random small potentials, and exact float round trips through dumps."""
 
 import json
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -53,11 +54,22 @@ def test_eigenvalues_below_match_dense(problem, count):
     assert np.max(np.abs(got - lam[:count])) <= 1e-10 * spectral_scale(problem)
 
 
+def same_float(a, b):
+    """Equal, a float, and with the same sign (which tells -0.0 from 0.0)."""
+    return type(a) is float and a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 @given(finite)
 def test_dumps_round_trips_floats(x):
     assert json.loads(dumps(x)) == x
+    for value in (x, np.float64(x)):
+        assert same_float(json.loads(dumps(value)), x)
 
 
 @given(st.lists(finite, max_size=20))
 def test_dumps_round_trips_float_lists(xs):
     assert json.loads(dumps(xs)) == xs
+    for value in (xs, np.array(xs, dtype=float)):
+        back = json.loads(dumps(value))
+        assert len(back) == len(xs)
+        assert all(same_float(b, x) for b, x in zip(back, xs))

@@ -92,6 +92,19 @@ def test_save_and_load_profile_bytes_stable(tmp_path):
     assert p1.read_bytes().endswith(b"\n")
 
 
+def test_profile_with_default_metadata_round_trips(tmp_path):
+    # residual_norm and zero_count left unset are written as null and read
+    # back as None
+    g = symmetric_grid(4.0, 41)
+    prof = Profile(g, np.zeros_like(g), np.zeros_like(g), ProblemParams(3, 3.0))
+    path = tmp_path / "bare.json"
+    save_profile(prof, path)
+    back = load_profile(path)
+    assert back.residual_norm is None and back.zero_count is None
+    assert np.array_equal(back.h, prof.h)
+    assert back.symmetry_class == "none"
+
+
 def test_doc_shape_is_documented():
     doc = profile_to_doc(_profile())
     assert list(doc.keys())[:3] == ["m", "omega", "nu"]

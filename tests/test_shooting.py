@@ -57,7 +57,7 @@ def rk4_reference(h0, dh0, params, x_end, steps):
 # -- integrator ----------------------------------------------------------------
 
 def test_integrate_matches_independent_rk4():
-    traj = integrate(0.0, 0.35, P33, 3.0, exit_margin=1e-3)
+    traj = integrate(0.0, 0.35, P33, 3.0)
     assert traj.x_end >= 2.5          # exits downward shortly after
     h, dh = traj.sample(np.array([2.5]))
     ref = rk4_reference(0.0, 0.35, P33, 2.5, 30000)
@@ -71,7 +71,7 @@ def test_integrate_matches_rk4_with_nu():
     vals = 0.2 * np.cos(np.pi * g / 3.0) ** 2
     vals[0] = vals[-1] = 0.0
     p = ProblemParams(3, 3.0, NuPerturbation(g, vals))
-    traj = integrate(0.0, 0.5, p, 2.5, exit_margin=1e-3)
+    traj = integrate(0.0, 0.5, p, 2.5)
     h, dh = traj.sample(np.array([1.2]))
     ref = rk4_reference(0.0, 0.5, p, 1.2, 30000)
     # nu is linearly interpolated, so the reference sees the same kinks; the
@@ -84,7 +84,7 @@ def test_integrate_exact_slope_tracks_connection_then_departs():
     # The connecting orbit is a saddle connection: local integrator error is
     # amplified like e^(3x), so even the exact slope departs eventually.
     # It must still track the closed form well past the transition region.
-    traj = integrate(0.0, 1.0, P33, 20.0, exit_margin=1e-3)
+    traj = integrate(0.0, 1.0, P33, 20.0)
     assert traj.x_end > 8.0
     xs = np.linspace(0.0, 5.0, 101)
     h, _ = traj.sample(xs)
@@ -93,7 +93,7 @@ def test_integrate_exact_slope_tracks_connection_then_departs():
 
 
 def test_integrate_steep_slope_overshoots_without_crossing():
-    traj = integrate(0.0, 10.0, P33, 20.0, exit_margin=1e-3)
+    traj = integrate(0.0, 10.0, P33, 20.0)
     assert traj.outcome.kind is OutcomeKind.OVERSHOOT_POSITIVE
     assert traj.outcome.zero_count_half == 0
     assert traj.x_end < 2.0
@@ -101,13 +101,13 @@ def test_integrate_steep_slope_overshoots_without_crossing():
 
 def test_integrate_shallow_slope_crosses_then_exits_negative():
     # far below the connecting slope the orbit turns around and dives
-    traj = integrate(0.0, 0.2, P33, 40.0, exit_margin=1e-3)
+    traj = integrate(0.0, 0.2, P33, 40.0)
     assert traj.outcome.kind is OutcomeKind.OVERSHOOT_NEGATIVE
     assert traj.outcome.zero_count_half >= 1
 
 
 def test_integrate_equilibrium_is_undecided():
-    traj = integrate(0.0, 0.0, P33, 20.0, exit_margin=1e-3)
+    traj = integrate(0.0, 0.0, P33, 20.0)
     assert traj.outcome.kind is OutcomeKind.UNDECIDED
     assert traj.outcome.zero_count_half == 0
 
@@ -116,7 +116,7 @@ def test_integrate_even_start_at_cap_eventually_falls():
     # (pi/2, 0) is an equilibrium of the continuum equation, but sin(pi)
     # rounds to ~1.2e-16, and the saddle amplifies the drift until the
     # orbit falls off; the long dwell time is what matters for bracketing.
-    traj = integrate(HALF_PI, 0.0, P33, 20.0, exit_margin=1e-3)
+    traj = integrate(HALF_PI, 0.0, P33, 20.0)
     assert traj.outcome.kind is OutcomeKind.OVERSHOOT_NEGATIVE
     assert traj.outcome.zero_count_half == 1
     assert traj.x_end > 5.0
@@ -124,11 +124,11 @@ def test_integrate_even_start_at_cap_eventually_falls():
 
 def test_integrate_rejects_start_outside_band():
     with pytest.raises(ValueError):
-        integrate(2.0, 0.0, P33, 20.0, exit_margin=1e-3)
+        integrate(2.0, 0.0, P33, 20.0)
 
 
 def test_trajectory_sample_guards_range():
-    traj = integrate(0.0, 0.35, P33, 3.0, exit_margin=1e-3)
+    traj = integrate(0.0, 0.35, P33, 3.0)
     with pytest.raises(ValueError):
         traj.sample(np.array([traj.x_end + 1.0]))
 

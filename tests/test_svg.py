@@ -60,10 +60,10 @@ def test_chart_markers_render_circles():
 def test_decimate_keeps_endpoints_and_caps_size():
     xs = np.linspace(0.0, 1.0, 10001)
     ys = np.cos(xs)
-    dx, dy = decimate(xs, ys, max_points=1200)
+    dx, dy = decimate(xs, ys)
     assert len(dx) <= 1200
     assert dx[0] == xs[0] and dx[-1] == xs[-1]
     assert dy[0] == ys[0] and dy[-1] == ys[-1]
-    sx, sy = decimate(xs[:5], ys[:5], max_points=1200)
+    sx, sy = decimate(xs[:5], ys[:5])
     assert np.array_equal(sx, xs[:5])
     assert np.array_equal(sy, ys[:5])

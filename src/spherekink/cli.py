@@ -20,7 +20,13 @@ import sys
 from pathlib import Path
 
 from .catalog import catalog_rows, find_eigenmap
-from .core import DEFAULT_CUTOFF, DEFAULT_GRID_SIZE, ProblemParams, resample
+from .core import (
+    DEFAULT_CUTOFF,
+    DEFAULT_GRID_SIZE,
+    ProblemParams,
+    count_zero_crossings,
+    resample,
+)
 from .report import (
     SweepConfig,
     class_of_level,
@@ -317,6 +323,8 @@ def _cmd_index(args, parser) -> int:
         prof = resample(prof, cutoff, n)
         # only the tolerances of the request matter to newton_polish
         zeros = prof.zero_count
+        if zeros is None:
+            zeros = count_zero_crossings(prof.h)
         req = SolveRequest(prof.params, class_of_level(zeros), zeros,
                            cutoff=cutoff, grid_size=n)
         prof = newton_polish(prof, req)

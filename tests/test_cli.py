@@ -174,6 +174,21 @@ def test_index_with_resampling(solved, capsys):
     assert doc["n"] == 2401
 
 
+def test_index_with_resampling_counts_zeros_when_unrecorded(solved, tmp_path, capsys):
+    # a stored profile may carry no zero count; the polish request takes it
+    # from the samples instead
+    import dataclasses
+    bare = dataclasses.replace(load_profile(solved), zero_count=None)
+    path = tmp_path / "bare.json"
+    save_profile(bare, path)
+    assert load_profile(path).zero_count is None
+    assert main(["index", "--solution", str(path),
+                 "--cutoff", "18", "--grid", "2401"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["index"] == 1
+    assert doc["n"] == 2401
+
+
 # -- singular-index ------------------------------------------------------------------
 
 def test_singular_index_reports_witnesses(capsys):

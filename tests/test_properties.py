@@ -1,5 +1,6 @@
 """Property tests: inertia counts and eigenvalues against a dense eigensolver
-on random small potentials, and exact float round trips through dumps."""
+on random small potentials, exact float round trips through dumps, and the
+h -> -h symmetry of the shooting solver."""
 
 import json
 import math
@@ -8,7 +9,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spherekink.core import ProblemParams
 from spherekink.serialize import dumps
+from spherekink.shooting import NoBracketFound, PolishDiverged, SolveRequest, find_solution
 from spherekink.spectral import SchrodingerProblem, eigenvalues_below, negative_count
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -73,3 +76,29 @@ def test_dumps_round_trips_float_lists(xs):
         back = json.loads(dumps(value))
         assert len(back) == len(xs)
         assert all(same_float(b, x) for b, x in zip(back, xs))
+
+
+def solve_or_error(req, sign):
+    try:
+        return find_solution(req, sign=sign)
+    except (NoBracketFound, PolishDiverged) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# omega >= m keeps the decay rate at least 1, so most levels reach pi/2 within
+# the cutoff, and m <= 5 keeps omega above the threshold (m-1)^2/4
+@settings(max_examples=6, deadline=None)
+@given(st.integers(2, 5), st.floats(0.0, 12.0), st.integers(1, 2))
+def test_sign_flag_negates_exactly(m, extra, zeros):
+    params = ProblemParams(m, m + extra)
+    assert params.hypothesis()
+    req = SolveRequest(params, "odd" if zeros % 2 else "even", zeros,
+                       cutoff=16.0, grid_size=1001)
+    plus, minus = solve_or_error(req, 1), solve_or_error(req, -1)
+    if isinstance(plus, str):
+        # a level the solver cannot reach fails the same way for either sign
+        assert minus == plus
+    else:
+        assert not isinstance(minus, str), minus
+        assert np.array_equal(minus.h, -plus.h)
+        assert minus.zero_count == plus.zero_count == zeros

@@ -6,10 +6,12 @@ shared code, and the solved one-zero (3,3) profile against the closed form
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from spherekink import shooting
 from spherekink.core import (
     HALF_PI,
     ProblemParams,
@@ -21,6 +23,7 @@ from spherekink.core import (
 from spherekink.shooting import (
     NoBracketFound,
     OutcomeKind,
+    PolishDiverged,
     SolveRequest,
     classify_parameter,
     find_solution,
@@ -243,6 +246,65 @@ def test_richardson_energy_improves_with_grid():
     # the energy is stationary at the solution, so the O(dx^2) profile error
     # only enters quadratically and the observed order is four
     assert 12.0 < ratio < 20.0
+
+
+# -- bracket width -----------------------------------------------------------------
+
+def bracket_width(prof):
+    return float(re.search(r"bracket width ([^)]+)\)", prof.provenance).group(1))
+
+
+def counting(monkeypatch, name, fail_first=False):
+    """Replace shooting.<name> by a wrapper that counts its calls and, if
+    asked, raises PolishDiverged on the first one."""
+    calls = []
+    inner = getattr(shooting, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        if fail_first and len(calls) == 1:
+            raise PolishDiverged("injected failure")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("zeros", [1, 2, 3, 4])
+def test_loose_bracket_matches_tight_bracket(zeros, records33, monkeypatch):
+    # BRACKET_RTOL = 0 bisects every bracket down to BRACKET_TOL before the
+    # finish; the loose seed must reach the same discrete solution
+    fast = records33[("odd" if zeros % 2 else "even", zeros)].profile
+    assert bracket_width(fast) > 1e-8
+    monkeypatch.setattr(shooting, "BRACKET_RTOL", 0.0)
+    tight = find_solution(SolveRequest(P33, fast.symmetry_class, zeros))
+    assert bracket_width(tight) <= shooting.BRACKET_TOL
+    assert energy(tight) == pytest.approx(energy(fast), abs=1e-12)
+    assert np.max(np.abs(tight.h - fast.h)) < 1e-9
+    assert tight.zero_count == fast.zero_count == zeros
+
+
+def test_loose_bracket_saves_integrations(monkeypatch):
+    # deterministic: 67 integrations when every bracket is bisected to 1e-14
+    calls = counting(monkeypatch, "integrate")
+    find_solution(SolveRequest(P33, "even", 2))
+    assert len(calls) <= 40
+
+
+def test_failed_finish_retries_from_tight_bracket(records33, monkeypatch):
+    calls = counting(monkeypatch, "_newton_finish", fail_first=True)
+    prof = find_solution(SolveRequest(P33, "even", 2))
+    assert len(calls) == 2
+    assert bracket_width(prof) <= shooting.BRACKET_TOL
+    assert energy(prof) == pytest.approx(energy(records33[("even", 2)].profile), abs=1e-12)
+
+
+def test_second_failed_finish_propagates(monkeypatch):
+    # level 6 at the default cutoff ends 1.27e-6 short of pi/2, from either seed
+    calls = counting(monkeypatch, "_newton_finish")
+    with pytest.raises(PolishDiverged, match="increase the cutoff"):
+        find_solution(SolveRequest(P33, "even", 6))
+    assert len(calls) == 2
 
 
 # -- newton polish -----------------------------------------------------------------

@@ -322,9 +322,7 @@ def _cmd_index(args, parser) -> int:
     if cutoff != prof.cutoff or n != prof.n:
         prof = resample(prof, cutoff, n)
         # only the tolerances of the request matter to newton_polish
-        zeros = prof.zero_count
-        if zeros is None:
-            zeros = count_zero_crossings(prof.h)
+        zeros = count_zero_crossings(prof.h)
         req = SolveRequest(prof.params, class_of_level(zeros), zeros,
                            cutoff=cutoff, grid_size=n)
         prof = newton_polish(prof, req)

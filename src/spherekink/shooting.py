@@ -8,8 +8,7 @@ line by a two-stage process:
    the trajectory leaves the band |h| <= pi/2 + margin.  The count steps up
    as s decreases; each step is the parameter of a connecting orbit.  The
    step for the requested count is bracketed and bisected to a relative
-   width of 1e-3; only if the Newton finish from that seed fails is the
-   bracket bisected on down to 1e-14 and the finish run once more.
+   width of 1e-3 (never below 1e-14 absolute).
 
 2. The bracket-midpoint trajectory, mirrored by parity and blended into the
    linearised tail toward +-pi/2, seeds a damped Newton iteration on the
@@ -54,7 +53,7 @@ DEFAULT_NEWTON_TOL = 1e-10   # Newton residual max-norm a polish must reach
 # Fixed numerical controls of the solver.
 EXIT_MARGIN = 1e-3      # a trajectory has exited once |h| > pi/2 + EXIT_MARGIN
 BRACKET_RTOL = 1e-3     # width, relative to the scan bracket's top, that seeds the Newton finish
-BRACKET_TOL = 1e-14     # floor the bracket is bisected down to if that finish fails
+BRACKET_TOL = 1e-14     # absolute floor of that width
 MAX_NEWTON_ITER = 25
 BOUNDARY_TOL = 1e-6     # largest accepted end gap pi/2 - |h|
 SCAN_POINTS = 24        # uniform scan values below the cap, before the geometric ones
@@ -291,54 +290,41 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
             f"{_scan_values(req)[-1]:.3e}; the requested level may not exist "
             f"for these parameters")
 
-    def bisect(lo, hi, width):
-        for _ in range(200):
-            if hi - lo <= width:
-                break
-            mid = 0.5 * (lo + hi)
-            if count(mid) <= want:
-                hi = mid
-            else:
-                lo = mid
-        return lo, hi
+    width = max(BRACKET_RTOL * hi, BRACKET_TOL)
+    for _ in range(200):
+        if hi - lo <= width:
+            break
+        mid = 0.5 * (lo + hi)
+        if count(mid) <= want:
+            hi = mid
+        else:
+            lo = mid
+    s_star = 0.5 * (lo + hi)
+    guess = _initial_guess(shoot(s_star), req, sign)
 
     l_plus = sign * (1 if want % 2 == 0 else -1) * HALF_PI
     l_minus = l_plus if req.symmetry_class == "even" else -l_plus
     grid = symmetric_grid(req.cutoff, req.grid_size)
+    u, res_norm, iters = _newton_finish(grid, guess, req.params, req.symmetry_class,
+                                        l_plus, l_minus, tol=req.newton_tol)
+    if res_norm > req.newton_tol:
+        raise PolishDiverged(f"residual {res_norm:.3e} above tolerance after symmetrisation")
 
-    def finish(lo, hi):
-        """Newton from the bracket midpoint, held to every check a returned
-        profile must pass."""
-        guess = _initial_guess(shoot(0.5 * (lo + hi)), req, sign)
-        u, res_norm, iters = _newton_finish(grid, guess, req.params, req.symmetry_class,
-                                            l_plus, l_minus, tol=req.newton_tol)
-        if res_norm > req.newton_tol:
-            raise PolishDiverged(f"residual {res_norm:.3e} above tolerance after symmetrisation")
-        zeros = count_zero_crossings(u)
-        if zeros != req.total_zeros:
-            raise PolishDiverged(
-                f"polished profile has {zeros} interior zeros, requested {req.total_zeros}")
-        gap = HALF_PI - min(abs(float(u[0])), abs(float(u[-1])))
-        if gap > BOUNDARY_TOL:
-            raise PolishDiverged(
-                f"boundary gap {gap:.3e} exceeds {BOUNDARY_TOL:.1e}; increase the cutoff")
-        return u, res_norm, iters
-
-    lo, hi = bisect(lo, hi, max(BRACKET_RTOL * hi, BRACKET_TOL))
-    try:
-        u, res_norm, iters = finish(lo, hi)
-    except PolishDiverged:
-        # one retry from the seed the bracket floor gives; a second failure stands
-        if hi - lo <= BRACKET_TOL:
-            raise
-        lo, hi = bisect(lo, hi, BRACKET_TOL)
-        u, res_norm, iters = finish(lo, hi)
-    s_star = 0.5 * (lo + hi)
+    zeros = count_zero_crossings(u)
+    if zeros != req.total_zeros:
+        raise PolishDiverged(
+            f"polished profile has {zeros} interior zeros, requested {req.total_zeros}")
+    gap_r = HALF_PI - abs(float(u[-1]))
+    gap_l = HALF_PI - abs(float(u[0]))
+    if max(gap_l, gap_r) > BOUNDARY_TOL:
+        raise PolishDiverged(
+            f"boundary gap {max(gap_l, gap_r):.3e} exceeds {BOUNDARY_TOL:.1e}; "
+            f"increase the cutoff")
 
     hyp = "" if req.params.hypothesis() else "; outside guaranteed regime"
     prof = Profile(grid, u, derivative_samples(u, grid[1] - grid[0]), req.params,
                    symmetry_class=req.symmetry_class,
-                   residual_norm=res_norm, zero_count=req.total_zeros,
+                   residual_norm=res_norm, zero_count=zeros,
                    provenance=(f"shooting s*={sign * s_star:.17g} "
                                f"(bracket width {hi - lo:.2e}), newton iters={iters}"
                                f"{hyp}"))

@@ -254,22 +254,6 @@ def bracket_width(prof):
     return float(re.search(r"bracket width ([^)]+)\)", prof.provenance).group(1))
 
 
-def counting(monkeypatch, name, fail_first=False):
-    """Replace shooting.<name> by a wrapper that counts its calls and, if
-    asked, raises PolishDiverged on the first one."""
-    calls = []
-    inner = getattr(shooting, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(None)
-        if fail_first and len(calls) == 1:
-            raise PolishDiverged("injected failure")
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(shooting, name, wrapper)
-    return calls
-
-
 @pytest.mark.parametrize("zeros", [1, 2, 3, 4])
 def test_loose_bracket_matches_tight_bracket(zeros, records33, monkeypatch):
     # BRACKET_RTOL = 0 bisects every bracket down to BRACKET_TOL before the
@@ -286,25 +270,22 @@ def test_loose_bracket_matches_tight_bracket(zeros, records33, monkeypatch):
 
 def test_loose_bracket_saves_integrations(monkeypatch):
     # deterministic: 67 integrations when every bracket is bisected to 1e-14
-    calls = counting(monkeypatch, "integrate")
+    calls = []
+    inner = shooting.integrate
+
+    def counted(*args):
+        calls.append(None)
+        return inner(*args)
+
+    monkeypatch.setattr(shooting, "integrate", counted)
     find_solution(SolveRequest(P33, "even", 2))
     assert len(calls) <= 40
 
 
-def test_failed_finish_retries_from_tight_bracket(records33, monkeypatch):
-    calls = counting(monkeypatch, "_newton_finish", fail_first=True)
-    prof = find_solution(SolveRequest(P33, "even", 2))
-    assert len(calls) == 2
-    assert bracket_width(prof) <= shooting.BRACKET_TOL
-    assert energy(prof) == pytest.approx(energy(records33[("even", 2)].profile), abs=1e-12)
-
-
-def test_second_failed_finish_propagates(monkeypatch):
-    # level 6 at the default cutoff ends 1.27e-6 short of pi/2, from either seed
-    calls = counting(monkeypatch, "_newton_finish")
+def test_boundary_gap_failure_propagates():
+    # level 6 at the default cutoff ends 1.27e-6 short of pi/2
     with pytest.raises(PolishDiverged, match="increase the cutoff"):
         find_solution(SolveRequest(P33, "even", 6))
-    assert len(calls) == 2
 
 
 # -- newton polish -----------------------------------------------------------------

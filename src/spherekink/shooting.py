@@ -8,7 +8,10 @@ line by a two-stage process:
    the trajectory leaves the band |h| <= pi/2 + margin.  The count steps up
    as s decreases; each step is the parameter of a connecting orbit.  The
    step for the requested count is bracketed and bisected to a relative
-   width of 1e-3 (never below 1e-14 absolute).
+   width of 1e-3 (never below 1e-14 absolute).  The scan and the bisection
+   only need the count, so they run scipy's compiled DOP853 with no dense
+   output; the one seed trajectory is integrated by solve_ivp (the same
+   method) with dense output.
 
 2. The bracket-midpoint trajectory, mirrored by parity and blended into the
    linearised tail toward +-pi/2, seeds a damped Newton iteration on the
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode, solve_ivp
 from scipy.linalg import solve_banded
 
 from .core import (
@@ -157,6 +160,36 @@ class SolveRequest:
         return 1.5 * math.sqrt(self.params.omega)
 
 
+def _rhs(params: ProblemParams):
+    """Right-hand side (h, h')' = f(x, (h, h')) of the profile equation.
+
+    Scalar math rather than core.el_residual: DOP853 calls it thousands of
+    times per integration, where numpy's per-call overhead would dominate.
+    It returns a list because scipy's ode rejects tuples.
+    """
+    m1 = params.m - 1
+    om = params.omega
+    if params.nu is None:
+        def rhs(x, y):
+            return [y[1], m1 * math.tanh(x) * y[1] - 0.5 * om * math.sin(2.0 * y[0])]
+    else:
+        nu = params.nu
+
+        def rhs(x, y):
+            return [y[1], m1 * math.tanh(x) * y[1]
+                    - 0.5 * om * (1.0 + float(nu(x))) * math.sin(2.0 * y[0])]
+    return rhs
+
+
+def _max_step(params: ProblemParams) -> float:
+    return 0.5 / math.sqrt(1.0 + params.omega)
+
+
+def _check_start(h0: float) -> None:
+    if abs(h0) > HALF_PI:
+        raise ValueError("initial value must satisfy |h0| <= pi/2")
+
+
 def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float) -> Trajectory:
     """Integrate the profile equation from (h, h')(0) = (h0, dh0) to cutoff.
 
@@ -164,25 +197,10 @@ def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float) -> Tr
     zero crossings of h seen before the stop.  Crossing locations come from
     the integrator's root finder on its dense output.
     """
-    if abs(h0) > HALF_PI:
-        raise ValueError("initial value must satisfy |h0| <= pi/2")
+    _check_start(h0)
     if h0 == 0.0 and dh0 == 0.0:
         out = ShootingOutcome(OutcomeKind.UNDECIDED, 0, cutoff, "equilibrium at 0")
         return Trajectory(h0, dh0, cutoff, (), out, None)
-
-    # scalar math rather than core.el_residual: DOP853 calls rhs thousands of
-    # times per integration, where numpy's per-call overhead would dominate
-    m1 = params.m - 1
-    om = params.omega
-    if params.nu is None:
-        def rhs(x, y):
-            return (y[1], m1 * math.tanh(x) * y[1] - 0.5 * om * math.sin(2.0 * y[0]))
-    else:
-        nu = params.nu
-
-        def rhs(x, y):
-            return (y[1], m1 * math.tanh(x) * y[1]
-                    - 0.5 * om * (1.0 + float(nu(x))) * math.sin(2.0 * y[0]))
 
     wall = HALF_PI + EXIT_MARGIN
 
@@ -202,11 +220,10 @@ def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float) -> Tr
     exit_down.terminal = True
     exit_down.direction = -1.0
 
-    sol = solve_ivp(rhs, (0.0, float(cutoff)), (float(h0), float(dh0)),
+    sol = solve_ivp(_rhs(params), (0.0, float(cutoff)), (float(h0), float(dh0)),
                     method="DOP853", dense_output=True,
                     events=(crossing, exit_up, exit_down),
-                    rtol=RTOL, atol=ATOL,
-                    max_step=0.5 / math.sqrt(1.0 + om))
+                    rtol=RTOL, atol=ATOL, max_step=_max_step(params))
 
     # drop the event the root finder reports when the start itself sits at h = 0
     crossings = tuple(t for t in sol.t_events[0] if t > 1e-9)
@@ -226,19 +243,59 @@ def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float) -> Tr
     return Trajectory(float(h0), float(dh0), x_end, crossings, out, sol.sol)
 
 
-def classify_parameter(s: float, req: SolveRequest) -> ShootingOutcome:
-    """Outcome of the trajectory launched with shooting parameter s."""
-    return _shoot(s, req).outcome
+def _zero_counter(params: ProblemParams, cutoff: float):
+    """count(h0, dh0): the zero_count_half that integrate reports, without
+    the dense output and events the scan and the bisection never use.
+
+    Each count is one run of scipy's compiled DOP853 (Hairer's code, the
+    method solve_ivp re-implements in Python) with integrate's tolerances,
+    step cap and exit wall.  After each accepted step, solout counts a sign
+    change of h and stops the run once |h| > pi/2 + EXIT_MARGIN.
+
+    Build one counter per solve and reuse it for every count.  scipy's
+    dop853 wrapper leaks about 1.1 KB per new integrator and 64 B per
+    set_initial_value, and it is not re-entrant, so a counter is neither
+    made per count nor kept at module level.
+    """
+    wall = HALF_PI + EXIT_MARGIN
+    state = [0.0, 0]            # h at the last accepted step, sign changes so far
+
+    def solout(x, y):
+        h, h_prev = y[0], state[0]
+        if h < 0.0 < h_prev or h_prev < 0.0 < h:
+            state[1] += 1
+        state[0] = h
+        return -1 if abs(h) > wall else 0
+
+    # solve_ivp has no step limit, so neither has this run
+    dop = ode(_rhs(params)).set_integrator("dop853", rtol=RTOL, atol=ATOL,
+                                           max_step=_max_step(params), nsteps=2 ** 31 - 1)
+    dop.set_solout(solout)
+    end = float(cutoff)
+
+    def count(h0: float, dh0: float) -> int:
+        _check_start(h0)
+        if h0 == 0.0 and dh0 == 0.0:
+            return 0
+        state[:] = [float(h0), 0]
+        dop.set_initial_value((float(h0), float(dh0)), 0.0)
+        dop.integrate(end)
+        return state[1]
+
+    return count
+
+
+def _launch(s: float, req: SolveRequest) -> tuple:
+    """(h, h')(0) of the trajectory with shooting parameter s."""
+    if req.symmetry_class == "odd":
+        return 0.0, float(s)
+    if abs(s) > HALF_PI:
+        raise ValueError("even-class parameter must satisfy |s| <= pi/2")
+    return float(s), 0.0
 
 
 def _shoot(s: float, req: SolveRequest) -> Trajectory:
-    if req.symmetry_class == "odd":
-        h0, dh0 = 0.0, float(s)
-    else:
-        if abs(s) > HALF_PI:
-            raise ValueError("even-class parameter must satisfy |s| <= pi/2")
-        h0, dh0 = float(s), 0.0
-    return integrate(h0, dh0, req.params, req.cutoff)
+    return integrate(*_launch(s, req), req.params, req.cutoff)
 
 
 def _scan_values(req: SolveRequest) -> np.ndarray:
@@ -260,17 +317,10 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     want = req.zeros_half
-    cache: dict[float, Trajectory] = {}
-
-    def shoot(s_mag: float) -> Trajectory:
-        t = cache.get(s_mag)
-        if t is None:
-            t = _shoot(sign * s_mag, req)
-            cache[s_mag] = t
-        return t
+    counter = _zero_counter(req.params, req.cutoff)
 
     def count(s_mag: float) -> int:
-        return shoot(s_mag).outcome.zero_count_half
+        return counter(*_launch(sign * s_mag, req))
 
     lo = hi = None
     prev = None
@@ -300,7 +350,7 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
         else:
             lo = mid
     s_star = 0.5 * (lo + hi)
-    guess = _initial_guess(shoot(s_star), req, sign)
+    guess = _initial_guess(_shoot(sign * s_star, req), req, sign)
 
     l_plus = sign * (1 if want % 2 == 0 else -1) * HALF_PI
     l_minus = l_plus if req.symmetry_class == "even" else -l_plus

@@ -1,19 +1,23 @@
 """Shooting solver: integrator, bracketing, Newton polish, verification.
 
 The integrator is cross-checked against a hand-rolled fixed-step RK4 with no
-shared code, and the solved one-zero (3,3) profile against the closed form
-2 atan(e^x) - pi/2.
+shared code, the scan's compiled zero count against the integrator, and the
+solved one-zero (3,3) profile against the closed form 2 atan(e^x) - pi/2.
 """
 
+import gc
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spherekink import shooting
+from spherekink.catalog import find_eigenmap
 from spherekink.core import (
     HALF_PI,
+    NuPerturbation,
     ProblemParams,
     Profile,
     energy,
@@ -25,7 +29,6 @@ from spherekink.shooting import (
     OutcomeKind,
     PolishDiverged,
     SolveRequest,
-    classify_parameter,
     find_solution,
     integrate,
     newton_polish,
@@ -33,6 +36,33 @@ from spherekink.shooting import (
 )
 
 P33 = ProblemParams(3, 3.0)
+
+
+def nu_params():
+    """(3, 3) with a smooth bump nu of height 0.2 supported on |x| < 1.5."""
+    g = np.linspace(-1.5, 1.5, 301)
+    vals = 0.2 * np.cos(np.pi * g / 3.0) ** 2
+    vals[0] = vals[-1] = 0.0
+    return ProblemParams(3, 3.0, NuPerturbation(g, vals))
+
+
+def record_counts(monkeypatch):
+    """List that collects (params, cutoff, h0, dh0, count) for every compiled
+    zero count made from here on."""
+    seen = []
+    build = shooting._zero_counter
+
+    def recording(params, cutoff):
+        count = build(params, cutoff)
+
+        def counted(h0, dh0):
+            n = count(h0, dh0)
+            seen.append((params, cutoff, h0, dh0, n))
+            return n
+        return counted
+
+    monkeypatch.setattr(shooting, "_zero_counter", recording)
+    return seen
 
 
 def rk4_reference(h0, dh0, params, x_end, steps):
@@ -69,11 +99,7 @@ def test_integrate_matches_independent_rk4():
 
 
 def test_integrate_matches_rk4_with_nu():
-    from spherekink.core import NuPerturbation
-    g = np.linspace(-1.5, 1.5, 301)
-    vals = 0.2 * np.cos(np.pi * g / 3.0) ** 2
-    vals[0] = vals[-1] = 0.0
-    p = ProblemParams(3, 3.0, NuPerturbation(g, vals))
+    p = nu_params()
     traj = integrate(0.0, 0.5, p, 2.5)
     h, dh = traj.sample(np.array([1.2]))
     ref = rk4_reference(0.0, 0.5, p, 1.2, 30000)
@@ -137,14 +163,79 @@ def test_trajectory_sample_guards_range():
 
 
 def test_classify_parameter_flips_across_exact_slope():
+    # the exact one-zero profile has slope 1 at the origin; the scan's count
+    # and the seed trajectory's exit direction both flip across it
     req = SolveRequest(P33, "odd", 1)
-    below = classify_parameter(0.9, req)
-    above = classify_parameter(1.1, req)
+    count = shooting._zero_counter(req.params, req.cutoff)
     # undershooting orbits turn around and pick up an extra crossing
-    assert below.kind is OutcomeKind.OVERSHOOT_NEGATIVE
-    assert below.zero_count_half == 1
-    assert above.kind is OutcomeKind.OVERSHOOT_POSITIVE
-    assert above.zero_count_half == 0
+    assert count(*shooting._launch(0.9, req)) == 1
+    assert count(*shooting._launch(1.1, req)) == 0
+    assert shooting._shoot(0.9, req).outcome.kind is OutcomeKind.OVERSHOOT_NEGATIVE
+    assert shooting._shoot(1.1, req).outcome.kind is OutcomeKind.OVERSHOOT_POSITIVE
+
+
+# -- compiled zero count -------------------------------------------------------------
+
+HOPF32 = ProblemParams(3, find_eigenmap("hopf-3-2").omega)
+
+
+@pytest.mark.parametrize("params, zeros", [(P33, 1), (P33, 2), (P33, 3), (P33, 4),
+                                           (HOPF32, 3), (HOPF32, 4)])
+def test_compiled_count_matches_integrate_along_the_scan(params, zeros, monkeypatch):
+    # every scan and bisection point of a solve, against integrate's count
+    seen = record_counts(monkeypatch)
+    find_solution(SolveRequest(params, "odd" if zeros % 2 else "even", zeros))
+    assert len(seen) > 20
+    for p, cutoff, h0, dh0, n in seen:
+        assert n == integrate(h0, dh0, p, cutoff).outcome.zero_count_half, (h0, dh0)
+
+
+def test_compiled_count_edge_cases():
+    count = shooting._zero_counter(P33, 20.0)
+    assert count(0.0, 0.0) == 0           # the equilibrium at 0
+    assert count(HALF_PI, 0.0) == 1       # falls off the cap after a long dwell
+    assert count(0.0, 10.0) == 0          # steep overshoot, no crossing
+    assert shooting._zero_counter(P33, 40.0)(0.0, 0.2) >= 1
+    with pytest.raises(ValueError):
+        count(2.0, 0.0)
+    for h0, dh0 in [(0.0, 0.0), (HALF_PI, 0.0), (0.0, 10.0)]:
+        assert count(h0, dh0) == integrate(h0, dh0, P33, 20.0).outcome.zero_count_half
+
+
+def test_compiled_count_matches_integrate_with_nu():
+    p = nu_params()
+    count = shooting._zero_counter(p, 20.0)
+    # nu's interpolation kinks make each run slow, so only a few starts
+    starts = [(0.0, 0.1), (0.0, 0.9), (0.0, 1.3), (-HALF_PI, 0.0), (0.75, 0.0)]
+    counts = [count(h0, dh0) for h0, dh0 in starts]
+    assert sorted(set(counts)) == [0, 1, 2]
+    for (h0, dh0), n in zip(starts, counts):
+        assert n == integrate(h0, dh0, p, 20.0).outcome.zero_count_half, (h0, dh0)
+
+
+def test_one_integrator_per_solve_bounds_memory(monkeypatch):
+    # scipy's dop853 wrapper keeps about 1.1 KB of each integrator it builds
+    # and 64 B per set_initial_value.  find_solution builds one integrator per
+    # solve, so its traced memory grows by far less than 1 KB per count.
+    monkeypatch.setattr(shooting, "BRACKET_RTOL", 0.0)      # many counts per solve
+    req = SolveRequest(P33, "even", 2, cutoff=16.0, grid_size=1001)
+    build = shooting._zero_counter
+    seen = record_counts(monkeypatch)
+    find_solution(req)                  # also pays scipy's one-time set-up
+    counts = len(seen)
+    monkeypatch.setattr(shooting, "_zero_counter", build)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        find_solution(req)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert counts > 50
+    assert grown / counts <= 256, f"{grown} B over {counts} counts"
 
 
 # -- request validation -----------------------------------------------------------
@@ -269,7 +360,9 @@ def test_loose_bracket_matches_tight_bracket(zeros, records33, monkeypatch):
 
 
 def test_loose_bracket_saves_integrations(monkeypatch):
-    # deterministic: 67 integrations when every bracket is bisected to 1e-14
+    # deterministic: 67 integrations when every bracket is bisected to 1e-14.
+    # The scan and the bisection run compiled counts; the seed runs integrate.
+    seen = record_counts(monkeypatch)
     calls = []
     inner = shooting.integrate
 
@@ -279,7 +372,8 @@ def test_loose_bracket_saves_integrations(monkeypatch):
 
     monkeypatch.setattr(shooting, "integrate", counted)
     find_solution(SolveRequest(P33, "even", 2))
-    assert len(calls) <= 40
+    assert len(calls) == 1
+    assert len(seen) + len(calls) <= 40
 
 
 def test_boundary_gap_failure_propagates():

@@ -13,11 +13,12 @@ line by a two-stage process:
    output; the one seed trajectory is integrated by solve_ivp (the same
    method) with dense output.
 
-2. The bracket-midpoint trajectory, mirrored by parity and blended into the
-   linearised tail toward +-pi/2, seeds a damped Newton iteration on the
-   central-difference discretisation of the full-line boundary value
-   problem, with Robin conditions (pi/2 -+ h)' = lambda_- (pi/2 -+ h)
-   carrying the exponential decay at the cut ends.
+2. The trajectory at the bracket end without an extra zero, mirrored by
+   parity and blended into the linearised tail toward +-pi/2, seeds a
+   damped Newton iteration on the central-difference discretisation of the
+   full-line boundary value problem, with Robin conditions
+   (pi/2 -+ h)' = lambda_- (pi/2 -+ h) carrying the exponential decay at
+   the cut ends.
 
 The shooting stage only needs to deliver the topology (zero count and limit
 signs); all quantitative accuracy comes from the Newton stage.
@@ -349,7 +350,11 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
             hi = mid
         else:
             lo = mid
-    s_star = 0.5 * (lo + hi)
+    # Seed from hi: its trajectory has no zero beyond the requested ones, so
+    # it nears the limit, where _initial_guess blends in the tail.  A seed on
+    # the lo side crosses once more first and leaves a jump at the cut end
+    # whose residual grows like 1/dx^2.
+    s_star = hi
     guess = _initial_guess(_shoot(sign * s_star, req), req, sign)
 
     l_plus = sign * (1 if want % 2 == 0 else -1) * HALF_PI
@@ -382,7 +387,7 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
 
 
 def _initial_guess(traj: Trajectory, req: SolveRequest, sign: int) -> np.ndarray:
-    """Mirror the midpoint trajectory onto the full grid and blend its tail.
+    """Mirror the seed trajectory onto the full grid and blend its tail.
 
     Beyond the last requested zero the trajectory is replaced, from the
     point where it first comes within 3 percent of the limit, by the

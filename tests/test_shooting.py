@@ -376,6 +376,21 @@ def test_loose_bracket_saves_integrations(monkeypatch):
     assert len(seen) + len(calls) <= 40
 
 
+@pytest.mark.parametrize("cutoff, grid_size", [(20.0, 8001), (20.0, 16001), (30.0, 12001)])
+def test_fine_grids_solve_levels_one_to_four(cutoff, grid_size, monkeypatch):
+    # with dx <= 0.005 a seed that departs before nearing the limit leaves a
+    # jump whose residual (growing like 1/dx^2) is too rough for Newton
+    def solve(zeros):
+        return find_solution(SolveRequest(P33, "odd" if zeros % 2 else "even", zeros,
+                                          cutoff=cutoff, grid_size=grid_size))
+
+    loose = [solve(z) for z in (1, 2, 3, 4)]
+    monkeypatch.setattr(shooting, "BRACKET_RTOL", 0.0)
+    for zeros, prof in zip((1, 2, 3, 4), loose):
+        assert prof.zero_count == zeros
+        assert energy(solve(zeros)) == pytest.approx(energy(prof), abs=1e-12)
+
+
 def test_boundary_gap_failure_propagates():
     # level 6 at the default cutoff ends 1.27e-6 short of pi/2
     with pytest.raises(PolishDiverged, match="increase the cutoff"):

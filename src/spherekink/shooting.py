@@ -272,15 +272,14 @@ def _zero_counter(params: ProblemParams, cutoff: float):
     dop = ode(_rhs(params)).set_integrator("dop853", rtol=RTOL, atol=ATOL,
                                            max_step=_max_step(params), nsteps=2 ** 31 - 1)
     dop.set_solout(solout)
-    end = float(cutoff)
 
     def count(h0: float, dh0: float) -> int:
         _check_start(h0)
         if h0 == 0.0 and dh0 == 0.0:
             return 0
-        state[:] = [float(h0), 0]
-        dop.set_initial_value((float(h0), float(dh0)), 0.0)
-        dop.integrate(end)
+        state[:] = [h0, 0]
+        dop.set_initial_value((h0, dh0), 0.0)
+        dop.integrate(cutoff)
         return state[1]
 
     return count
@@ -354,8 +353,7 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
     # it nears the limit, where _initial_guess blends in the tail.  A seed on
     # the lo side crosses once more first and leaves a jump at the cut end
     # whose residual grows like 1/dx^2.
-    s_star = hi
-    guess = _initial_guess(_shoot(sign * s_star, req), req, sign)
+    guess = _initial_guess(_shoot(sign * hi, req), req, sign)
 
     l_plus = sign * (1 if want % 2 == 0 else -1) * HALF_PI
     l_minus = l_plus if req.symmetry_class == "even" else -l_plus
@@ -380,7 +378,7 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
     prof = Profile(grid, u, derivative_samples(u, grid[1] - grid[0]), req.params,
                    symmetry_class=req.symmetry_class,
                    residual_norm=res_norm, zero_count=zeros,
-                   provenance=(f"shooting s*={sign * s_star:.17g} "
+                   provenance=(f"shooting s*={sign * hi:.17g} "
                                f"(bracket width {hi - lo:.2e}), newton iters={iters}"
                                f"{hyp}"))
     return prof

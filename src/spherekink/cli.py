@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: catalog | solve | sweep | index | singular-index | verify | plot.
-Global flags (before the subcommand): --config FILE, --out DIR, --seedless,
---quiet.  A config file holds flat key=value lines mirroring the flags; the
-command line overrides the file.
+Global flags (before the subcommand): --config FILE, --out DIR, --quiet.
+A config file holds flat key=value lines mirroring the flags; the command
+line overrides the file.
 
 Exit codes: 0 success, 1 usage error, 2 no shooting bracket, 3 polish
 failure, 4 verification failure (including a false instability hypothesis
@@ -38,7 +38,6 @@ from .report import (
 )
 from .serialize import dumps, load_profile, save_profile
 from .shooting import (
-    DEFAULT_NEWTON_TOL,
     NoBracketFound,
     PolishDiverged,
     SolveRequest,
@@ -53,10 +52,6 @@ from .spectral import (
     truncated_singular_count,
     witness_subspace,
 )
-
-_SEEDLESS_NOTE = ("seedless: no random number generation is used anywhere; "
-                  "outputs are a pure function of the configuration")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1 instead of 2."""
@@ -77,9 +72,6 @@ def _add_global_flags(p, *, suppress: bool):
     p.add_argument("--out", dest="out_dir", metavar="DIR",
                    default=argparse.SUPPRESS if suppress else ".",
                    help="directory for generated files (default: current)")
-    p.add_argument("--seedless", action="store_true",
-                   default=argparse.SUPPRESS if suppress else False,
-                   help="assert that nothing uses randomness (always true)")
     p.add_argument("--quiet", action="store_true",
                    default=argparse.SUPPRESS if suppress else False,
                    help="suppress informational output")
@@ -163,8 +155,6 @@ def _add_problem_flags(sp):
 def _add_discretisation_flags(sp):
     sp.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF, help="domain half-width X")
     sp.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE, help="grid points N (odd)")
-    sp.add_argument("--tol", type=float, default=DEFAULT_NEWTON_TOL,
-                    help="polish residual tolerance")
 
 
 def _problem_params(args, parser) -> ProblemParams:
@@ -264,8 +254,7 @@ def _cmd_catalog(args, parser) -> int:
 def _cmd_solve(args, parser) -> int:
     params = _problem_params(args, parser)
     prof = find_solution(SolveRequest(params, args.symmetry_class, args.zeros,
-                                      cutoff=args.cutoff, grid_size=args.grid,
-                                      newton_tol=args.tol))
+                                      cutoff=args.cutoff, grid_size=args.grid))
     name = args.out_file or f"solution_{args.symmetry_class}_{args.zeros}.json"
     path = Path(name)
     if not path.is_absolute():
@@ -290,9 +279,8 @@ def _cmd_sweep(args, parser) -> int:
     params = _problem_params(args, parser)
     config = SweepConfig(m=params.m, omega=params.omega, nu=params.nu,
                          max_zeros=args.max_zeros, cutoff=args.cutoff,
-                         grid_size=args.grid, newton_tol=args.tol,
-                         null_band=args.null_band, out_dir=args.out_dir,
-                         plots=args.plot)
+                         grid_size=args.grid, null_band=args.null_band,
+                         out_dir=args.out_dir, plots=args.plot)
     report = run_sweep(config)
     if not args.quiet:
         if not report.hypothesis:
@@ -321,7 +309,7 @@ def _cmd_index(args, parser) -> int:
     n = args.grid if args.grid is not None else prof.n
     if cutoff != prof.cutoff or n != prof.n:
         prof = resample(prof, cutoff, n)
-        # only the tolerances of the request matter to newton_polish
+        # the request's grid sets the tolerance newton_polish stops at
         zeros = count_zero_crossings(prof.h)
         req = SolveRequest(prof.params, class_of_level(zeros), zeros,
                            cutoff=cutoff, grid_size=n)
@@ -420,8 +408,6 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
-    if args.seedless and not args.quiet:
-        print(_SEEDLESS_NOTE)
 
     try:
         return args.func(args, parser)

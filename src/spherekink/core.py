@@ -18,8 +18,8 @@ parameter choice; genuine solutions connect -pi/2 to pi/2 inside the
 constraint band |h| <= pi/2.
 
 This module holds problem parameters, sampled profiles, the energy and
-related functionals, coordinate transforms, and the asymptotic
-linearisation rates used by the solvers and the spectral reduction.
+related functionals, and the asymptotic linearisation rates used by the
+solvers and the spectral reduction.
 """
 
 from __future__ import annotations
@@ -274,17 +274,6 @@ def lyapunov_W(x, h, dh, params: ProblemParams):
     return 0.5 * np.asarray(dh, dtype=float) ** 2 + 0.5 * om * (1.0 + params.nu_at(x)) * np.sin(np.asarray(h, dtype=float)) ** 2
 
 
-def energy_comparison_integrand(h):
-    """(1/2) h sin(2h) + cos^2 h, which is <= 1 on |h| <= pi/2.
-
-    Equality holds only at h = 0; this is the pointwise fact behind the
-    strict energy bound E(h) < E(singular) for critical points other than
-    the equator map.
-    """
-    h = np.asarray(h, dtype=float)
-    return 0.5 * h * np.sin(2.0 * h) + np.cos(h) ** 2
-
-
 # -- energy and norms --------------------------------------------------------
 
 def energy_arrays(grid, h, dh, params: ProblemParams) -> float:
@@ -348,26 +337,6 @@ def weighted_norm(prof: Profile) -> float:
     """Norm of the weighted space: sqrt(int [(h')^2 + h^2] sech^(m-1) dx)."""
     w = weight(prof.grid, prof.params.m)
     return float(math.sqrt(simpson((prof.dh ** 2 + prof.h ** 2) * w, x=prof.grid)))
-
-
-# -- coordinate transforms ----------------------------------------------------
-
-def theta_to_x(theta):
-    """x = log tan((theta + pi/2)/2) for |theta| < pi/2."""
-    theta = np.asarray(theta, dtype=float)
-    if np.any(np.abs(theta) >= HALF_PI):
-        raise ValueError("theta must lie strictly inside (-pi/2, pi/2)")
-    return np.log(np.tan(0.5 * (theta + HALF_PI)))
-
-
-def x_to_theta(x):
-    """Inverse transform, theta = 2 atan(exp x) - pi/2."""
-    return 2.0 * np.arctan(np.exp(np.asarray(x, dtype=float))) - HALF_PI
-
-
-def theta_samples(prof: Profile):
-    """Display helper: the profile against the polar angle, (theta_i, f_i)."""
-    return x_to_theta(prof.grid), prof.h.copy()
 
 
 # -- resampling ---------------------------------------------------------------

@@ -35,7 +35,6 @@ from .core import (
 )
 from .serialize import dumps, format_float, profile_from_doc, profile_to_doc
 from .shooting import (
-    DEFAULT_NEWTON_TOL,
     NoBracketFound,
     PolishDiverged,
     SolveRequest,
@@ -62,7 +61,6 @@ class SweepConfig:
     nu: NuPerturbation | None = None
     cutoff: float = DEFAULT_CUTOFF
     grid_size: int = DEFAULT_GRID_SIZE
-    newton_tol: float = DEFAULT_NEWTON_TOL
     null_band: float = DEFAULT_NULL_BAND
     out_dir: str | None = None
     plots: bool = False
@@ -115,8 +113,7 @@ def class_of_level(zeros: int) -> str:
 
 def _solve_level(config: SweepConfig, zeros: int) -> SolutionRecord:
     req = SolveRequest(config.params, class_of_level(zeros), zeros,
-                       cutoff=config.cutoff, grid_size=config.grid_size,
-                       newton_tol=config.newton_tol)
+                       cutoff=config.cutoff, grid_size=config.grid_size)
     prof = find_solution(req)
     rep = morse_index(prof, null_band=config.null_band)
     rec = make_record(prof, rep)
@@ -245,7 +242,6 @@ def sweep_report_to_doc(report: SweepReport) -> dict:
         "max_zeros": cfg.max_zeros,
         "cutoff": cfg.cutoff,
         "grid_size": cfg.grid_size,
-        "newton_tol": cfg.newton_tol,
         "null_band": cfg.null_band,
         "hypothesis": report.hypothesis,
         "singular_energy": report.singular_energy,
@@ -263,7 +259,6 @@ def sweep_report_from_doc(doc: dict) -> SweepReport:
     cfg = SweepConfig(m=int(doc["m"]), omega=float(doc["omega"]),
                       max_zeros=int(doc["max_zeros"]), nu=nu,
                       cutoff=float(doc["cutoff"]), grid_size=int(doc["grid_size"]),
-                      newton_tol=float(doc["newton_tol"]),
                       null_band=float(doc["null_band"]))
     return SweepReport(config=cfg,
                        singular_energy=float(doc["singular_energy"]),

@@ -18,7 +18,11 @@ line by a two-stage process:
    damped Newton iteration on the central-difference discretisation of the
    full-line boundary value problem, with Robin conditions
    (pi/2 -+ h)' = lambda_- (pi/2 -+ h) carrying the exponential decay at
-   the cut ends.
+   the cut ends.  Both of Newton's thresholds follow from the grid spacing
+   dx, since the residual's second differences scale like 1/dx^2: it stops
+   once the residual max-norm is below newton_tolerance(dx), four times the
+   roundoff floor eps (pi/2) / dx^2, and it refuses a guess whose residual
+   is above 1/dx^2 as too rough.
 
 The shooting stage only needs to deliver the topology (zero count and limit
 signs); all quantitative accuracy comes from the Newton stage.
@@ -51,8 +55,6 @@ from .core import (
     symmetric_grid,
 )
 
-
-DEFAULT_NEWTON_TOL = 1e-10   # Newton residual max-norm a polish must reach
 
 # Fixed numerical controls of the solver.
 EXIT_MARGIN = 1e-3      # a trajectory has exited once |h| > pi/2 + EXIT_MARGIN
@@ -131,7 +133,6 @@ class SolveRequest:
     total_zeros: int
     cutoff: float = DEFAULT_CUTOFF
     grid_size: int = DEFAULT_GRID_SIZE
-    newton_tol: float = DEFAULT_NEWTON_TOL
 
     def __post_init__(self):
         if self.symmetry_class not in ("odd", "even"):
@@ -146,6 +147,11 @@ class SolveRequest:
             raise ValueError("cutoff too small: need tanh(cutoff) >= 0.999")
         if self.grid_size < 5 or self.grid_size % 2 == 0:
             raise ValueError("grid_size must be odd and >= 5")
+
+    @property
+    def newton_tol(self) -> float:
+        """Residual max-norm the Newton finish must reach on this grid."""
+        return newton_tolerance(2.0 * self.cutoff / (self.grid_size - 1))
 
     @property
     def zeros_half(self) -> int:
@@ -419,6 +425,16 @@ def _initial_guess(traj: Trajectory, req: SolveRequest, sign: int) -> np.ndarray
 
 # -- Newton stage -------------------------------------------------------------
 
+def newton_tolerance(dx: float) -> float:
+    """Residual max-norm at which Newton stops on a grid of spacing dx.
+
+    Rounding h (|h| <= pi/2) leaves the central-difference residual a floor
+    of about eps (pi/2) / dx^2; converged iterations plateau at 1.1-1.3
+    times it, so four times it is reachable on every grid.
+    """
+    return 4.0 * np.finfo(float).eps * HALF_PI / (dx * dx)
+
+
 def _interior_residual(grid, u, params):
     """core.el_residual on second-order central differences, interior nodes."""
     dx = grid[1] - grid[0]
@@ -470,8 +486,12 @@ def _newton(grid, u0, params, l_plus, l_minus, lam, *, tol):
     u = np.array(u0, dtype=float)
     res = _full_residual(grid, u, params, l_plus, l_minus, lam)
     fnorm = float(np.max(np.abs(res)))
-    if fnorm > 1e5:
-        raise PolishDiverged(f"initial guess residual {fnorm:.3e} is too rough")
+    # A smooth guess has fnorm * dx^2 of a few 1e-3 at most; a jump of pi at
+    # one node puts it at 3 to 6.
+    dx = grid[1] - grid[0]
+    if fnorm * dx * dx > 1.0:
+        raise PolishDiverged(f"initial guess residual {fnorm:.3e} is above 1/dx^2 = "
+                             f"{1.0 / (dx * dx):.3e}: too rough")
     iters = 0
     while fnorm > tol:
         if iters >= MAX_NEWTON_ITER:
@@ -511,7 +531,8 @@ def _newton_finish(grid, u0, params, symmetry_class, l_plus, l_minus, *, tol):
 def newton_polish(prof: Profile, req: SolveRequest) -> Profile:
     """Polish an approximate profile on its own grid.
 
-    Limit signs for the Robin conditions are read off the boundary values of
+    Only req.newton_tol is used, so build req on the profile's grid.  Limit
+    signs for the Robin conditions are read off the boundary values of
     the input.  The result keeps the input's symmetry class (re-pinned
     exactly when one is declared).
     """

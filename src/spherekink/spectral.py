@@ -49,7 +49,6 @@ class SchrodingerProblem:
 
     grid: np.ndarray
     potential: np.ndarray
-    boundary: str
     provenance: str = ""
 
     def __post_init__(self):
@@ -59,8 +58,6 @@ class SchrodingerProblem:
             raise ValueError("grid and potential must be matching 1-d arrays, >= 5 samples")
         if not np.all(np.isfinite(v)):
             raise ValueError("potential must be finite")
-        if self.boundary != "dirichlet":
-            raise ValueError("only Dirichlet truncation is supported")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "potential", v)
 
@@ -87,7 +84,7 @@ def potential_samples(x, h, params: ProblemParams) -> np.ndarray:
 def build_schrodinger(prof: Profile) -> SchrodingerProblem:
     """Potential of the flat-form Hessian along the profile's own grid."""
     v = potential_samples(prof.grid, prof.h, prof.params)
-    return SchrodingerProblem(prof.grid, v, "dirichlet",
+    return SchrodingerProblem(prof.grid, v,
                               provenance=f"m={prof.params.m} omega={prof.params.omega:g} "
                                          f"class={prof.symmetry_class} zeros={prof.zero_count}")
 

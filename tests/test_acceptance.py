@@ -343,7 +343,7 @@ def test_criterion_08_oracle_equivalence():
         for label, v in (("V=+1", np.full(n, 1.0)),
                          ("V=-1", np.full(n, -1.0)),
                          ("equator", potential_samples(g, np.zeros(n), P33))):
-            prob = SchrodingerProblem(g, v, "dirichlet")
+            prob = SchrodingerProblem(g, v)
             dx = prob.dx
             main = 2.0 / dx ** 2 + v[1:-1]
             dense = np.linalg.eigvalsh(

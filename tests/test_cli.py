@@ -257,12 +257,6 @@ def test_global_flags_after_subcommand(tmp_path, capsys):
     assert (out / "sweep.csv").exists()
 
 
-def test_seedless_note(capsys):
-    assert main(["--seedless", "catalog"]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0].startswith("seedless:")
-
-
 # -- plot --------------------------------------------------------------------------
 
 def test_plot_single_solution(solved, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Core types, functionals, and transforms.
+"""Core types and functionals.
 
 The exact reference solution used throughout: for omega = m the profile
 h(x) = 2 atan(e^x) - pi/2 solves the equation with h' = sech x and
@@ -21,17 +21,13 @@ from spherekink.core import (
     derivative_samples,
     el_residual,
     energy,
-    energy_comparison_integrand,
     energy_tail_bound,
     lyapunov_W,
     resample,
     singular_energy,
     singular_profile,
     symmetric_grid,
-    theta_samples,
-    theta_to_x,
     weighted_norm,
-    x_to_theta,
 )
 
 
@@ -222,39 +218,6 @@ def test_weighted_norm_tanh():
                    residual_norm=0.0, zero_count=1)
     # int (sech^4 + tanh^2) sech^2 dx = 16/15 + 2/3 = 26/15
     assert weighted_norm(prof) == pytest.approx(math.sqrt(26.0 / 15.0), abs=1e-9)
-
-
-def test_comparison_integrand_bounded_by_one():
-    h = np.linspace(-HALF_PI, HALF_PI, 2001)
-    vals = energy_comparison_integrand(h)
-    assert np.max(vals) <= 1.0 + 1e-12
-    assert energy_comparison_integrand(np.array([0.0]))[0] == pytest.approx(1.0)
-
-
-# -- coordinate transforms -------------------------------------------------------
-
-def test_theta_transform_values():
-    assert theta_to_x(math.pi / 4) == pytest.approx(math.log(1.0 + math.sqrt(2.0)),
-                                                    abs=1e-12)
-    assert x_to_theta(0.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_theta_transform_round_trip():
-    th = np.linspace(-1.5, 1.5, 101)
-    assert np.max(np.abs(x_to_theta(theta_to_x(th)) - th)) < 1e-12
-
-
-def test_theta_to_x_rejects_poles():
-    with pytest.raises(ValueError):
-        theta_to_x(HALF_PI)
-
-
-def test_theta_samples_monotone():
-    prof = gudermann_profile(n=401)
-    th, vals = theta_samples(prof)
-    assert np.all(np.diff(th) > 0)
-    assert abs(th[200]) < 1e-15
-    assert np.array_equal(vals, prof.h)
 
 
 # -- asymptotic exponents ---------------------------------------------------------

@@ -22,8 +22,7 @@ def problems(draw):
     n = draw(st.integers(5, 60))
     half_width = draw(st.floats(1.0, 10.0))
     v = draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
-    return SchrodingerProblem(np.linspace(-half_width, half_width, n), np.array(v),
-                              "dirichlet")
+    return SchrodingerProblem(np.linspace(-half_width, half_width, n), np.array(v))
 
 
 def dense_eigs(problem):

@@ -145,6 +145,15 @@ def test_sweep_report_doc_round_trip(small_sweep):
     assert dumps(sweep_report_to_doc(back)) == dumps(doc)
 
 
+def test_sweep_report_from_doc_ignores_old_newton_tol(small_sweep):
+    # files written while the Newton tolerance was a setting carry this key
+    doc = sweep_report_to_doc(small_sweep)
+    assert "newton_tol" not in doc
+    old = dict(doc, newton_tol=1e-10)
+    from spherekink.serialize import dumps
+    assert dumps(sweep_report_to_doc(sweep_report_from_doc(old))) == dumps(doc)
+
+
 def test_csv_layout(small_sweep, tmp_path):
     path = tmp_path / "sweep.csv"
     write_sweep_csv(small_sweep, path)

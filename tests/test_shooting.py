@@ -34,6 +34,7 @@ from spherekink.shooting import (
     newton_polish,
     verify_solution,
 )
+from spherekink.spectral import morse_index
 
 P33 = ProblemParams(3, 3.0)
 
@@ -376,18 +377,28 @@ def test_loose_bracket_saves_integrations(monkeypatch):
     assert len(seen) + len(calls) <= 40
 
 
-@pytest.mark.parametrize("cutoff, grid_size", [(20.0, 8001), (20.0, 16001), (30.0, 12001)])
+@pytest.mark.parametrize("cutoff, grid_size", [(20.0, 8001), (20.0, 16001), (30.0, 12001),
+                                               (20.0, 20001), (20.0, 32001)])
 def test_fine_grids_solve_levels_one_to_four(cutoff, grid_size, monkeypatch):
     # with dx <= 0.005 a seed that departs before nearing the limit leaves a
-    # jump whose residual (growing like 1/dx^2) is too rough for Newton
+    # jump whose residual (growing like 1/dx^2) is too rough for Newton; with
+    # dx <= 0.002 an absolute stopping tolerance sits below the residual's
+    # roundoff floor and the line search stalls
     def solve(zeros):
         return find_solution(SolveRequest(P33, "odd" if zeros % 2 else "even", zeros,
                                           cutoff=cutoff, grid_size=grid_size))
 
     loose = [solve(z) for z in (1, 2, 3, 4)]
+    # level 1 is the closed-form profile of energy 8/3; on these grids the
+    # discrete energy is off by 5.8e-8 to 1.5e-6 times dx^2
+    dx = loose[0].grid[1] - loose[0].grid[0]
+    assert abs(energy(loose[0]) - 8.0 / 3.0) < 2e-6 * dx * dx
     monkeypatch.setattr(shooting, "BRACKET_RTOL", 0.0)
     for zeros, prof in zip((1, 2, 3, 4), loose):
         assert prof.zero_count == zeros
+        assert verify_solution(prof).passed
+        rep = morse_index(prof)
+        assert (rep.index, rep.nullity_estimate) == (zeros, 0)
         assert energy(solve(zeros)) == pytest.approx(energy(prof), abs=1e-12)
 
 
@@ -410,6 +421,29 @@ def test_newton_polish_fixes_perturbed_profile(exact_profile):
     assert polished.residual_norm < 1e-9
     assert np.max(np.abs(polished.h - exact_profile.h)) < 2e-5
     assert "newton polish iters=" in polished.provenance
+
+
+@pytest.mark.parametrize("grid_size", [4001, 16001])
+def test_newton_polish_refuses_a_jump_at_the_cut_end(grid_size):
+    # a jump of pi at the last node: residual 6.3e4 at N=4001, 1.0e6 at
+    # N=16001; the guard scales with 1/dx^2 so both are refused
+    g = symmetric_grid(20.0, grid_size)
+    h = 2.0 * np.arctan(np.exp(g)) - HALF_PI
+    h[-1] = -h[-1]
+    prof = Profile(g, h, 1.0 / np.cosh(g), P33, symmetry_class="none",
+                   residual_norm=None, zero_count=1)
+    req = SolveRequest(P33, "odd", 1, cutoff=20.0, grid_size=grid_size)
+    with pytest.raises(PolishDiverged, match="too rough"):
+        newton_polish(prof, req)
+
+
+def test_newton_tolerance_follows_the_grid():
+    # four times the roundoff floor eps (pi/2) / dx^2 of the discrete residual
+    assert shooting.newton_tolerance(0.01) == pytest.approx(1.395e-11, rel=1e-3)
+    assert shooting.newton_tolerance(0.005) == pytest.approx(
+        4.0 * shooting.newton_tolerance(0.01), rel=1e-12)
+    req = SolveRequest(P33, "odd", 1, cutoff=20.0, grid_size=8001)
+    assert req.newton_tol == pytest.approx(shooting.newton_tolerance(0.005), rel=1e-12)
 
 
 def test_newton_polish_preserves_declared_parity(exact_profile):

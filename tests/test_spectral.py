@@ -93,9 +93,7 @@ def test_problem_rejects_nonfinite_potential():
     v = np.zeros(11)
     v[3] = np.inf
     with pytest.raises(ValueError):
-        SchrodingerProblem(g, v, "dirichlet")
-    with pytest.raises(ValueError):
-        SchrodingerProblem(g, np.zeros(11), "robin")
+        SchrodingerProblem(g, v)
 
 
 # -- counting against dense diagonalisation ----------------------------------------
@@ -107,7 +105,7 @@ def test_negative_count_matches_dense_eigensolver(n):
               np.full(n, -1.0),
               potential_samples(g, np.zeros(n), P33),
               4.0 - 8.0 / np.cosh(g) ** 2):
-        prob = SchrodingerProblem(g, v, "dirichlet")
+        prob = SchrodingerProblem(g, v)
         lam = dense_eigs(prob)
         for shift in (0.0, -0.5, 1.0, 4.0):
             assert negative_count(prob, shift) == int(np.sum(lam < shift))
@@ -115,8 +113,7 @@ def test_negative_count_matches_dense_eigensolver(n):
 
 def test_eigenvalues_below_match_dense_eigensolver():
     g = symmetric_grid(6.0, 201)
-    prob = SchrodingerProblem(g, potential_samples(g, np.zeros(201), P33),
-                              "dirichlet")
+    prob = SchrodingerProblem(g, potential_samples(g, np.zeros(201), P33))
     got = eigenvalues_below(prob, 5)
     ref = np.sort(dense_eigs(prob))[:5]
     assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-9
@@ -124,13 +121,13 @@ def test_eigenvalues_below_match_dense_eigensolver():
 
 def test_eigenvalues_below_zero_request():
     g = symmetric_grid(6.0, 51)
-    prob = SchrodingerProblem(g, np.zeros(51), "dirichlet")
+    prob = SchrodingerProblem(g, np.zeros(51))
     assert eigenvalues_below(prob, 0).size == 0
 
 
 def test_positive_box_has_no_negative_directions():
     g = symmetric_grid(10.0, 1001)
-    prob = SchrodingerProblem(g, np.full(1001, 1.0), "dirichlet")
+    prob = SchrodingerProblem(g, np.full(1001, 1.0))
     assert negative_count(prob, 0.0) == 0
 
 

@@ -147,6 +147,13 @@ class SolveRequest:
             raise ValueError("cutoff too small: need tanh(cutoff) >= 0.999")
         if self.grid_size < 5 or self.grid_size % 2 == 0:
             raise ValueError("grid_size must be odd and >= 5")
+        if self.newton_tol > RESIDUAL_TOL:
+            # finest spacing whose stopping tolerance verify_solution accepts
+            dx_min = math.sqrt(newton_tolerance(1.0) / RESIDUAL_TOL)
+            raise ValueError(
+                f"grid_size {self.grid_size} too fine for cutoff {self.cutoff:g}: Newton "
+                f"stops at residual {self.newton_tol:.3e}, above the certificate's "
+                f"{RESIDUAL_TOL:.0e}; use grid_size <= {1 + 2 * int(self.cutoff / dx_min)}")
 
     @property
     def newton_tol(self) -> float:
@@ -172,19 +179,22 @@ def _rhs(params: ProblemParams):
 
     Scalar math rather than core.el_residual: DOP853 calls it thousands of
     times per integration, where numpy's per-call overhead would dominate.
+    Python floats rather than numpy scalars (y.tolist()) for the same reason.
     It returns a list because scipy's ode rejects tuples.
     """
     m1 = params.m - 1
     om = params.omega
     if params.nu is None:
         def rhs(x, y):
-            return [y[1], m1 * math.tanh(x) * y[1] - 0.5 * om * math.sin(2.0 * y[0])]
+            h, dh = y.tolist()
+            return [dh, m1 * math.tanh(x) * dh - 0.5 * om * math.sin(2.0 * h)]
     else:
         nu = params.nu
 
         def rhs(x, y):
-            return [y[1], m1 * math.tanh(x) * y[1]
-                    - 0.5 * om * (1.0 + float(nu(x))) * math.sin(2.0 * y[0])]
+            h, dh = y.tolist()
+            return [dh, m1 * math.tanh(x) * dh
+                    - 0.5 * om * (1.0 + float(nu(x))) * math.sin(2.0 * h)]
     return rhs
 
 
@@ -268,7 +278,8 @@ def _zero_counter(params: ProblemParams, cutoff: float):
     state = [0.0, 0]            # h at the last accepted step, sign changes so far
 
     def solout(x, y):
-        h, h_prev = y[0], state[0]
+        # a Python float: comparing numpy scalars costs a third more per step
+        h, h_prev = y.item(0), state[0]
         if h < 0.0 < h_prev or h_prev < 0.0 < h:
             state[1] += 1
         state[0] = h

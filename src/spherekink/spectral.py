@@ -7,12 +7,12 @@ form into the flat quadratic form of a Schrodinger operator -w'' + V w with
     V(x) = (m-1)^2/4 - ((m-1)^2/4 + (m-1)/2) sech^2 x - omega (1+nu) cos(2h).
 
 Index and nullity are then read off the tridiagonal central-difference
-matrix of that operator by Sylvester inertia counts (number of negative
-pivots of the LDL^T factorisation of A - sigma I equals the number of
-eigenvalues below sigma), which is exact in integer arithmetic terms: no
-iterative eigensolve is trusted for counting.  Dirichlet truncation at the
-grid ends can only undercount negative directions, so reported indices are
-certified lower bounds, checked for stability under domain growth.
+matrix of that operator by Sylvester inertia counts: A - sigma I has as
+many negative LDL^T pivots as eigenvalues below sigma.  A count is one
+O(N) pass over Python floats that reads only pivot signs; no iterative
+eigensolve is trusted for counting.  Dirichlet truncation at the grid ends
+can only undercount negative directions, so reported indices are certified
+lower bounds, checked for stability under domain growth.
 
 For the equator branch, where V tends to (m-1)^2/4 - omega < 0 at both
 ends, families of disjoint tent functions placed in the far field give an
@@ -100,16 +100,13 @@ def _tridiag(problem: SchrodingerProblem):
 
 def _sturm_pass(main, off, shift, tiny):
     """Negative pivots of LDL^T of (T - shift I); None on a near-zero pivot."""
-    count = 0
-    piv = main[0] - shift
-    if abs(piv) < tiny:
-        return None
-    if piv < 0:
-        count = 1
     off2 = off * off
-    for a in main[1:]:
-        piv = a - shift - off2 / piv
-        if abs(piv) < tiny:
+    count = 0
+    piv = math.inf              # so the first pivot is main[0] - shift itself
+    # Python floats, 2-3x faster than numpy scalars; main - shift rounds as a scalar would
+    for a in (main - shift).tolist():
+        piv = a - off2 / piv
+        if -tiny < piv < tiny:
             return None
         if piv < 0:
             count += 1

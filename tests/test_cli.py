@@ -76,6 +76,15 @@ def test_wrong_parity_maps_to_exit_one(capsys):
 
 # -- solve -------------------------------------------------------------------------
 
+def test_solve_refuses_a_grid_finer_than_the_certificate(capsys):
+    code = main(["solve", "--m", "3", "--omega", "3", "--class", "odd",
+                 "--zeros", "1", "--grid", "200001"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "too fine for cutoff 20" in err
+    assert "use grid_size <= 107091" in err
+
+
 def test_solve_writes_verified_solution(solved, capsys):
     prof = load_profile(solved)
     assert prof.zero_count == 1

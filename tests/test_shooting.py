@@ -446,6 +446,18 @@ def test_newton_tolerance_follows_the_grid():
     assert req.newton_tol == pytest.approx(shooting.newton_tolerance(0.005), rel=1e-12)
 
 
+@pytest.mark.parametrize("cutoff, largest", [
+    (5.0, 26773), (20.0, 107091), (30.0, 160635), (123.4, 660747)])
+def test_request_refuses_a_grid_finer_than_the_certificate(cutoff, largest):
+    # below dx = 3.735e-4 Newton stops above RESIDUAL_TOL, so the solve
+    # could only end in a failed verify_solution
+    req = SolveRequest(P33, "odd", 1, cutoff=cutoff, grid_size=largest)
+    assert req.newton_tol <= shooting.RESIDUAL_TOL
+    with pytest.raises(ValueError, match=f"grid_size {largest + 2} too fine for cutoff "
+                                         f"{cutoff:g}: .* use grid_size <= {largest}$"):
+        SolveRequest(P33, "odd", 1, cutoff=cutoff, grid_size=largest + 2)
+
+
 def test_newton_polish_preserves_declared_parity(exact_profile):
     req = SolveRequest(P33, "odd", 1)
     polished = newton_polish(exact_profile, req)

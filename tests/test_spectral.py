@@ -29,6 +29,8 @@ from spherekink.spectral import (
     SchrodingerProblem,
     SpectralReport,
     WitnessFunction,
+    _sturm_pass,
+    _tridiag,
     build_schrodinger,
     eigenvalues_below,
     hessian_fd_check,
@@ -109,6 +111,25 @@ def test_negative_count_matches_dense_eigensolver(n):
         lam = dense_eigs(prob)
         for shift in (0.0, -0.5, 1.0, 4.0):
             assert negative_count(prob, shift) == int(np.sum(lam < shift))
+
+
+def test_negative_count_retries_at_a_perturbed_shift():
+    # V = 0 and shift = 2/dx^2 zero every shifted diagonal entry, so the first
+    # pivot is exactly 0 and the first pass gives up.  shift is also the
+    # middle eigenvalue of the 49 interior nodes, so the retry at
+    # shift + 1e-12 scale counts one more than a retry below it would.
+    g = symmetric_grid(6.0, 51)
+    prob = SchrodingerProblem(g, np.zeros(51))
+    main, off = _tridiag(prob)
+    shift = 2.0 / prob.dx ** 2
+    scale = float(np.max(np.abs(main))) + 2.0 * abs(off) + abs(shift)
+    assert main[0] - shift == 0.0
+    assert _sturm_pass(main, off, shift, 1e-14 * scale) is None
+    lam = dense_eigs(prob)
+    perturbed = shift + 1e-12 * scale
+    assert np.min(np.abs(lam - perturbed)) > 1e-13 * scale
+    assert negative_count(prob, shift) == int(np.sum(lam < perturbed)) == 25
+    assert int(np.sum(lam < shift - 1e-12 * scale)) == 24
 
 
 def test_eigenvalues_below_match_dense_eigensolver():

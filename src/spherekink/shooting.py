@@ -10,8 +10,11 @@ line by a two-stage process:
    step for the requested count is bracketed and bisected to a relative
    width of 1e-3 (never below 1e-14 absolute).  The scan and the bisection
    only need the count, so they run scipy's compiled DOP853 with no dense
-   output; the one seed trajectory is integrated by solve_ivp (the same
-   method) with dense output.
+   output, at the looser COUNT_RTOL: a count only says which side of a
+   transition s lies on, and its relative error in s, about
+   steps * COUNT_RTOL, is far below the bracket's width.  The one seed
+   trajectory is integrated by solve_ivp (the same method) with dense
+   output at RTOL.
 
 2. The trajectory at the bracket end without an extra zero, mirrored by
    parity and blended into the linearised tail toward +-pi/2, seeds a
@@ -65,6 +68,7 @@ BOUNDARY_TOL = 1e-6     # largest accepted end gap pi/2 - |h|
 SCAN_POINTS = 24        # uniform scan values below the cap, before the geometric ones
 RTOL = 1e-11            # DOP853 tolerances
 ATOL = 1e-13
+COUNT_RTOL = 1e-8       # DOP853 relative tolerance of the scan's zero counts
 
 # verify_solution's thresholds, besides BOUNDARY_TOL and core.TOL_SYM.
 RESIDUAL_TOL = 1e-8     # interior residual max-norm
@@ -265,9 +269,18 @@ def _zero_counter(params: ProblemParams, cutoff: float):
     the dense output and events the scan and the bisection never use.
 
     Each count is one run of scipy's compiled DOP853 (Hairer's code, the
-    method solve_ivp re-implements in Python) with integrate's tolerances,
-    step cap and exit wall.  After each accepted step, solout counts a sign
+    method solve_ivp re-implements in Python) with integrate's ATOL, step
+    cap and exit wall.  After each accepted step, solout counts a sign
     change of h and stops the run once |h| > pi/2 + EXIT_MARGIN.
+
+    The relative tolerance is COUNT_RTOL, not RTOL.  A count only decides
+    which side of a transition s lies on, and the bisection stops at a
+    relative width of BRACKET_RTOL.  An error made along a run maps back to
+    a relative shift in s of about steps * COUNT_RTOL, below 1e-6 for the
+    few dozen accepted steps a run takes, so far below that width, and a
+    solve makes 0.54-0.59 times the right-hand-side evaluations it makes at
+    RTOL.  The seed trajectory, which Newton starts from, stays at RTOL in
+    integrate.
 
     Build one counter per solve and reuse it for every count.  scipy's
     dop853 wrapper leaks about 1.1 KB per new integrator and 64 B per
@@ -286,7 +299,7 @@ def _zero_counter(params: ProblemParams, cutoff: float):
         return -1 if abs(h) > wall else 0
 
     # solve_ivp has no step limit, so neither has this run
-    dop = ode(_rhs(params)).set_integrator("dop853", rtol=RTOL, atol=ATOL,
+    dop = ode(_rhs(params)).set_integrator("dop853", rtol=COUNT_RTOL, atol=ATOL,
                                            max_step=_max_step(params), nsteps=2 ** 31 - 1)
     dop.set_solout(solout)
 

@@ -178,10 +178,12 @@ def test_classify_parameter_flips_across_exact_slope():
 # -- compiled zero count -------------------------------------------------------------
 
 HOPF32 = ProblemParams(3, find_eigenmap("hopf-3-2").omega)
+EICONAL4 = ProblemParams(4, find_eigenmap("eiconal-4").omega)
 
 
 @pytest.mark.parametrize("params, zeros", [(P33, 1), (P33, 2), (P33, 3), (P33, 4),
-                                           (HOPF32, 3), (HOPF32, 4)])
+                                           (HOPF32, 3), (HOPF32, 4),
+                                           (EICONAL4, 3), (EICONAL4, 4)])
 def test_compiled_count_matches_integrate_along_the_scan(params, zeros, monkeypatch):
     # every scan and bisection point of a solve, against integrate's count
     seen = record_counts(monkeypatch)
@@ -189,6 +191,49 @@ def test_compiled_count_matches_integrate_along_the_scan(params, zeros, monkeypa
     assert len(seen) > 20
     for p, cutoff, h0, dh0, n in seen:
         assert n == integrate(h0, dh0, p, cutoff).outcome.zero_count_half, (h0, dh0)
+
+
+# the levels the benchmark solves
+BENCHMARK_LEVELS = ([pytest.param(P33, z, id=f"identity-3-{z}") for z in (1, 2, 3, 4)]
+                    + [pytest.param(HOPF32, z, id=f"hopf-3-2-{z}") for z in (3, 4, 5, 6, 7)]
+                    + [pytest.param(EICONAL4, z, id=f"eiconal-4-{z}") for z in (3, 4, 5, 6, 7)])
+
+
+@pytest.mark.parametrize("params, zeros", BENCHMARK_LEVELS)
+def test_count_tolerance_keeps_every_solve(params, zeros, monkeypatch):
+    # counts at COUNT_RTOL must make every scan and bisection decision that
+    # counts at the seed's RTOL make, so the bracket, the seed and the
+    # profile come out bit-for-bit the same
+    req = SolveRequest(params, "odd" if zeros % 2 else "even", zeros)
+    loose = find_solution(req)
+    monkeypatch.setattr(shooting, "COUNT_RTOL", shooting.RTOL)
+    tight = find_solution(req)
+    assert np.array_equal(loose.h, tight.h)
+    assert loose.provenance == tight.provenance
+
+
+def test_count_tolerance_cuts_integrator_work(monkeypatch):
+    # hopf-3-2 level 5: 11542 right-hand-side evaluations at COUNT_RTOL
+    # against 21155 at RTOL (0.55), the seed trajectory included
+    calls = []
+    build = shooting._rhs
+
+    def counting(params):
+        rhs = build(params)
+
+        def counted(x, y):
+            calls.append(None)
+            return rhs(x, y)
+        return counted
+
+    monkeypatch.setattr(shooting, "_rhs", counting)
+    req = SolveRequest(HOPF32, "odd", 5)
+    find_solution(req)
+    loose = len(calls)
+    calls.clear()
+    monkeypatch.setattr(shooting, "COUNT_RTOL", shooting.RTOL)
+    find_solution(req)
+    assert loose <= 0.65 * len(calls), f"{loose} against {len(calls)}"
 
 
 def test_compiled_count_edge_cases():

@@ -8,13 +8,12 @@ line by a two-stage process:
    the trajectory leaves the band |h| <= pi/2 + margin.  The count steps up
    as s decreases; each step is the parameter of a connecting orbit.  The
    step for the requested count is bracketed and bisected to a relative
-   width of 1e-3 (never below 1e-14 absolute).  The scan and the bisection
-   only need the count, so they run scipy's compiled DOP853 with no dense
-   output, at the looser COUNT_RTOL: a count only says which side of a
-   transition s lies on, and its relative error in s, about
-   steps * COUNT_RTOL, is far below the bracket's width.  The one seed
-   trajectory is integrated by solve_ivp (the same method) with dense
-   output at RTOL.
+   width of 1e-3 (never below 1e-14 absolute).  Every trajectory runs
+   scipy's compiled DOP853.  The scan and the bisection only need the
+   count, so they run with no step record at the looser COUNT_RTOL: a count
+   only says which side of a transition s lies on, and its relative error
+   in s, about steps * COUNT_RTOL, is far below the bracket's width.  The
+   one seed trajectory runs at RTOL and records every accepted step.
 
 2. The trajectory at the bracket end without an extra zero, mirrored by
    parity and blended into the linearised tail toward +-pi/2, seeds a
@@ -39,6 +38,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.integrate import ode, solve_ivp
+from scipy.interpolate import BPoly
 from scipy.linalg import solve_banded
 
 from .core import (
@@ -217,6 +217,11 @@ def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float) -> Tr
     Stops at the first exit from |h| <= pi/2 + EXIT_MARGIN and records the
     zero crossings of h seen before the stop.  Crossing locations come from
     the integrator's root finder on its dense output.
+
+    This is solve_ivp's DOP853, written in Python, with dense output and
+    events.  find_solution does not call it: its counts and its seed run
+    the compiled DOP853 (_zero_counter, _seed).  It is the reference those
+    are tested against.
     """
     _check_start(h0)
     if h0 == 0.0 and dh0 == 0.0:
@@ -264,14 +269,25 @@ def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float) -> Tr
     return Trajectory(float(h0), float(dh0), x_end, crossings, out, sol.sol)
 
 
+def _dop853(params: ProblemParams, rtol: float, solout):
+    """scipy's compiled DOP853 (Hairer's code, the method solve_ivp
+    re-implements in Python) at rtol, with integrate's ATOL and step cap.
+    solout(x, y) runs after each accepted step, the start included, and
+    stops the run by returning -1."""
+    # solve_ivp has no step limit, so neither has this run
+    dop = ode(_rhs(params)).set_integrator("dop853", rtol=rtol, atol=ATOL,
+                                           max_step=_max_step(params), nsteps=2 ** 31 - 1)
+    dop.set_solout(solout)
+    return dop
+
+
 def _zero_counter(params: ProblemParams, cutoff: float):
     """count(h0, dh0): the zero_count_half that integrate reports, without
     the dense output and events the scan and the bisection never use.
 
-    Each count is one run of scipy's compiled DOP853 (Hairer's code, the
-    method solve_ivp re-implements in Python) with integrate's ATOL, step
-    cap and exit wall.  After each accepted step, solout counts a sign
-    change of h and stops the run once |h| > pi/2 + EXIT_MARGIN.
+    Each count is one run of the compiled DOP853 with integrate's exit
+    wall.  After each accepted step, solout counts a sign change of h and
+    stops the run once |h| > pi/2 + EXIT_MARGIN.
 
     The relative tolerance is COUNT_RTOL, not RTOL.  A count only decides
     which side of a transition s lies on, and the bisection stops at a
@@ -280,12 +296,13 @@ def _zero_counter(params: ProblemParams, cutoff: float):
     few dozen accepted steps a run takes, so far below that width, and a
     solve makes 0.54-0.59 times the right-hand-side evaluations it makes at
     RTOL.  The seed trajectory, which Newton starts from, stays at RTOL in
-    integrate.
+    its own run (_seed).
 
     Build one counter per solve and reuse it for every count.  scipy's
-    dop853 wrapper leaks about 1.1 KB per new integrator and 64 B per
-    set_initial_value, and it is not re-entrant, so a counter is neither
-    made per count nor kept at module level.
+    dop853 wrapper never frees an integrator: it keeps about 1.1 KB per new
+    one, with its solout, and 64 B per set_initial_value.  It is not
+    re-entrant either.  So a counter is neither made per count nor kept at
+    module level.
     """
     wall = HALF_PI + EXIT_MARGIN
     state = [0.0, 0]            # h at the last accepted step, sign changes so far
@@ -298,10 +315,7 @@ def _zero_counter(params: ProblemParams, cutoff: float):
         state[0] = h
         return -1 if abs(h) > wall else 0
 
-    # solve_ivp has no step limit, so neither has this run
-    dop = ode(_rhs(params)).set_integrator("dop853", rtol=COUNT_RTOL, atol=ATOL,
-                                           max_step=_max_step(params), nsteps=2 ** 31 - 1)
-    dop.set_solout(solout)
+    dop = _dop853(params, COUNT_RTOL, solout)
 
     def count(h0: float, dh0: float) -> int:
         _check_start(h0)
@@ -324,8 +338,42 @@ def _launch(s: float, req: SolveRequest) -> tuple:
     return float(s), 0.0
 
 
-def _shoot(s: float, req: SolveRequest) -> Trajectory:
-    return integrate(*_launch(s, req), req.params, req.cutoff)
+def _seed(s: float, req: SolveRequest) -> tuple:
+    """(h_at, x_end, t_start) of the seed trajectory with shooting parameter s.
+
+    One compiled DOP853 run at RTOL, to integrate's exit wall, records
+    (x, h, h') after each accepted step; x_end is the last step.  h_at is
+    the quintic Hermite interpolant of (h, h', h'') on [0, x_end], with h''
+    from the equation.  A cubic through (h, h') alone would stray up to
+    3e-6 from solve_ivp's dense output on steps of 0.2, enough to change a
+    Newton iteration count; the quintic strays about 1e-9.  t_start is the
+    step just before the last requested zero (0 with none): h has the
+    limit's sign beyond that zero, and the opposite sign on the way to it.
+    """
+    wall = HALF_PI + EXIT_MARGIN
+    steps = []
+
+    def solout(x, y):
+        h, dh = y.tolist()
+        steps.append((x, h, dh))
+        return -1 if abs(h) > wall else 0
+
+    dop = _dop853(req.params, RTOL, solout)
+    dop.set_initial_value(_launch(s, req), 0.0)
+    dop.integrate(req.cutoff)
+    x, h, dh = np.array(steps).T
+    # scipy never frees the integrator, which holds solout and so this list
+    steps.clear()
+    d2h = -el_residual(x, h, dh, 0.0, req.params)
+    # Bernstein coefficients on each step of width w that match (h, h', h'')
+    # at both ends (BPoly.from_derivatives builds the same, 70x slower)
+    w = np.diff(x)
+    a, b, da, db = h[:-1], h[1:], dh[:-1], dh[1:]
+    h_at = BPoly(np.array([a, a + w * da / 5, a + w * (2 * da + w * d2h[:-1] / 4) / 5,
+                           b - w * (2 * db - w * d2h[1:] / 4) / 5, b - w * db / 5, b]), x)
+    zeros = np.flatnonzero(np.sign(h[:-1]) * np.sign(h[1:]) < 0)[:req.zeros_half]
+    t_start = float(x[zeros[-1]]) if zeros.size else 0.0
+    return h_at, float(x[-1]), t_start
 
 
 def _scan_values(req: SolveRequest) -> np.ndarray:
@@ -383,7 +431,7 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
     # it nears the limit, where _initial_guess blends in the tail.  A seed on
     # the lo side crosses once more first and leaves a jump at the cut end
     # whose residual grows like 1/dx^2.
-    guess = _initial_guess(_shoot(sign * hi, req), req, sign)
+    guess = _initial_guess(*_seed(sign * hi, req), req, sign)
 
     l_plus = sign * (1 if want % 2 == 0 else -1) * HALF_PI
     l_minus = l_plus if req.symmetry_class == "even" else -l_plus
@@ -414,10 +462,12 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
     return prof
 
 
-def _initial_guess(traj: Trajectory, req: SolveRequest, sign: int) -> np.ndarray:
+def _initial_guess(h_at, x_end: float, t_start: float, req: SolveRequest,
+                   sign: int) -> np.ndarray:
     """Mirror the seed trajectory onto the full grid and blend its tail.
 
-    Beyond the last requested zero the trajectory is replaced, from the
+    The seed is h_at(x) on [0, x_end], as _seed gives it.  Beyond the last
+    requested zero (past t_start) the trajectory is replaced, from the
     point where it first comes within 3 percent of the limit, by the
     linearised approach to +-pi/2.  This removes the spurious departure the
     finite bracket width produces at large x and pins the zero count.
@@ -428,12 +478,9 @@ def _initial_guess(traj: Trajectory, req: SolveRequest, sign: int) -> np.ndarray
     limit = sign * (1 if want % 2 == 0 else -1) * HALF_PI
 
     h = np.full(half_n, limit)
-    inside = xs <= traj.x_end
-    h_in, _ = traj.sample(xs[inside])
-    h[inside] = h_in
+    inside = xs <= x_end
+    h[inside] = h_at(xs[inside])
 
-    t_start = 0.0 if want == 0 else traj.crossings[want - 1] if len(traj.crossings) >= want else (
-        traj.crossings[-1] if traj.crossings else 0.0)
     lam = asymptotic_exponents(req.params).decay_exponent_plus
     tail = np.flatnonzero((xs > t_start) & (np.sign(limit) * h >= 0.97 * HALF_PI))
     if tail.size:

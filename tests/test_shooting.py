@@ -1,8 +1,10 @@
 """Shooting solver: integrator, bracketing, Newton polish, verification.
 
 The integrator is cross-checked against a hand-rolled fixed-step RK4 with no
-shared code, the scan's compiled zero count against the integrator, and the
-solved one-zero (3,3) profile against the closed form 2 atan(e^x) - pi/2.
+shared code, the scan's compiled zero count against the integrator, the
+compiled seed trajectory against the integrator's (pointwise away from a
+transition, and by the solves they seed), and the solved one-zero (3,3)
+profile against the closed form 2 atan(e^x) - pi/2.
 """
 
 import gc
@@ -171,8 +173,8 @@ def test_classify_parameter_flips_across_exact_slope():
     # undershooting orbits turn around and pick up an extra crossing
     assert count(*shooting._launch(0.9, req)) == 1
     assert count(*shooting._launch(1.1, req)) == 0
-    assert shooting._shoot(0.9, req).outcome.kind is OutcomeKind.OVERSHOOT_NEGATIVE
-    assert shooting._shoot(1.1, req).outcome.kind is OutcomeKind.OVERSHOOT_POSITIVE
+    for s, kind in [(0.9, OutcomeKind.OVERSHOOT_NEGATIVE), (1.1, OutcomeKind.OVERSHOOT_POSITIVE)]:
+        assert integrate(*shooting._launch(s, req), req.params, req.cutoff).outcome.kind is kind
 
 
 # -- compiled zero count -------------------------------------------------------------
@@ -210,6 +212,50 @@ def test_count_tolerance_keeps_every_solve(params, zeros, monkeypatch):
     tight = find_solution(req)
     assert np.array_equal(loose.h, tight.h)
     assert loose.provenance == tight.provenance
+
+
+def integrate_seed(s, req):
+    """The seed find_solution took from integrate before it ran the compiled
+    DOP853: dense output, and the root finder's crossings."""
+    traj = integrate(*shooting._launch(s, req), req.params, req.cutoff)
+    crossings = traj.crossings[:req.zeros_half]
+    return (lambda xs: traj.sample(xs)[0]), traj.x_end, (crossings[-1] if crossings else 0.0)
+
+
+NU_LEVELS = [pytest.param(nu_params(), z, id=f"nu-{z}") for z in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("params, zeros", BENCHMARK_LEVELS + NU_LEVELS)
+def test_compiled_seed_keeps_every_solve(params, zeros, monkeypatch):
+    # The two DOP853 codes take different steps: on these seeds they agree to
+    # 1e-8 where both run, but the compiled run ends on the step past the
+    # exit wall and integrate on the wall (up to 0.07 apart).  What matters
+    # is the discrete profile Newton reaches from each, so compare solves.
+    req = SolveRequest(params, "odd" if zeros % 2 else "even", zeros)
+    compiled = find_solution(req)
+    monkeypatch.setattr(shooting, "_seed", integrate_seed)
+    reference = find_solution(req)
+    assert compiled.provenance == reference.provenance
+    assert np.max(np.abs(compiled.h - reference.h)) <= 1e-15
+
+
+@pytest.mark.parametrize("params, symmetry_class, zeros, s", [
+    (P33, "odd", 1, 0.9), (P33, "odd", 3, 0.5), (P33, "even", 2, 0.75),
+    (HOPF32, "odd", 5, 0.3), (nu_params(), "odd", 3, 0.9)])
+def test_seed_matches_integrate_where_both_run(params, symmetry_class, zeros, s):
+    # away from a transition the two DOP853 codes agree to about 1e-9, and so
+    # must the seed's interpolant, between steps as well as at them
+    req = SolveRequest(params, symmetry_class, zeros)
+    h_at, x_end, t_start = shooting._seed(s, req)
+    traj = integrate(*shooting._launch(s, req), params, req.cutoff)
+    xs = np.linspace(0.0, min(x_end, traj.x_end), 3001)
+    assert np.max(np.abs(h_at(xs) - traj.sample(xs)[0])) < 1e-7
+    # t_start: the step before the last requested zero, 0 with none
+    crossings = traj.crossings[:req.zeros_half]
+    if crossings:
+        assert crossings[-1] - shooting._max_step(params) <= t_start < crossings[-1]
+    else:
+        assert t_start == 0.0
 
 
 def test_count_tolerance_cuts_integrator_work(monkeypatch):
@@ -282,6 +328,25 @@ def test_one_integrator_per_solve_bounds_memory(monkeypatch):
         tracemalloc.stop()
     assert counts > 50
     assert grown / counts <= 256, f"{grown} B over {counts} counts"
+
+
+def test_seed_run_keeps_no_step_record():
+    # scipy never frees the seed's integrator, nor its solout and the step
+    # list that solout fills.  Two leaked integrators and 64 B per count stay
+    # below 8 KB a solve (6.4-6.7 KB measured); with the seed's step record
+    # kept alive as well it grew by 12.2 KB.
+    req = SolveRequest(P33, "even", 2)
+    find_solution(req)                  # also pays scipy's one-time set-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        find_solution(req)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown <= 8192, f"{grown} B"
 
 
 # -- request validation -----------------------------------------------------------
@@ -407,7 +472,7 @@ def test_loose_bracket_matches_tight_bracket(zeros, records33, monkeypatch):
 
 def test_loose_bracket_saves_integrations(monkeypatch):
     # deterministic: 67 integrations when every bracket is bisected to 1e-14.
-    # The scan and the bisection run compiled counts; the seed runs integrate.
+    # The scan, the bisection and the seed all run the compiled DOP853.
     seen = record_counts(monkeypatch)
     calls = []
     inner = shooting.integrate
@@ -416,10 +481,19 @@ def test_loose_bracket_saves_integrations(monkeypatch):
         calls.append(None)
         return inner(*args)
 
+    seeds = []
+    seed = shooting._seed
+
+    def seeded(s, req):
+        seeds.append(s)
+        return seed(s, req)
+
     monkeypatch.setattr(shooting, "integrate", counted)
+    monkeypatch.setattr(shooting, "_seed", seeded)
     find_solution(SolveRequest(P33, "even", 2))
-    assert len(calls) == 1
-    assert len(seen) + len(calls) <= 40
+    assert len(calls) == 0
+    assert len(seeds) == 1
+    assert len(seen) + len(seeds) <= 40
 
 
 @pytest.mark.parametrize("cutoff, grid_size", [(20.0, 8001), (20.0, 16001), (30.0, 12001),

@@ -32,9 +32,9 @@ from .report import (
     class_of_level,
     convergence_check,
     emit_plots,
-    profile_chart,
     run_sweep,
     sweep_report_from_doc,
+    write_profile_chart,
 )
 from .serialize import dumps, load_profile, save_profile
 from .shooting import (
@@ -220,13 +220,10 @@ def _apply_config(parser, sub_parser, values: dict):
         action.required = False
 
 
-def _find_subparser(parser, argv):
+def _find_subparser(parser, command):
     sub_action = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction))
-    for tok in argv:
-        if tok in sub_action.choices:
-            return sub_action.choices[tok]
-    return None
+    return sub_action.choices.get(command)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -373,33 +370,31 @@ def _cmd_plot(args, parser) -> int:
             report = sweep_report_from_doc(json.load(f))
         written += emit_plots(report, args.out_dir)
     if args.solution is not None:
-        written.append(_plot_single(load_profile(args.solution), args.out_dir))
+        written.append(write_profile_chart(load_profile(args.solution), args.out_dir))
     if not args.quiet:
         for p in written:
             print(f"wrote {p}")
     return 0
 
 
-def _plot_single(prof, out_dir) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"profile_{prof.symmetry_class}_{prof.zero_count}.svg"
-    path.write_text(profile_chart(prof), encoding="ascii", newline="\n")
-    return path
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
 
-    # a config file contributes defaults; real flags override them
-    pre = _Parser(add_help=False)
-    pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(argv)
-    if known.config is not None:
+    # a config file contributes defaults; real flags override them.  The
+    # global flags are parsed first, so that the value of --out or --config
+    # is never taken for the subcommand.
+    pre = _Parser(add_help=False, exit_on_error=False)
+    _add_global_flags(pre, suppress=False)
+    pre.add_argument("command", nargs="?")
+    try:
+        known, _ = pre.parse_known_args(argv)
+    except argparse.ArgumentError:
+        known = None   # parse_args below reports it with the full usage
+    if known is not None and known.config is not None:
         try:
             values = _read_config(known.config)
-            _apply_config(parser, _find_subparser(parser, argv), values)
+            _apply_config(parser, _find_subparser(parser, known.command), values)
         except (OSError, ValueError) as exc:
             print(f"spherekink: bad config: {exc}", file=sys.stderr)
             return 1

@@ -18,8 +18,8 @@ parameter choice; genuine solutions connect -pi/2 to pi/2 inside the
 constraint band |h| <= pi/2.
 
 This module holds problem parameters, sampled profiles, the energy and
-related functionals, and the asymptotic linearisation rates used by the
-solvers and the spectral reduction.
+related functionals, and the linearised tail toward +-pi/2 (its decay rate
+and its formula) that the solvers and resampling continue profiles with.
 """
 
 from __future__ import annotations
@@ -124,24 +124,21 @@ class ProblemParams:
         return 0.25 * (self.m - 1) ** 2 < self.omega
 
 
-@dataclass(frozen=True)
-class AsymptoticData:
-    """Decay rates of pi/2 -+ h at the two ends of the line.
+def decay_rate(params: ProblemParams) -> float:
+    """The negative root lam of  l^2 - (m-1) l - omega = 0.
 
-    decay_exponent_plus is the negative root of  l^2 - (m-1) l - omega = 0,
-    governing  pi/2 - |h| ~ C exp(l x)  as x -> +inf; the mirrored rate at
-    -inf is its negation.
+    A connecting profile approaches its limits like  pi/2 - |h| ~ C exp(lam |x|).
     """
-
-    decay_exponent_plus: float
-    decay_exponent_minus: float
-
-
-def asymptotic_exponents(params: ProblemParams) -> AsymptoticData:
     m1 = params.m - 1
-    disc = math.sqrt(m1 * m1 + 4.0 * params.omega)
-    lam = 0.5 * (m1 - disc)
-    return AsymptoticData(decay_exponent_plus=lam, decay_exponent_minus=-lam)
+    return 0.5 * (m1 - math.sqrt(m1 * m1 + 4.0 * params.omega))
+
+
+def linear_tail(x, x0: float, h0: float, limit: float, lam: float):
+    """(h, h') of the linearised approach  h = limit - (limit - h0) exp(lam (x - x0))
+    toward limit = +-pi/2, through h0 at x0."""
+    gap = limit - h0
+    expo = np.exp(lam * (x - x0))
+    return limit - gap * expo, -lam * gap * expo
 
 
 def symmetric_grid(cutoff: float, n: int) -> np.ndarray:
@@ -303,7 +300,7 @@ def energy_tail_bound(prof: Profile) -> float:
     read off at the boundary.  Uses sech(x) <= 2 sech(X) exp(-(x-X)).
     """
     p = prof.params
-    lam = asymptotic_exponents(p).decay_exponent_plus
+    lam = decay_rate(p)
     m1 = p.m - 1
     nu_max = 0.0 if p.nu is None else float(np.max(np.abs(p.nu.values)))
     x_b = prof.cutoff
@@ -352,7 +349,7 @@ def resample(prof: Profile, cutoff: float, n: int) -> Profile:
     g_new = symmetric_grid(cutoff, n)
     sp = CubicSpline(prof.grid, prof.h)
     x0 = prof.cutoff
-    lam = asymptotic_exponents(prof.params).decay_exponent_plus
+    lam = decay_rate(prof.params)
     h_new = np.empty_like(g_new)
     dh_new = np.empty_like(g_new)
     inside = np.abs(g_new) <= x0
@@ -363,12 +360,10 @@ def resample(prof: Profile, cutoff: float, n: int) -> Profile:
             continue
         h_b = float(prof.h[-1] if side > 0 else prof.h[0])
         if abs(h_b) >= 0.5 * HALF_PI:
-            limit = math.copysign(HALF_PI, h_b)
-            gap = limit - h_b
-            # tail model: h = limit - gap * exp(lam (side*x - x0)), applied on each side
-            expo = np.exp(lam * (side * g_new[sel] - x0))
-            h_new[sel] = limit - gap * expo
-            dh_new[sel] = -side * lam * gap * expo
+            # the tail in the distance side*x from the centre
+            h_new[sel], dh = linear_tail(side * g_new[sel], x0, h_b,
+                                         math.copysign(HALF_PI, h_b), lam)
+            dh_new[sel] = side * dh
         else:
             h_new[sel] = h_b
             dh_new[sel] = 0.0

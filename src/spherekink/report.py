@@ -33,7 +33,7 @@ from .core import (
     singular_energy,
     weighted_norm,
 )
-from .serialize import dumps, format_float, profile_from_doc, profile_to_doc
+from .serialize import format_float, profile_from_doc, profile_to_doc, write_json
 from .shooting import (
     NoBracketFound,
     PolishDiverged,
@@ -97,8 +97,14 @@ class SweepReport:
     hypothesis: bool
     records: tuple
     failures: tuple        # (class, zeros, message)
-    convergence_table: tuple  # (class, zeros, energy_gap, sup_norm, H_norm)
     version: str = VERSION_STAMP
+
+    @property
+    def convergence_table(self) -> tuple:
+        """(class, zeros, energy_gap, sup_norm, H_norm) per record."""
+        return tuple((r.sequence_key[0], r.sequence_key[1],
+                      self.singular_energy - r.energy, r.sup_norm, r.H_norm)
+                     for r in self.records)
 
 
 def make_record(prof: Profile, spectral: SpectralReport) -> SolutionRecord:
@@ -138,12 +144,9 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     records.sort(key=lambda r: r.sequence_key)
     failures.sort(key=lambda f: (f[0], f[1]))
 
-    table = tuple((r.sequence_key[0], r.sequence_key[1], e_inf - r.energy,
-                   r.sup_norm, r.H_norm) for r in records)
     report = SweepReport(config=config, singular_energy=e_inf,
                          hypothesis=config.params.hypothesis(),
-                         records=tuple(records), failures=tuple(failures),
-                         convergence_table=table)
+                         records=tuple(records), failures=tuple(failures))
     if config.out_dir is not None:
         write_report(report, config.out_dir)
     return report
@@ -265,9 +268,6 @@ def sweep_report_from_doc(doc: dict) -> SweepReport:
                        hypothesis=bool(doc["hypothesis"]),
                        records=tuple(record_from_doc(d) for d in doc["records"]),
                        failures=tuple((c, int(z), m) for c, z, m in doc["failures"]),
-                       convergence_table=tuple(
-                           (c, int(z), float(g), float(s), float(h))
-                           for c, z, g, s, h in doc["convergence"]),
                        version=str(doc["version"]))
 
 
@@ -301,17 +301,15 @@ def write_report(report: SweepReport, out_dir) -> list:
     written.append(p)
 
     p = out / "sweep.json"
-    with open(p, "w", encoding="ascii", newline="\n") as f:
-        f.write(dumps(sweep_report_to_doc(report)))
-        f.write("\n")
+    write_json(sweep_report_to_doc(report), p)
     written.append(p)
 
+    # not save_profile: a caller counting the bytes that both save_profile
+    # and write_report write would count these files twice
     for r in report.records:
         cls, zeros = r.sequence_key
         p = out / f"solution_{cls}_{zeros}.json"
-        with open(p, "w", encoding="ascii", newline="\n") as f:
-            f.write(dumps(profile_to_doc(r.profile)))
-            f.write("\n")
+        write_json(profile_to_doc(r.profile), p)
         written.append(p)
 
     if report.config.plots:
@@ -337,21 +335,22 @@ def profile_chart(prof: Profile) -> str:
         xlabel="x", ylabel="h", ylabel_right="V")
 
 
+def write_profile_chart(prof: Profile, out_dir) -> Path:
+    """profile_chart(prof) as out_dir/profile_<class>_<zeros>.svg."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    p = out / f"profile_{prof.symmetry_class}_{prof.zero_count}.svg"
+    p.write_text(profile_chart(prof), encoding="ascii", newline="\n")
+    return p
+
+
 def emit_plots(report: SweepReport, out_dir) -> list:
-    """One profile_chart SVG per solution and a summary SVG of energy
-    against zero count with the singular level dashed."""
+    """One profile chart per solution and a summary SVG of energy against
+    zero count with the singular level dashed."""
     if not report.records:
         warnings.warn("empty report: no plots emitted")
         return []
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    for r in report.records:
-        cls, zeros = r.sequence_key
-        p = out / f"profile_{cls}_{zeros}.svg"
-        p.write_text(profile_chart(r.profile), encoding="ascii", newline="\n")
-        written.append(p)
+    written = [write_profile_chart(r.profile, out_dir) for r in report.records]
 
     ks = [r.sequence_key[1] for r in sorted(report.records, key=lambda r: r.sequence_key[1])]
     es = [r.energy for r in sorted(report.records, key=lambda r: r.sequence_key[1])]
@@ -362,7 +361,7 @@ def emit_plots(report: SweepReport, out_dir) -> list:
         title=f"energies toward the singular level "
               f"(m={report.config.m}, omega={report.config.omega:g})",
         xlabel="total zeros", ylabel="energy")
-    p = out / "summary.svg"
+    p = Path(out_dir) / "summary.svg"
     p.write_text(doc, encoding="ascii", newline="\n")
     written.append(p)
     return written

@@ -80,10 +80,15 @@ def _optional(kind, value):
     return None if value is None else kind(value)
 
 
-def save_profile(prof: Profile, path) -> None:
+def write_json(doc, path) -> None:
+    """dumps(doc) and a newline, as the file at path."""
     with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(dumps(profile_to_doc(prof)))
+        f.write(dumps(doc))
         f.write("\n")
+
+
+def save_profile(prof: Profile, path) -> None:
+    write_json(profile_to_doc(prof), path)
 
 
 def load_profile(path) -> Profile:

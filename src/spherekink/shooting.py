@@ -48,11 +48,12 @@ from .core import (
     TOL_SYM,
     Profile,
     ProblemParams,
-    asymptotic_exponents,
     count_zero_crossings,
+    decay_rate,
     derivative_samples,
     el_residual,
     energy,
+    linear_tail,
     lyapunov_W,
     singular_energy,
     symmetric_grid,
@@ -431,11 +432,10 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
     # it nears the limit, where _initial_guess blends in the tail.  A seed on
     # the lo side crosses once more first and leaves a jump at the cut end
     # whose residual grows like 1/dx^2.
-    guess = _initial_guess(*_seed(sign * hi, req), req, sign)
-
     l_plus = sign * (1 if want % 2 == 0 else -1) * HALF_PI
     l_minus = l_plus if req.symmetry_class == "even" else -l_plus
     grid = symmetric_grid(req.cutoff, req.grid_size)
+    guess = _initial_guess(*_seed(sign * hi, req), req, grid, l_plus)
     u, res_norm, iters = _newton_finish(grid, guess, req.params, req.symmetry_class,
                                         l_plus, l_minus, tol=req.newton_tol)
     if res_norm > req.newton_tol:
@@ -463,30 +463,25 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
 
 
 def _initial_guess(h_at, x_end: float, t_start: float, req: SolveRequest,
-                   sign: int) -> np.ndarray:
+                   grid: np.ndarray, limit: float) -> np.ndarray:
     """Mirror the seed trajectory onto the full grid and blend its tail.
 
-    The seed is h_at(x) on [0, x_end], as _seed gives it.  Beyond the last
-    requested zero (past t_start) the trajectory is replaced, from the
-    point where it first comes within 3 percent of the limit, by the
-    linearised approach to +-pi/2.  This removes the spurious departure the
-    finite bracket width produces at large x and pins the zero count.
+    The seed is h_at(x) on [0, x_end], as _seed gives it, and limit is
+    its value at +inf.  Beyond the last requested zero (past t_start) the
+    trajectory is replaced, from the point where it first comes within 3
+    percent of the limit, by the linearised approach to it.  This removes
+    the spurious departure the finite bracket width produces at large x and
+    pins the zero count.
     """
-    want = req.zeros_half
-    half_n = (req.grid_size + 1) // 2
-    xs = np.linspace(0.0, req.cutoff, half_n)
-    limit = sign * (1 if want % 2 == 0 else -1) * HALF_PI
-
-    h = np.full(half_n, limit)
+    xs = grid[grid.size // 2:]
+    h = np.full(xs.size, limit)
     inside = xs <= x_end
     h[inside] = h_at(xs[inside])
 
-    lam = asymptotic_exponents(req.params).decay_exponent_plus
     tail = np.flatnonzero((xs > t_start) & (np.sign(limit) * h >= 0.97 * HALF_PI))
     if tail.size:
         i0 = int(tail[0])
-        gap = limit - h[i0]
-        h[i0:] = limit - gap * np.exp(lam * (xs[i0:] - xs[i0]))
+        h[i0:] = linear_tail(xs[i0:], xs[i0], h[i0], limit, decay_rate(req.params))[0]
     np.clip(h, -HALF_PI, HALF_PI, out=h)
 
     if req.symmetry_class == "odd":
@@ -588,7 +583,7 @@ def _newton(grid, u0, params, l_plus, l_minus, lam, *, tol):
 def _newton_finish(grid, u0, params, symmetry_class, l_plus, l_minus, *, tol):
     """Newton, then exact parity pinning, then the residual of the pinned
     profile: (u, residual max-norm, Newton iterations)."""
-    lam = asymptotic_exponents(params).decay_exponent_plus
+    lam = decay_rate(params)
     u, iters = _newton(grid, u0, params, l_plus, l_minus, lam, tol=tol)
     # parity is preserved by the symmetric discretisation; pin it exactly
     if symmetry_class == "odd":

@@ -256,6 +256,15 @@ def test_bad_config_key(tmp_path, capsys):
     assert "bad config" in capsys.readouterr().err
 
 
+def test_out_named_like_a_subcommand(tmp_path, monkeypatch, capsys):
+    # the value of --out is not the subcommand the config is applied to
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.cfg").write_text("m = 3\nomega = 3\nmax-zeros = 1\n"
+                                    "cutoff = 16\ngrid = 2001\n", encoding="ascii")
+    assert main(["--config", "c.cfg", "--quiet", "--out", "catalog", "sweep"]) == 0
+    assert (tmp_path / "catalog" / "solution_odd_1.json").exists()
+
+
 def test_global_flags_after_subcommand(tmp_path, capsys):
     out = tmp_path / "after"
     code = main(["sweep", "--m", "3", "--omega", "3", "--max-zeros", "1",
@@ -295,6 +304,20 @@ def test_plot_solution_matches_sweep_chart(tmp_path, capsys):
     assert main(["--quiet", "plot", "--solution", str(out / "solution_odd_1.json"),
                  "--out", str(single)]) == 0
     assert (single / "profile_odd_1.svg").read_bytes() == (out / "profile_odd_1.svg").read_bytes()
+
+
+def test_plot_report_matches_sweep_charts(tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert main(["--quiet", "sweep", "--m", "3", "--omega", "3",
+                 "--max-zeros", "2", "--cutoff", "16", "--grid", "2001",
+                 "--plot", "--out", str(out)]) == 0
+    plots = tmp_path / "plots"
+    assert main(["--quiet", "plot", "--report", str(out / "sweep.json"),
+                 "--out", str(plots)]) == 0
+    names = sorted(p.name for p in plots.iterdir())
+    assert names == ["profile_even_2.svg", "profile_odd_1.svg", "summary.svg"]
+    for name in names:
+        assert (plots / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_plot_requires_an_input():

@@ -16,8 +16,8 @@ from spherekink.core import (
     NuPerturbation,
     ProblemParams,
     Profile,
-    asymptotic_exponents,
     count_zero_crossings,
+    decay_rate,
     derivative_samples,
     el_residual,
     energy,
@@ -220,24 +220,24 @@ def test_weighted_norm_tanh():
     assert weighted_norm(prof) == pytest.approx(math.sqrt(26.0 / 15.0), abs=1e-9)
 
 
-# -- asymptotic exponents ---------------------------------------------------------
+# -- decay rate -------------------------------------------------------------------
 
 def test_decay_exponents_identity_maps():
     for m, om in ((3, 3.0), (2, 2.0)):
-        lam = asymptotic_exponents(ProblemParams(m, om))
-        assert lam.decay_exponent_plus == pytest.approx(-1.0, abs=1e-14)
+        lam = decay_rate(ProblemParams(m, om))
+        assert lam == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_decay_exponent_hopf():
-    lam = asymptotic_exponents(ProblemParams(7, 16.0))
-    assert lam.decay_exponent_plus == pytest.approx(-2.0, abs=1e-14)
+    lam = decay_rate(ProblemParams(7, 16.0))
+    assert lam == pytest.approx(-2.0, abs=1e-14)
 
 
 def test_exponent_product_is_minus_omega():
     for m, om in ((3, 3.0), (4, 18.0), (13, 45.0), (2, 2.0)):
-        lam = asymptotic_exponents(ProblemParams(m, om))
-        other = (m - 1) - lam.decay_exponent_plus
-        assert lam.decay_exponent_plus * other == pytest.approx(-om, rel=1e-12)
+        lam = decay_rate(ProblemParams(m, om))
+        other = (m - 1) - lam
+        assert lam * other == pytest.approx(-om, rel=1e-12)
 
 
 # -- resampling -------------------------------------------------------------------
@@ -248,6 +248,9 @@ def test_resample_matches_exact_solution():
     g = fine.grid
     exact = 2.0 * np.arctan(np.exp(g)) - HALF_PI
     assert np.max(np.abs(fine.h - exact)) < 1e-8
+    # the continued tails on both sides carry h' = sech x, sign included
+    tails = np.abs(g) > 20.0
+    np.testing.assert_allclose(fine.dh[tails], 1.0 / np.cosh(g[tails]), rtol=1e-5, atol=0.0)
 
 
 def test_resample_keeps_equator_branch_flat():

@@ -145,6 +145,17 @@ def test_sweep_report_doc_round_trip(small_sweep):
     assert dumps(sweep_report_to_doc(back)) == dumps(doc)
 
 
+def test_convergence_table_follows_records(small_sweep):
+    # the table is derived from the records, so it cannot go stale
+    recs = list(small_sweep.records)
+    recs[1] = dataclasses.replace(recs[1], energy=recs[1].energy - 0.125)
+    changed = dataclasses.replace(small_sweep, records=tuple(recs))
+    cls, zeros, gap, sup, hn = convergence_check(changed).table[1]
+    assert (cls, zeros) == recs[1].sequence_key
+    assert gap == changed.singular_energy - recs[1].energy
+    assert convergence_check(small_sweep).table[1][2] == gap - 0.125
+
+
 def test_sweep_report_from_doc_ignores_old_newton_tol(small_sweep):
     # files written while the Newton tolerance was a setting carry this key
     doc = sweep_report_to_doc(small_sweep)
@@ -190,6 +201,15 @@ def test_write_report_is_byte_deterministic(small_sweep, tmp_path):
     assert [p.name for p in w1] == [p.name for p in w2]
     for p1, p2 in zip(w1, w2):
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_solution_files_are_save_profile_bytes(small_sweep, tmp_path):
+    from spherekink.serialize import save_profile
+    write_report(small_sweep, tmp_path / "report")
+    for rec in small_sweep.records:
+        name = "solution_%s_%d.json" % rec.sequence_key
+        save_profile(rec.profile, tmp_path / name)
+        assert (tmp_path / "report" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_out_dir_config_triggers_write(tmp_path):

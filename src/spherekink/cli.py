@@ -287,7 +287,7 @@ def _cmd_sweep(args, parser) -> int:
         for r in report.records:
             cls, z = r.sequence_key
             print(f"{cls:<5}  {z:<5}  {r.energy:<16.12g}  "
-                  f"{report.singular_energy - r.energy:<16.6e}  "
+                  f"{report.energy_gap(r):<16.6e}  "
                   f"{r.spectral.index:<5}  {r.spectral.nullity_estimate}")
         for cls, z, msg in report.failures:
             print(f"failed {cls}/{z}: {msg}")

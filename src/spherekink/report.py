@@ -33,7 +33,14 @@ from .core import (
     singular_energy,
     weighted_norm,
 )
-from .serialize import format_float, profile_from_doc, profile_to_doc, write_json
+from .serialize import (
+    Encoded,
+    dumps,
+    format_float,
+    profile_from_doc,
+    profile_to_doc,
+    write_json,
+)
 from .shooting import (
     NoBracketFound,
     PolishDiverged,
@@ -99,11 +106,15 @@ class SweepReport:
     failures: tuple        # (class, zeros, message)
     version: str = VERSION_STAMP
 
+    def energy_gap(self, rec: SolutionRecord) -> float:
+        """The record's clearance below the singular energy."""
+        return self.singular_energy - rec.energy
+
     @property
     def convergence_table(self) -> tuple:
         """(class, zeros, energy_gap, sup_norm, H_norm) per record."""
         return tuple((r.sequence_key[0], r.sequence_key[1],
-                      self.singular_energy - r.energy, r.sup_norm, r.H_norm)
+                      self.energy_gap(r), r.sup_norm, r.H_norm)
                      for r in self.records)
 
 
@@ -188,8 +199,7 @@ def convergence_check(report: SweepReport, *, slack: float = 1e-6) -> Convergenc
             for name, va, vb, tol in (
                     ("sup_norm", a.sup_norm, b.sup_norm, slack),
                     ("H_norm", a.H_norm, b.H_norm, slack),
-                    ("energy gap", report.singular_energy - a.energy,
-                     report.singular_energy - b.energy, 0.0)):
+                    ("energy gap", report.energy_gap(a), report.energy_gap(b), 0.0)):
                 if vb >= va + tol:
                     failures.append(
                         f"{name} fails to decrease from {a.sequence_key} to "
@@ -283,7 +293,7 @@ def write_sweep_csv(report: SweepReport, path) -> None:
             cls, zeros = r.sequence_key
             w.writerow([cls, zeros,
                         format_float(r.energy),
-                        format_float(report.singular_energy - r.energy),
+                        format_float(report.energy_gap(r)),
                         r.spectral.index, r.spectral.nullity_estimate,
                         format_float(r.sup_norm), format_float(r.H_norm),
                         format_float(r.profile.residual_norm),
@@ -291,7 +301,12 @@ def write_sweep_csv(report: SweepReport, path) -> None:
 
 
 def write_report(report: SweepReport, out_dir) -> list:
-    """Collector stage: CSV, report JSON, per-solution JSON, optional SVG."""
+    """Collector stage: CSV, report JSON, per-solution JSON, optional SVG.
+
+    Each profile's floats are formatted once: its dumps text is the
+    record's solution file and is spliced into sweep_report_to_doc's
+    document, so sweep.json is still byte for byte that document's dumps.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -300,16 +315,18 @@ def write_report(report: SweepReport, out_dir) -> list:
     write_sweep_csv(report, p)
     written.append(p)
 
+    doc = sweep_report_to_doc(report)
+    for rec_doc in doc["records"]:
+        rec_doc["profile"] = Encoded(dumps(rec_doc["profile"]))
     p = out / "sweep.json"
-    write_json(sweep_report_to_doc(report), p)
+    write_json(doc, p)
     written.append(p)
 
     # not save_profile: a caller counting the bytes that both save_profile
     # and write_report write would count these files twice
-    for r in report.records:
-        cls, zeros = r.sequence_key
-        p = out / f"solution_{cls}_{zeros}.json"
-        write_json(profile_to_doc(r.profile), p)
+    for rec_doc in doc["records"]:
+        p = out / f"solution_{rec_doc['class']}_{rec_doc['zeros']}.json"
+        write_json(rec_doc["profile"], p)
         written.append(p)
 
     if report.config.plots:
@@ -325,8 +342,8 @@ def profile_chart(prof: Profile) -> str:
     xs, hs = svg.decimate(prof.grid, prof.h)
     xv, vv = svg.decimate(prof.grid, pot)
     return svg.line_chart(
-        [svg.Series(tuple(xs), tuple(hs), "#1f6feb", label="h(x)"),
-         svg.Series(tuple(xv), tuple(vv), "#d29922", label="V(x)",
+        [svg.Series(xs, hs, "#1f6feb", label="h(x)"),
+         svg.Series(xv, vv, "#d29922", label="V(x)",
                     dashed=True, axis="right")],
         hlines=((HALF_PI, "#8c959f", True, "left"),
                 (-HALF_PI, "#8c959f", True, "left")),

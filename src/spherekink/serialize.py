@@ -5,6 +5,10 @@ shortest repr, the shortest decimal that reads back as the same double, so
 the round trip is exact and 20.0 stays 20.0 and -0.0 stays -0.0.  Keys keep
 insertion order, there is no whitespace, NaN and infinities are refused, and
 numpy arrays and scalars are written as the lists and numbers they hold.
+
+A value that goes into several files is encoded once: compose writes a
+document with that text (an Encoded) spliced in, byte for byte what dumps
+of the whole document would write.
 """
 
 from __future__ import annotations
@@ -35,6 +39,44 @@ def dumps(obj) -> str:
     """Compact JSON of dicts/lists/scalars/numpy values, floats as shortest repr."""
     return json.dumps(obj, separators=(",", ":"), allow_nan=False,
                       default=_numpy_to_python)
+
+
+class Encoded:
+    """A value's dumps text, for a document that writes it in several files.
+
+    dumps refuses it; compose writes the text as it stands.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def compose(doc) -> str:
+    """dumps(doc) with each Encoded value inside it written as its text.
+
+    Compact JSON is the concatenation of its parts,
+    dumps({k: v, ...}) == "{" + dumps(k) + ":" + dumps(v) + ... + "}" and
+    likewise for lists, so only the dicts and lists that hold Encoded text
+    are taken apart; everything else goes through dumps whole.  Keys are
+    strings, as in every document of the package.
+    """
+    if isinstance(doc, Encoded):
+        return doc.text
+    if not _holds_encoded(doc):
+        return dumps(doc)
+    if isinstance(doc, dict):
+        return "{" + ",".join(dumps(k) + ":" + compose(v) for k, v in doc.items()) + "}"
+    return "[" + ",".join(compose(v) for v in doc) + "]"
+
+
+def _holds_encoded(doc) -> bool:
+    if isinstance(doc, dict):
+        doc = doc.values()
+    elif not isinstance(doc, (list, tuple)):
+        return isinstance(doc, Encoded)
+    return any(_holds_encoded(v) for v in doc)
 
 
 def profile_to_doc(prof: Profile) -> dict:
@@ -81,9 +123,10 @@ def _optional(kind, value):
 
 
 def write_json(doc, path) -> None:
-    """dumps(doc) and a newline, as the file at path."""
+    """compose(doc) (which is dumps(doc) when doc holds no Encoded text) and
+    a newline, as the file at path."""
     with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(dumps(doc))
+        f.write(compose(doc))
         f.write("\n")
 
 

@@ -59,7 +59,7 @@ def _ticks(lo: float, hi: float, target: int = 5):
 
 @dataclass(frozen=True)
 class Series:
-    xs: tuple
+    xs: tuple              # or a 1-D float array, as decimate returns
     ys: tuple
     color: str
     label: str = ""
@@ -69,6 +69,8 @@ class Series:
 
 
 def _scale(lo, hi, p_lo, p_hi):
+    """Data to pixels, for a float or elementwise for a float array: the
+    same IEEE operations either way, so a point maps to the same pixel."""
     k = (p_hi - p_lo) / (hi - lo)
     return lambda v: p_lo + (v - lo) * k
 
@@ -158,16 +160,15 @@ def line_chart(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
 
     legend_y = py1 + 14.0
     for s in series:
-        xs = np.asarray(s.xs, dtype=float)
-        ys = np.asarray(s.ys, dtype=float)
-        ty = to_y[s.axis]
-        pts = " ".join(f"{_px(to_x(a))},{_px(ty(b))}" for a, b in zip(xs, ys))
+        px = to_x(np.asarray(s.xs, dtype=float)).tolist()
+        py = to_y[s.axis](np.asarray(s.ys, dtype=float)).tolist()
+        pts = " ".join(f"{_px(a)},{_px(b)}" for a, b in zip(px, py))
         dash = ' stroke-dasharray="6 4"' if s.dashed else ""
         e.append(f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
                  f'stroke-width="1.5"{dash}/>')
         if s.markers:
-            for a, b in zip(xs, ys):
-                e.append(f'<circle cx="{_px(to_x(a))}" cy="{_px(ty(b))}" r="3" '
+            for a, b in zip(px, py):
+                e.append(f'<circle cx="{_px(a)}" cy="{_px(b)}" r="3" '
                          f'fill="{s.color}"/>')
         if s.label:
             x_leg = px1 - 150.0

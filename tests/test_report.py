@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from spherekink.core import NuPerturbation
 from spherekink.report import (
     CSV_COLUMNS,
     SweepConfig,
@@ -21,6 +22,7 @@ from spherekink.report import (
     write_report,
     write_sweep_csv,
 )
+from spherekink.serialize import dumps, profile_to_doc
 
 SMALL = dict(cutoff=16.0, grid_size=2001)
 
@@ -241,3 +243,36 @@ def test_solution_json_round_trips_through_loader(small_sweep, tmp_path):
     assert prof.symmetry_class == "odd"
     rec = small_sweep.records[1]
     assert np.array_equal(prof.h, rec.profile.h)
+
+
+def _nu_bump():
+    g = np.linspace(-1.5, 1.5, 301)
+    vals = 0.2 * np.cos(np.pi * g / 3.0) ** 2
+    vals[0] = vals[-1] = 0.0
+    return NuPerturbation(g, vals)
+
+
+# the sweeps besides small_sweep whose written JSON is checked byte for byte
+WRITTEN_SWEEPS = {
+    "nu-plotted": lambda: SweepConfig(m=3, omega=3.0, max_zeros=2, nu=_nu_bump(),
+                                      plots=True, **SMALL),
+    "with-failure": lambda: SweepConfig(m=15, omega=32.0, max_zeros=3,
+                                        cutoff=12.0, grid_size=1201),
+    "empty": lambda: SweepConfig(m=3, omega=3.0, max_zeros=0, **SMALL),
+}
+
+
+@pytest.mark.parametrize("name", ["small", *WRITTEN_SWEEPS])
+def test_written_json_is_the_encoding_of_its_document(name, small_sweep, tmp_path):
+    # write_report splices each profile's text into sweep.json; the file
+    # must still be exactly the document's dumps
+    report = small_sweep if name == "small" else run_sweep(WRITTEN_SWEEPS[name]())
+    assert bool(report.failures) == (name == "with-failure")
+    assert bool(report.records) == (name != "empty")
+    write_report(report, tmp_path)
+    expected = dumps(sweep_report_to_doc(report)) + "\n"
+    assert (tmp_path / "sweep.json").read_bytes() == expected.encode("ascii")
+    for rec in report.records:
+        expected = dumps(profile_to_doc(rec.profile)) + "\n"
+        path = tmp_path / ("solution_%s_%d.json" % rec.sequence_key)
+        assert path.read_bytes() == expected.encode("ascii")

@@ -8,6 +8,8 @@ import pytest
 
 from spherekink.core import NuPerturbation, ProblemParams, Profile, symmetric_grid
 from spherekink.serialize import (
+    Encoded,
+    compose,
     dumps,
     format_float,
     load_profile,
@@ -53,6 +55,18 @@ def _profile(nu=None):
     dh = 1.0 / np.cosh(g)
     return Profile(g, h, dh, ProblemParams(3, 3.0, nu), symmetry_class="odd",
                    residual_norm=1.2e-11, zero_count=1, provenance="test")
+
+
+def test_compose_splices_encoded_text_as_dumps_would_write_it():
+    inner = {"h": np.array([0.5, -0.0, 1e-05]), "name": "odd \u00e9"}
+    doc = {"a\"b": 1, "list": [[], {}, (1.5, None)], "nested": [{"p": inner, "q": True}]}
+    spliced = {"a\"b": 1, "list": [[], {}, (1.5, None)],
+               "nested": [{"p": Encoded(dumps(inner)), "q": True}]}
+    assert compose(spliced) == dumps(doc)
+    assert compose(doc) == dumps(doc)
+    assert compose(Encoded("[1]")) == "[1]"
+    with pytest.raises(TypeError):
+        dumps({"p": Encoded("[1]")})
 
 
 def test_profile_doc_round_trip_is_exact():

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
+from spherekink import svg
 from spherekink.svg import Series, decimate, line_chart
 
 
@@ -67,3 +68,39 @@ def test_decimate_keeps_endpoints_and_caps_size():
     sx, sy = decimate(xs[:5], ys[:5])
     assert np.array_equal(sx, xs[:5])
     assert np.array_equal(sy, ys[:5])
+
+
+def _old_pixels(values, lo, hi, p_lo, p_hi):
+    """The per-point mapping on numpy scalars that line_chart used to run."""
+    k = (p_hi - p_lo) / (hi - lo)
+    return [f"{p_lo + (v - lo) * k:.2f}" for v in np.asarray(values, dtype=float)]
+
+
+def test_series_pixels_match_the_per_point_formula():
+    # inputs are multiples of 1/8, so the expected text needs no libm
+    xs = tuple(i / 8 for i in range(-4, 29))
+    left = tuple((i * i - 90) / 8 for i in range(-4, 29))
+    right = tuple(-3.0 - i / 8 for i in range(-4, 29))
+    hline = -12.5
+    doc = line_chart(
+        [Series(xs, left, "#111", label="left", markers=True),
+         Series(np.array(xs), np.array(right), "#222", label="right",
+                axis="right", dashed=True, markers=True)],
+        hlines=((hline, "#999", True, "left"),),
+        title="pixels", xlabel="x", ylabel="L", ylabel_right="R")
+
+    x_lo, x_hi = svg._padded(min(xs), max(xs))
+    l_lo, l_hi = svg._padded(min(min(left), hline), max(left))
+    r_lo, r_hi = svg._padded(min(right), max(right))
+    px = _old_pixels(xs, x_lo, x_hi, svg._MARGIN_L, svg._WIDTH - svg._MARGIN_R)
+    py0, py1 = svg._HEIGHT - svg._MARGIN_B, svg._MARGIN_T
+    expected = [list(zip(px, _old_pixels(left, l_lo, l_hi, py0, py1))),
+                list(zip(px, _old_pixels(right, r_lo, r_hi, py0, py1)))]
+
+    root = ET.fromstring(doc)
+    ns = "{http://www.w3.org/2000/svg}"
+    polylines = root.iter(f"{ns}polyline")
+    assert [[tuple(p.split(",")) for p in pl.get("points").split(" ")]
+            for pl in polylines] == expected
+    circles = [(c.get("cx"), c.get("cy")) for c in root.iter(f"{ns}circle")]
+    assert circles == expected[0] + expected[1]

@@ -52,6 +52,7 @@ from .spectral import (
     SpectralReport,
     build_schrodinger,
     morse_index,
+    report_from_doc,
     report_to_doc,
 )
 
@@ -226,17 +227,9 @@ def record_to_doc(rec: SolutionRecord) -> dict:
 
 
 def record_from_doc(doc: dict) -> SolutionRecord:
-    s = doc["spectral"]
-    rep = SpectralReport(index=int(s["index"]),
-                         nullity_estimate=int(s["nullity_estimate"]),
-                         leading_eigenvalues=tuple(s["leading_eigenvalues"]),
-                         cutoff=float(s["cutoff"]), n=int(s["n"]),
-                         null_band=float(s["null_band"]),
-                         band_sensitivity=tuple((float(b), int(c))
-                                                for b, c in s["band_sensitivity"]),
-                         flags=tuple(s["flags"]))
     return SolutionRecord(profile=profile_from_doc(doc["profile"]),
-                          energy=float(doc["energy"]), spectral=rep,
+                          energy=float(doc["energy"]),
+                          spectral=report_from_doc(doc["spectral"]),
                           sup_norm=float(doc["sup_norm"]),
                           H_norm=float(doc["H_norm"]),
                           sequence_key=(doc["class"], int(doc["zeros"])))

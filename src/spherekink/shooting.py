@@ -61,7 +61,8 @@ from .core import (
 
 
 # Fixed numerical controls of the solver.
-EXIT_MARGIN = 1e-3      # a trajectory has exited once |h| > pi/2 + EXIT_MARGIN
+EXIT_MARGIN = 1e-3      # how far past pi/2 the exit wall stands
+EXIT_WALL = HALF_PI + EXIT_MARGIN   # a trajectory has exited once |h| > EXIT_WALL
 BRACKET_RTOL = 1e-3     # width, relative to the scan bracket's top, that seeds the Newton finish
 BRACKET_TOL = 1e-14     # absolute floor of that width
 MAX_NEWTON_ITER = 25
@@ -215,7 +216,7 @@ def _check_start(h0: float) -> None:
 def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float) -> Trajectory:
     """Integrate the profile equation from (h, h')(0) = (h0, dh0) to cutoff.
 
-    Stops at the first exit from |h| <= pi/2 + EXIT_MARGIN and records the
+    Stops at the first exit from |h| <= EXIT_WALL and records the
     zero crossings of h seen before the stop.  Crossing locations come from
     the integrator's root finder on its dense output.
 
@@ -229,16 +230,14 @@ def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float) -> Tr
         out = ShootingOutcome(OutcomeKind.UNDECIDED, 0, cutoff, "equilibrium at 0")
         return Trajectory(h0, dh0, cutoff, (), out, None)
 
-    wall = HALF_PI + EXIT_MARGIN
-
     def crossing(x, y):
         return y[0]
 
     def exit_up(x, y):
-        return y[0] - wall
+        return y[0] - EXIT_WALL
 
     def exit_down(x, y):
-        return y[0] + wall
+        return y[0] + EXIT_WALL
 
     crossing.terminal = False
     crossing.direction = 0.0
@@ -288,7 +287,7 @@ def _zero_counter(params: ProblemParams, cutoff: float):
 
     Each count is one run of the compiled DOP853 with integrate's exit
     wall.  After each accepted step, solout counts a sign change of h and
-    stops the run once |h| > pi/2 + EXIT_MARGIN.
+    stops the run once |h| > EXIT_WALL.
 
     The relative tolerance is COUNT_RTOL, not RTOL.  A count only decides
     which side of a transition s lies on, and the bisection stops at a
@@ -305,7 +304,6 @@ def _zero_counter(params: ProblemParams, cutoff: float):
     re-entrant either.  So a counter is neither made per count nor kept at
     module level.
     """
-    wall = HALF_PI + EXIT_MARGIN
     state = [0.0, 0]            # h at the last accepted step, sign changes so far
 
     def solout(x, y):
@@ -314,7 +312,7 @@ def _zero_counter(params: ProblemParams, cutoff: float):
         if h < 0.0 < h_prev or h_prev < 0.0 < h:
             state[1] += 1
         state[0] = h
-        return -1 if abs(h) > wall else 0
+        return -1 if abs(h) > EXIT_WALL else 0
 
     dop = _dop853(params, COUNT_RTOL, solout)
 
@@ -351,13 +349,12 @@ def _seed(s: float, req: SolveRequest) -> tuple:
     step just before the last requested zero (0 with none): h has the
     limit's sign beyond that zero, and the opposite sign on the way to it.
     """
-    wall = HALF_PI + EXIT_MARGIN
     steps = []
 
     def solout(x, y):
         h, dh = y.tolist()
         steps.append((x, h, dh))
-        return -1 if abs(h) > wall else 0
+        return -1 if abs(h) > EXIT_WALL else 0
 
     dop = _dop853(req.params, RTOL, solout)
     dop.set_initial_value(_launch(s, req), 0.0)

@@ -9,10 +9,13 @@ form into the flat quadratic form of a Schrodinger operator -w'' + V w with
 Index and nullity are then read off the tridiagonal central-difference
 matrix of that operator by Sylvester inertia counts: A - sigma I has as
 many negative LDL^T pivots as eigenvalues below sigma.  A count is one
-O(N) pass over Python floats that reads only pivot signs; no iterative
-eigensolve is trusted for counting.  Dirichlet truncation at the grid ends
-can only undercount negative directions, so reported indices are certified
-lower bounds, checked for stability under domain growth.
+call to LAPACK's stebz, one compiled O(N) pass per shift that reads only
+pivot signs; no iterative eigensolve is trusted for counting.  An
+eigenvalue within roundoff of sigma may be counted on either side of it,
+which is why nullity is counted over a band of shifts, not at sigma = 0.
+Dirichlet truncation at the grid ends can only undercount negative
+directions, so reported indices are certified lower bounds, checked for
+stability under domain growth.
 
 For the equator branch, where V tends to (m-1)^2/4 - omega < 0 at both
 ends, families of disjoint tent functions placed in the far field give an
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from .core import (
     ProblemParams,
@@ -95,53 +99,40 @@ def _tridiag(problem: SchrodingerProblem):
     """Main diagonal and off-diagonal of the interior-node FD matrix."""
     dx = problem.dx
     main = 2.0 / dx ** 2 + problem.potential[1:-1]
-    off = -1.0 / dx ** 2
-    return main, off
-
-def _sturm_pass(main, off, shift, tiny):
-    """Negative pivots of LDL^T of (T - shift I); None on a near-zero pivot."""
-    off2 = off * off
-    count = 0
-    piv = math.inf              # so the first pivot is main[0] - shift itself
-    # Python floats, 2-3x faster than numpy scalars; main - shift rounds as a scalar would
-    for a in (main - shift).tolist():
-        piv = a - off2 / piv
-        if -tiny < piv < tiny:
-            return None
-        if piv < 0:
-            count += 1
-    return count
+    return main, np.full(main.size - 1, -1.0 / dx ** 2)
 
 
 def negative_count(problem: SchrodingerProblem, shift: float = 0.0) -> int:
-    """Number of eigenvalues of the Dirichlet FD matrix strictly below shift.
+    """Number of eigenvalues of the Dirichlet FD matrix below shift.
 
-    A pivot falling within roundoff of zero means shift is (numerically) an
-    eigenvalue of a leading submatrix; the count is retried at slightly
-    perturbed shifts, which cannot change the answer for spectra at a
-    healthy distance from shift.
+    LAPACK's stebz counts the negative LDL^T pivots of the matrix minus
+    shift, in compiled code, taking a pivot within underflow of zero as a
+    small negative one (Kahan 1966; Barth, Martin & Wilkinson 1967).  With
+    vl strictly below the Gershgorin bound and abstol = shift - vl, every
+    eigenvalue in (vl, shift] counts as located at once, so stebz makes its
+    two inertia counts, at vl and at shift, and no bisection steps.  An
+    eigenvalue within roundoff of shift may be counted on either side.
     """
     main, off = _tridiag(problem)
-    scale = float(np.max(np.abs(main))) + 2.0 * abs(off) + abs(shift)
-    tiny = 1e-14 * scale
-    for eps in (0.0, 1e-12, -1e-12, 1e-10, -1e-10):
-        c = _sturm_pass(main, off, shift + eps * scale, tiny)
-        if c is not None:
-            return c
-    raise RuntimeError(f"inertia count kept hitting near-zero pivots at shift {shift!r}")
+    vl = float(np.min(main)) - 2.0 * abs(float(off[0])) - 1.0
+    if shift <= vl:
+        return 0
+    m, _, _, _, info = dstebz(main, off, 1, vl, shift, 0, 0, shift - vl, "E")
+    if info != 0:
+        raise RuntimeError(f"stebz failed with info={info} counting below shift {shift!r}")
+    return int(m)
 
 
 def eigenvalues_below(problem: SchrodingerProblem, count: int) -> np.ndarray:
     """Lowest `count` eigenvalues of the Dirichlet FD matrix, ascending.
 
-    LAPACK's stebz (Sturm bisection, the method negative_count hand-codes)
-    computes them; index and nullity are still certified by negative_count.
+    LAPACK's stebz bisects for them with the same Sturm counts that
+    negative_count makes; index and nullity are certified by negative_count.
     """
     if count <= 0:
         return np.zeros(0)
     main, off = _tridiag(problem)
-    return eigvalsh_tridiagonal(main, np.full(main.size - 1, off),
-                                select="i", select_range=(0, count - 1))
+    return eigvalsh_tridiagonal(main, off, select="i", select_range=(0, count - 1))
 
 
 # -- index / nullity reports --------------------------------------------------
@@ -227,6 +218,17 @@ def report_to_doc(rep: SpectralReport) -> dict:
         "band_sensitivity": [[b, c] for b, c in rep.band_sensitivity],
         "flags": list(rep.flags),
     }
+
+
+def report_from_doc(doc: dict) -> SpectralReport:
+    return SpectralReport(index=int(doc["index"]),
+                          nullity_estimate=int(doc["nullity_estimate"]),
+                          leading_eigenvalues=tuple(doc["leading_eigenvalues"]),
+                          cutoff=float(doc["cutoff"]), n=int(doc["n"]),
+                          null_band=float(doc["null_band"]),
+                          band_sensitivity=tuple((float(b), int(c))
+                                                 for b, c in doc["band_sensitivity"]),
+                          flags=tuple(doc["flags"]))
 
 
 # -- the Hessian as a bilinear form -------------------------------------------

@@ -14,8 +14,6 @@ from spherekink.serialize import dumps
 from spherekink.shooting import NoBracketFound, PolishDiverged, SolveRequest, find_solution
 from spherekink.spectral import (
     SchrodingerProblem,
-    _sturm_pass,
-    _tridiag,
     eigenvalues_below,
     negative_count,
 )
@@ -50,42 +48,6 @@ def test_negative_count_matches_dense(problem, t):
     shift = float(lam[0] + t * (lam[-1] - lam[0]))
     assume(np.min(np.abs(lam - shift)) > 1e-8 * spectral_scale(problem))
     assert negative_count(problem, shift) == int(np.sum(lam < shift))
-
-
-def numpy_scalar_sturm_pass(main, off, shift, tiny):
-    """The pass as it was before it looped over Python floats: the reference."""
-    count = 0
-    piv = main[0] - shift
-    if abs(piv) < tiny:
-        return None
-    if piv < 0:
-        count = 1
-    off2 = off * off
-    for a in main[1:]:
-        piv = a - shift - off2 / piv
-        if abs(piv) < tiny:
-            return None
-        if piv < 0:
-            count += 1
-    return count
-
-
-@settings(max_examples=300, deadline=None)
-@given(problems(), st.floats(-0.5, 1.5), st.integers(0, 57), st.booleans())
-def test_sturm_pass_matches_numpy_scalar_reference(problem, t, k, on_diagonal):
-    main, off = _tridiag(problem)
-    if on_diagonal:
-        # a shift equal to a diagonal entry zeroes that shifted entry; at
-        # k = 0 it is the first pivot, and the pass must give up
-        shift = float(main[k % main.size])
-    else:
-        lam = dense_eigs(problem)
-        shift = float(lam[0] + t * (lam[-1] - lam[0]))
-    scale = float(np.max(np.abs(main))) + 2.0 * abs(off) + abs(shift)
-    for eps in (0.0, 1e-12, -1e-12, 1e-10, -1e-10):
-        s = shift + eps * scale
-        assert _sturm_pass(main, off, s, 1e-14 * scale) == \
-            numpy_scalar_sturm_pass(main, off, s, 1e-14 * scale)
 
 
 @settings(max_examples=200, deadline=None)

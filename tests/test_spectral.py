@@ -21,15 +21,16 @@ from spherekink.core import (
     NuPerturbation,
     ProblemParams,
     Profile,
+    resample,
     sech,
     singular_profile,
     symmetric_grid,
 )
 from spherekink.spectral import (
+    DEFAULT_NULL_BAND,
     SchrodingerProblem,
     SpectralReport,
     WitnessFunction,
-    _sturm_pass,
     _tridiag,
     build_schrodinger,
     eigenvalues_below,
@@ -101,35 +102,42 @@ def test_problem_rejects_nonfinite_potential():
 # -- counting against dense diagonalisation ----------------------------------------
 
 @pytest.mark.parametrize("n", [51, 101, 201])
-def test_negative_count_matches_dense_eigensolver(n):
+def test_negative_count_matches_dense_eigensolver(n, records33):
     g = symmetric_grid(6.0, n)
-    for v in (np.full(n, 1.0),
-              np.full(n, -1.0),
-              potential_samples(g, np.zeros(n), P33),
-              4.0 - 8.0 / np.cosh(g) ** 2):
-        prob = SchrodingerProblem(g, v)
+    problems = [SchrodingerProblem(g, v) for v in (
+        np.full(n, 1.0),
+        np.full(n, -1.0),
+        potential_samples(g, np.zeros(n), P33),
+        4.0 - 8.0 / np.cosh(g) ** 2)]
+    # a solved level's own potential, index 4, resampled to at most 801 nodes
+    prof = records33[("even", 4)].profile
+    problems.append(build_schrodinger(resample(prof, prof.cutoff, 4 * n - 3)))
+    for prob in problems:
         lam = dense_eigs(prob)
-        for shift in (0.0, -0.5, 1.0, 4.0):
+        main, off = _tridiag(prob)
+        below = float(np.min(main)) - 2.0 * abs(float(off[0])) - 1.0   # Gershgorin
+        above = float(np.max(main)) + 2.0 * abs(float(off[0])) + 1.0
+        assert negative_count(prob, below) == 0
+        assert negative_count(prob, above) == prob.n - 2
+        for shift in (0.0, -0.5, 1.0, 4.0, DEFAULT_NULL_BAND, -DEFAULT_NULL_BAND):
             assert negative_count(prob, shift) == int(np.sum(lam < shift))
 
 
-def test_negative_count_retries_at_a_perturbed_shift():
+def test_negative_count_survives_an_exactly_zero_pivot():
     # V = 0 and shift = 2/dx^2 zero every shifted diagonal entry, so the first
-    # pivot is exactly 0 and the first pass gives up.  shift is also the
-    # middle eigenvalue of the 49 interior nodes, so the retry at
-    # shift + 1e-12 scale counts one more than a retry below it would.
+    # pivot is exactly 0.  shift is also the middle eigenvalue of the 49
+    # interior nodes, so the count must land between the counts just below
+    # and just above it: 24 and 25.  stebz takes the zero pivot as a tiny
+    # negative one, counting the eigenvalue as below shift.
     g = symmetric_grid(6.0, 51)
     prob = SchrodingerProblem(g, np.zeros(51))
-    main, off = _tridiag(prob)
+    main, _ = _tridiag(prob)
     shift = 2.0 / prob.dx ** 2
-    scale = float(np.max(np.abs(main))) + 2.0 * abs(off) + abs(shift)
     assert main[0] - shift == 0.0
-    assert _sturm_pass(main, off, shift, 1e-14 * scale) is None
     lam = dense_eigs(prob)
-    perturbed = shift + 1e-12 * scale
-    assert np.min(np.abs(lam - perturbed)) > 1e-13 * scale
-    assert negative_count(prob, shift) == int(np.sum(lam < perturbed)) == 25
-    assert int(np.sum(lam < shift - 1e-12 * scale)) == 24
+    assert int(np.sum(lam < shift * (1.0 - 1e-12))) == 24
+    assert int(np.sum(lam < shift * (1.0 + 1e-12))) == 25
+    assert negative_count(prob, shift) == 25
 
 
 def test_eigenvalues_below_match_dense_eigensolver():

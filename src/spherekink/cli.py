@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from pathlib import Path
 
@@ -32,8 +31,8 @@ from .report import (
     class_of_level,
     convergence_check,
     emit_plots,
+    read_report,
     run_sweep,
-    sweep_report_from_doc,
     write_profile_chart,
 )
 from .serialize import dumps, load_profile, save_profile
@@ -366,9 +365,7 @@ def _cmd_plot(args, parser) -> int:
         parser.error("plot needs --report and/or --solution")
     written = []
     if args.report is not None:
-        with open(args.report, "r", encoding="ascii") as f:
-            report = sweep_report_from_doc(json.load(f))
-        written += emit_plots(report, args.out_dir)
+        written += emit_plots(read_report(args.report), args.out_dir)
     if args.solution is not None:
         written.append(write_profile_chart(load_profile(args.solution), args.out_dir))
     if not args.quiet:

@@ -34,11 +34,13 @@ from .core import (
     weighted_norm,
 )
 from .serialize import (
-    Encoded,
-    dumps,
     format_float,
+    load_profile,
+    nu_from_doc,
+    nu_to_doc,
     profile_from_doc,
     profile_to_doc,
+    read_json,
     write_json,
 )
 from .shooting import (
@@ -215,19 +217,31 @@ def convergence_check(report: SweepReport, *, slack: float = 1e-6) -> Convergenc
 # -- serialisation --------------------------------------------------------------
 
 def record_to_doc(rec: SolutionRecord) -> dict:
+    """The record's entry in sweep.json; "solution" names its profile's file."""
+    cls, zeros = rec.sequence_key
     return {
-        "class": rec.sequence_key[0],
-        "zeros": rec.sequence_key[1],
+        "class": cls,
+        "zeros": zeros,
         "energy": rec.energy,
         "sup_norm": rec.sup_norm,
         "H_norm": rec.H_norm,
         "spectral": report_to_doc(rec.spectral),
-        "profile": profile_to_doc(rec.profile),
+        "solution": f"solution_{cls}_{zeros}.json",
     }
 
 
-def record_from_doc(doc: dict) -> SolutionRecord:
-    return SolutionRecord(profile=profile_from_doc(doc["profile"]),
+def record_from_doc(doc: dict, directory) -> SolutionRecord:
+    """record_to_doc's entry, with its profile read from the file it names in
+    directory.  An entry written before the profiles had files of their own
+    holds the profile itself."""
+    if "profile" in doc:
+        prof = profile_from_doc(doc["profile"])
+    else:
+        name = doc["solution"]
+        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+            raise ValueError(f"solution {name!r} is not a file name")
+        prof = load_profile(Path(directory) / name)
+    return SolutionRecord(profile=prof,
                           energy=float(doc["energy"]),
                           spectral=report_from_doc(doc["spectral"]),
                           sup_norm=float(doc["sup_norm"]),
@@ -237,14 +251,11 @@ def record_from_doc(doc: dict) -> SolutionRecord:
 
 def sweep_report_to_doc(report: SweepReport) -> dict:
     cfg = report.config
-    nu_doc = None
-    if cfg.nu is not None:
-        nu_doc = {"grid": cfg.nu.grid, "values": cfg.nu.values}
     return {
         "version": report.version,
         "m": cfg.m,
         "omega": cfg.omega,
-        "nu": nu_doc,
+        "nu": nu_to_doc(cfg.nu),
         "max_zeros": cfg.max_zeros,
         "cutoff": cfg.cutoff,
         "grid_size": cfg.grid_size,
@@ -257,21 +268,27 @@ def sweep_report_to_doc(report: SweepReport) -> dict:
     }
 
 
-def sweep_report_from_doc(doc: dict) -> SweepReport:
-    nu = None
-    if doc.get("nu") is not None:
-        nu = NuPerturbation(np.asarray(doc["nu"]["grid"], dtype=float),
-                            np.asarray(doc["nu"]["values"], dtype=float))
-    cfg = SweepConfig(m=int(doc["m"]), omega=float(doc["omega"]),
-                      max_zeros=int(doc["max_zeros"]), nu=nu,
-                      cutoff=float(doc["cutoff"]), grid_size=int(doc["grid_size"]),
-                      null_band=float(doc["null_band"]))
-    return SweepReport(config=cfg,
-                       singular_energy=float(doc["singular_energy"]),
-                       hypothesis=bool(doc["hypothesis"]),
-                       records=tuple(record_from_doc(d) for d in doc["records"]),
-                       failures=tuple((c, int(z), m) for c, z, m in doc["failures"]),
-                       version=str(doc["version"]))
+def read_report(path) -> SweepReport:
+    """The report in the sweep.json at path, with the solution files beside it.
+
+    ValueError names a key the document lacks.
+    """
+    path = Path(path)
+    doc = read_json(path)
+    try:
+        cfg = SweepConfig(m=int(doc["m"]), omega=float(doc["omega"]),
+                          max_zeros=int(doc["max_zeros"]), nu=nu_from_doc(doc.get("nu")),
+                          cutoff=float(doc["cutoff"]), grid_size=int(doc["grid_size"]),
+                          null_band=float(doc["null_band"]))
+        return SweepReport(config=cfg,
+                           singular_energy=float(doc["singular_energy"]),
+                           hypothesis=bool(doc["hypothesis"]),
+                           records=tuple(record_from_doc(d, path.parent)
+                                         for d in doc["records"]),
+                           failures=tuple((c, int(z), m) for c, z, m in doc["failures"]),
+                           version=str(doc["version"]))
+    except KeyError as exc:
+        raise ValueError(f"{path} is not a sweep report: no {exc.args[0]!r}") from None
 
 
 CSV_COLUMNS = ("class", "zeros", "energy", "energy_gap", "index", "nullity",
@@ -294,12 +311,8 @@ def write_sweep_csv(report: SweepReport, path) -> None:
 
 
 def write_report(report: SweepReport, out_dir) -> list:
-    """Collector stage: CSV, report JSON, per-solution JSON, optional SVG.
-
-    Each profile's floats are formatted once: its dumps text is the
-    record's solution file and is spliced into sweep_report_to_doc's
-    document, so sweep.json is still byte for byte that document's dumps.
-    """
+    """Collector stage: CSV, sweep.json, one solution file per record (named
+    by the record's entry in sweep.json), optional SVG."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -309,17 +322,15 @@ def write_report(report: SweepReport, out_dir) -> list:
     written.append(p)
 
     doc = sweep_report_to_doc(report)
-    for rec_doc in doc["records"]:
-        rec_doc["profile"] = Encoded(dumps(rec_doc["profile"]))
     p = out / "sweep.json"
     write_json(doc, p)
     written.append(p)
 
     # not save_profile: a caller counting the bytes that both save_profile
     # and write_report write would count these files twice
-    for rec_doc in doc["records"]:
-        p = out / f"solution_{rec_doc['class']}_{rec_doc['zeros']}.json"
-        write_json(rec_doc["profile"], p)
+    for rec, rec_doc in zip(report.records, doc["records"]):
+        p = out / rec_doc["solution"]
+        write_json(profile_to_doc(rec.profile), p)
         written.append(p)
 
     if report.config.plots:

@@ -6,9 +6,9 @@ the round trip is exact and 20.0 stays 20.0 and -0.0 stays -0.0.  Keys keep
 insertion order, there is no whitespace, NaN and infinities are refused, and
 numpy arrays and scalars are written as the lists and numbers they hold.
 
-A value that goes into several files is encoded once: compose writes a
-document with that text (an Encoded) spliced in, byte for byte what dumps
-of the whole document would write.
+A perturbation nu is written as its own samples, {"grid": ..., "values":
+...}, in a profile document and in a sweep report alike, so it reads back
+exactly, support radius included.
 """
 
 from __future__ import annotations
@@ -41,56 +41,23 @@ def dumps(obj) -> str:
                       default=_numpy_to_python)
 
 
-class Encoded:
-    """A value's dumps text, for a document that writes it in several files.
-
-    dumps refuses it; compose writes the text as it stands.
-    """
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
+def nu_to_doc(nu: NuPerturbation | None):
+    return None if nu is None else {"grid": nu.grid, "values": nu.values}
 
 
-def compose(doc) -> str:
-    """dumps(doc) with each Encoded value inside it written as its text.
-
-    Compact JSON is the concatenation of its parts,
-    dumps({k: v, ...}) == "{" + dumps(k) + ":" + dumps(v) + ... + "}" and
-    likewise for lists, so only the dicts and lists that hold Encoded text
-    are taken apart; everything else goes through dumps whole.  Keys are
-    strings, as in every document of the package.
-    """
-    if isinstance(doc, Encoded):
-        return doc.text
-    if not _holds_encoded(doc):
-        return dumps(doc)
-    if isinstance(doc, dict):
-        return "{" + ",".join(dumps(k) + ":" + compose(v) for k, v in doc.items()) + "}"
-    return "[" + ",".join(compose(v) for v in doc) + "]"
-
-
-def _holds_encoded(doc) -> bool:
-    if isinstance(doc, dict):
-        doc = doc.values()
-    elif not isinstance(doc, (list, tuple)):
-        return isinstance(doc, Encoded)
-    return any(_holds_encoded(v) for v in doc)
+def nu_from_doc(doc) -> NuPerturbation | None:
+    if doc is None:
+        return None
+    return NuPerturbation(np.asarray(doc["grid"], dtype=float),
+                          np.asarray(doc["values"], dtype=float))
 
 
 def profile_to_doc(prof: Profile) -> dict:
-    """Plain-dict form of a profile.
-
-    nu is stored as its values sampled on the profile grid (null when the
-    problem has none); the perturbation is piecewise linear, so reading the
-    document back reproduces it exactly at the stored nodes.
-    """
-    nu = None if prof.params.nu is None else prof.params.nu(prof.grid)
+    """Plain-dict form of a profile; nu is null when the problem has none."""
     return {
         "m": prof.params.m,
         "omega": prof.params.omega,
-        "nu": nu,
+        "nu": nu_to_doc(prof.params.nu),
         "grid": prof.grid,
         "h": prof.h,
         "dh": prof.dh,
@@ -102,20 +69,24 @@ def profile_to_doc(prof: Profile) -> dict:
 
 
 def profile_from_doc(doc: dict) -> Profile:
-    grid = np.asarray(doc["grid"], dtype=float)
-    nu_values = doc.get("nu")
-    nu = None
-    if nu_values is not None:
-        nu = NuPerturbation(grid, np.asarray(nu_values, dtype=float))
-    params = ProblemParams(int(doc["m"]), float(doc["omega"]), nu)
-    return Profile(grid,
-                   np.asarray(doc["h"], dtype=float),
-                   np.asarray(doc["dh"], dtype=float),
-                   params,
-                   symmetry_class=str(doc["symmetry_class"]),
-                   residual_norm=_optional(float, doc["residual_norm"]),
-                   zero_count=_optional(int, doc["zero_count"]),
-                   provenance=str(doc.get("provenance", "")))
+    """The profile of profile_to_doc's document; ValueError names a missing key."""
+    try:
+        grid = np.asarray(doc["grid"], dtype=float)
+        nu_doc = doc.get("nu")
+        if isinstance(nu_doc, list):
+            # written before nu kept its own grid: samples on the profile grid
+            nu_doc = {"grid": grid, "values": nu_doc}
+        params = ProblemParams(int(doc["m"]), float(doc["omega"]), nu_from_doc(nu_doc))
+        return Profile(grid,
+                       np.asarray(doc["h"], dtype=float),
+                       np.asarray(doc["dh"], dtype=float),
+                       params,
+                       symmetry_class=str(doc["symmetry_class"]),
+                       residual_norm=_optional(float, doc["residual_norm"]),
+                       zero_count=_optional(int, doc["zero_count"]),
+                       provenance=str(doc.get("provenance", "")))
+    except KeyError as exc:
+        raise ValueError(f"not a profile document: no {exc.args[0]!r}") from None
 
 
 def _optional(kind, value):
@@ -123,11 +94,15 @@ def _optional(kind, value):
 
 
 def write_json(doc, path) -> None:
-    """compose(doc) (which is dumps(doc) when doc holds no Encoded text) and
-    a newline, as the file at path."""
+    """dumps(doc) and a newline, as the file at path."""
     with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(compose(doc))
+        f.write(dumps(doc))
         f.write("\n")
+
+
+def read_json(path):
+    with open(path, "r", encoding="ascii") as f:
+        return json.load(f)
 
 
 def save_profile(prof: Profile, path) -> None:
@@ -135,5 +110,4 @@ def save_profile(prof: Profile, path) -> None:
 
 
 def load_profile(path) -> Profile:
-    with open(path, "r", encoding="ascii") as f:
-        return profile_from_doc(json.load(f))
+    return profile_from_doc(read_json(path))

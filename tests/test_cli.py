@@ -320,6 +320,29 @@ def test_plot_report_matches_sweep_charts(tmp_path, capsys):
         assert (plots / name).read_bytes() == (out / name).read_bytes()
 
 
+def test_plot_report_with_a_missing_solution_file(tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert main(["--quiet", "sweep", "--m", "3", "--omega", "3",
+                 "--max-zeros", "1", "--cutoff", "16", "--grid", "2001",
+                 "--out", str(out)]) == 0
+    (out / "solution_odd_1.json").unlink()
+    assert main(["--quiet", "plot", "--report", str(out / "sweep.json"),
+                 "--out", str(tmp_path / "plots")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"spherekink: no such file: {out / 'solution_odd_1.json'}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "index", "plot"])
+def test_solution_commands_refuse_a_sweep_report(command, tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert main(["--quiet", "sweep", "--m", "3", "--omega", "3",
+                 "--max-zeros", "0", "--out", str(out)]) == 0
+    assert main([command, "--solution", str(out / "sweep.json"),
+                 "--out", str(tmp_path / "plots")]) == 1
+    err = capsys.readouterr().err
+    assert err == "spherekink: error: not a profile document: no 'grid'\n"
+
+
 def test_plot_requires_an_input():
     with pytest.raises(SystemExit) as exc:
         main(["plot"])

@@ -14,15 +14,13 @@ from spherekink.report import (
     class_of_level,
     convergence_check,
     emit_plots,
-    record_from_doc,
-    record_to_doc,
+    read_report,
     run_sweep,
-    sweep_report_from_doc,
     sweep_report_to_doc,
     write_report,
     write_sweep_csv,
 )
-from spherekink.serialize import dumps, profile_to_doc
+from spherekink.serialize import dumps, profile_to_doc, read_json, write_json
 
 SMALL = dict(cutoff=16.0, grid_size=2001)
 
@@ -125,9 +123,10 @@ def test_failures_are_collected_not_raised():
     assert "transition" in message or "bracket" in message.lower()
 
 
-def test_record_doc_round_trip(sweep33):
+def test_record_round_trip_through_files(sweep33, tmp_path):
+    write_report(sweep33, tmp_path)
     rec = sweep33.records[2]
-    back = record_from_doc(record_to_doc(rec))
+    back = read_report(tmp_path / "sweep.json").records[2]
     assert back.sequence_key == rec.sequence_key
     assert back.energy == rec.energy
     assert back.H_norm == rec.H_norm
@@ -136,15 +135,47 @@ def test_record_doc_round_trip(sweep33):
     assert np.array_equal(back.profile.h, rec.profile.h)
 
 
-def test_sweep_report_doc_round_trip(small_sweep):
-    doc = sweep_report_to_doc(small_sweep)
-    back = sweep_report_from_doc(doc)
+def test_sweep_report_round_trip_through_files(small_sweep, tmp_path):
+    write_report(small_sweep, tmp_path)
+    back = read_report(tmp_path / "sweep.json")
     assert back.singular_energy == small_sweep.singular_energy
     assert back.version == small_sweep.version
     assert len(back.records) == len(small_sweep.records)
     assert back.convergence_table == small_sweep.convergence_table
-    from spherekink.serialize import dumps
-    assert dumps(sweep_report_to_doc(back)) == dumps(doc)
+    assert dumps(sweep_report_to_doc(back)) == dumps(sweep_report_to_doc(small_sweep))
+    for a, b in zip(back.records, small_sweep.records):
+        assert dumps(profile_to_doc(a.profile)) == dumps(profile_to_doc(b.profile))
+
+
+def test_read_report_reads_profiles_held_in_sweep_json(small_sweep, tmp_path):
+    # sweep.json as written before each record named its solution file; no
+    # solution file sits beside it
+    doc = sweep_report_to_doc(small_sweep)
+    for rec_doc, rec in zip(doc["records"], small_sweep.records):
+        del rec_doc["solution"]
+        rec_doc["profile"] = profile_to_doc(rec.profile)
+    write_json(doc, tmp_path / "sweep.json")
+    back = read_report(tmp_path / "sweep.json")
+    assert dumps(sweep_report_to_doc(back)) == dumps(sweep_report_to_doc(small_sweep))
+    for a, b in zip(back.records, small_sweep.records):
+        assert dumps(profile_to_doc(a.profile)) == dumps(profile_to_doc(b.profile))
+
+
+@pytest.mark.parametrize("name", ["../solution_odd_1.json", "/abs/solution_odd_1.json",
+                                  "sub/solution_odd_1.json", "", ".", "..", 7])
+def test_read_report_refuses_a_solution_that_is_not_a_file_name(name, small_sweep, tmp_path):
+    write_report(small_sweep, tmp_path)
+    doc = read_json(tmp_path / "sweep.json")
+    doc["records"][0]["solution"] = name
+    write_json(doc, tmp_path / "sweep.json")
+    with pytest.raises(ValueError, match="is not a file name"):
+        read_report(tmp_path / "sweep.json")
+
+
+def test_read_report_names_a_missing_key(small_sweep, tmp_path):
+    write_report(small_sweep, tmp_path)
+    with pytest.raises(ValueError, match="is not a sweep report: no 'max_zeros'"):
+        read_report(tmp_path / "solution_odd_1.json")
 
 
 def test_convergence_table_follows_records(small_sweep):
@@ -158,13 +189,14 @@ def test_convergence_table_follows_records(small_sweep):
     assert convergence_check(small_sweep).table[1][2] == gap - 0.125
 
 
-def test_sweep_report_from_doc_ignores_old_newton_tol(small_sweep):
+def test_read_report_ignores_old_newton_tol(small_sweep, tmp_path):
     # files written while the Newton tolerance was a setting carry this key
-    doc = sweep_report_to_doc(small_sweep)
+    write_report(small_sweep, tmp_path)
+    doc = read_json(tmp_path / "sweep.json")
     assert "newton_tol" not in doc
-    old = dict(doc, newton_tol=1e-10)
-    from spherekink.serialize import dumps
-    assert dumps(sweep_report_to_doc(sweep_report_from_doc(old))) == dumps(doc)
+    write_json(dict(doc, newton_tol=1e-10), tmp_path / "sweep.json")
+    back = read_report(tmp_path / "sweep.json")
+    assert dumps(sweep_report_to_doc(back)) == dumps(doc)
 
 
 def test_csv_layout(small_sweep, tmp_path):
@@ -191,6 +223,10 @@ def test_write_report_produces_expected_files(small_sweep, tmp_path):
     doc = json.loads((tmp_path / "sweep.json").read_text())
     assert doc["version"] == VERSION_STAMP
     assert len(doc["records"]) == 2
+    # sweep.json names each profile's file and holds no profile itself
+    assert [r["solution"] for r in doc["records"]] == ["solution_even_2.json",
+                                                      "solution_odd_1.json"]
+    assert not any("profile" in r for r in doc["records"])
 
 
 def test_write_report_is_byte_deterministic(small_sweep, tmp_path):
@@ -264,8 +300,7 @@ WRITTEN_SWEEPS = {
 
 @pytest.mark.parametrize("name", ["small", *WRITTEN_SWEEPS])
 def test_written_json_is_the_encoding_of_its_document(name, small_sweep, tmp_path):
-    # write_report splices each profile's text into sweep.json; the file
-    # must still be exactly the document's dumps
+    # each file is exactly its document's dumps
     report = small_sweep if name == "small" else run_sweep(WRITTEN_SWEEPS[name]())
     assert bool(report.failures) == (name == "with-failure")
     assert bool(report.records) == (name != "empty")

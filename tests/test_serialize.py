@@ -8,8 +8,6 @@ import pytest
 
 from spherekink.core import NuPerturbation, ProblemParams, Profile, symmetric_grid
 from spherekink.serialize import (
-    Encoded,
-    compose,
     dumps,
     format_float,
     load_profile,
@@ -17,6 +15,7 @@ from spherekink.serialize import (
     profile_to_doc,
     save_profile,
 )
+from spherekink.shooting import W_TOL, verify_solution
 
 
 def test_format_float_round_trips_exactly():
@@ -57,18 +56,6 @@ def _profile(nu=None):
                    residual_norm=1.2e-11, zero_count=1, provenance="test")
 
 
-def test_compose_splices_encoded_text_as_dumps_would_write_it():
-    inner = {"h": np.array([0.5, -0.0, 1e-05]), "name": "odd \u00e9"}
-    doc = {"a\"b": 1, "list": [[], {}, (1.5, None)], "nested": [{"p": inner, "q": True}]}
-    spliced = {"a\"b": 1, "list": [[], {}, (1.5, None)],
-               "nested": [{"p": Encoded(dumps(inner)), "q": True}]}
-    assert compose(spliced) == dumps(doc)
-    assert compose(doc) == dumps(doc)
-    assert compose(Encoded("[1]")) == "[1]"
-    with pytest.raises(TypeError):
-        dumps({"p": Encoded("[1]")})
-
-
 def test_profile_doc_round_trip_is_exact():
     prof = _profile()
     back = profile_from_doc(profile_to_doc(prof))
@@ -82,18 +69,62 @@ def test_profile_doc_round_trip_is_exact():
     assert back.provenance == "test"
 
 
-def test_profile_doc_round_trip_with_nu():
-    # nu is stored as its samples on the profile grid: exact there, linear
-    # interpolation in between
-    g = np.linspace(-2.0, 2.0, 81)
-    vals = 0.25 * np.cos(np.pi * g / 4.0) ** 2
+def _nu_bump(radius):
+    g = np.linspace(-radius, radius, 81)
+    vals = 0.25 * np.cos(np.pi * g / (2.0 * radius)) ** 2
     vals[0] = vals[-1] = 0.0
-    prof = _profile(NuPerturbation(g, vals))
+    return NuPerturbation(g, vals)
+
+
+def test_profile_doc_round_trip_with_nu():
+    # nu is stored as its own samples: exact everywhere, support included
+    prof = _profile(_nu_bump(2.0))
     back = profile_from_doc(profile_to_doc(prof))
     assert back.params.nu is not None
-    assert np.array_equal(back.params.nu(prof.grid), prof.params.nu(prof.grid))
+    assert back.params.nu.support_radius == prof.params.nu.support_radius == 2.0
+    assert np.array_equal(back.params.nu.grid, prof.params.nu.grid)
+    assert np.array_equal(back.params.nu.values, prof.params.nu.values)
     xs = np.linspace(-3.0, 3.0, 301)
-    assert np.max(np.abs(back.params.nu(xs) - prof.params.nu(xs))) < 1e-3
+    assert np.array_equal(back.params.nu(xs), prof.params.nu(xs))
+
+
+def test_nu_wider_than_the_profile_grid_round_trips():
+    # sampled on the grid, this nu would not vanish at the grid's ends
+    prof = _profile(_nu_bump(20.0))
+    back = profile_from_doc(profile_to_doc(prof))
+    assert back.params.nu.support_radius == 20.0
+    assert np.array_equal(back.params.nu(prof.grid), prof.params.nu(prof.grid))
+
+
+def test_round_trip_keeps_the_lyapunov_check_outside_nu():
+    # W may decrease only inside nu's support; a kink put into dh outside it
+    # must still be seen after the profile is saved and read back
+    prof = _profile(_nu_bump(2.0))
+    dh = prof.dh.copy()
+    dh[np.searchsorted(prof.grid, 5.0)] -= 0.05
+    tampered = Profile(prof.grid, prof.h, dh, prof.params, symmetry_class="odd",
+                       residual_norm=prof.residual_norm, zero_count=1)
+    before = verify_solution(tampered).w_violation
+    after = verify_solution(profile_from_doc(profile_to_doc(tampered))).w_violation
+    assert before > W_TOL
+    assert after == before
+
+
+def test_profile_from_doc_reads_nu_sampled_on_the_profile_grid():
+    # the form written before nu kept its own grid
+    prof = _profile(_nu_bump(2.0))
+    doc = profile_to_doc(prof)
+    doc["nu"] = prof.params.nu(prof.grid).tolist()
+    back = profile_from_doc(doc)
+    assert np.array_equal(back.params.nu.grid, prof.grid)
+    assert np.array_equal(back.params.nu(prof.grid), prof.params.nu(prof.grid))
+
+
+def test_profile_from_doc_names_a_missing_key():
+    doc = profile_to_doc(_profile())
+    del doc["grid"]
+    with pytest.raises(ValueError, match="not a profile document: no 'grid'"):
+        profile_from_doc(doc)
 
 
 def test_save_and_load_profile_bytes_stable(tmp_path):

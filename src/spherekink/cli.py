@@ -33,6 +33,7 @@ from .report import (
     emit_plots,
     read_report,
     run_sweep,
+    solution_name,
     write_profile_chart,
 )
 from .serialize import dumps, load_profile, save_profile
@@ -45,7 +46,6 @@ from .shooting import (
     verify_solution,
 )
 from .spectral import (
-    DEFAULT_NULL_BAND,
     morse_index,
     report_to_doc,
     truncated_singular_count,
@@ -97,10 +97,8 @@ def _build_parser() -> _Parser:
     c.set_defaults(func=_cmd_catalog)
 
     s = sub.add_parser("solve", parents=[gp()], conflict_handler="resolve",
-                   help="solve one (class, zeros) level")
+                   help="solve one level; its parity fixes the symmetry class")
     _add_problem_flags(s)
-    s.add_argument("--class", dest="symmetry_class", choices=("even", "odd"),
-                   required=True, help="symmetry class of the profile")
     s.add_argument("--zeros", type=int, required=True, help="total interior zeros")
     _add_discretisation_flags(s)
     s.add_argument("--out", dest="out_file", metavar="FILE.json", default=None,
@@ -111,8 +109,6 @@ def _build_parser() -> _Parser:
     _add_problem_flags(w)
     w.add_argument("--max-zeros", type=int, required=True, help="highest level K")
     _add_discretisation_flags(w)
-    w.add_argument("--null-band", type=float, default=DEFAULT_NULL_BAND,
-                   help="half-width of the spectral null band")
     w.add_argument("--plot", action="store_true", help="also emit SVG charts")
     w.set_defaults(func=_cmd_sweep)
 
@@ -122,7 +118,6 @@ def _build_parser() -> _Parser:
                    help="recompute after resampling to this half-width")
     i.add_argument("--grid", type=int, default=None,
                    help="recompute after resampling to this many points")
-    i.add_argument("--null-band", type=float, default=DEFAULT_NULL_BAND)
     i.set_defaults(func=_cmd_index)
 
     g = sub.add_parser("singular-index", parents=[gp()],
@@ -249,10 +244,10 @@ def _cmd_catalog(args, parser) -> int:
 
 def _cmd_solve(args, parser) -> int:
     params = _problem_params(args, parser)
-    prof = find_solution(SolveRequest(params, args.symmetry_class, args.zeros,
+    cls = class_of_level(args.zeros)
+    prof = find_solution(SolveRequest(params, cls, args.zeros,
                                       cutoff=args.cutoff, grid_size=args.grid))
-    name = args.out_file or f"solution_{args.symmetry_class}_{args.zeros}.json"
-    path = Path(name)
+    path = Path(args.out_file or solution_name(args.zeros))
     if not path.is_absolute():
         path = Path(args.out_dir) / path
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -260,7 +255,7 @@ def _cmd_solve(args, parser) -> int:
 
     diag = verify_solution(prof)
     if not args.quiet:
-        print(f"solved {args.symmetry_class}/{args.zeros}: "
+        print(f"solved {cls}/{args.zeros}: "
               f"energy={diag.energy_value:.12g} residual={diag.residual_max:.3e} "
               f"sup={prof.sup_norm:.12g}")
         print(f"wrote {path}")
@@ -275,8 +270,7 @@ def _cmd_sweep(args, parser) -> int:
     params = _problem_params(args, parser)
     config = SweepConfig(m=params.m, omega=params.omega, nu=params.nu,
                          max_zeros=args.max_zeros, cutoff=args.cutoff,
-                         grid_size=args.grid, null_band=args.null_band,
-                         out_dir=args.out_dir, plots=args.plot)
+                         grid_size=args.grid, out_dir=args.out_dir, plots=args.plot)
     report = run_sweep(config)
     if not args.quiet:
         if not report.hypothesis:
@@ -310,7 +304,7 @@ def _cmd_index(args, parser) -> int:
         req = SolveRequest(prof.params, class_of_level(zeros), zeros,
                            cutoff=cutoff, grid_size=n)
         prof = newton_polish(prof, req)
-    rep = morse_index(prof, null_band=args.null_band)
+    rep = morse_index(prof)
     print(dumps(report_to_doc(rep)))
     return 0
 

@@ -41,6 +41,7 @@ from .serialize import (
     profile_from_doc,
     profile_to_doc,
     read_json,
+    reading,
     write_json,
 )
 from .shooting import (
@@ -50,7 +51,7 @@ from .shooting import (
     find_solution,
 )
 from .spectral import (
-    DEFAULT_NULL_BAND,
+    NULL_BAND,
     SpectralReport,
     build_schrodinger,
     morse_index,
@@ -71,7 +72,6 @@ class SweepConfig:
     nu: NuPerturbation | None = None
     cutoff: float = DEFAULT_CUTOFF
     grid_size: int = DEFAULT_GRID_SIZE
-    null_band: float = DEFAULT_NULL_BAND
     out_dir: str | None = None
     plots: bool = False
 
@@ -104,10 +104,13 @@ class SolutionRecord:
 class SweepReport:
     config: SweepConfig
     singular_energy: float
-    hypothesis: bool
     records: tuple
     failures: tuple        # (class, zeros, message)
     version: str = VERSION_STAMP
+
+    @property
+    def hypothesis(self) -> bool:
+        return self.config.params.hypothesis()
 
     def energy_gap(self, rec: SolutionRecord) -> float:
         """The record's clearance below the singular energy."""
@@ -131,11 +134,16 @@ def class_of_level(zeros: int) -> str:
     return "odd" if zeros % 2 == 1 else "even"
 
 
+def solution_name(zeros: int) -> str:
+    """The file name of a level's profile, in a sweep and from solve."""
+    return f"solution_{class_of_level(zeros)}_{zeros}.json"
+
+
 def _solve_level(config: SweepConfig, zeros: int) -> SolutionRecord:
     req = SolveRequest(config.params, class_of_level(zeros), zeros,
                        cutoff=config.cutoff, grid_size=config.grid_size)
     prof = find_solution(req)
-    rep = morse_index(prof, null_band=config.null_band)
+    rep = morse_index(prof)
     rec = make_record(prof, rep)
     if not rec.energy < singular_energy(config.params):
         raise PolishDiverged(
@@ -159,7 +167,6 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     failures.sort(key=lambda f: (f[0], f[1]))
 
     report = SweepReport(config=config, singular_energy=e_inf,
-                         hypothesis=config.params.hypothesis(),
                          records=tuple(records), failures=tuple(failures))
     if config.out_dir is not None:
         write_report(report, config.out_dir)
@@ -168,20 +175,22 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
 # -- convergence check ---------------------------------------------------------
 
+NORM_SLACK = 1e-6   # sup_norm and H_norm may rise by less than this between levels
+
+
 @dataclass(frozen=True)
 class ConvergenceCheck:
     status: str            # "pass" | "fail" | "insufficient data"
     failures: tuple
     table: tuple           # (class, zeros, energy_gap, sup_norm, H_norm)
-    slack: float
 
 
-def convergence_check(report: SweepReport, *, slack: float = 1e-6) -> ConvergenceCheck:
+def convergence_check(report: SweepReport) -> ConvergenceCheck:
     """Trend check per class: sup_norm, H_norm, and the energy gap to the
     singular level must all decrease along increasing zero count.
 
     The energy gap must decrease strictly.  sup_norm and H_norm may fail to
-    decrease by less than `slack` (they can be separated by less than the
+    decrease by less than NORM_SLACK (they can be separated by less than the
     discretisation noise, sup_norm especially).  Records violating the
     strict energy bound are reported regardless.
     """
@@ -200,8 +209,8 @@ def convergence_check(report: SweepReport, *, slack: float = 1e-6) -> Convergenc
         checked_any = True
         for a, b in zip(recs, recs[1:]):
             for name, va, vb, tol in (
-                    ("sup_norm", a.sup_norm, b.sup_norm, slack),
-                    ("H_norm", a.H_norm, b.H_norm, slack),
+                    ("sup_norm", a.sup_norm, b.sup_norm, NORM_SLACK),
+                    ("H_norm", a.H_norm, b.H_norm, NORM_SLACK),
                     ("energy gap", report.energy_gap(a), report.energy_gap(b), 0.0)):
                 if vb >= va + tol:
                     failures.append(
@@ -209,9 +218,9 @@ def convergence_check(report: SweepReport, *, slack: float = 1e-6) -> Convergenc
                         f"{b.sequence_key}: {va!r} -> {vb!r}")
     table = report.convergence_table
     if not checked_any and not failures:
-        return ConvergenceCheck("insufficient data", (), table, slack)
+        return ConvergenceCheck("insufficient data", (), table)
     status = "pass" if not failures else "fail"
-    return ConvergenceCheck(status, tuple(failures), table, slack)
+    return ConvergenceCheck(status, tuple(failures), table)
 
 
 # -- serialisation --------------------------------------------------------------
@@ -226,7 +235,7 @@ def record_to_doc(rec: SolutionRecord) -> dict:
         "sup_norm": rec.sup_norm,
         "H_norm": rec.H_norm,
         "spectral": report_to_doc(rec.spectral),
-        "solution": f"solution_{cls}_{zeros}.json",
+        "solution": solution_name(zeros),
     }
 
 
@@ -259,7 +268,7 @@ def sweep_report_to_doc(report: SweepReport) -> dict:
         "max_zeros": cfg.max_zeros,
         "cutoff": cfg.cutoff,
         "grid_size": cfg.grid_size,
-        "null_band": cfg.null_band,
+        "null_band": NULL_BAND,
         "hypothesis": report.hypothesis,
         "singular_energy": report.singular_energy,
         "records": [record_to_doc(r) for r in report.records],
@@ -271,24 +280,21 @@ def sweep_report_to_doc(report: SweepReport) -> dict:
 def read_report(path) -> SweepReport:
     """The report in the sweep.json at path, with the solution files beside it.
 
-    ValueError names a key the document lacks.
+    ValueError names the file if a key is missing or a value has the wrong
+    shape.  Its null_band and hypothesis are not read: both are derived.
     """
     path = Path(path)
     doc = read_json(path)
-    try:
+    with reading(f"{path} is not a sweep report"):
         cfg = SweepConfig(m=int(doc["m"]), omega=float(doc["omega"]),
                           max_zeros=int(doc["max_zeros"]), nu=nu_from_doc(doc.get("nu")),
-                          cutoff=float(doc["cutoff"]), grid_size=int(doc["grid_size"]),
-                          null_band=float(doc["null_band"]))
+                          cutoff=float(doc["cutoff"]), grid_size=int(doc["grid_size"]))
         return SweepReport(config=cfg,
                            singular_energy=float(doc["singular_energy"]),
-                           hypothesis=bool(doc["hypothesis"]),
                            records=tuple(record_from_doc(d, path.parent)
                                          for d in doc["records"]),
                            failures=tuple((c, int(z), m) for c, z, m in doc["failures"]),
                            version=str(doc["version"]))
-    except KeyError as exc:
-        raise ValueError(f"{path} is not a sweep report: no {exc.args[0]!r}") from None
 
 
 CSV_COLUMNS = ("class", "zeros", "energy", "energy_gap", "index", "nullity",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -68,9 +69,21 @@ def profile_to_doc(prof: Profile) -> dict:
     }
 
 
-def profile_from_doc(doc: dict) -> Profile:
-    """The profile of profile_to_doc's document; ValueError names a missing key."""
+@contextmanager
+def reading(what: str):
+    """Turn a missing key (KeyError) or a value of the wrong shape (TypeError)
+    met while reading a document into ValueError, its message prefixed by what."""
     try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{what}: no {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
+def profile_from_doc(doc: dict) -> Profile:
+    """profile_to_doc's profile; ValueError on a missing key or a wrong shape."""
+    with reading("not a profile document"):
         grid = np.asarray(doc["grid"], dtype=float)
         nu_doc = doc.get("nu")
         if isinstance(nu_doc, list):
@@ -85,8 +98,6 @@ def profile_from_doc(doc: dict) -> Profile:
                        residual_norm=_optional(float, doc["residual_norm"]),
                        zero_count=_optional(int, doc["zero_count"]),
                        provenance=str(doc.get("provenance", "")))
-    except KeyError as exc:
-        raise ValueError(f"not a profile document: no {exc.args[0]!r}") from None
 
 
 def _optional(kind, value):

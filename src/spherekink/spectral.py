@@ -41,8 +41,9 @@ from .core import (
     singular_profile,
     weight,
 )
+from .serialize import reading
 
-DEFAULT_NULL_BAND = 1e-6   # eigenvalues within +-band of 0 count toward the nullity
+NULL_BAND = 1e-6          # eigenvalues within +-band of 0 count toward the nullity
 NODES_PER_UNIT = 100       # grid density of truncated_singular_count
 QUAD_DIVISIONS = 64        # Simpson divisions per tent; half as many give the error estimate
 
@@ -53,7 +54,6 @@ class SchrodingerProblem:
 
     grid: np.ndarray
     potential: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -87,10 +87,7 @@ def potential_samples(x, h, params: ProblemParams) -> np.ndarray:
 
 def build_schrodinger(prof: Profile) -> SchrodingerProblem:
     """Potential of the flat-form Hessian along the profile's own grid."""
-    v = potential_samples(prof.grid, prof.h, prof.params)
-    return SchrodingerProblem(prof.grid, v,
-                              provenance=f"m={prof.params.m} omega={prof.params.omega:g} "
-                                         f"class={prof.symmetry_class} zeros={prof.zero_count}")
+    return SchrodingerProblem(prof.grid, potential_samples(prof.grid, prof.h, prof.params))
 
 
 # -- inertia counting ---------------------------------------------------------
@@ -157,24 +154,18 @@ class SpectralReport:
         return self.index + self.nullity_estimate
 
 
-def schrodinger_index(problem: SchrodingerProblem, *,
-                      null_band: float = DEFAULT_NULL_BAND) -> SpectralReport:
-    """Index = eigenvalues below -null_band; nullity = those inside the band.
+def schrodinger_index(problem: SchrodingerProblem) -> SpectralReport:
+    """Index = eigenvalues below -NULL_BAND; nullity = those inside the band.
 
     Discrete nullity is tolerance-relative, so the count is re-checked at
-    one band wider and one narrower; disagreement is flagged, not fatal.
+    bands 10x wider and 10x narrower; disagreement is flagged, not fatal.
     The leading eigenvalues reported are the lowest index + 1, at least 3
     and at most 8.
     """
-    if null_band <= 0:
-        raise ValueError("null_band must be positive")
-    index = negative_count(problem, -null_band)
-
-    def nullity_at(band):
-        return negative_count(problem, band) - negative_count(problem, -band)
-
-    nullity = negative_count(problem, null_band) - index
-    sensitivity = tuple((b, nullity_at(b)) for b in (10.0 * null_band, 0.1 * null_band))
+    index = negative_count(problem, -NULL_BAND)
+    nullity = negative_count(problem, NULL_BAND) - index
+    sensitivity = tuple((b, negative_count(problem, b) - negative_count(problem, -b))
+                        for b in (10.0 * NULL_BAND, 0.1 * NULL_BAND))
     flags = []
     if nullity >= 2:
         flags.append(f"nullity_estimate {nullity} >= 2: unexpected for an isolated critical point")
@@ -184,15 +175,15 @@ def schrodinger_index(problem: SchrodingerProblem, *,
     lead = eigenvalues_below(problem, min(max(index + 1, 3), 8))
     return SpectralReport(index=index, nullity_estimate=nullity,
                           leading_eigenvalues=tuple(float(v) for v in lead),
-                          cutoff=problem.cutoff, n=problem.n, null_band=null_band,
+                          cutoff=problem.cutoff, n=problem.n, null_band=NULL_BAND,
                           band_sensitivity=sensitivity, flags=tuple(flags))
 
 
-def morse_index(prof: Profile, *, null_band: float = DEFAULT_NULL_BAND) -> SpectralReport:
+def morse_index(prof: Profile) -> SpectralReport:
     if prof.n < 1000:
         raise ValueError("grid too coarse for a trustworthy count: need N >= 1000 "
                          "(resample the profile first)")
-    return schrodinger_index(build_schrodinger(prof), null_band=null_band)
+    return schrodinger_index(build_schrodinger(prof))
 
 
 def truncated_singular_count(params: ProblemParams, cutoff: float) -> int:
@@ -221,14 +212,16 @@ def report_to_doc(rep: SpectralReport) -> dict:
 
 
 def report_from_doc(doc: dict) -> SpectralReport:
-    return SpectralReport(index=int(doc["index"]),
-                          nullity_estimate=int(doc["nullity_estimate"]),
-                          leading_eigenvalues=tuple(doc["leading_eigenvalues"]),
-                          cutoff=float(doc["cutoff"]), n=int(doc["n"]),
-                          null_band=float(doc["null_band"]),
-                          band_sensitivity=tuple((float(b), int(c))
-                                                 for b, c in doc["band_sensitivity"]),
-                          flags=tuple(doc["flags"]))
+    """report_to_doc's report; ValueError on a missing key or a wrong shape."""
+    with reading("not a spectral report"):
+        return SpectralReport(index=int(doc["index"]),
+                              nullity_estimate=int(doc["nullity_estimate"]),
+                              leading_eigenvalues=tuple(doc["leading_eigenvalues"]),
+                              cutoff=float(doc["cutoff"]), n=int(doc["n"]),
+                              null_band=float(doc["null_band"]),
+                              band_sensitivity=tuple((float(b), int(c))
+                                                     for b, c in doc["band_sensitivity"]),
+                              flags=tuple(doc["flags"]))
 
 
 # -- the Hessian as a bilinear form -------------------------------------------
@@ -349,16 +342,6 @@ def _require_unstable(params: ProblemParams):
     return floor
 
 
-def _scan_threshold(params: ProblemParams, epsilon: float) -> float:
-    """Smallest K (on a 0.05 mesh) with V < -epsilon beyond it, for h = 0."""
-    support = 0.0 if params.nu is None else params.nu.support_radius
-    xs = np.arange(0.0, support + 50.0 + 0.05, 0.05)
-    v = potential_samples(xs, np.zeros_like(xs), params)
-    bad = np.flatnonzero(v >= -epsilon)
-    k = 0.0 if bad.size == 0 else float(xs[bad[-1]] + 0.05)
-    return max(k, support)
-
-
 def _tent_sech2_integral(start, a, divisions):
     """int sech^2(x) F(x)^2 dx over [start, start+2a], Simpson on a grid whose
     nodes include the tent's kink, so the piecewise structure is respected."""
@@ -371,17 +354,18 @@ def _tent_sech2_integral(start, a, divisions):
 def witness_subspace(params: ProblemParams, k: int) -> WitnessFamily:
     """k disjoint tents in the far field, each a strictly negative direction.
 
-    With epsilon = |far-field floor|/2 and V < -epsilon beyond K, a tent of
-    half-width a with a^2 > 3/epsilon has flat-form value
-    2a + int V F^2 <= 2a - 2 epsilon a^3 / 3 < 0; half-width 2 sqrt(3/epsilon)
-    is used for margin.  Tent i occupies [K + 2ai, K + 2a(i+1)].
+    Beyond K, nu's support radius (0 without nu), V <= -2 epsilon at h = 0,
+    with epsilon = |far-field floor|/2.  A tent of half-width a with
+    a^2 > 3/epsilon has flat-form value 2a + int V F^2 <= 2a - 2 epsilon a^3/3
+    < 0; half-width 2 sqrt(3/epsilon) is used for margin.  Tent i occupies
+    [K + 2ai, K + 2a(i+1)].
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     floor = _require_unstable(params)
     epsilon = 0.5 * abs(floor)
     a = 2.0 * math.sqrt(3.0 / epsilon)
-    kk = _scan_threshold(params, epsilon)
+    kk = 0.0 if params.nu is None else params.nu.support_radius
 
     m1 = params.m - 1
     beta = 0.25 * m1 * m1 + 0.5 * m1

@@ -30,11 +30,18 @@ def ground33(records33):
     return records33[("odd", 1)].profile
 
 
+def gudermann_profile(m=3, cutoff=20.0, n=4001, *, nu=None, residual_norm=0.0,
+                      provenance="exact"):
+    """The closed-form one-zero profile 2 atan(e^x) - pi/2 with its analytic
+    derivative sech x; it solves the equation for omega = m."""
+    g = symmetric_grid(cutoff, n)
+    h = 2.0 * np.arctan(np.exp(g)) - HALF_PI
+    dh = 1.0 / np.cosh(g)
+    return Profile(g, h, dh, ProblemParams(m, float(m), nu), symmetry_class="odd",
+                   residual_norm=residual_norm, zero_count=1, provenance=provenance)
+
+
 @pytest.fixture()
 def exact_profile():
     """Closed-form one-zero profile for (3, 3) on the standard grid."""
-    g = symmetric_grid(20.0, 4001)
-    h = 2.0 * np.arctan(np.exp(g)) - HALF_PI
-    dh = 1.0 / np.cosh(g)
-    return Profile(g, h, dh, ProblemParams(3, 3.0), symmetry_class="odd",
-                   residual_norm=0.0, zero_count=1, provenance="exact")
+    return gudermann_profile()

@@ -263,7 +263,7 @@ def test_criterion_05_convergence_toward_singular_map(timed_sweep):
                         f"{cls} class {name} fails to decrease from "
                         f"{a.sequence_key[1]} to {b.sequence_key[1]} zeros: "
                         f"{va!r} -> {vb!r}")
-    chk = convergence_check(report, slack=1e-6)
+    chk = convergence_check(report)
     if chk.status != "pass":
         problems.append(f"margin check (1e-6 slack): {chk.failures}")
     _report(5, not problems,

@@ -14,7 +14,7 @@ def solved(tmp_path_factory):
     """One small solved level shared by the read-only CLI tests."""
     path = tmp_path_factory.mktemp("solved") / "sol.json"
     code = main(["--quiet", "solve", "--m", "3", "--omega", "3",
-                 "--class", "odd", "--zeros", "1",
+                 "--zeros", "1",
                  "--cutoff", "16", "--grid", "2001", "--out", str(path)])
     assert code == 0
     return path
@@ -56,7 +56,7 @@ def test_unknown_flag_exits_one():
 
 def test_missing_problem_flags_exits_one():
     with pytest.raises(SystemExit) as exc:
-        main(["solve", "--class", "odd", "--zeros", "1"])
+        main(["solve", "--zeros", "1"])
     assert exc.value.code == 1
 
 
@@ -67,17 +67,10 @@ def test_eigenmap_without_eigenvalue_exits_one(capsys):
     assert "--omega" in capsys.readouterr().err
 
 
-def test_wrong_parity_maps_to_exit_one(capsys):
-    code = main(["solve", "--m", "3", "--omega", "3",
-                 "--class", "odd", "--zeros", "2"])
-    assert code == 1
-    assert "error" in capsys.readouterr().err
-
-
 # -- solve -------------------------------------------------------------------------
 
 def test_solve_refuses_a_grid_finer_than_the_certificate(capsys):
-    code = main(["solve", "--m", "3", "--omega", "3", "--class", "odd",
+    code = main(["solve", "--m", "3", "--omega", "3",
                  "--zeros", "1", "--grid", "200001"])
     assert code == 1
     err = capsys.readouterr().err
@@ -89,7 +82,7 @@ def test_solve_writes_verified_solution(solved, capsys):
     prof = load_profile(solved)
     assert prof.zero_count == 1
     assert prof.symmetry_class == "odd"
-    code = main(["solve", "--m", "3", "--omega", "3", "--class", "odd",
+    code = main(["solve", "--m", "3", "--omega", "3",
                  "--zeros", "1", "--cutoff", "16", "--grid", "2001",
                  "--out", str(solved.parent / "again.json")])
     out = capsys.readouterr().out
@@ -100,8 +93,17 @@ def test_solve_writes_verified_solution(solved, capsys):
     assert (solved.parent / "again.json").read_bytes() == solved.read_bytes()
 
 
+def test_solve_takes_the_class_from_the_parity_of_zeros(tmp_path, capsys):
+    code = main(["--out", str(tmp_path), "solve", "--m", "3", "--omega", "3",
+                 "--zeros", "2", "--cutoff", "16", "--grid", "2001"])
+    assert code == 0
+    assert "solved even/2" in capsys.readouterr().out
+    prof = load_profile(tmp_path / "solution_even_2.json")
+    assert (prof.symmetry_class, prof.zero_count) == ("even", 2)
+
+
 def test_solve_exit_two_when_no_bracket(capsys):
-    code = main(["solve", "--m", "15", "--omega", "32", "--class", "odd",
+    code = main(["solve", "--m", "15", "--omega", "32",
                  "--zeros", "3", "--cutoff", "12", "--grid", "1201"])
     assert code == 2
     assert "no bracket" in capsys.readouterr().err
@@ -109,7 +111,7 @@ def test_solve_exit_two_when_no_bracket(capsys):
 
 def test_solve_respects_eigenmap_lookup(tmp_path, capsys):
     code = main(["--quiet", "solve", "--eigenmap", "identity-3",
-                 "--class", "odd", "--zeros", "1",
+                 "--zeros", "1",
                  "--cutoff", "16", "--grid", "2001",
                  "--out", str(tmp_path / "e.json")])
     assert code == 0
@@ -341,6 +343,35 @@ def test_solution_commands_refuse_a_sweep_report(command, tmp_path, capsys):
                  "--out", str(tmp_path / "plots")]) == 1
     err = capsys.readouterr().err
     assert err == "spherekink: error: not a profile document: no 'grid'\n"
+
+
+@pytest.mark.parametrize("argv, document", [
+    (["verify", "--solution"], "not a profile document"),
+    (["index", "--solution"], "not a profile document"),
+    (["plot", "--solution"], "not a profile document"),
+    (["plot", "--report"], "is not a sweep report"),
+])
+def test_a_document_of_the_wrong_shape_is_an_error(argv, document, tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]\n", encoding="ascii")
+    assert main(argv + [str(path), "--out", str(tmp_path / "plots")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spherekink: error: ") and document in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_sweep_record_of_the_wrong_shape_is_an_error(tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert main(["--quiet", "sweep", "--m", "3", "--omega", "3",
+                 "--max-zeros", "0", "--out", str(out)]) == 0
+    doc = json.loads((out / "sweep.json").read_text(encoding="ascii"))
+    doc["records"] = [5]
+    (out / "sweep.json").write_text(json.dumps(doc), encoding="ascii")
+    assert main(["plot", "--report", str(out / "sweep.json"),
+                 "--out", str(tmp_path / "plots")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"spherekink: error: {out / 'sweep.json'} is not a sweep report: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_plot_requires_an_input():

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import gudermann_profile
 from scipy.integrate import quad
 
 from spherekink.core import (
@@ -29,15 +30,6 @@ from spherekink.core import (
     symmetric_grid,
     weighted_norm,
 )
-
-
-def gudermann_profile(m=3, cutoff=20.0, n=4001):
-    """Exact connecting profile for omega = m, with analytic derivative."""
-    g = symmetric_grid(cutoff, n)
-    h = 2.0 * np.arctan(np.exp(g)) - HALF_PI
-    dh = 1.0 / np.cosh(g)
-    return Profile(g, h, dh, ProblemParams(m, float(m)), symmetry_class="odd",
-                   residual_norm=0.0, zero_count=1, provenance="exact")
 
 
 # -- grids and profiles --------------------------------------------------------

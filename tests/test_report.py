@@ -9,6 +9,7 @@ import pytest
 from spherekink.core import NuPerturbation
 from spherekink.report import (
     CSV_COLUMNS,
+    NORM_SLACK,
     SweepConfig,
     VERSION_STAMP,
     class_of_level,
@@ -71,7 +72,7 @@ def test_convergence_check_passes(sweep33):
     check = convergence_check(sweep33)
     assert check.status == "pass"
     assert check.failures == ()
-    assert check.slack == 1e-6
+    assert NORM_SLACK == 1e-6   # the margin criterion 5 reports
 
 
 def test_convergence_check_catches_corrupted_energy(sweep33):

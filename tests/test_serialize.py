@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import gudermann_profile
 
 from spherekink.core import NuPerturbation, ProblemParams, Profile, symmetric_grid
 from spherekink.serialize import (
@@ -49,11 +50,8 @@ def test_dumps_same_value_same_bytes():
 
 
 def _profile(nu=None):
-    g = symmetric_grid(16.0, 401)
-    h = 2.0 * np.arctan(np.exp(g)) - math.pi / 2.0
-    dh = 1.0 / np.cosh(g)
-    return Profile(g, h, dh, ProblemParams(3, 3.0, nu), symmetry_class="odd",
-                   residual_norm=1.2e-11, zero_count=1, provenance="test")
+    return gudermann_profile(cutoff=16.0, n=401, nu=nu, residual_norm=1.2e-11,
+                             provenance="test")
 
 
 def test_profile_doc_round_trip_is_exact():

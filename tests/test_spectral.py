@@ -14,20 +14,19 @@ import math
 
 import numpy as np
 import pytest
+from conftest import gudermann_profile
 from scipy.integrate import quad
 
 from spherekink.core import (
-    HALF_PI,
     NuPerturbation,
     ProblemParams,
-    Profile,
     resample,
     sech,
     singular_profile,
     symmetric_grid,
 )
 from spherekink.spectral import (
-    DEFAULT_NULL_BAND,
+    NULL_BAND,
     SchrodingerProblem,
     SpectralReport,
     WitnessFunction,
@@ -50,14 +49,6 @@ P33 = ProblemParams(3, 3.0)
 P22 = ProblemParams(2, 2.0)
 
 
-def exact_profile(m=3, cutoff=20.0, n=4001):
-    g = symmetric_grid(cutoff, n)
-    h = 2.0 * np.arctan(np.exp(g)) - HALF_PI
-    dh = 1.0 / np.cosh(g)
-    return Profile(g, h, dh, ProblemParams(m, float(m)), symmetry_class="odd",
-                   residual_norm=0.0, zero_count=1, provenance="exact")
-
-
 def dense_eigs(problem):
     """Full diagonalisation of the same interior-node matrix."""
     dx = problem.dx
@@ -78,17 +69,16 @@ def test_potential_point_values_at_equator():
 
 
 def test_potential_along_exact_profile_is_reflectionless():
-    prof = exact_profile()
+    prof = gudermann_profile()
     v = potential_samples(prof.grid, prof.h, prof.params)
     ref = 4.0 - 8.0 / np.cosh(prof.grid) ** 2
     assert np.max(np.abs(v - ref)) < 1e-12
 
 
 def test_build_schrodinger_carries_metadata():
-    prob = build_schrodinger(exact_profile())
+    prob = build_schrodinger(gudermann_profile())
     assert prob.n == 4001
     assert prob.cutoff == 20.0
-    assert "zeros=1" in prob.provenance
 
 
 def test_problem_rejects_nonfinite_potential():
@@ -119,7 +109,7 @@ def test_negative_count_matches_dense_eigensolver(n, records33):
         above = float(np.max(main)) + 2.0 * abs(float(off[0])) + 1.0
         assert negative_count(prob, below) == 0
         assert negative_count(prob, above) == prob.n - 2
-        for shift in (0.0, -0.5, 1.0, 4.0, DEFAULT_NULL_BAND, -DEFAULT_NULL_BAND):
+        for shift in (0.0, -0.5, 1.0, 4.0, NULL_BAND, -NULL_BAND):
             assert negative_count(prob, shift) == int(np.sum(lam < shift))
 
 
@@ -169,7 +159,7 @@ def pt_levels(v_inf, depth):
 
 
 def test_exact_profile_spectrum_m3():
-    prob = build_schrodinger(exact_profile())
+    prob = build_schrodinger(gudermann_profile())
     ref = pt_levels(4.0, 8.0)
     assert len(ref) == 3
     assert ref[0] == pytest.approx(-1.6277186767309883, abs=1e-12)
@@ -179,7 +169,7 @@ def test_exact_profile_spectrum_m3():
 
 
 def test_exact_profile_spectrum_m2():
-    prob = build_schrodinger(exact_profile(m=2))
+    prob = build_schrodinger(gudermann_profile(m=2))
     ref = pt_levels(2.25, 4.75)
     assert ref[0] == pytest.approx(-0.7639320225002103, abs=1e-12)
     got = eigenvalues_below(prob, 2)
@@ -188,7 +178,7 @@ def test_exact_profile_spectrum_m2():
 
 
 def test_morse_index_of_exact_profile():
-    rep = morse_index(exact_profile())
+    rep = morse_index(gudermann_profile())
     assert rep.index == 1
     assert rep.nullity_estimate == 0
     assert rep.extended_index == 1
@@ -199,15 +189,33 @@ def test_morse_index_of_exact_profile():
 
 def test_morse_index_rejects_coarse_grids():
     with pytest.raises(ValueError):
-        morse_index(exact_profile(n=999))
+        morse_index(gudermann_profile(n=999))
 
 
-def test_report_flags_fire_on_absurd_band():
-    # a band wide enough to swallow true eigenvalues must be flagged
-    rep = schrodinger_index(build_schrodinger(exact_profile()), null_band=3.0)
-    assert rep.nullity_estimate == 2
-    assert any("nullity_estimate 2" in f for f in rep.flags)
-    assert any("depends on the null band" in f for f in rep.flags)
+def test_report_flags_fire_at_the_fixed_band():
+    # the well 4 - 8 sech^2 x, shifted so that its lowest eigenvalue sits at
+    # +5e-7: inside the null band, outside the band 10x narrower
+    g = symmetric_grid(8.0, 401)
+    v = 4.0 - 8.0 / np.cosh(g) ** 2
+    prob = SchrodingerProblem(g, v + (5e-7 - dense_eigs(SchrodingerProblem(g, v))[0]))
+    assert dense_eigs(prob)[0] == pytest.approx(5e-7, abs=1e-11)
+    rep = schrodinger_index(prob)
+    assert (rep.index, rep.nullity_estimate) == (0, 1)
+    assert [nb for _, nb in rep.band_sensitivity] == [1, 0]
+    assert len(rep.flags) == 1 and "depends on the null band" in rep.flags[0]
+
+    # two such wells 10 apart: their ground states split by about 1e-8, and
+    # the pair, shifted to straddle 0, lies inside every band
+    g = symmetric_grid(16.0, 801)
+    v = -8.0 / np.cosh(g - 5.0) ** 2 - 8.0 / np.cosh(g + 5.0) ** 2
+    lam = dense_eigs(SchrodingerProblem(g, v))
+    prob = SchrodingerProblem(g, v - 0.5 * (lam[0] + lam[1]))
+    pair = dense_eigs(prob)[:2]
+    assert 0.0 < pair[1] - pair[0] < 1e-7 and np.max(np.abs(pair)) < 1e-7
+    rep = schrodinger_index(prob)
+    assert (rep.index, rep.nullity_estimate) == (0, 2)
+    assert [nb for _, nb in rep.band_sensitivity] == [2, 2]
+    assert len(rep.flags) == 1 and "nullity_estimate 2" in rep.flags[0]
 
 
 # -- equator branch --------------------------------------------------------------
@@ -234,13 +242,13 @@ def test_singular_count_saturates_when_hypothesis_fails():
 # -- quadratic forms --------------------------------------------------------------
 
 def test_hessian_form_zero_direction():
-    prof = exact_profile()
+    prof = gudermann_profile()
     z = np.zeros(prof.n)
     assert hessian_form(prof, z, z) == 0.0
 
 
 def test_hessian_form_is_symmetric():
-    prof = exact_profile()
+    prof = gudermann_profile()
     g = prof.grid
     v = 1.0 / np.cosh(g) ** 2
     w = np.cos(g) / np.cosh(g) ** 2
@@ -251,7 +259,7 @@ def test_hessian_form_is_symmetric():
 
 
 def test_hessian_form_rejects_nonvanishing_ends():
-    prof = exact_profile()
+    prof = gudermann_profile()
     with pytest.raises(ValueError):
         hessian_form(prof, np.ones(prof.n), np.ones(prof.n))
 
@@ -268,7 +276,7 @@ def test_equator_branch_has_negative_direction():
 def test_weighted_and_flat_forms_agree():
     # v and w = v sech^((m-1)/2) represent the same direction in the two
     # pictures; the forms must agree up to quadrature error
-    prof = exact_profile()
+    prof = gudermann_profile()
     g = prof.grid
     w = np.sin(g) / np.cosh(g) ** 3
     v = w * np.cosh(g)              # m = 3: half weight is sech
@@ -278,7 +286,7 @@ def test_weighted_and_flat_forms_agree():
 
 
 def test_hessian_fd_check_quadratic_consistency():
-    prof = exact_profile()
+    prof = gudermann_profile()
     v = 1.0 / np.cosh(prof.grid) ** 2
     err_big = hessian_fd_check(prof, v, 1e-2)
     err_small = hessian_fd_check(prof, v, 1e-3)
@@ -287,7 +295,7 @@ def test_hessian_fd_check_quadratic_consistency():
 
 
 def test_hessian_fd_check_validates_step():
-    prof = exact_profile()
+    prof = gudermann_profile()
     v = 1.0 / np.cosh(prof.grid) ** 2
     with pytest.raises(ValueError):
         hessian_fd_check(prof, v, 0.0)

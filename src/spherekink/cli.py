@@ -35,6 +35,7 @@ from .report import (
     run_sweep,
     solution_name,
     write_profile_chart,
+    write_report,
 )
 from .serialize import dumps, load_profile, save_profile
 from .shooting import (
@@ -267,11 +268,11 @@ def _cmd_solve(args, parser) -> int:
 
 
 def _cmd_sweep(args, parser) -> int:
-    params = _problem_params(args, parser)
-    config = SweepConfig(m=params.m, omega=params.omega, nu=params.nu,
-                         max_zeros=args.max_zeros, cutoff=args.cutoff,
-                         grid_size=args.grid, out_dir=args.out_dir, plots=args.plot)
-    report = run_sweep(config)
+    report = run_sweep(SweepConfig(_problem_params(args, parser), args.max_zeros,
+                                   cutoff=args.cutoff, grid_size=args.grid))
+    write_report(report, args.out_dir)
+    if args.plot:
+        emit_plots(report, args.out_dir)
     if not args.quiet:
         if not report.hypothesis:
             print("NOTE: (m-1)^2/4 < omega fails for these parameters; the "

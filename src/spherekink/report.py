@@ -1,14 +1,14 @@
 """Sweeps over zero counts, convergence tables, and flat-file reporting.
 
-A sweep solves every level 1..max_zeros (the parity of the level fixes its
-symmetry class), attaches energies and spectral counts, and serialises the
-lot as CSV + JSON + optional SVG.  Output bytes are a pure function of the
-configuration: records are sorted before writing, floats are written as
-their shortest exact repr, and nothing stamps wall-clock time.
+run_sweep solves every level 1..max_zeros (the parity of the level fixes
+its symmetry class) and attaches energies and spectral counts; it writes
+nothing.  write_report writes the result as CSV and JSON, and emit_plots
+draws its SVG charts.  Output bytes are a pure function of the
+configuration: records are sorted, floats are written as their shortest
+exact repr, and nothing stamps wall-clock time.
 
-Levels are solved independently of each other (fan-out); a level that fails
-to bracket or polish becomes a failure entry rather than aborting the rest.
-All file writes happen in one collector pass at the end.
+Levels are solved independently of each other; a level that fails to
+bracket or polish becomes a failure entry rather than aborting the rest.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from .core import (
     DEFAULT_CUTOFF,
     DEFAULT_GRID_SIZE,
     HALF_PI,
-    NuPerturbation,
     ProblemParams,
     Profile,
     energy,
@@ -66,22 +66,14 @@ VERSION_STAMP = f"spherekink {__version__}; numpy {np.__version__}; scipy {scipy
 class SweepConfig:
     """One experiment: problem parameters, levels, and discretisation."""
 
-    m: int
-    omega: float
+    params: ProblemParams
     max_zeros: int
-    nu: NuPerturbation | None = None
     cutoff: float = DEFAULT_CUTOFF
     grid_size: int = DEFAULT_GRID_SIZE
-    out_dir: str | None = None
-    plots: bool = False
 
     def __post_init__(self):
         if self.max_zeros < 0:
             raise ValueError("max_zeros must be >= 0")
-
-    @property
-    def params(self) -> ProblemParams:
-        return ProblemParams(self.m, self.omega, self.nu)
 
 
 @dataclass(frozen=True)
@@ -95,18 +87,29 @@ class SolutionRecord:
     profile: Profile
     energy: float
     spectral: SpectralReport
-    sup_norm: float
     H_norm: float
-    sequence_key: tuple  # (symmetry class, total zeros)
+
+    @property
+    def sup_norm(self) -> float:
+        return self.profile.sup_norm
+
+    @property
+    def sequence_key(self) -> tuple:
+        """(symmetry class, total zeros)"""
+        return (self.profile.symmetry_class, self.profile.zero_count)
 
 
 @dataclass(frozen=True)
 class SweepReport:
     config: SweepConfig
-    singular_energy: float
     records: tuple
     failures: tuple        # (class, zeros, message)
     version: str = VERSION_STAMP
+
+    @cached_property
+    def singular_energy(self) -> float:
+        """The equator map's energy, which every record must stay below."""
+        return singular_energy(self.config.params)
 
     @property
     def hypothesis(self) -> bool:
@@ -119,15 +122,8 @@ class SweepReport:
     @property
     def convergence_table(self) -> tuple:
         """(class, zeros, energy_gap, sup_norm, H_norm) per record."""
-        return tuple((r.sequence_key[0], r.sequence_key[1],
-                      self.energy_gap(r), r.sup_norm, r.H_norm)
+        return tuple((*r.sequence_key, self.energy_gap(r), r.sup_norm, r.H_norm)
                      for r in self.records)
-
-
-def make_record(prof: Profile, spectral: SpectralReport) -> SolutionRecord:
-    return SolutionRecord(profile=prof, energy=energy(prof), spectral=spectral,
-                          sup_norm=prof.sup_norm, H_norm=weighted_norm(prof),
-                          sequence_key=(prof.symmetry_class, prof.zero_count))
 
 
 def class_of_level(zeros: int) -> str:
@@ -139,38 +135,31 @@ def solution_name(zeros: int) -> str:
     return f"solution_{class_of_level(zeros)}_{zeros}.json"
 
 
-def _solve_level(config: SweepConfig, zeros: int) -> SolutionRecord:
+def _solve_level(config: SweepConfig, zeros: int, e_inf: float) -> SolutionRecord:
     req = SolveRequest(config.params, class_of_level(zeros), zeros,
                        cutoff=config.cutoff, grid_size=config.grid_size)
     prof = find_solution(req)
-    rep = morse_index(prof)
-    rec = make_record(prof, rep)
-    if not rec.energy < singular_energy(config.params):
+    spectral = morse_index(prof)
+    e = energy(prof)
+    if not e < e_inf:
         raise PolishDiverged(
-            f"energy {rec.energy!r} is not below the singular level; the level "
+            f"energy {e!r} is not below the singular level; the level "
             f"did not converge to a connecting profile")
-    return rec
+    return SolutionRecord(prof, e, spectral, weighted_norm(prof))
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
-    """Solve all levels, assemble the report, and (if configured) write it."""
+    """Solve all levels and assemble the report; it writes no file."""
     e_inf = singular_energy(config.params)
     records = []
     failures = []
     for zeros in range(1, config.max_zeros + 1):
         try:
-            records.append(_solve_level(config, zeros))
+            records.append(_solve_level(config, zeros, e_inf))
         except (NoBracketFound, PolishDiverged) as exc:
             failures.append((class_of_level(zeros), zeros, str(exc)))
-
     records.sort(key=lambda r: r.sequence_key)
-    failures.sort(key=lambda f: (f[0], f[1]))
-
-    report = SweepReport(config=config, singular_energy=e_inf,
-                         records=tuple(records), failures=tuple(failures))
-    if config.out_dir is not None:
-        write_report(report, config.out_dir)
-    return report
+    return SweepReport(config, tuple(records), tuple(sorted(failures)))
 
 
 # -- convergence check ---------------------------------------------------------
@@ -182,7 +171,6 @@ NORM_SLACK = 1e-6   # sup_norm and H_norm may rise by less than this between lev
 class ConvergenceCheck:
     status: str            # "pass" | "fail" | "insufficient data"
     failures: tuple
-    table: tuple           # (class, zeros, energy_gap, sup_norm, H_norm)
 
 
 def convergence_check(report: SweepReport) -> ConvergenceCheck:
@@ -216,11 +204,9 @@ def convergence_check(report: SweepReport) -> ConvergenceCheck:
                     failures.append(
                         f"{name} fails to decrease from {a.sequence_key} to "
                         f"{b.sequence_key}: {va!r} -> {vb!r}")
-    table = report.convergence_table
     if not checked_any and not failures:
-        return ConvergenceCheck("insufficient data", (), table)
-    status = "pass" if not failures else "fail"
-    return ConvergenceCheck(status, tuple(failures), table)
+        return ConvergenceCheck("insufficient data", ())
+    return ConvergenceCheck("pass" if not failures else "fail", tuple(failures))
 
 
 # -- serialisation --------------------------------------------------------------
@@ -242,29 +228,29 @@ def record_to_doc(rec: SolutionRecord) -> dict:
 def record_from_doc(doc: dict, directory) -> SolutionRecord:
     """record_to_doc's entry, with its profile read from the file it names in
     directory.  An entry written before the profiles had files of their own
-    holds the profile itself."""
+    holds the profile itself.  The record's class and zeros are its
+    profile's, so the profile must record its zero count."""
     if "profile" in doc:
-        prof = profile_from_doc(doc["profile"])
+        source, prof = "a profile held in sweep.json", profile_from_doc(doc["profile"])
     else:
         name = doc["solution"]
         if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
             raise ValueError(f"solution {name!r} is not a file name")
-        prof = load_profile(Path(directory) / name)
-    return SolutionRecord(profile=prof,
-                          energy=float(doc["energy"]),
-                          spectral=report_from_doc(doc["spectral"]),
-                          sup_norm=float(doc["sup_norm"]),
-                          H_norm=float(doc["H_norm"]),
-                          sequence_key=(doc["class"], int(doc["zeros"])))
+        source = Path(directory) / name
+        prof = load_profile(source)
+    if prof.zero_count is None:
+        raise ValueError(f"{source} records no zero count")
+    return SolutionRecord(prof, float(doc["energy"]), report_from_doc(doc["spectral"]),
+                          float(doc["H_norm"]))
 
 
 def sweep_report_to_doc(report: SweepReport) -> dict:
     cfg = report.config
     return {
         "version": report.version,
-        "m": cfg.m,
-        "omega": cfg.omega,
-        "nu": nu_to_doc(cfg.nu),
+        "m": cfg.params.m,
+        "omega": cfg.params.omega,
+        "nu": nu_to_doc(cfg.params.nu),
         "max_zeros": cfg.max_zeros,
         "cutoff": cfg.cutoff,
         "grid_size": cfg.grid_size,
@@ -281,20 +267,19 @@ def read_report(path) -> SweepReport:
     """The report in the sweep.json at path, with the solution files beside it.
 
     ValueError names the file if a key is missing or a value has the wrong
-    shape.  Its null_band and hypothesis are not read: both are derived.
+    shape.  What the report derives is not read: null_band, hypothesis,
+    singular_energy, the convergence table, and each record's class, zeros
+    and sup_norm.
     """
     path = Path(path)
     doc = read_json(path)
     with reading(f"{path} is not a sweep report"):
-        cfg = SweepConfig(m=int(doc["m"]), omega=float(doc["omega"]),
-                          max_zeros=int(doc["max_zeros"]), nu=nu_from_doc(doc.get("nu")),
-                          cutoff=float(doc["cutoff"]), grid_size=int(doc["grid_size"]))
-        return SweepReport(config=cfg,
-                           singular_energy=float(doc["singular_energy"]),
-                           records=tuple(record_from_doc(d, path.parent)
-                                         for d in doc["records"]),
-                           failures=tuple((c, int(z), m) for c, z, m in doc["failures"]),
-                           version=str(doc["version"]))
+        params = ProblemParams(int(doc["m"]), float(doc["omega"]), nu_from_doc(doc.get("nu")))
+        cfg = SweepConfig(params, int(doc["max_zeros"]), float(doc["cutoff"]),
+                          int(doc["grid_size"]))
+        return SweepReport(cfg, tuple(record_from_doc(d, path.parent) for d in doc["records"]),
+                           tuple((c, int(z), m) for c, z, m in doc["failures"]),
+                           str(doc["version"]))
 
 
 CSV_COLUMNS = ("class", "zeros", "energy", "energy_gap", "index", "nullity",
@@ -317,8 +302,8 @@ def write_sweep_csv(report: SweepReport, path) -> None:
 
 
 def write_report(report: SweepReport, out_dir) -> list:
-    """Collector stage: CSV, sweep.json, one solution file per record (named
-    by the record's entry in sweep.json), optional SVG."""
+    """CSV, sweep.json, and one solution file per record (named by the
+    record's entry in sweep.json); emit_plots draws the charts."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -338,9 +323,6 @@ def write_report(report: SweepReport, out_dir) -> list:
         p = out / rec_doc["solution"]
         write_json(profile_to_doc(rec.profile), p)
         written.append(p)
-
-    if report.config.plots:
-        written.extend(emit_plots(report, out))
     return written
 
 
@@ -386,7 +368,7 @@ def emit_plots(report: SweepReport, out_dir) -> list:
                     label="E(h_k)", markers=True)],
         hlines=((report.singular_energy, "#cf222e", True, "left"),),
         title=f"energies toward the singular level "
-              f"(m={report.config.m}, omega={report.config.omega:g})",
+              f"(m={report.config.params.m}, omega={report.config.params.omega:g})",
         xlabel="total zeros", ylabel="energy")
     p = Path(out_dir) / "summary.svg"
     p.write_text(doc, encoding="ascii", newline="\n")

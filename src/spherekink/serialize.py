@@ -81,9 +81,10 @@ def reading(what: str):
         raise ValueError(f"{what}: {exc}") from None
 
 
-def profile_from_doc(doc: dict) -> Profile:
-    """profile_to_doc's profile; ValueError on a missing key or a wrong shape."""
-    with reading("not a profile document"):
+def profile_from_doc(doc: dict, what: str = "not a profile document") -> Profile:
+    """profile_to_doc's profile; ValueError, its message prefixed by what, on
+    a missing key or a wrong shape."""
+    with reading(what):
         grid = np.asarray(doc["grid"], dtype=float)
         nu_doc = doc.get("nu")
         if isinstance(nu_doc, list):
@@ -121,4 +122,4 @@ def save_profile(prof: Profile, path) -> None:
 
 
 def load_profile(path) -> Profile:
-    return profile_from_doc(read_json(path))
+    return profile_from_doc(read_json(path), f"{path} is not a profile document")

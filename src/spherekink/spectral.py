@@ -25,7 +25,7 @@ explicit negative-definite subspace of any requested dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import simpson
@@ -145,14 +145,6 @@ class SpectralReport:
     band_sensitivity: tuple   # ((band, nullity at that band), ...)
     flags: tuple
 
-    @property
-    def discretization(self):
-        return (self.cutoff, self.n, self.null_band)
-
-    @property
-    def extended_index(self) -> int:
-        return self.index + self.nullity_estimate
-
 
 def schrodinger_index(problem: SchrodingerProblem) -> SpectralReport:
     """Index = eigenvalues below -NULL_BAND; nullity = those inside the band.
@@ -199,16 +191,7 @@ def truncated_singular_count(params: ProblemParams, cutoff: float) -> int:
 
 
 def report_to_doc(rep: SpectralReport) -> dict:
-    return {
-        "index": rep.index,
-        "nullity_estimate": rep.nullity_estimate,
-        "leading_eigenvalues": list(rep.leading_eigenvalues),
-        "cutoff": rep.cutoff,
-        "n": rep.n,
-        "null_band": rep.null_band,
-        "band_sensitivity": [[b, c] for b, c in rep.band_sensitivity],
-        "flags": list(rep.flags),
-    }
+    return asdict(rep)
 
 
 def report_from_doc(doc: dict) -> SpectralReport:
@@ -326,9 +309,6 @@ class WitnessFamily:
     @property
     def size(self) -> int:
         return len(self.functions)
-
-    def gram(self) -> np.ndarray:
-        return np.diag(np.asarray(self.gram_diagonal, dtype=float))
 
 
 def _require_unstable(params: ProblemParams):

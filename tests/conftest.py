@@ -16,7 +16,7 @@ from spherekink.report import SweepConfig, run_sweep
 @pytest.fixture(scope="session")
 def sweep33():
     """Levels 1..4 of the (m=3, omega=3) problem on the standard grid."""
-    return run_sweep(SweepConfig(m=3, omega=3.0, max_zeros=4))
+    return run_sweep(SweepConfig(ProblemParams(3, 3.0), 4))
 
 
 @pytest.fixture(scope="session")

@@ -128,7 +128,7 @@ def test_clearance_problems(energies, refined, expect):
 @pytest.fixture(scope="module")
 def timed_sweep():
     t0 = time.perf_counter()
-    report = run_sweep(SweepConfig(m=3, omega=3.0, max_zeros=4))
+    report = run_sweep(SweepConfig(P33, 4))
     return report, time.perf_counter() - t0
 
 
@@ -390,10 +390,10 @@ def test_criterion_09_sign_symmetry(timed_sweep):
 
 
 def test_criterion_10_determinism(tmp_path):
-    cfg = dict(m=3, omega=3.0, max_zeros=2, cutoff=16.0, grid_size=2001)
+    cfg = SweepConfig(P33, 2, cutoff=16.0, grid_size=2001)
     d1, d2 = tmp_path / "one", tmp_path / "two"
-    w1 = write_report(run_sweep(SweepConfig(**cfg)), d1)
-    w2 = write_report(run_sweep(SweepConfig(**cfg)), d2)
+    w1 = write_report(run_sweep(cfg), d1)
+    w2 = write_report(run_sweep(cfg), d2)
     problems = []
     if [p.name for p in w1] != [p.name for p in w2]:
         problems.append(f"file sets differ: {[p.name for p in w1]} vs "

@@ -233,6 +233,20 @@ def test_sweep_with_config_file(tmp_path, capsys):
     assert (out / "solution_odd_1.json").exists()
 
 
+def test_sweep_writes_charts_only_with_plot(tmp_path, capsys):
+    argv = ["--quiet", "sweep", "--m", "3", "--omega", "3", "--max-zeros", "2",
+            "--cutoff", "16", "--grid", "2001"]
+    plain, plotted = tmp_path / "plain", tmp_path / "plotted"
+    assert main(argv + ["--out", str(plain)]) == 0
+    assert main(argv + ["--plot", "--out", str(plotted)]) == 0
+    files = sorted(p.name for p in plain.iterdir())
+    assert files == ["solution_even_2.json", "solution_odd_1.json", "sweep.csv", "sweep.json"]
+    charts = ["profile_even_2.svg", "profile_odd_1.svg", "summary.svg"]
+    assert sorted(p.name for p in plotted.iterdir()) == sorted(files + charts)
+    for name in files:
+        assert (plotted / name).read_bytes() == (plain / name).read_bytes()
+
+
 def test_sweep_too_coarse_grid_exits_one(tmp_path, capsys):
     code = main(["sweep", "--m", "3", "--omega", "3", "--max-zeros", "1",
                  "--cutoff", "16", "--grid", "501", "--out", str(tmp_path), "--quiet"])
@@ -334,6 +348,20 @@ def test_plot_report_with_a_missing_solution_file(tmp_path, capsys):
     assert err == f"spherekink: no such file: {out / 'solution_odd_1.json'}\n"
 
 
+def test_plot_report_names_a_solution_file_of_the_wrong_shape(tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert main(["--quiet", "sweep", "--m", "3", "--omega", "3",
+                 "--max-zeros", "1", "--cutoff", "16", "--grid", "2001",
+                 "--out", str(out)]) == 0
+    bad = out / "solution_odd_1.json"
+    bad.write_text("[1, 2]\n", encoding="ascii")
+    assert main(["--quiet", "plot", "--report", str(out / "sweep.json"),
+                 "--out", str(tmp_path / "plots")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"spherekink: error: {bad} is not a profile document: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["verify", "index", "plot"])
 def test_solution_commands_refuse_a_sweep_report(command, tmp_path, capsys):
     out = tmp_path / "rep"
@@ -342,7 +370,7 @@ def test_solution_commands_refuse_a_sweep_report(command, tmp_path, capsys):
     assert main([command, "--solution", str(out / "sweep.json"),
                  "--out", str(tmp_path / "plots")]) == 1
     err = capsys.readouterr().err
-    assert err == "spherekink: error: not a profile document: no 'grid'\n"
+    assert err == f"spherekink: error: {out / 'sweep.json'} is not a profile document: no 'grid'\n"
 
 
 @pytest.mark.parametrize("argv, document", [

@@ -2,11 +2,12 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
-from spherekink.core import NuPerturbation
+from spherekink.core import NuPerturbation, ProblemParams
 from spherekink.report import (
     CSV_COLUMNS,
     NORM_SLACK,
@@ -23,13 +24,14 @@ from spherekink.report import (
 )
 from spherekink.serialize import dumps, profile_to_doc, read_json, write_json
 
+P33 = ProblemParams(3, 3.0)
 SMALL = dict(cutoff=16.0, grid_size=2001)
 
 
 @pytest.fixture(scope="module")
 def small_sweep():
     """A cheap two-level sweep used by the write/round-trip tests."""
-    return run_sweep(SweepConfig(m=3, omega=3.0, max_zeros=2, **SMALL))
+    return run_sweep(SweepConfig(P33, 2, **SMALL))
 
 
 def test_class_of_level():
@@ -39,7 +41,7 @@ def test_class_of_level():
 
 
 def test_empty_sweep():
-    report = run_sweep(SweepConfig(m=3, omega=3.0, max_zeros=0, **SMALL))
+    report = run_sweep(SweepConfig(P33, 0, **SMALL))
     assert report.records == ()
     assert report.failures == ()
     assert report.hypothesis is True
@@ -109,12 +111,12 @@ def test_configuration_errors_are_raised_not_recorded():
     # N = 501 is below morse_index's grid floor: a configuration error,
     # not a failure of the level
     with pytest.raises(ValueError, match="grid too coarse"):
-        run_sweep(SweepConfig(m=3, omega=3.0, max_zeros=1, cutoff=16.0, grid_size=501))
+        run_sweep(SweepConfig(P33, 1, cutoff=16.0, grid_size=501))
 
 
 def test_failures_are_collected_not_raised():
     # levels above the first do not exist at these parameters
-    report = run_sweep(SweepConfig(m=15, omega=32.0, max_zeros=3,
+    report = run_sweep(SweepConfig(ProblemParams(15, 32.0), 3,
                                    cutoff=12.0, grid_size=1201))
     assert [r.sequence_key for r in report.records] == [("even", 2), ("odd", 1)]
     assert report.hypothesis is False
@@ -173,6 +175,15 @@ def test_read_report_refuses_a_solution_that_is_not_a_file_name(name, small_swee
         read_report(tmp_path / "sweep.json")
 
 
+def test_read_report_refuses_a_profile_without_a_zero_count(small_sweep, tmp_path):
+    # a record's class and zeros are read off its profile
+    write_report(small_sweep, tmp_path)
+    path = tmp_path / "solution_odd_1.json"
+    write_json(dict(read_json(path), zero_count=None), path)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} records no zero count$"):
+        read_report(tmp_path / "sweep.json")
+
+
 def test_read_report_names_a_missing_key(small_sweep, tmp_path):
     write_report(small_sweep, tmp_path)
     with pytest.raises(ValueError, match="is not a sweep report: no 'max_zeros'"):
@@ -184,10 +195,10 @@ def test_convergence_table_follows_records(small_sweep):
     recs = list(small_sweep.records)
     recs[1] = dataclasses.replace(recs[1], energy=recs[1].energy - 0.125)
     changed = dataclasses.replace(small_sweep, records=tuple(recs))
-    cls, zeros, gap, sup, hn = convergence_check(changed).table[1]
+    cls, zeros, gap, sup, hn = changed.convergence_table[1]
     assert (cls, zeros) == recs[1].sequence_key
     assert gap == changed.singular_energy - recs[1].energy
-    assert convergence_check(small_sweep).table[1][2] == gap - 0.125
+    assert small_sweep.convergence_table[1][2] == gap - 0.125
 
 
 def test_read_report_ignores_old_newton_tol(small_sweep, tmp_path):
@@ -235,7 +246,7 @@ def test_write_report_is_byte_deterministic(small_sweep, tmp_path):
     d2 = tmp_path / "two"
     w1 = write_report(small_sweep, d1)
     # a freshly recomputed sweep must serialise to identical bytes
-    again = run_sweep(SweepConfig(m=3, omega=3.0, max_zeros=2, **SMALL))
+    again = run_sweep(SweepConfig(P33, 2, **SMALL))
     w2 = write_report(again, d2)
     assert [p.name for p in w1] == [p.name for p in w2]
     for p1, p2 in zip(w1, w2):
@@ -251,14 +262,6 @@ def test_solution_files_are_save_profile_bytes(small_sweep, tmp_path):
         assert (tmp_path / "report" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
-def test_out_dir_config_triggers_write(tmp_path):
-    out = tmp_path / "auto"
-    run_sweep(SweepConfig(m=3, omega=3.0, max_zeros=1, out_dir=str(out), **SMALL))
-    assert (out / "sweep.csv").exists()
-    assert (out / "sweep.json").exists()
-    assert (out / "solution_odd_1.json").exists()
-
-
 def test_emit_plots_files_and_warning(small_sweep, tmp_path):
     written = emit_plots(small_sweep, tmp_path)
     names = sorted(p.name for p in written)
@@ -267,7 +270,7 @@ def test_emit_plots_files_and_warning(small_sweep, tmp_path):
     assert body.startswith("<svg")
     assert "energy" in body
 
-    empty = run_sweep(SweepConfig(m=3, omega=3.0, max_zeros=0, **SMALL))
+    empty = run_sweep(SweepConfig(P33, 0, **SMALL))
     with pytest.warns(UserWarning, match="no plots"):
         assert emit_plots(empty, tmp_path / "none") == []
 
@@ -291,11 +294,10 @@ def _nu_bump():
 
 # the sweeps besides small_sweep whose written JSON is checked byte for byte
 WRITTEN_SWEEPS = {
-    "nu-plotted": lambda: SweepConfig(m=3, omega=3.0, max_zeros=2, nu=_nu_bump(),
-                                      plots=True, **SMALL),
-    "with-failure": lambda: SweepConfig(m=15, omega=32.0, max_zeros=3,
+    "nu-plotted": lambda: SweepConfig(ProblemParams(3, 3.0, _nu_bump()), 2, **SMALL),
+    "with-failure": lambda: SweepConfig(ProblemParams(15, 32.0), 3,
                                         cutoff=12.0, grid_size=1201),
-    "empty": lambda: SweepConfig(m=3, omega=3.0, max_zeros=0, **SMALL),
+    "empty": lambda: SweepConfig(P33, 0, **SMALL),
 }
 
 
@@ -306,6 +308,8 @@ def test_written_json_is_the_encoding_of_its_document(name, small_sweep, tmp_pat
     assert bool(report.failures) == (name == "with-failure")
     assert bool(report.records) == (name != "empty")
     write_report(report, tmp_path)
+    if name == "nu-plotted":
+        emit_plots(report, tmp_path)
     expected = dumps(sweep_report_to_doc(report)) + "\n"
     assert (tmp_path / "sweep.json").read_bytes() == expected.encode("ascii")
     for rec in report.records:

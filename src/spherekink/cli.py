@@ -362,7 +362,11 @@ def _cmd_plot(args, parser) -> int:
     if args.report is not None:
         written += emit_plots(read_report(args.report), args.out_dir)
     if args.solution is not None:
-        written.append(write_profile_chart(load_profile(args.solution), args.out_dir))
+        prof = load_profile(args.solution)
+        if prof.zero_count is None:
+            # its chart is named by class and zero count
+            raise ValueError(f"{args.solution} records no zero count")
+        written.append(write_profile_chart(prof, args.out_dir))
     if not args.quiet:
         for p in written:
             print(f"wrote {p}")

@@ -6,6 +6,18 @@ the round trip is exact and 20.0 stays 20.0 and -0.0 stays -0.0.  Keys keep
 insertion order, there is no whitespace, NaN and infinities are refused, and
 numpy arrays and scalars are written as the lists and numbers they hold.
 
+A profile document holds m, omega, nu, the symmetry class, the solver's
+metadata and the samples.  The samples are written compactly when they are
+exactly what the solver makes from less: the grid is
+symmetric_grid(cutoff, n), h mirrors its values on x >= 0 by the class
+(negated for odd), and dh is derivative_samples(h, dx), all bit for bit.
+Then the document holds "cutoff", "n" and "half_h", the (n + 1) / 2
+values of h at x >= 0, and the reader rebuilds grid, h and dh with those
+same functions, so the loaded profile is bitwise the saved one.  Any other
+profile (class none, a resampled one, a hand-built dh) is written with
+explicit "grid", "h" and "dh" arrays; files written before the compact form
+have that shape and still read.
+
 A perturbation nu is written as its own samples, {"grid": ..., "values":
 ...}, in a profile document and in a sweep report alike, so it reads back
 exactly, support radius included.
@@ -19,7 +31,13 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .core import NuPerturbation, ProblemParams, Profile
+from .core import (
+    NuPerturbation,
+    ProblemParams,
+    Profile,
+    derivative_samples,
+    symmetric_grid,
+)
 
 
 def format_float(x: float) -> str:
@@ -53,15 +71,41 @@ def nu_from_doc(doc) -> NuPerturbation | None:
                           np.asarray(doc["values"], dtype=float))
 
 
+def _derived(cutoff: float, n: int, symmetry_class: str, half_h):
+    """(grid, h, dh) that the compact form stands for."""
+    grid = symmetric_grid(cutoff, n)
+    half_h = np.asarray(half_h, dtype=float)
+    left = half_h[:0:-1]
+    h = np.concatenate([-left if symmetry_class == "odd" else left, half_h])
+    return grid, h, derivative_samples(h, grid[1] - grid[0])
+
+
+def _half_line(prof: Profile):
+    """h at x >= 0 when the compact form rebuilds prof's arrays bit for bit,
+    else None."""
+    if prof.symmetry_class == "none" or prof.n < 5:
+        return None
+    half_h = prof.h[prof.n // 2:]
+    rebuilt = _derived(prof.cutoff, prof.n, prof.symmetry_class, half_h)
+    for a, b in zip(rebuilt, (prof.grid, prof.h, prof.dh)):
+        if a.tobytes() != b.tobytes():
+            return None
+    return half_h
+
+
 def profile_to_doc(prof: Profile) -> dict:
-    """Plain-dict form of a profile; nu is null when the problem has none."""
+    """Plain-dict form of a profile, compact when it can be (see the module
+    docstring); nu is null when the problem has none."""
+    half_h = _half_line(prof)
+    if half_h is None:
+        samples = {"grid": prof.grid, "h": prof.h, "dh": prof.dh}
+    else:
+        samples = {"cutoff": prof.cutoff, "n": prof.n, "half_h": half_h}
     return {
         "m": prof.params.m,
         "omega": prof.params.omega,
         "nu": nu_to_doc(prof.params.nu),
-        "grid": prof.grid,
-        "h": prof.h,
-        "dh": prof.dh,
+        **samples,
         "symmetry_class": prof.symmetry_class,
         "residual_norm": prof.residual_norm,
         "zero_count": prof.zero_count,
@@ -82,19 +126,24 @@ def reading(what: str):
 
 
 def profile_from_doc(doc: dict, what: str = "not a profile document") -> Profile:
-    """profile_to_doc's profile; ValueError, its message prefixed by what, on
-    a missing key or a wrong shape."""
+    """profile_to_doc's profile, from either form; ValueError, its message
+    prefixed by what, on a missing key or a wrong shape."""
     with reading(what):
-        grid = np.asarray(doc["grid"], dtype=float)
+        if "grid" in doc:
+            grid, h, dh = (np.asarray(doc[k], dtype=float) for k in ("grid", "h", "dh"))
+        else:
+            half_h, n, cls = doc["half_h"], int(doc["n"]), str(doc["symmetry_class"])
+            if cls not in ("even", "odd"):
+                raise ValueError(f"{what}: compact samples need class even or odd, not {cls!r}")
+            if len(half_h) != (n + 1) // 2:
+                raise ValueError(f"{what}: {len(half_h)} values in half_h, n = {n}")
+            grid, h, dh = _derived(float(doc["cutoff"]), n, cls, half_h)
         nu_doc = doc.get("nu")
         if isinstance(nu_doc, list):
             # written before nu kept its own grid: samples on the profile grid
             nu_doc = {"grid": grid, "values": nu_doc}
         params = ProblemParams(int(doc["m"]), float(doc["omega"]), nu_from_doc(nu_doc))
-        return Profile(grid,
-                       np.asarray(doc["h"], dtype=float),
-                       np.asarray(doc["dh"], dtype=float),
-                       params,
+        return Profile(grid, h, dh, params,
                        symmetry_class=str(doc["symmetry_class"]),
                        residual_norm=_optional(float, doc["residual_norm"]),
                        zero_count=_optional(int, doc["zero_count"]),
@@ -113,8 +162,13 @@ def write_json(doc, path) -> None:
 
 
 def read_json(path):
+    """The document in the file at path; ValueError naming path if the file
+    is not JSON."""
     with open(path, "r", encoding="ascii") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not JSON: {exc}") from None
 
 
 def save_profile(prof: Profile, path) -> None:

@@ -41,6 +41,15 @@ def gudermann_profile(m=3, cutoff=20.0, n=4001, *, nu=None, residual_norm=0.0,
                    residual_norm=residual_norm, zero_count=1, provenance=provenance)
 
 
+def explicit_doc(prof):
+    """The document of a profile without nu in the form written before the
+    compact one: explicit grid, h and dh."""
+    return {"m": prof.params.m, "omega": prof.params.omega, "nu": None,
+            "grid": prof.grid, "h": prof.h, "dh": prof.dh,
+            "symmetry_class": prof.symmetry_class, "residual_norm": prof.residual_norm,
+            "zero_count": prof.zero_count, "provenance": prof.provenance}
+
+
 @pytest.fixture()
 def exact_profile():
     """Closed-form one-zero profile for (3, 3) on the standard grid."""

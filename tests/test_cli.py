@@ -1,12 +1,14 @@
 """End-to-end command-line behaviour, exercised through main(argv)."""
 
+import dataclasses
 import json
 
 import pytest
+from conftest import explicit_doc
 
 from spherekink.cli import main
 from spherekink.core import ProblemParams, singular_profile
-from spherekink.serialize import load_profile, save_profile
+from spherekink.serialize import load_profile, read_json, save_profile, write_json
 
 
 @pytest.fixture(scope="module")
@@ -370,7 +372,7 @@ def test_solution_commands_refuse_a_sweep_report(command, tmp_path, capsys):
     assert main([command, "--solution", str(out / "sweep.json"),
                  "--out", str(tmp_path / "plots")]) == 1
     err = capsys.readouterr().err
-    assert err == f"spherekink: error: {out / 'sweep.json'} is not a profile document: no 'grid'\n"
+    assert err == f"spherekink: error: {out / 'sweep.json'} is not a profile document: no 'half_h'\n"
 
 
 @pytest.mark.parametrize("argv, document", [
@@ -386,6 +388,57 @@ def test_a_document_of_the_wrong_shape_is_an_error(argv, document, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("spherekink: error: ") and document in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, in_sweep", [
+    (["verify", "--solution"], False), (["index", "--solution"], False),
+    (["plot", "--solution"], False), (["plot", "--report"], False),
+    (["plot", "--report"], True),
+], ids=["verify", "index", "plot-solution", "plot-report", "sweep-solution-file"])
+def test_a_file_that_is_not_json_is_named(argv, in_sweep, tmp_path, capsys):
+    arg = bad = tmp_path / "bad.json"
+    if in_sweep:
+        # the solution file a sweep.json names
+        out = tmp_path / "rep"
+        assert main(["--quiet", "sweep", "--m", "3", "--omega", "3",
+                     "--max-zeros", "1", "--cutoff", "16", "--grid", "2001",
+                     "--out", str(out)]) == 0
+        arg, bad = out / "sweep.json", out / "solution_odd_1.json"
+    bad.write_text("not json\n", encoding="ascii")
+    assert main(argv + [str(arg), "--out", str(tmp_path / "plots")]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"spherekink: error: {bad} is not JSON: "
+                   "Expecting value: line 1 column 1 (char 0)\n")
+
+
+def test_plot_refuses_a_solution_without_a_zero_count(solved, tmp_path, capsys):
+    # its chart would be profile_odd_None.svg, which another such file overwrites
+    path = tmp_path / "bare.json"
+    save_profile(dataclasses.replace(load_profile(solved), zero_count=None), path)
+    plots = tmp_path / "plots"
+    assert main(["plot", "--solution", str(path), "--out", str(plots)]) == 1
+    assert capsys.readouterr().err == f"spherekink: error: {path} records no zero count\n"
+    assert not plots.exists()
+
+
+def test_compact_and_explicit_files_give_the_same_output(records33, tmp_path, capsys):
+    prof = records33[("even", 4)].profile
+    compact, explicit = tmp_path / "compact.json", tmp_path / "explicit.json"
+    save_profile(prof, compact)
+    write_json(explicit_doc(prof), explicit)
+    assert "half_h" in read_json(compact) and "grid" in read_json(explicit)
+    outputs = []
+    for path in (compact, explicit):
+        plots = tmp_path / f"plots-{path.stem}"
+        got = []
+        for argv in (["verify", "--solution", str(path)],
+                     ["index", "--solution", str(path), "--cutoff", "25", "--grid", "10001"],
+                     ["--quiet", "plot", "--solution", str(path), "--out", str(plots)]):
+            assert main(argv) == 0
+            got.append(capsys.readouterr().out)
+        got.append((plots / "profile_even_4.svg").read_bytes())
+        outputs.append(got)
+    assert outputs[0] == outputs[1]
 
 
 def test_a_sweep_record_of_the_wrong_shape_is_an_error(tmp_path, capsys):

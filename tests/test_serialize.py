@@ -1,13 +1,14 @@
 """Deterministic JSON writer and profile round trips."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
-from conftest import gudermann_profile
+from conftest import explicit_doc, gudermann_profile
 
-from spherekink.core import NuPerturbation, ProblemParams, Profile, symmetric_grid
+from spherekink.core import NuPerturbation, ProblemParams, Profile, resample, symmetric_grid
 from spherekink.serialize import (
     dumps,
     format_float,
@@ -16,7 +17,7 @@ from spherekink.serialize import (
     profile_to_doc,
     save_profile,
 )
-from spherekink.shooting import W_TOL, verify_solution
+from spherekink.shooting import SolveRequest, W_TOL, find_solution, verify_solution
 
 
 def test_format_float_round_trips_exactly():
@@ -118,21 +119,24 @@ def test_profile_from_doc_reads_nu_sampled_on_the_profile_grid():
     assert np.array_equal(back.params.nu(prof.grid), prof.params.nu(prof.grid))
 
 
-def test_profile_from_doc_names_a_missing_key():
-    doc = profile_to_doc(_profile())
-    del doc["grid"]
-    with pytest.raises(ValueError, match="not a profile document: no 'grid'"):
-        profile_from_doc(doc)
+def test_profile_from_doc_names_a_missing_key(ground33):
+    # the compact form and the explicit one
+    for prof, key in ((ground33, "half_h"), (_profile(), "dh")):
+        doc = profile_to_doc(prof)
+        del doc[key]
+        with pytest.raises(ValueError, match=f"not a profile document: no '{key}'"):
+            profile_from_doc(doc)
 
 
-def test_save_and_load_profile_bytes_stable(tmp_path):
-    prof = _profile()
-    p1 = tmp_path / "a.json"
-    p2 = tmp_path / "b.json"
-    save_profile(prof, p1)
-    save_profile(load_profile(p1), p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    assert p1.read_bytes().endswith(b"\n")
+def test_save_and_load_profile_bytes_stable(ground33, tmp_path):
+    # the explicit form and the compact one
+    for prof in (_profile(), ground33):
+        p1 = tmp_path / "a.json"
+        p2 = tmp_path / "b.json"
+        save_profile(prof, p1)
+        save_profile(load_profile(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert p1.read_bytes().endswith(b"\n")
 
 
 def test_profile_with_default_metadata_round_trips(tmp_path):
@@ -148,8 +152,91 @@ def test_profile_with_default_metadata_round_trips(tmp_path):
     assert back.symmetry_class == "none"
 
 
-def test_doc_shape_is_documented():
-    doc = profile_to_doc(_profile())
-    assert list(doc.keys())[:3] == ["m", "omega", "nu"]
+def test_doc_shape_is_documented(ground33):
+    # the solver's profile: cutoff, n and h on x >= 0
+    doc = profile_to_doc(ground33)
+    assert list(doc.keys()) == ["m", "omega", "nu", "cutoff", "n", "half_h", "symmetry_class",
+                                "residual_norm", "zero_count", "provenance"]
     assert doc["nu"] is None
+    assert (doc["cutoff"], doc["n"]) == (20.0, 4001)
+    assert len(doc["half_h"]) == 2001
+    # an exact derivative is not what the reader would rebuild: explicit arrays
+    doc = profile_to_doc(_profile())
+    assert list(doc.keys()) == ["m", "omega", "nu", "grid", "h", "dh", "symmetry_class",
+                                "residual_norm", "zero_count", "provenance"]
     assert len(doc["grid"]) == len(doc["h"]) == len(doc["dh"]) == 401
+
+
+# -- the compact form ---------------------------------------------------------------
+
+def _assert_same_profile(back, prof):
+    for name in ("grid", "h", "dh"):
+        assert getattr(back, name).tobytes() == getattr(prof, name).tobytes(), name
+    assert (back.params.m, back.params.omega) == (prof.params.m, prof.params.omega)
+    if prof.params.nu is None:
+        assert back.params.nu is None
+    else:
+        assert back.params.nu.grid.tobytes() == prof.params.nu.grid.tobytes()
+        assert back.params.nu.values.tobytes() == prof.params.nu.values.tobytes()
+    for name in ("symmetry_class", "residual_norm", "zero_count", "provenance"):
+        assert getattr(back, name) == getattr(prof, name), name
+
+
+@pytest.fixture(scope="module")
+def solved_with_nu():
+    g = np.linspace(-1.5, 1.5, 301)
+    vals = 0.2 * np.cos(np.pi * g / 3.0) ** 2
+    vals[0] = vals[-1] = 0.0
+    params = ProblemParams(3, 3.0, NuPerturbation(g, vals))
+    return find_solution(SolveRequest(params, "odd", 1, cutoff=16.0, grid_size=1601))
+
+
+def test_solver_profiles_are_written_compact_and_read_back_bitwise(sweep33, solved_with_nu,
+                                                                   tmp_path):
+    profiles = [r.profile for r in sweep33.records] + [solved_with_nu]
+    assert sorted(p.zero_count for p in profiles) == [1, 1, 2, 3, 4]
+    for prof in profiles:
+        doc = profile_to_doc(prof)
+        assert "grid" not in doc and "dh" not in doc and "half_h" in doc
+        path = tmp_path / "p.json"
+        save_profile(prof, path)
+        _assert_same_profile(load_profile(path), prof)
+
+
+def _hand_edited_dh(prof):
+    dh = prof.dh.copy()
+    dh[prof.n // 3] = np.nextafter(dh[prof.n // 3], np.inf)
+    return dataclasses.replace(prof, dh=dh)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: dataclasses.replace(p, symmetry_class="none"),
+    lambda p: resample(p, 18.0, 1801),
+    _hand_edited_dh,
+], ids=["class-none", "resampled", "hand-edited-dh"])
+def test_other_profiles_are_written_explicit_and_read_back_bitwise(edit, ground33, tmp_path):
+    prof = edit(ground33)
+    doc = profile_to_doc(prof)
+    assert "half_h" not in doc and "grid" in doc and "dh" in doc
+    path = tmp_path / "p.json"
+    save_profile(prof, path)
+    _assert_same_profile(load_profile(path), prof)
+
+
+def test_an_old_explicit_document_still_reads(ground33):
+    _assert_same_profile(profile_from_doc(json.loads(dumps(explicit_doc(ground33)))), ground33)
+
+
+@pytest.mark.parametrize("change", [lambda half: half[:-1], lambda half: half + half[-1:]],
+                         ids=["short", "long"])
+def test_a_compact_document_whose_half_does_not_match_n_is_refused(change, ground33):
+    doc = json.loads(dumps(profile_to_doc(ground33)))
+    doc["half_h"] = change(doc["half_h"])
+    with pytest.raises(ValueError, match="not a profile document: 20(00|02) values in half_h, n = 4001"):
+        profile_from_doc(doc)
+
+
+def test_a_compact_document_needs_a_parity_class(ground33):
+    doc = dict(profile_to_doc(ground33), symmetry_class="none")
+    with pytest.raises(ValueError, match="not a profile document: compact samples need class"):
+        profile_from_doc(doc)

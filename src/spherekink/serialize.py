@@ -114,29 +114,36 @@ def profile_to_doc(prof: Profile) -> dict:
 
 
 @contextmanager
-def reading(what: str):
+def reading(what: str, *, refused_values: bool = False):
     """Turn a missing key (KeyError) or a value of the wrong shape (TypeError)
-    met while reading a document into ValueError, its message prefixed by what."""
+    met while reading a document into ValueError, its message prefixed by
+    what; with refused_values, prefix a ValueError's message too.  Leave that
+    off where the body raises ValueErrors that already say what they read."""
     try:
         yield
     except KeyError as exc:
         raise ValueError(f"{what}: no {exc.args[0]!r}") from None
     except TypeError as exc:
         raise ValueError(f"{what}: {exc}") from None
+    except ValueError as exc:
+        if not refused_values:
+            raise
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def profile_from_doc(doc: dict, what: str = "not a profile document") -> Profile:
     """profile_to_doc's profile, from either form; ValueError, its message
-    prefixed by what, on a missing key or a wrong shape."""
-    with reading(what):
+    prefixed by what, on a missing key, a wrong shape or a value that the
+    profile's own checks refuse."""
+    with reading(what, refused_values=True):
         if "grid" in doc:
             grid, h, dh = (np.asarray(doc[k], dtype=float) for k in ("grid", "h", "dh"))
         else:
             half_h, n, cls = doc["half_h"], int(doc["n"]), str(doc["symmetry_class"])
             if cls not in ("even", "odd"):
-                raise ValueError(f"{what}: compact samples need class even or odd, not {cls!r}")
+                raise ValueError(f"compact samples need class even or odd, not {cls!r}")
             if len(half_h) != (n + 1) // 2:
-                raise ValueError(f"{what}: {len(half_h)} values in half_h, n = {n}")
+                raise ValueError(f"{len(half_h)} values in half_h, n = {n}")
             grid, h, dh = _derived(float(doc["cutoff"]), n, cls, half_h)
         nu_doc = doc.get("nu")
         if isinstance(nu_doc, list):

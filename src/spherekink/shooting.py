@@ -3,17 +3,19 @@
 Solutions with a prescribed number of interior zeros are found on the half
 line by a two-stage process:
 
-1. Scan the free initial value s (the slope at 0 for odd profiles, the
-   height at 0 for even ones) and count zeros of h on (0, cutoff) before
-   the trajectory leaves the band |h| <= pi/2 + margin.  The count steps up
-   as s decreases; each step is the parameter of a connecting orbit.  The
-   step for the requested count is bracketed and bisected to a relative
-   width of 1e-3 (never below 1e-14 absolute).  Every trajectory runs
-   scipy's compiled DOP853.  The scan and the bisection only need the
-   count, so they run with no step record at the looser COUNT_RTOL: a count
-   only says which side of a transition s lies on, and its relative error
-   in s, about steps * COUNT_RTOL, is far below the bracket's width.  The
-   one seed trajectory runs at RTOL and records every accepted step.
+1. Count zeros of h on (0, cutoff), before the trajectory leaves the band
+   |h| <= pi/2 + margin, as a function of the free initial value s (the
+   slope at 0 for odd profiles, the height at 0 for even ones).  The count
+   steps up as s decreases; each step is the parameter of a connecting
+   orbit.  A binary search over a fixed grid of s values brackets the step
+   for the requested count, and bisection narrows it to a relative width of
+   1e-3 (never below 1e-14 absolute).  Every trajectory runs scipy's
+   compiled DOP853.  The search and the bisection only ask whether the
+   count exceeds the request, so each run stops at the sign change that
+   settles it, keeps no step record and runs at the looser COUNT_RTOL: a
+   count only says which side of a transition s lies on, and its relative
+   error in s, about steps * COUNT_RTOL, is far below the bracket's width.
+   The one seed trajectory runs at RTOL and records every accepted step.
 
 2. The trajectory at the bracket end without an extra zero, mirrored by
    parity and blended into the linearised tail toward +-pi/2, seeds a
@@ -32,6 +34,7 @@ signs); all quantitative accuracy comes from the Newton stage.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -281,20 +284,23 @@ def _dop853(params: ProblemParams, rtol: float, solout):
     return dop
 
 
-def _zero_counter(params: ProblemParams, cutoff: float):
-    """count(h0, dh0): the zero_count_half that integrate reports, without
-    the dense output and events the scan and the bisection never use.
+def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
+    """count(h0, dh0): min(limit, the zero_count_half that integrate
+    reports), without the dense output and events the scan and the
+    bisection never use.
 
     Each count is one run of the compiled DOP853 with integrate's exit
     wall.  After each accepted step, solout counts a sign change of h and
-    stops the run once |h| > EXIT_WALL.
+    stops the run once |h| > EXIT_WALL, or at the limit-th sign change: a
+    solve only asks whether a count exceeds its request, so it passes the
+    request plus one as the limit and integrates no zero past that.
 
     The relative tolerance is COUNT_RTOL, not RTOL.  A count only decides
     which side of a transition s lies on, and the bisection stops at a
     relative width of BRACKET_RTOL.  An error made along a run maps back to
     a relative shift in s of about steps * COUNT_RTOL, below 1e-6 for the
     few dozen accepted steps a run takes, so far below that width, and a
-    solve makes 0.54-0.59 times the right-hand-side evaluations it makes at
+    solve makes 0.49-0.66 times the right-hand-side evaluations it makes at
     RTOL.  The seed trajectory, which Newton starts from, stays at RTOL in
     its own run (_seed).
 
@@ -311,6 +317,8 @@ def _zero_counter(params: ProblemParams, cutoff: float):
         h, h_prev = y.item(0), state[0]
         if h < 0.0 < h_prev or h_prev < 0.0 < h:
             state[1] += 1
+            if state[1] >= limit:
+                return -1
         state[0] = h
         return -1 if abs(h) > EXIT_WALL else 0
 
@@ -385,6 +393,12 @@ def _scan_values(req: SolveRequest) -> np.ndarray:
 def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
     """Connecting profile with the requested parity and total zero count.
 
+    The bracket is the first pair of neighbours in _scan_values(req), from
+    the top down, across which the zero count passes the request.  A binary
+    search finds it, so it assumes, as the bisection within the bracket
+    does, that the count does not decrease as s decreases along the scan
+    grid.
+
     sign = -1 launches the scan with negated shooting parameters and returns
     the pointwise negation of the sign = +1 solution (the two are related by
     the h -> -h symmetry of the energy).  Outside the instability regime the
@@ -393,28 +407,24 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     want = req.zeros_half
-    counter = _zero_counter(req.params, req.cutoff)
+    counter = _zero_counter(req.params, req.cutoff, want + 1)
 
     def count(s_mag: float) -> int:
         return counter(*_launch(sign * s_mag, req))
 
-    lo = hi = None
-    prev = None
-    for s in _scan_values(req):
-        if count(s) > want:
-            if prev is None:
-                raise NoBracketFound(
-                    f"zero count already exceeds {want} at the scan cap "
-                    f"{req.scan_cap():.6g}; the requested level may not exist "
-                    f"for these parameters")
-            lo, hi = s, prev
-            break
-        prev = s
-    if lo is None:
+    vals = _scan_values(req)
+    i = bisect.bisect_left(vals, True, key=lambda s: count(s) > want)
+    if i == 0:
+        raise NoBracketFound(
+            f"zero count already exceeds {want} at the scan cap "
+            f"{req.scan_cap():.6g}; the requested level may not exist "
+            f"for these parameters")
+    if i == len(vals):
         raise NoBracketFound(
             f"no transition to zero count > {want} found while scanning down to "
-            f"{_scan_values(req)[-1]:.3e}; the requested level may not exist "
+            f"{vals[-1]:.3e}; the requested level may not exist "
             f"for these parameters")
+    lo, hi = vals[i], vals[i - 1]
 
     width = max(BRACKET_RTOL * hi, BRACKET_TOL)
     for _ in range(200):

@@ -411,6 +411,31 @@ def test_a_file_that_is_not_json_is_named(argv, in_sweep, tmp_path, capsys):
                    "Expecting value: line 1 column 1 (char 0)\n")
 
 
+def verify_error(doc, tmp_path, capsys):
+    """What verify prints to stderr, with exit code 1, for a file holding doc."""
+    path = tmp_path / "bad.json"
+    write_json(doc, path)
+    assert main(["verify", "--solution", str(path)]) == 1
+    return path, capsys.readouterr().err
+
+
+def test_a_profile_value_out_of_band_is_named(solved, tmp_path, capsys):
+    doc = read_json(solved)
+    doc["half_h"][3] = 2.0
+    path, err = verify_error(doc, tmp_path, capsys)
+    assert err == (f"spherekink: error: {path} is not a profile document: "
+                   "profile leaves the band |h| <= pi/2\n")
+
+
+def test_a_profile_of_even_size_is_named(solved, tmp_path, capsys):
+    doc = read_json(solved)
+    doc["n"] -= 1
+    del doc["half_h"][-1]           # (n + 1) / 2 values for the even n
+    path, err = verify_error(doc, tmp_path, capsys)
+    assert err == (f"spherekink: error: {path} is not a profile document: "
+                   "grid size must be odd and >= 3\n")
+
+
 def test_plot_refuses_a_solution_without_a_zero_count(solved, tmp_path, capsys):
     # its chart would be profile_odd_None.svg, which another such file overwrites
     path = tmp_path / "bare.json"

@@ -7,6 +7,7 @@ transition, and by the solves they seed), and the solved one-zero (3,3)
 profile against the closed form 2 atan(e^x) - pi/2.
 """
 
+import functools
 import gc
 import math
 import re
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from spherekink import shooting
-from spherekink.catalog import find_eigenmap
+from spherekink.catalog import builtin_catalog, find_eigenmap
 from spherekink.core import (
     HALF_PI,
     NuPerturbation,
@@ -50,17 +51,17 @@ def nu_params():
 
 
 def record_counts(monkeypatch):
-    """List that collects (params, cutoff, h0, dh0, count) for every compiled
-    zero count made from here on."""
+    """List that collects (params, cutoff, limit, h0, dh0, count) for every
+    compiled zero count made from here on."""
     seen = []
     build = shooting._zero_counter
 
-    def recording(params, cutoff):
-        count = build(params, cutoff)
+    def recording(params, cutoff, limit):
+        count = build(params, cutoff, limit)
 
         def counted(h0, dh0):
             n = count(h0, dh0)
-            seen.append((params, cutoff, h0, dh0, n))
+            seen.append((params, cutoff, limit, h0, dh0, n))
             return n
         return counted
 
@@ -169,7 +170,7 @@ def test_classify_parameter_flips_across_exact_slope():
     # the exact one-zero profile has slope 1 at the origin; the scan's count
     # and the seed trajectory's exit direction both flip across it
     req = SolveRequest(P33, "odd", 1)
-    count = shooting._zero_counter(req.params, req.cutoff)
+    count = shooting._zero_counter(req.params, req.cutoff, req.zeros_half + 1)
     # undershooting orbits turn around and pick up an extra crossing
     assert count(*shooting._launch(0.9, req)) == 1
     assert count(*shooting._launch(1.1, req)) == 0
@@ -181,18 +182,45 @@ def test_classify_parameter_flips_across_exact_slope():
 
 HOPF32 = ProblemParams(3, find_eigenmap("hopf-3-2").omega)
 EICONAL4 = ProblemParams(4, find_eigenmap("eiconal-4").omega)
+NO_LIMIT = 10 ** 6      # a counter limit above any zero count
+
+
+@functools.lru_cache(maxsize=None)
+def reference_count(h0, dh0, params, cutoff):
+    """integrate's zero count, once per start: two levels of one class share
+    their scan grid."""
+    return integrate(h0, dh0, params, cutoff).outcome.zero_count_half
 
 
 @pytest.mark.parametrize("params, zeros", [(P33, 1), (P33, 2), (P33, 3), (P33, 4),
                                            (HOPF32, 3), (HOPF32, 4),
                                            (EICONAL4, 3), (EICONAL4, 4)])
 def test_compiled_count_matches_integrate_along_the_scan(params, zeros, monkeypatch):
-    # every scan and bisection point of a solve, against integrate's count
+    # every point a solve counts at, and every point of its scan grid, against
+    # integrate's count capped at the solve's limit
     seen = record_counts(monkeypatch)
-    find_solution(SolveRequest(params, "odd" if zeros % 2 else "even", zeros))
+    req = SolveRequest(params, "odd" if zeros % 2 else "even", zeros)
+    find_solution(req)
+    count = shooting._zero_counter(req.params, req.cutoff, req.zeros_half + 1)
+    for s in shooting._scan_values(req):
+        count(*shooting._launch(s, req))
     assert len(seen) > 20
-    for p, cutoff, h0, dh0, n in seen:
-        assert n == integrate(h0, dh0, p, cutoff).outcome.zero_count_half, (h0, dh0)
+    for p, cutoff, limit, h0, dh0, n in seen:
+        assert limit == req.zeros_half + 1
+        assert n == min(reference_count(h0, dh0, p, cutoff), limit), (h0, dh0)
+
+
+@pytest.mark.parametrize("spec", [s for s in builtin_catalog() if s.omega is not None],
+                         ids=lambda s: s.name)
+@pytest.mark.parametrize("symmetry_class", ["odd", "even"])
+def test_count_never_decreases_down_the_scan_grid(spec, symmetry_class):
+    # find_solution's binary search over the scan grid rests on this; sign
+    # -1 is the exact mirror of sign +1, so it is left out
+    req = SolveRequest(ProblemParams(spec.m, spec.omega), symmetry_class,
+                       1 if symmetry_class == "odd" else 0)
+    count = shooting._zero_counter(req.params, req.cutoff, NO_LIMIT)
+    counts = [count(*shooting._launch(s, req)) for s in shooting._scan_values(req)]
+    assert counts == sorted(counts), counts
 
 
 # the levels the benchmark solves
@@ -259,8 +287,8 @@ def test_seed_matches_integrate_where_both_run(params, symmetry_class, zeros, s)
 
 
 def test_count_tolerance_cuts_integrator_work(monkeypatch):
-    # hopf-3-2 level 5: 11542 right-hand-side evaluations at COUNT_RTOL
-    # against 21155 at RTOL (0.55), the seed trajectory included
+    # hopf-3-2 level 5: 6589 right-hand-side evaluations at COUNT_RTOL
+    # against 13182 at RTOL (0.50), the seed trajectory included
     calls = []
     build = shooting._rhs
 
@@ -283,11 +311,11 @@ def test_count_tolerance_cuts_integrator_work(monkeypatch):
 
 
 def test_compiled_count_edge_cases():
-    count = shooting._zero_counter(P33, 20.0)
+    count = shooting._zero_counter(P33, 20.0, NO_LIMIT)
     assert count(0.0, 0.0) == 0           # the equilibrium at 0
     assert count(HALF_PI, 0.0) == 1       # falls off the cap after a long dwell
     assert count(0.0, 10.0) == 0          # steep overshoot, no crossing
-    assert shooting._zero_counter(P33, 40.0)(0.0, 0.2) >= 1
+    assert shooting._zero_counter(P33, 40.0, NO_LIMIT)(0.0, 0.2) >= 1
     with pytest.raises(ValueError):
         count(2.0, 0.0)
     for h0, dh0 in [(0.0, 0.0), (HALF_PI, 0.0), (0.0, 10.0)]:
@@ -296,7 +324,7 @@ def test_compiled_count_edge_cases():
 
 def test_compiled_count_matches_integrate_with_nu():
     p = nu_params()
-    count = shooting._zero_counter(p, 20.0)
+    count = shooting._zero_counter(p, 20.0, NO_LIMIT)
     # nu's interpolation kinks make each run slow, so only a few starts
     starts = [(0.0, 0.1), (0.0, 0.9), (0.0, 1.3), (-HALF_PI, 0.0), (0.75, 0.0)]
     counts = [count(h0, dh0) for h0, dh0 in starts]
@@ -314,13 +342,14 @@ def test_one_integrator_per_solve_bounds_memory(monkeypatch):
     build = shooting._zero_counter
     seen = record_counts(monkeypatch)
     find_solution(req)                  # also pays scipy's one-time set-up
-    counts = len(seen)
+    counts = 2 * len(seen)              # over the two traced solves
     monkeypatch.setattr(shooting, "_zero_counter", build)
 
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        find_solution(req)
         find_solution(req)
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before
@@ -471,7 +500,7 @@ def test_loose_bracket_matches_tight_bracket(zeros, records33, monkeypatch):
 
 
 def test_loose_bracket_saves_integrations(monkeypatch):
-    # deterministic: 67 integrations when every bracket is bisected to 1e-14.
+    # deterministic: 50 integrations when every bracket is bisected to 1e-14.
     # The scan, the bisection and the seed all run the compiled DOP853.
     seen = record_counts(monkeypatch)
     calls = []
@@ -493,7 +522,21 @@ def test_loose_bracket_saves_integrations(monkeypatch):
     find_solution(SolveRequest(P33, "even", 2))
     assert len(calls) == 0
     assert len(seeds) == 1
-    assert len(seen) + len(seeds) <= 40
+    assert len(seen) + len(seeds) <= 20
+
+
+@pytest.mark.parametrize("params, zeros", BENCHMARK_LEVELS)
+def test_scan_is_a_binary_search(params, zeros, monkeypatch):
+    # the scan counts only at its grid's values and the bisection only
+    # strictly inside the bracket, so the grid points counted are the scan's
+    req = SolveRequest(params, "odd" if zeros % 2 else "even", zeros)
+    vals = shooting._scan_values(req)
+    grid = {float(s) for s in vals}
+    seen = record_counts(monkeypatch)
+    find_solution(req)
+    launched = [dh0 if req.symmetry_class == "odd" else h0 for _, _, _, h0, dh0, _ in seen]
+    scan = sum(s in grid for s in launched)
+    assert 1 <= scan <= math.ceil(math.log2(len(vals) + 1)), scan
 
 
 @pytest.mark.parametrize("cutoff, grid_size", [(20.0, 8001), (20.0, 16001), (30.0, 12001),

@@ -5,9 +5,10 @@ Global flags (before the subcommand): --config FILE, --out DIR, --quiet.
 A config file holds flat key=value lines mirroring the flags; the command
 line overrides the file.
 
-Exit codes: 0 success, 1 usage error, 2 no shooting bracket, 3 polish
-failure, 4 verification failure (including a false instability hypothesis
-in singular-index).
+Exit codes: 0 success, 1 usage error, 2 no shooting bracket (from sweep:
+every level failed), 3 polish failure, 4 verification failure (including a
+false instability hypothesis in singular-index), 5 some but not all levels
+of a sweep failed.
 """
 
 from __future__ import annotations
@@ -283,15 +284,17 @@ def _cmd_sweep(args, parser) -> int:
             print(f"{cls:<5}  {z:<5}  {r.energy:<16.12g}  "
                   f"{report.energy_gap(r):<16.6e}  "
                   f"{r.spectral.index:<5}  {r.spectral.nullity_estimate}")
-        for cls, z, msg in report.failures:
-            print(f"failed {cls}/{z}: {msg}")
         chk = convergence_check(report)
         print(f"convergence: {chk.status}")
         print(f"wrote report to {args.out_dir}")
-    if args.max_zeros >= 1 and not report.records:
+    for cls, z, msg in report.failures:
+        print(f"failed {cls}/{z}: {msg}", file=sys.stderr)
+    if not report.failures:
+        return 0
+    if not report.records:
         print("all levels failed", file=sys.stderr)
         return 2
-    return 0
+    return 5
 
 
 def _cmd_index(args, parser) -> int:

@@ -15,7 +15,10 @@ eigenvalue within roundoff of sigma may be counted on either side of it,
 which is why nullity is counted over a band of shifts, not at sigma = 0.
 Dirichlet truncation at the grid ends can only undercount negative
 directions, so reported indices are certified lower bounds, checked for
-stability under domain growth.
+stability under domain growth.  Besides the counts, a report lists only the
+margin pair: the two eigenvalues either side of the null band's lower edge,
+bisected by stebz to a tenth of the band.  They certify nothing; they show
+how far the potential must move before the index can change.
 
 For the equator branch, where V tends to (m-1)^2/4 - omega < 0 at both
 ends, families of disjoint tent functions placed in the far field give an
@@ -120,16 +123,20 @@ def negative_count(problem: SchrodingerProblem, shift: float = 0.0) -> int:
     return int(m)
 
 
-def eigenvalues_below(problem: SchrodingerProblem, count: int) -> np.ndarray:
-    """Lowest `count` eigenvalues of the Dirichlet FD matrix, ascending.
+def eigenvalues_below(problem: SchrodingerProblem, count: int, first: int = 0,
+                      tol: float = 0.0) -> np.ndarray:
+    """Eigenvalues first..count-1 of the Dirichlet FD matrix, ascending.
 
+    By default the lowest `count`, bisected to full precision; a positive
+    tol stops each bisection once the eigenvalue's interval is that narrow.
     LAPACK's stebz bisects for them with the same Sturm counts that
     negative_count makes; index and nullity are certified by negative_count.
     """
-    if count <= 0:
+    if count <= first:
         return np.zeros(0)
     main, off = _tridiag(problem)
-    return eigvalsh_tridiagonal(main, off, select="i", select_range=(0, count - 1))
+    return eigvalsh_tridiagonal(main, off, select="i", select_range=(first, count - 1),
+                                tol=tol)
 
 
 # -- index / nullity reports --------------------------------------------------
@@ -138,7 +145,7 @@ def eigenvalues_below(problem: SchrodingerProblem, count: int) -> np.ndarray:
 class SpectralReport:
     index: int
     nullity_estimate: int
-    leading_eigenvalues: tuple
+    margin_eigenvalues: tuple  # (lambda_{index-1}, lambda_index); (lambda_0,) at index 0
     cutoff: float
     n: int
     null_band: float
@@ -151,8 +158,11 @@ def schrodinger_index(problem: SchrodingerProblem) -> SpectralReport:
 
     Discrete nullity is tolerance-relative, so the count is re-checked at
     bands 10x wider and 10x narrower; disagreement is flagged, not fatal.
-    The leading eigenvalues reported are the lowest index + 1, at least 3
-    and at most 8.
+    The margin eigenvalues are the pair that straddles the band's lower
+    edge, lambda_{index-1} < -NULL_BAND <= lambda_index (the lowest
+    eigenvalue alone at index 0), bisected to 0.1 NULL_BAND.  By Weyl's
+    inequality no change of the potential smaller in max-norm than their
+    distance from -NULL_BAND can change the index.
     """
     index = negative_count(problem, -NULL_BAND)
     nullity = negative_count(problem, NULL_BAND) - index
@@ -164,9 +174,12 @@ def schrodinger_index(problem: SchrodingerProblem) -> SpectralReport:
     if any(nb != nullity for _, nb in sensitivity):
         flags.append("nullity depends on the null band width: "
                      + ", ".join(f"{b:g} -> {nb}" for b, nb in sensitivity))
-    lead = eigenvalues_below(problem, min(max(index + 1, 3), 8))
+    # the matrix has n - 2 eigenvalues: with all of them below the band,
+    # the margin is the highest alone
+    margin = eigenvalues_below(problem, min(index + 1, problem.n - 2), max(index - 1, 0),
+                               tol=0.1 * NULL_BAND)
     return SpectralReport(index=index, nullity_estimate=nullity,
-                          leading_eigenvalues=tuple(float(v) for v in lead),
+                          margin_eigenvalues=tuple(float(v) for v in margin),
                           cutoff=problem.cutoff, n=problem.n, null_band=NULL_BAND,
                           band_sensitivity=sensitivity, flags=tuple(flags))
 
@@ -194,12 +207,23 @@ def report_to_doc(rep: SpectralReport) -> dict:
     return asdict(rep)
 
 
+def _margin_from_doc(doc: dict, index: int) -> tuple:
+    """The margin pair; a report written before it had one lists the lowest
+    eigenvalues instead, at most 8 of them, so the pair is taken from that
+    list when the list reaches it and left empty when it stops short."""
+    if "leading_eigenvalues" not in doc:
+        return tuple(doc["margin_eigenvalues"])
+    margin = tuple(doc["leading_eigenvalues"][max(index - 1, 0):index + 1])
+    return margin if len(margin) == min(index + 1, 2) else ()
+
+
 def report_from_doc(doc: dict) -> SpectralReport:
     """report_to_doc's report; ValueError on a missing key or a wrong shape."""
     with reading("not a spectral report"):
-        return SpectralReport(index=int(doc["index"]),
+        index = int(doc["index"])
+        return SpectralReport(index=index,
                               nullity_estimate=int(doc["nullity_estimate"]),
-                              leading_eigenvalues=tuple(doc["leading_eigenvalues"]),
+                              margin_eigenvalues=_margin_from_doc(doc, index),
                               cutoff=float(doc["cutoff"]), n=int(doc["n"]),
                               null_band=float(doc["null_band"]),
                               band_sensitivity=tuple((float(b), int(c))

@@ -4,11 +4,13 @@ import dataclasses
 import json
 
 import pytest
-from conftest import explicit_doc
+from conftest import explicit_doc, old_spectral_doc
 
 from spherekink.cli import main
 from spherekink.core import ProblemParams, singular_profile
+from spherekink.report import read_report
 from spherekink.serialize import load_profile, read_json, save_profile, write_json
+from spherekink.spectral import build_schrodinger, eigenvalues_below
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +176,7 @@ def test_index_report(solved, capsys):
     assert doc["index"] == 1
     assert doc["nullity_estimate"] == 0
     assert doc["n"] == 2001
-    assert doc["leading_eigenvalues"][0] == pytest.approx(-1.62772, abs=1e-3)
+    assert doc["margin_eigenvalues"][0] == pytest.approx(-1.62772, abs=1e-3)
 
 
 def test_index_with_resampling(solved, capsys):
@@ -254,6 +256,63 @@ def test_sweep_too_coarse_grid_exits_one(tmp_path, capsys):
                  "--cutoff", "16", "--grid", "501", "--out", str(tmp_path), "--quiet"])
     assert code == 1
     assert "grid too coarse" in capsys.readouterr().err
+
+
+def test_sweep_names_failed_levels_and_exits_five(tmp_path, capsys):
+    # at X = 20 levels 6 and 7 reach past the cutoff; levels 1-5 solve
+    code = main(["--quiet", "sweep", "--m", "3", "--omega", "3", "--max-zeros", "7",
+                 "--out", str(tmp_path)])
+    assert code == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert [ln.partition(": ")[0] for ln in lines] == ["failed even/6", "failed odd/7"]
+    assert all("boundary gap" in ln and "increase the cutoff" in ln for ln in lines)
+    doc = read_json(tmp_path / "sweep.json")
+    assert sorted(r["zeros"] for r in doc["records"]) == [1, 2, 3, 4, 5]
+    assert [f[:2] for f in doc["failures"]] == [["even", 6], ["odd", 7]]
+
+
+def test_sweep_exits_two_when_every_level_fails(tmp_path, capsys):
+    code = main(["sweep", "--m", "3", "--omega", "3", "--max-zeros", "2",
+                 "--cutoff", "5", "--grid", "1001", "--out", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "failed" not in captured.out
+    lines = captured.err.splitlines()
+    assert [ln.partition(": ")[0] for ln in lines] == ["failed even/2", "failed odd/1",
+                                                       "all levels failed"]
+
+
+def test_an_old_sweep_report_still_reads(tmp_path, capsys):
+    # a sweep.json written before the margin pair lists each level's lowest
+    # max(index + 1, 3) eigenvalues under leading_eigenvalues
+    out = tmp_path / "rep"
+    assert main(["--quiet", "sweep", "--m", "3", "--omega", "3",
+                 "--max-zeros", "2", "--cutoff", "16", "--grid", "2001",
+                 "--plot", "--out", str(out)]) == 0
+    doc = read_json(out / "sweep.json")
+    margins = {}
+    for rec in doc["records"]:
+        spec = rec["spectral"]
+        margins[rec["zeros"]] = spec["margin_eigenvalues"]
+        prob = build_schrodinger(load_profile(out / rec["solution"]))
+        leading = eigenvalues_below(prob, max(spec["index"] + 1, 3)).tolist()
+        rec["spectral"] = old_spectral_doc(spec, leading)
+    write_json(doc, out / "sweep.json")
+    assert '"leading_eigenvalues"' in (out / "sweep.json").read_text(encoding="ascii")
+    report = read_report(out / "sweep.json")
+    for rec in report.records:
+        assert len(rec.spectral.margin_eigenvalues) == 2
+        assert rec.spectral.margin_eigenvalues == pytest.approx(margins[rec.sequence_key[1]],
+                                                                abs=1e-7)
+    plots = tmp_path / "plots"
+    assert main(["--quiet", "plot", "--report", str(out / "sweep.json"),
+                 "--out", str(plots)]) == 0
+    names = sorted(p.name for p in plots.iterdir())
+    assert names == ["profile_even_2.svg", "profile_odd_1.svg", "summary.svg"]
+    for name in names:
+        assert (plots / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_cli_flag_overrides_config(tmp_path, capsys):

@@ -134,7 +134,7 @@ def test_record_round_trip_through_files(sweep33, tmp_path):
     assert back.energy == rec.energy
     assert back.H_norm == rec.H_norm
     assert back.spectral.index == rec.spectral.index
-    assert back.spectral.leading_eigenvalues == rec.spectral.leading_eigenvalues
+    assert back.spectral.margin_eigenvalues == rec.spectral.margin_eigenvalues
     assert np.array_equal(back.profile.h, rec.profile.h)
 
 

@@ -8,14 +8,21 @@ Two independent oracles anchor this file:
 * on small grids the tridiagonal matrix is rebuilt densely and handed to
   numpy's symmetric eigensolver, so the Sturm counts and the bisected
   eigenvalues can be compared against a full diagonalisation.
+
+On grids too fine for a dense matrix, the margin pair is checked against
+shift-invert Lanczos (ARPACK on a sparse LU factorisation), which makes no
+Sturm count.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from conftest import gudermann_profile
+from conftest import gudermann_profile, old_spectral_doc
+from scipy import sparse
 from scipy.integrate import quad
+from scipy.sparse.linalg import eigsh
 
 from spherekink.core import (
     NuPerturbation,
@@ -25,6 +32,8 @@ from spherekink.core import (
     singular_profile,
     symmetric_grid,
 )
+from spherekink import spectral
+from spherekink.shooting import SolveRequest, find_solution, newton_polish
 from spherekink.spectral import (
     NULL_BAND,
     SchrodingerProblem,
@@ -38,6 +47,8 @@ from spherekink.spectral import (
     morse_index,
     negative_count,
     potential_samples,
+    report_from_doc,
+    report_to_doc,
     schrodinger_form,
     schrodinger_index,
     symmetric_witnesses,
@@ -142,6 +153,17 @@ def test_eigenvalues_below_zero_request():
     g = symmetric_grid(6.0, 51)
     prob = SchrodingerProblem(g, np.zeros(51))
     assert eigenvalues_below(prob, 0).size == 0
+    assert eigenvalues_below(prob, 3, 3).size == 0
+
+
+def test_eigenvalues_below_from_an_index():
+    g = symmetric_grid(6.0, 201)
+    prob = SchrodingerProblem(g, potential_samples(g, np.zeros(201), P33))
+    ref = np.sort(dense_eigs(prob))[3:6]
+    got = eigenvalues_below(prob, 6, 3)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-9
+    coarse = eigenvalues_below(prob, 6, 3, tol=0.1 * NULL_BAND)
+    assert np.max(np.abs(coarse - ref)) < 1e-7
 
 
 def test_positive_box_has_no_negative_directions():
@@ -182,7 +204,7 @@ def test_morse_index_of_exact_profile():
     assert rep.index == 1
     assert rep.nullity_estimate == 0
     assert rep.flags == ()
-    assert rep.leading_eigenvalues[0] == pytest.approx(-1.6277186767309883, abs=5e-4)
+    assert rep.margin_eigenvalues[0] == pytest.approx(-1.6277186767309883, abs=5e-4)
     assert (rep.cutoff, rep.n, rep.null_band) == (20.0, 4001, 1e-6)
 
 
@@ -215,6 +237,132 @@ def test_report_flags_fire_at_the_fixed_band():
     assert (rep.index, rep.nullity_estimate) == (0, 2)
     assert [nb for _, nb in rep.band_sensitivity] == [2, 2]
     assert len(rep.flags) == 1 and "nullity_estimate 2" in rep.flags[0]
+
+
+# -- the margin pair ---------------------------------------------------------------
+
+def straddling_pair(problem):
+    """The eigenvalues either side of -NULL_BAND (the one above alone when
+    none lies below), by shift-invert Lanczos: no Sturm count, no bisection."""
+    main, off = _tridiag(problem)
+    a = sparse.diags([off, main, off], [-1, 0, 1], format="csc")
+    lam = eigsh(a, k=6, sigma=-NULL_BAND, return_eigenvectors=False)
+    below, above = lam[lam < -NULL_BAND], lam[lam >= -NULL_BAND]
+    pair = (float(np.min(above)),)
+    return (float(np.max(below)),) + pair if below.size else pair
+
+
+def box_with_index(index, n=201):
+    """The zero potential lowered until exactly `index` eigenvalues lie
+    below zero, halfway between two of them."""
+    g = symmetric_grid(10.0, n)
+    mu = dense_eigs(SchrodingerProblem(g, np.zeros(n)))
+    lower = mu[index - 1] if index else 0.0
+    return SchrodingerProblem(g, np.full(n, -0.5 * (lower + mu[index])))
+
+
+@pytest.fixture(scope="module")
+def margin_profiles(records33):
+    """(grid size, level) -> profile: identity-3 levels 1-4 at N = 4001 and
+    refined to N = 16001, and level 12 at X = 30, N = 6001."""
+    out = {}
+    for (cls, zeros), rec in records33.items():
+        out[4001, zeros] = rec.profile
+        fine = resample(rec.profile, 20.0, 16001)
+        out[16001, zeros] = newton_polish(fine, SolveRequest(P33, cls, zeros, grid_size=16001))
+    out[6001, 12] = find_solution(SolveRequest(P33, "even", 12, cutoff=30.0, grid_size=6001))
+    return out
+
+
+@pytest.mark.parametrize("n, zeros", [(4001, 1), (4001, 2), (4001, 3), (4001, 4),
+                                      (16001, 1), (16001, 2), (16001, 3), (16001, 4),
+                                      (6001, 12)])
+def test_margin_pair_matches_lanczos(n, zeros, margin_profiles):
+    prof = margin_profiles[n, zeros]
+    assert prof.n == n
+    rep = morse_index(prof)
+    assert (rep.index, rep.nullity_estimate) == (zeros, 0)
+    pair = rep.margin_eigenvalues
+    assert len(pair) == 2 and pair[0] < -NULL_BAND <= pair[1]
+    ref = straddling_pair(build_schrodinger(prof))
+    assert np.max(np.abs(np.array(pair) - ref)) < 1e-7
+
+
+def test_margin_pair_matches_dense_eigensolver(margin_profiles):
+    # the one full-size dense solve (a few seconds): level 4 at N = 4001
+    prob = build_schrodinger(margin_profiles[4001, 4])
+    rep = schrodinger_index(prob)
+    assert np.max(np.abs(np.array(rep.margin_eigenvalues) - dense_eigs(prob)[3:5])) < 1e-7
+
+
+def test_margin_is_the_lowest_eigenvalue_at_index_zero():
+    prob = box_with_index(0)
+    rep = schrodinger_index(prob)
+    assert rep.index == 0
+    assert len(rep.margin_eigenvalues) == 1
+    assert rep.margin_eigenvalues[0] == pytest.approx(dense_eigs(prob)[0], abs=1e-7)
+    assert rep.margin_eigenvalues[0] > NULL_BAND
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_margin_shows_an_eigenvalue_near_the_band(k):
+    # the well 4 - 8 sech^2 x, shifted so that eigenvalue k sits at 5e-6:
+    # outside the null band, inside the band 10x wider
+    g = symmetric_grid(8.0, 401)
+    v = 4.0 - 8.0 / np.cosh(g) ** 2
+    prob = SchrodingerProblem(g, v + (5e-6 - dense_eigs(SchrodingerProblem(g, v))[k]))
+    lam = dense_eigs(prob)
+    assert lam[k] == pytest.approx(5e-6, abs=1e-11)
+    rep = schrodinger_index(prob)
+    assert (rep.index, rep.nullity_estimate) == (k, 0)
+    assert rep.margin_eigenvalues[-1] == pytest.approx(5e-6, abs=1e-7)
+    assert np.max(np.abs(np.array(rep.margin_eigenvalues) - lam[max(k - 1, 0):k + 1])) < 1e-7
+    assert [nb for _, nb in rep.band_sensitivity] == [1, 0]
+    assert len(rep.flags) == 1 and "1e-05 -> 1" in rep.flags[0]
+
+
+@pytest.mark.parametrize("index", [0, 1, 4, 8, 20, 198])
+def test_a_report_bisects_at_most_two_eigenvalues(index, monkeypatch):
+    # 198 is every eigenvalue of the 199 interior nodes but the top one
+    asked = []
+
+    def recording(problem, count, first=0, tol=0.0):
+        asked.append(count - first)
+        return eigenvalues_below(problem, count, first, tol)
+
+    monkeypatch.setattr(spectral, "eigenvalues_below", recording)
+    prob = box_with_index(index)
+    rep = schrodinger_index(prob)
+    assert rep.index == index
+    assert asked == [min(index + 1, 2)]
+    lam = dense_eigs(prob)
+    assert np.max(np.abs(np.array(rep.margin_eigenvalues) - lam[max(index - 1, 0):index + 1])) < 1e-7
+
+
+def test_a_report_of_every_eigenvalue_below_the_band():
+    # at index = size the matrix has no eigenvalue above the band, so the
+    # margin holds the highest one alone
+    g = symmetric_grid(10.0, 201)
+    prob = SchrodingerProblem(g, np.full(201, -1e4))
+    rep = schrodinger_index(prob)
+    assert rep.index == 199
+    assert rep.margin_eigenvalues == pytest.approx([dense_eigs(prob)[-1]], abs=1e-7)
+
+
+@pytest.mark.parametrize("index", [0, 1, 4, 7, 8, 20])
+def test_report_from_doc_reads_the_old_eigenvalue_list(index):
+    prob = box_with_index(index)
+    rep = schrodinger_index(prob)
+    # what the old report listed: the lowest index + 1, at least 3, at most 8
+    leading = eigenvalues_below(prob, min(max(index + 1, 3), 8)).tolist()
+    back = report_from_doc(old_spectral_doc(report_to_doc(rep), leading))
+    if index < 8:
+        assert back.margin_eigenvalues == tuple(leading[max(index - 1, 0):index + 1])
+        assert back.margin_eigenvalues == pytest.approx(rep.margin_eigenvalues, abs=1e-7)
+    else:
+        assert back.margin_eigenvalues == ()
+    assert back == dataclasses.replace(rep, margin_eigenvalues=back.margin_eigenvalues)
+    assert report_from_doc(report_to_doc(rep)) == rep
 
 
 # -- equator branch --------------------------------------------------------------

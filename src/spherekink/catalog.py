@@ -54,19 +54,14 @@ def _entries():
                        "Hopf construction pairing; eigenvalue not stated, supply omega explicitly")
 
 
-_CATALOG = tuple(_entries())
-
-
-def builtin_catalog() -> list[EigenmapSpec]:
-    """The built-in entries, in fixed order."""
-    return list(_CATALOG)
+CATALOG = tuple(_entries())    # the built-in entries, in fixed order
 
 
 def find_eigenmap(name: str) -> EigenmapSpec:
-    for spec in _CATALOG:
+    for spec in CATALOG:
         if spec.name == name:
             return spec
-    known = ", ".join(s.name for s in _CATALOG)
+    known = ", ".join(s.name for s in CATALOG)
     raise KeyError(f"unknown eigenmap {name!r}; known: {known}")
 
 
@@ -86,7 +81,7 @@ def hypothesis_label(spec: EigenmapSpec) -> str:
 def catalog_rows() -> list[tuple[str, str, str, str, str, str]]:
     """String rows (name, m, n, omega, degree, hypothesis) for table/CSV output."""
     rows = []
-    for s in _CATALOG:
+    for s in CATALOG:
         rows.append((
             s.name,
             str(s.m),

@@ -24,7 +24,6 @@ from .core import (
     DEFAULT_CUTOFF,
     DEFAULT_GRID_SIZE,
     ProblemParams,
-    count_zero_crossings,
     resample,
 )
 from .report import (
@@ -65,7 +64,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_global_flags(p, *, suppress: bool):
     # on subparsers the defaults are suppressed so they cannot clobber the
     # values the root parser already settled
-    dflt = argparse.SUPPRESS if suppress else None
     p.add_argument("--config", metavar="FILE",
                    default=argparse.SUPPRESS if suppress else None,
                    help="flat key=value file mirroring the flags; the command "
@@ -304,9 +302,8 @@ def _cmd_index(args, parser) -> int:
     if cutoff != prof.cutoff or n != prof.n:
         prof = resample(prof, cutoff, n)
         # the request's grid sets the tolerance newton_polish stops at
-        zeros = count_zero_crossings(prof.h)
-        req = SolveRequest(prof.params, class_of_level(zeros), zeros,
-                           cutoff=cutoff, grid_size=n)
+        req = SolveRequest(prof.params, class_of_level(prof.zero_count),
+                           prof.zero_count, cutoff=cutoff, grid_size=n)
         prof = newton_polish(prof, req)
     rep = morse_index(prof)
     print(dumps(report_to_doc(rep)))
@@ -365,11 +362,7 @@ def _cmd_plot(args, parser) -> int:
     if args.report is not None:
         written += emit_plots(read_report(args.report), args.out_dir)
     if args.solution is not None:
-        prof = load_profile(args.solution)
-        if prof.zero_count is None:
-            # its chart is named by class and zero count
-            raise ValueError(f"{args.solution} records no zero count")
-        written.append(write_profile_chart(prof, args.out_dir))
+        written.append(write_profile_chart(load_profile(args.solution), args.out_dir))
     if not args.quiet:
         for p in written:
             print(f"wrote {p}")

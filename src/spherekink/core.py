@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import simpson
@@ -170,7 +171,6 @@ class Profile:
     params: ProblemParams
     symmetry_class: str = "none"
     residual_norm: float | None = None
-    zero_count: int | None = None
     provenance: str = ""
 
     def __post_init__(self):
@@ -213,6 +213,11 @@ class Profile:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.h)))
 
+    @cached_property
+    def zero_count(self) -> int:
+        """Interior zeros of h, counted once on first read."""
+        return count_zero_crossings(self.h)
+
     def symmetry_defect(self) -> float:
         if self.symmetry_class == "odd":
             return float(np.max(np.abs(self.h + self.h[::-1])))
@@ -250,7 +255,7 @@ def singular_profile(params: ProblemParams, cutoff: float = DEFAULT_CUTOFF,
     g = symmetric_grid(cutoff, n)
     z = np.zeros_like(g)
     return Profile(g, z, z.copy(), params, symmetry_class="even",
-                   residual_norm=0.0, zero_count=0, provenance="singular equator map")
+                   residual_norm=0.0, provenance="singular equator map")
 
 
 # -- pointwise quantities ---------------------------------------------------
@@ -285,31 +290,11 @@ def energy(prof: Profile) -> float:
     """Composite-Simpson value of the weighted energy over the stored grid.
 
     The tail for |x| > cutoff is dropped: for connecting profiles the
-    integrand there is exponentially small (see energy_tail_bound); for the
-    equator branch choose the cutoff large enough that the weight tail is
-    below the quadrature target.
+    integrand there is exponentially small; for the equator branch choose
+    the cutoff large enough that the weight tail is below the quadrature
+    target.
     """
     return energy_arrays(prof.grid, prof.h, prof.dh, prof.params)
-
-
-def energy_tail_bound(prof: Profile) -> float:
-    """Bound on the dropped |x| > cutoff energy tail.
-
-    Assumes the profile keeps approaching +-pi/2 at the linearised rate
-    beyond the grid, i.e. pi/2 - |h| <= gap * exp(lam (x - X)) with the gap
-    read off at the boundary.  Uses sech(x) <= 2 sech(X) exp(-(x-X)).
-    """
-    p = prof.params
-    lam = decay_rate(p)
-    m1 = p.m - 1
-    nu_max = 0.0 if p.nu is None else float(np.max(np.abs(p.nu.values)))
-    x_b = prof.cutoff
-    total = 0.0
-    for h_b in (prof.h[0], prof.h[-1]):
-        gap = HALF_PI - abs(float(h_b))
-        total += (0.5 * (lam * lam + p.omega * (1.0 + nu_max)) * gap * gap
-                  * weight(x_b, p.m) * 2.0 ** m1 / (m1 + 2.0 * abs(lam)))
-    return total
 
 
 def singular_energy(params: ProblemParams) -> float:
@@ -370,5 +355,4 @@ def resample(prof: Profile, cutoff: float, n: int) -> Profile:
     return Profile(g_new, h_new, dh_new, prof.params,
                    symmetry_class=prof.symmetry_class,
                    residual_norm=prof.residual_norm,
-                   zero_count=prof.zero_count,
                    provenance=prof.provenance + f"; resampled to X={cutoff}, N={n}")

@@ -229,17 +229,14 @@ def record_from_doc(doc: dict, directory) -> SolutionRecord:
     """record_to_doc's entry, with its profile read from the file it names in
     directory.  An entry written before the profiles had files of their own
     holds the profile itself.  The record's class and zeros are its
-    profile's, so the profile must record its zero count."""
+    profile's."""
     if "profile" in doc:
-        source, prof = "a profile held in sweep.json", profile_from_doc(doc["profile"])
+        prof = profile_from_doc(doc["profile"])
     else:
         name = doc["solution"]
         if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
             raise ValueError(f"solution {name!r} is not a file name")
-        source = Path(directory) / name
-        prof = load_profile(source)
-    if prof.zero_count is None:
-        raise ValueError(f"{source} records no zero count")
+        prof = load_profile(Path(directory) / name)
     return SolutionRecord(prof, float(doc["energy"]), report_from_doc(doc["spectral"]),
                           float(doc["H_norm"]))
 

@@ -7,8 +7,10 @@ insertion order, there is no whitespace, NaN and infinities are refused, and
 numpy arrays and scalars are written as the lists and numbers they hold.
 
 A profile document holds m, omega, nu, the symmetry class, the solver's
-metadata and the samples.  The samples are written compactly when they are
-exactly what the solver makes from less: the grid is
+metadata and the samples.  The zero count is written for readers of the
+file but not read back: a loaded profile counts the sign changes of its h.
+The samples are written compactly when they are exactly what the solver
+makes from less: the grid is
 symmetric_grid(cutoff, n), h mirrors its values on x >= 0 by the class
 (negated for odd), and dh is derivative_samples(h, dx), all bit for bit.
 Then the document holds "cutoff", "n" and "half_h", the (n + 1) / 2
@@ -150,15 +152,11 @@ def profile_from_doc(doc: dict, what: str = "not a profile document") -> Profile
             # written before nu kept its own grid: samples on the profile grid
             nu_doc = {"grid": grid, "values": nu_doc}
         params = ProblemParams(int(doc["m"]), float(doc["omega"]), nu_from_doc(nu_doc))
+        residual = doc["residual_norm"]
         return Profile(grid, h, dh, params,
                        symmetry_class=str(doc["symmetry_class"]),
-                       residual_norm=_optional(float, doc["residual_norm"]),
-                       zero_count=_optional(int, doc["zero_count"]),
+                       residual_norm=None if residual is None else float(residual),
                        provenance=str(doc.get("provenance", "")))
-
-
-def _optional(kind, value):
-    return None if value is None else kind(value)
 
 
 def write_json(doc, path) -> None:

@@ -462,7 +462,7 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
     hyp = "" if req.params.hypothesis() else "; outside guaranteed regime"
     prof = Profile(grid, u, derivative_samples(u, grid[1] - grid[0]), req.params,
                    symmetry_class=req.symmetry_class,
-                   residual_norm=res_norm, zero_count=zeros,
+                   residual_norm=res_norm,
                    provenance=(f"shooting s*={sign * hi:.17g} "
                                f"(bracket width {hi - lo:.2e}), newton iters={iters}"
                                f"{hyp}"))
@@ -617,7 +617,6 @@ def newton_polish(prof: Profile, req: SolveRequest) -> Profile:
     return Profile(grid, u, derivative_samples(u, grid[1] - grid[0]), prof.params,
                    symmetry_class=prof.symmetry_class,
                    residual_norm=res_norm,
-                   zero_count=count_zero_crossings(u),
                    provenance=prof.provenance + f"; newton polish iters={iters}")
 
 

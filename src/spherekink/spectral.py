@@ -35,15 +35,7 @@ from scipy.integrate import simpson
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dstebz
 
-from .core import (
-    ProblemParams,
-    Profile,
-    derivative_samples,
-    energy_arrays,
-    sech,
-    singular_profile,
-    weight,
-)
+from .core import ProblemParams, Profile, sech, singular_profile
 from .serialize import reading
 
 NULL_BAND = 1e-6          # eigenvalues within +-band of 0 count toward the nullity
@@ -231,83 +223,18 @@ def report_from_doc(doc: dict) -> SpectralReport:
                               flags=tuple(doc["flags"]))
 
 
-# -- the Hessian as a bilinear form -------------------------------------------
-
-def _check_test_function(prof: Profile, v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != prof.grid.shape:
-        raise ValueError("test function must be sampled on the profile grid")
-    if max(abs(float(v[0])), abs(float(v[-1]))) > 1e-12:
-        raise ValueError("test function must vanish at the grid endpoints")
-    return v
-
-
-def hessian_form(prof: Profile, v, w) -> float:
-    """Second variation of the energy at prof, evaluated on directions v, w.
-
-    Integrand: [v'w' - omega (1+nu) cos(2h) v w] sech^(m-1) x, by Simpson on
-    the profile grid with fourth-order sampled derivatives.
-    """
-    v = _check_test_function(prof, v)
-    w = _check_test_function(prof, w)
-    dx = prof.dx
-    dv = derivative_samples(v, dx)
-    dw = derivative_samples(w, dx)
-    p = prof.params
-    integrand = (dv * dw - p.omega * (1.0 + p.nu_at(prof.grid))
-                 * np.cos(2.0 * prof.h) * v * w) * weight(prof.grid, p.m)
-    return float(simpson(integrand, x=prof.grid))
-
-
-def schrodinger_form(problem: SchrodingerProblem, w1, w2) -> float:
-    """Flat form int [w1' w2' + V w1 w2] dx for endpoint-vanishing samples."""
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    if w1.shape != problem.grid.shape or w2.shape != problem.grid.shape:
-        raise ValueError("arguments must be sampled on the problem grid")
-    d1 = derivative_samples(w1, problem.dx)
-    d2 = derivative_samples(w2, problem.dx)
-    integrand = d1 * d2 + problem.potential * w1 * w2
-    return float(simpson(integrand, x=problem.grid))
-
-
-def hessian_fd_check(prof: Profile, v, t: float) -> float:
-    """Relative gap between a centred second difference of the energy and
-    the Hessian form: |(E(h+tv)+E(h-tv)-2E(h))/t^2 - Q(v,v)| / |Q(v,v)|."""
-    v = _check_test_function(prof, v)
-    if not 0 < t < 1:
-        raise ValueError("step t must lie in (0, 1)")
-    dv = derivative_samples(v, prof.dx)
-    e0 = energy_arrays(prof.grid, prof.h, prof.dh, prof.params)
-    ep = energy_arrays(prof.grid, prof.h + t * v, prof.dh + t * dv, prof.params)
-    em = energy_arrays(prof.grid, prof.h - t * v, prof.dh - t * dv, prof.params)
-    second = (ep + em - 2.0 * e0) / (t * t)
-    q = hessian_form(prof, v, v)
-    return abs(second - q) / abs(q)
-
-
 # -- witness families at the equator branch -----------------------------------
 
 @dataclass(frozen=True)
 class WitnessFunction:
-    """Tent of slope +-1 supported on [start, start + 2 half_width], optionally
-    combined with its mirror image (symmetry 'even'/'odd')."""
+    """Tent of slope +-1 supported on [start, start + 2 half_width]."""
 
     start: float
     half_width: float
-    symmetry: str = "none"
-
-    def _tent(self, x):
-        peak = self.start + self.half_width
-        return np.maximum(0.0, self.half_width - np.abs(x - peak))
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.symmetry == "none":
-            return self._tent(x)
-        if self.symmetry == "even":
-            return self._tent(x) + self._tent(-x)
-        return self._tent(x) - self._tent(-x)
+        peak = self.start + self.half_width
+        return np.maximum(0.0, self.half_width - np.abs(np.asarray(x, dtype=float) - peak))
 
 
 @dataclass(frozen=True)
@@ -321,7 +248,6 @@ class WitnessFamily:
     """
 
     params: ProblemParams
-    symmetry: str
     epsilon: float
     threshold_radius: float
     half_width: float
@@ -382,29 +308,9 @@ def witness_subspace(params: ProblemParams, k: int) -> WitnessFamily:
         fine = _tent_sech2_integral(c, a, QUAD_DIVISIONS)
         quad_err = max(quad_err, abs(fine - coarse))
         q = 2.0 * a + floor * (2.0 * a ** 3 / 3.0) - beta * fine
-        funcs.append(WitnessFunction(c, a, "none"))
+        funcs.append(WitnessFunction(c, a))
         diag.append(q)
-    return WitnessFamily(params=params, symmetry="none", epsilon=epsilon,
+    return WitnessFamily(params=params, epsilon=epsilon,
                          threshold_radius=kk, half_width=a, starts=starts,
                          functions=tuple(funcs), gram_diagonal=tuple(diag),
                          quadrature_error=quad_err)
-
-
-def symmetric_witnesses(params: ProblemParams, k: int, symmetry_class: str) -> WitnessFamily:
-    """Even/odd combinations F(x) +- F(-x) of the plain family.
-
-    Supports sit in x > 0 and their mirrors in x < 0, so the combination
-    doubles each diagonal value and keeps the Gram diagonal; the potential
-    is even, making even and odd variants degenerate in value.
-    """
-    if symmetry_class not in ("even", "odd"):
-        raise ValueError("symmetry_class must be 'even' or 'odd'")
-    base = witness_subspace(params, k)
-    funcs = tuple(WitnessFunction(f.start, f.half_width, symmetry_class)
-                  for f in base.functions)
-    return WitnessFamily(params=params, symmetry=symmetry_class,
-                         epsilon=base.epsilon, threshold_radius=base.threshold_radius,
-                         half_width=base.half_width, starts=base.starts,
-                         functions=funcs,
-                         gram_diagonal=tuple(2.0 * q for q in base.gram_diagonal),
-                         quadrature_error=2.0 * base.quadrature_error)

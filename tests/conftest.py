@@ -38,7 +38,7 @@ def gudermann_profile(m=3, cutoff=20.0, n=4001, *, nu=None, residual_norm=0.0,
     h = 2.0 * np.arctan(np.exp(g)) - HALF_PI
     dh = 1.0 / np.cosh(g)
     return Profile(g, h, dh, ProblemParams(m, float(m), nu), symmetry_class="odd",
-                   residual_norm=residual_norm, zero_count=1, provenance=provenance)
+                   residual_norm=residual_norm, provenance=provenance)
 
 
 def explicit_doc(prof):

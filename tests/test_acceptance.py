@@ -21,6 +21,7 @@ import warnings
 
 import numpy as np
 import pytest
+from reference import hessian_fd_check, symmetric_witnesses
 from scipy.integrate import quad
 
 from spherekink.core import (
@@ -36,11 +37,9 @@ from spherekink.report import SweepConfig, convergence_check, run_sweep, write_r
 from spherekink.shooting import SolveRequest, find_solution, newton_polish
 from spherekink.spectral import (
     SchrodingerProblem,
-    hessian_fd_check,
     morse_index,
     negative_count,
     potential_samples,
-    symmetric_witnesses,
     truncated_singular_count,
     witness_subspace,
 )
@@ -314,7 +313,7 @@ def test_criterion_07_hessian_consistency():
     g = symmetric_grid(20.0, 4001)
     h = 2.0 * np.arctan(np.exp(g)) - HALF_PI
     prof = Profile(g, h, 1.0 / np.cosh(g), P33, symmetry_class="odd",
-                   residual_norm=0.0, zero_count=1)
+                   residual_norm=0.0)
     bumps = {
         "even bump": 1.0 / np.cosh(g) ** 2,
         "odd bump": np.tanh(g) / np.cosh(g) ** 2,

@@ -3,7 +3,7 @@
 import pytest
 
 from spherekink.catalog import (
-    builtin_catalog,
+    CATALOG,
     catalog_rows,
     find_eigenmap,
     hypothesis_check,
@@ -13,7 +13,7 @@ from spherekink.core import ProblemParams
 
 
 def test_catalog_has_expected_entries():
-    names = {e.name for e in builtin_catalog()}
+    names = {e.name for e in CATALOG}
     for required in ("identity-3", "hopf-3-2", "hopf-7-4", "eiconal-4",
                      "hopf-construction-5-4"):
         assert required in names
@@ -67,7 +67,7 @@ def test_hypothesis_label_values():
 
 def test_catalog_rows_shape():
     rows = catalog_rows()
-    assert len(rows) == len(builtin_catalog())
+    assert len(rows) == len(CATALOG)
     for row in rows:
         assert len(row) == 6
         assert all(isinstance(cell, str) for cell in row)
@@ -77,7 +77,7 @@ def test_catalog_rows_shape():
 
 
 def test_regime_matches_params_predicate():
-    for e in builtin_catalog():
+    for e in CATALOG:
         if e.omega is None:
             continue
         p = ProblemParams(e.m, e.omega)

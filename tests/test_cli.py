@@ -190,13 +190,11 @@ def test_index_with_resampling(solved, capsys):
 
 
 def test_index_with_resampling_counts_zeros_when_unrecorded(solved, tmp_path, capsys):
-    # a stored profile may carry no zero count; the polish request takes it
-    # from the samples instead
-    import dataclasses
-    bare = dataclasses.replace(load_profile(solved), zero_count=None)
+    # a file's zero count is not read back, so one that holds null still
+    # gives the polish request the count of its samples
     path = tmp_path / "bare.json"
-    save_profile(bare, path)
-    assert load_profile(path).zero_count is None
+    write_json(dict(read_json(solved), zero_count=None), path)
+    assert load_profile(path).zero_count == 1
     assert main(["index", "--solution", str(path),
                  "--cutoff", "18", "--grid", "2401"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -397,6 +395,30 @@ def test_plot_report_matches_sweep_charts(tmp_path, capsys):
         assert (plots / name).read_bytes() == (out / name).read_bytes()
 
 
+@pytest.mark.parametrize("recorded", [None, 3], ids=["null", "wrong"])
+def test_a_recorded_zero_count_is_not_read(recorded, tmp_path, capsys):
+    # verify, plot --solution and plot --report take the count of the
+    # samples, so the charts keep the names and bytes the sweep gave them
+    out = tmp_path / "rep"
+    assert main(["--quiet", "sweep", "--m", "3", "--omega", "3",
+                 "--max-zeros", "1", "--cutoff", "16", "--grid", "2001",
+                 "--plot", "--out", str(out)]) == 0
+    path = out / "solution_odd_1.json"
+    assert main(["verify", "--solution", str(path)]) == 0
+    verified = capsys.readouterr().out
+    write_json(dict(read_json(path), zero_count=recorded), path)
+    assert main(["verify", "--solution", str(path)]) == 0
+    assert capsys.readouterr().out == verified
+    for argv, names in ((["--solution", str(path)], ["profile_odd_1.svg"]),
+                        (["--report", str(out / "sweep.json")],
+                         ["profile_odd_1.svg", "summary.svg"])):
+        plots = tmp_path / f"plots{len(names)}"
+        assert main(["--quiet", "plot", *argv, "--out", str(plots)]) == 0
+        assert sorted(p.name for p in plots.iterdir()) == names
+        for name in names:
+            assert (plots / name).read_bytes() == (out / name).read_bytes()
+
+
 def test_plot_report_with_a_missing_solution_file(tmp_path, capsys):
     out = tmp_path / "rep"
     assert main(["--quiet", "sweep", "--m", "3", "--omega", "3",
@@ -493,16 +515,6 @@ def test_a_profile_of_even_size_is_named(solved, tmp_path, capsys):
     path, err = verify_error(doc, tmp_path, capsys)
     assert err == (f"spherekink: error: {path} is not a profile document: "
                    "grid size must be odd and >= 3\n")
-
-
-def test_plot_refuses_a_solution_without_a_zero_count(solved, tmp_path, capsys):
-    # its chart would be profile_odd_None.svg, which another such file overwrites
-    path = tmp_path / "bare.json"
-    save_profile(dataclasses.replace(load_profile(solved), zero_count=None), path)
-    plots = tmp_path / "plots"
-    assert main(["plot", "--solution", str(path), "--out", str(plots)]) == 1
-    assert capsys.readouterr().err == f"spherekink: error: {path} records no zero count\n"
-    assert not plots.exists()
 
 
 def test_compact_and_explicit_files_give_the_same_output(records33, tmp_path, capsys):

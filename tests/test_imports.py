@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module, or the suite's reference module, imports is
+used in that module.
 
 No linter ships with the test dependencies, so this is the unused-import
 check, done with the standard library's ast module.
@@ -11,7 +12,8 @@ import pytest
 
 import spherekink
 
-MODULES = sorted(Path(spherekink.__file__).parent.glob("*.py"))
+MODULES = sorted(Path(spherekink.__file__).parent.glob("*.py")) + [
+    Path(__file__).with_name("reference.py")]
 
 
 def unused_imports(source: str) -> list:

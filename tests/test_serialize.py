@@ -15,6 +15,7 @@ from spherekink.serialize import (
     load_profile,
     profile_from_doc,
     profile_to_doc,
+    read_json,
     save_profile,
 )
 from spherekink.shooting import SolveRequest, W_TOL, find_solution, verify_solution
@@ -102,7 +103,7 @@ def test_round_trip_keeps_the_lyapunov_check_outside_nu():
     dh = prof.dh.copy()
     dh[np.searchsorted(prof.grid, 5.0)] -= 0.05
     tampered = Profile(prof.grid, prof.h, dh, prof.params, symmetry_class="odd",
-                       residual_norm=prof.residual_norm, zero_count=1)
+                       residual_norm=prof.residual_norm)
     before = verify_solution(tampered).w_violation
     after = verify_solution(profile_from_doc(profile_to_doc(tampered))).w_violation
     assert before > W_TOL
@@ -140,14 +141,15 @@ def test_save_and_load_profile_bytes_stable(ground33, tmp_path):
 
 
 def test_profile_with_default_metadata_round_trips(tmp_path):
-    # residual_norm and zero_count left unset are written as null and read
-    # back as None
+    # residual_norm left unset is written as null and read back as None; the
+    # zero count written is the samples' own, sin's three on [-4, 4]
     g = symmetric_grid(4.0, 41)
-    prof = Profile(g, np.zeros_like(g), np.zeros_like(g), ProblemParams(3, 3.0))
+    prof = Profile(g, np.sin(g), np.cos(g), ProblemParams(3, 3.0))
     path = tmp_path / "bare.json"
     save_profile(prof, path)
+    assert read_json(path)["zero_count"] == 3
     back = load_profile(path)
-    assert back.residual_norm is None and back.zero_count is None
+    assert back.residual_norm is None and back.zero_count == 3
     assert np.array_equal(back.h, prof.h)
     assert back.symmetry_class == "none"
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from spherekink import shooting
-from spherekink.catalog import builtin_catalog, find_eigenmap
+from spherekink.catalog import CATALOG, find_eigenmap
 from spherekink.core import (
     HALF_PI,
     NuPerturbation,
@@ -210,7 +210,7 @@ def test_compiled_count_matches_integrate_along_the_scan(params, zeros, monkeypa
         assert n == min(reference_count(h0, dh0, p, cutoff), limit), (h0, dh0)
 
 
-@pytest.mark.parametrize("spec", [s for s in builtin_catalog() if s.omega is not None],
+@pytest.mark.parametrize("spec", [s for s in CATALOG if s.omega is not None],
                          ids=lambda s: s.name)
 @pytest.mark.parametrize("symmetry_class", ["odd", "even"])
 def test_count_never_decreases_down_the_scan_grid(spec, symmetry_class):
@@ -577,7 +577,7 @@ def test_newton_polish_fixes_perturbed_profile(exact_profile):
     g = exact_profile.grid
     h = exact_profile.h + rng_free_bump
     prof = Profile(g, h, exact_profile.dh, P33, symmetry_class="odd",
-                   residual_norm=None, zero_count=1)
+                   residual_norm=None)
     req = SolveRequest(P33, "odd", 1)
     polished = newton_polish(prof, req)
     assert polished.residual_norm < 1e-9
@@ -593,7 +593,7 @@ def test_newton_polish_refuses_a_jump_at_the_cut_end(grid_size):
     h = 2.0 * np.arctan(np.exp(g)) - HALF_PI
     h[-1] = -h[-1]
     prof = Profile(g, h, 1.0 / np.cosh(g), P33, symmetry_class="none",
-                   residual_norm=None, zero_count=1)
+                   residual_norm=None)
     req = SolveRequest(P33, "odd", 1, cutoff=20.0, grid_size=grid_size)
     with pytest.raises(PolishDiverged, match="too rough"):
         newton_polish(prof, req)
@@ -649,7 +649,7 @@ def test_verify_flags_corrupted_profile(ground33):
     h = ground33.h.copy()
     h[1500:2500] += 1e-3
     bad = Profile(ground33.grid, h, ground33.dh, P33, symmetry_class="none",
-                  residual_norm=None, zero_count=None)
+                  residual_norm=None)
     diag = verify_solution(bad)
     assert not diag.passed
     assert any("residual" in f for f in diag.failures)
@@ -660,7 +660,7 @@ def test_verify_flags_wrong_boundary():
     h = np.tanh(g)          # odd, smooth, but tends to 1, far from pi/2
     dh = 1.0 / np.cosh(g) ** 2
     prof = Profile(g, h, dh, P33, symmetry_class="odd",
-                   residual_norm=None, zero_count=1)
+                   residual_norm=None)
     diag = verify_solution(prof)
     assert not diag.passed
     assert any("boundary gap" in f for f in diag.failures)

@@ -20,6 +20,7 @@ import math
 import numpy as np
 import pytest
 from conftest import gudermann_profile, old_spectral_doc
+from reference import hessian_fd_check, hessian_form, schrodinger_form, symmetric_witnesses
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.sparse.linalg import eigsh
@@ -42,16 +43,12 @@ from spherekink.spectral import (
     _tridiag,
     build_schrodinger,
     eigenvalues_below,
-    hessian_fd_check,
-    hessian_form,
     morse_index,
     negative_count,
     potential_samples,
     report_from_doc,
     report_to_doc,
-    schrodinger_form,
     schrodinger_index,
-    symmetric_witnesses,
     truncated_singular_count,
     witness_subspace,
 )
@@ -520,8 +517,10 @@ def test_symmetric_witnesses_double_the_diagonal():
     base = witness_subspace(P33, 4)
     for cls in ("even", "odd"):
         fam = symmetric_witnesses(P33, 4, cls)
-        assert fam.symmetry == cls
         assert fam.size == 4
+        assert (fam.starts, fam.half_width, fam.epsilon) == (base.starts, base.half_width,
+                                                             base.epsilon)
+        assert fam.quadrature_error == 2.0 * base.quadrature_error
         got = np.asarray(fam.gram_diagonal)
         assert np.max(np.abs(got - 2.0 * np.asarray(base.gram_diagonal))) < 1e-12
     with pytest.raises(ValueError):

@@ -1,9 +1,7 @@
 """Command-line front end.
 
 Subcommands: catalog | solve | sweep | index | singular-index | verify | plot.
-Global flags (before the subcommand): --config FILE, --out DIR, --quiet.
-A config file holds flat key=value lines mirroring the flags; the command
-line overrides the file.
+Global flags, before or after the subcommand: --out DIR, --quiet.
 
 Exit codes: 0 success, 1 usage error, 2 no shooting bracket (from sweep:
 every level failed), 3 polish failure, 4 verification failure (including a
@@ -64,10 +62,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_global_flags(p, *, suppress: bool):
     # on subparsers the defaults are suppressed so they cannot clobber the
     # values the root parser already settled
-    p.add_argument("--config", metavar="FILE",
-                   default=argparse.SUPPRESS if suppress else None,
-                   help="flat key=value file mirroring the flags; the command "
-                        "line overrides it")
     p.add_argument("--out", dest="out_dir", metavar="DIR",
                    default=argparse.SUPPRESS if suppress else ".",
                    help="directory for generated files (default: current)")
@@ -166,58 +160,6 @@ def _problem_params(args, parser) -> ProblemParams:
     if args.m is None or args.omega is None:
         parser.error("need --m and --omega, or --eigenmap NAME")
     return ProblemParams(args.m, args.omega)
-
-
-# -- config file ---------------------------------------------------------------
-
-def _read_config(path: str) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
-    out = {}
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{ln}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        out[key.strip()] = val.strip()
-    return out
-
-
-def _coerce(action, raw: str):
-    if isinstance(action, (argparse._StoreTrueAction,)):
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"expected a boolean for {action.option_strings[0]}, got {raw!r}")
-    if action.type is not None:
-        return action.type(raw)
-    return raw
-
-
-def _apply_config(parser, sub_parser, values: dict):
-    """Install config values as parser defaults so flags still win."""
-    def actions_of(p):
-        return {opt.lstrip("-"): a for a in p._actions for opt in a.option_strings}
-
-    table = actions_of(parser)
-    if sub_parser is not None:
-        table.update(actions_of(sub_parser))
-    for key, raw in values.items():
-        action = table.get(key)
-        if action is None or action.dest in ("help", "config"):
-            raise ValueError(f"unknown config key {key!r}")
-        target = parser if action in parser._actions else sub_parser
-        target.set_defaults(**{action.dest: _coerce(action, raw)})
-        action.required = False
-
-
-def _find_subparser(parser, command):
-    sub_action = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    return sub_action.choices.get(command)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -370,27 +312,7 @@ def _cmd_plot(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-
-    # a config file contributes defaults; real flags override them.  The
-    # global flags are parsed first, so that the value of --out or --config
-    # is never taken for the subcommand.
-    pre = _Parser(add_help=False, exit_on_error=False)
-    _add_global_flags(pre, suppress=False)
-    pre.add_argument("command", nargs="?")
-    try:
-        known, _ = pre.parse_known_args(argv)
-    except argparse.ArgumentError:
-        known = None   # parse_args below reports it with the full usage
-    if known is not None and known.config is not None:
-        try:
-            values = _read_config(known.config)
-            _apply_config(parser, _find_subparser(parser, known.command), values)
-        except (OSError, ValueError) as exc:
-            print(f"spherekink: bad config: {exc}", file=sys.stderr)
-            return 1
-
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)

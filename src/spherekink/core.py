@@ -148,10 +148,10 @@ def symmetric_grid(cutoff: float, n: int) -> np.ndarray:
     Built by mirroring the half grid so the nodes are symmetric bitwise and
     x = 0 is an exact node.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("grid size must be odd and >= 3")
     if not cutoff > 0:
         raise ValueError("cutoff must be positive")
+    if n < 3 or n % 2 == 0:
+        raise ValueError("grid size must be odd and >= 3")
     half = np.linspace(0.0, float(cutoff), (n + 1) // 2)
     return np.concatenate([-half[:0:-1], half])
 

@@ -38,7 +38,6 @@ from .serialize import (
     load_profile,
     nu_from_doc,
     nu_to_doc,
-    profile_from_doc,
     profile_to_doc,
     read_json,
     reading,
@@ -227,16 +226,11 @@ def record_to_doc(rec: SolutionRecord) -> dict:
 
 def record_from_doc(doc: dict, directory) -> SolutionRecord:
     """record_to_doc's entry, with its profile read from the file it names in
-    directory.  An entry written before the profiles had files of their own
-    holds the profile itself.  The record's class and zeros are its
-    profile's."""
-    if "profile" in doc:
-        prof = profile_from_doc(doc["profile"])
-    else:
-        name = doc["solution"]
-        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
-            raise ValueError(f"solution {name!r} is not a file name")
-        prof = load_profile(Path(directory) / name)
+    directory.  The record's class and zeros are its profile's."""
+    name = doc["solution"]
+    if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+        raise ValueError(f"solution {name!r} is not a file name")
+    prof = load_profile(Path(directory) / name)
     return SolutionRecord(prof, float(doc["energy"]), report_from_doc(doc["spectral"]),
                           float(doc["H_norm"]))
 

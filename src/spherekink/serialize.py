@@ -147,11 +147,7 @@ def profile_from_doc(doc: dict, what: str = "not a profile document") -> Profile
             if len(half_h) != (n + 1) // 2:
                 raise ValueError(f"{len(half_h)} values in half_h, n = {n}")
             grid, h, dh = _derived(float(doc["cutoff"]), n, cls, half_h)
-        nu_doc = doc.get("nu")
-        if isinstance(nu_doc, list):
-            # written before nu kept its own grid: samples on the profile grid
-            nu_doc = {"grid": grid, "values": nu_doc}
-        params = ProblemParams(int(doc["m"]), float(doc["omega"]), nu_from_doc(nu_doc))
+        params = ProblemParams(int(doc["m"]), float(doc["omega"]), nu_from_doc(doc.get("nu")))
         residual = doc["residual_norm"]
         return Profile(grid, h, dh, params,
                        symmetry_class=str(doc["symmetry_class"]),

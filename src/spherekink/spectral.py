@@ -199,23 +199,12 @@ def report_to_doc(rep: SpectralReport) -> dict:
     return asdict(rep)
 
 
-def _margin_from_doc(doc: dict, index: int) -> tuple:
-    """The margin pair; a report written before it had one lists the lowest
-    eigenvalues instead, at most 8 of them, so the pair is taken from that
-    list when the list reaches it and left empty when it stops short."""
-    if "leading_eigenvalues" not in doc:
-        return tuple(doc["margin_eigenvalues"])
-    margin = tuple(doc["leading_eigenvalues"][max(index - 1, 0):index + 1])
-    return margin if len(margin) == min(index + 1, 2) else ()
-
-
 def report_from_doc(doc: dict) -> SpectralReport:
     """report_to_doc's report; ValueError on a missing key or a wrong shape."""
     with reading("not a spectral report"):
-        index = int(doc["index"])
-        return SpectralReport(index=index,
+        return SpectralReport(index=int(doc["index"]),
                               nullity_estimate=int(doc["nullity_estimate"]),
-                              margin_eigenvalues=_margin_from_doc(doc, index),
+                              margin_eigenvalues=tuple(doc["margin_eigenvalues"]),
                               cutoff=float(doc["cutoff"]), n=int(doc["n"]),
                               null_band=float(doc["null_band"]),
                               band_sensitivity=tuple((float(b), int(c))

@@ -50,13 +50,6 @@ def explicit_doc(prof):
             "zero_count": prof.zero_count, "provenance": prof.provenance}
 
 
-def old_spectral_doc(doc, leading):
-    """doc as a report written before the margin pair: the lowest eigenvalues
-    in place of the pair, under their old key."""
-    return {("leading_eigenvalues" if k == "margin_eigenvalues" else k):
-            (leading if k == "margin_eigenvalues" else v) for k, v in doc.items()}
-
-
 @pytest.fixture()
 def exact_profile():
     """Closed-form one-zero profile for (3, 3) on the standard grid."""

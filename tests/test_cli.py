@@ -4,13 +4,11 @@ import dataclasses
 import json
 
 import pytest
-from conftest import explicit_doc, old_spectral_doc
+from conftest import explicit_doc
 
 from spherekink.cli import main
 from spherekink.core import ProblemParams, singular_profile
-from spherekink.report import read_report
 from spherekink.serialize import load_profile, read_json, save_profile, write_json
-from spherekink.spectral import build_schrodinger, eigenvalues_below
 
 
 @pytest.fixture(scope="module")
@@ -52,10 +50,14 @@ def test_no_command_is_usage_error(capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def test_unknown_flag_exits_one():
-    with pytest.raises(SystemExit) as exc:
-        main(["catalog", "--bogus"])
-    assert exc.value.code == 1
+def test_unknown_flag_exits_one(tmp_path):
+    # --config is no longer a flag, even with a file it once read
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("quiet = true\n", encoding="ascii")
+    for argv in (["catalog", "--bogus"], ["--config", str(cfg), "catalog"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
 
 
 def test_missing_problem_flags_exits_one():
@@ -220,20 +222,12 @@ def test_singular_index_refuses_stable_regime(capsys):
     assert "refused" in capsys.readouterr().err
 
 
-# -- sweep and config ------------------------------------------------------------------
+def test_singular_index_names_a_bad_cutoff(capsys):
+    assert main(["singular-index", "--m", "3", "--omega", "3", "--cutoff", "-1"]) == 1
+    assert capsys.readouterr().err == "spherekink: error: cutoff must be positive\n"
 
-def test_sweep_with_config_file(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    out = tmp_path / "out"
-    cfg.write_text("# small sweep\nm = 3\nomega = 3\nmax-zeros = 1\n"
-                   "cutoff = 16\ngrid = 2001\nout = %s\n" % out,
-                   encoding="ascii")
-    assert main(["--config", str(cfg), "sweep"]) == 0
-    printed = capsys.readouterr().out
-    assert "convergence" in printed
-    assert (out / "sweep.csv").exists()
-    assert (out / "solution_odd_1.json").exists()
 
+# -- sweep -------------------------------------------------------------------------
 
 def test_sweep_writes_charts_only_with_plot(tmp_path, capsys):
     argv = ["--quiet", "sweep", "--m", "3", "--omega", "3", "--max-zeros", "2",
@@ -282,61 +276,11 @@ def test_sweep_exits_two_when_every_level_fails(tmp_path, capsys):
                                                        "all levels failed"]
 
 
-def test_an_old_sweep_report_still_reads(tmp_path, capsys):
-    # a sweep.json written before the margin pair lists each level's lowest
-    # max(index + 1, 3) eigenvalues under leading_eigenvalues
-    out = tmp_path / "rep"
-    assert main(["--quiet", "sweep", "--m", "3", "--omega", "3",
-                 "--max-zeros", "2", "--cutoff", "16", "--grid", "2001",
-                 "--plot", "--out", str(out)]) == 0
-    doc = read_json(out / "sweep.json")
-    margins = {}
-    for rec in doc["records"]:
-        spec = rec["spectral"]
-        margins[rec["zeros"]] = spec["margin_eigenvalues"]
-        prob = build_schrodinger(load_profile(out / rec["solution"]))
-        leading = eigenvalues_below(prob, max(spec["index"] + 1, 3)).tolist()
-        rec["spectral"] = old_spectral_doc(spec, leading)
-    write_json(doc, out / "sweep.json")
-    assert '"leading_eigenvalues"' in (out / "sweep.json").read_text(encoding="ascii")
-    report = read_report(out / "sweep.json")
-    for rec in report.records:
-        assert len(rec.spectral.margin_eigenvalues) == 2
-        assert rec.spectral.margin_eigenvalues == pytest.approx(margins[rec.sequence_key[1]],
-                                                                abs=1e-7)
-    plots = tmp_path / "plots"
-    assert main(["--quiet", "plot", "--report", str(out / "sweep.json"),
-                 "--out", str(plots)]) == 0
-    names = sorted(p.name for p in plots.iterdir())
-    assert names == ["profile_even_2.svg", "profile_odd_1.svg", "summary.svg"]
-    for name in names:
-        assert (plots / name).read_bytes() == (out / name).read_bytes()
-
-
-def test_cli_flag_overrides_config(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("m = 3\nomega = 3\nmax-zeros = 2\ncutoff = 16\ngrid = 2001\n",
-                   encoding="ascii")
-    out = tmp_path / "o2"
-    assert main(["--config", str(cfg), "sweep", "--max-zeros", "0",
-                 "--out", str(out), "--quiet"]) == 0
-    doc = json.loads((out / "sweep.json").read_text())
-    assert doc["records"] == []
-
-
-def test_bad_config_key(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("mx = 3\n", encoding="ascii")
-    assert main(["--config", str(cfg), "catalog"]) == 1
-    assert "bad config" in capsys.readouterr().err
-
-
 def test_out_named_like_a_subcommand(tmp_path, monkeypatch, capsys):
-    # the value of --out is not the subcommand the config is applied to
+    # the value of --out is not taken for the subcommand
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "c.cfg").write_text("m = 3\nomega = 3\nmax-zeros = 1\n"
-                                    "cutoff = 16\ngrid = 2001\n", encoding="ascii")
-    assert main(["--config", "c.cfg", "--quiet", "--out", "catalog", "sweep"]) == 0
+    assert main(["--quiet", "--out", "catalog", "sweep", "--m", "3", "--omega", "3",
+                 "--max-zeros", "1", "--cutoff", "16", "--grid", "2001"]) == 0
     assert (tmp_path / "catalog" / "solution_odd_1.json").exists()
 
 
@@ -462,13 +406,19 @@ def test_solution_commands_refuse_a_sweep_report(command, tmp_path, capsys):
     (["plot", "--solution"], "not a profile document"),
     (["plot", "--report"], "is not a sweep report"),
 ])
-def test_a_document_of_the_wrong_shape_is_an_error(argv, document, tmp_path, capsys):
-    path = tmp_path / "list.json"
-    path.write_text("[1, 2]\n", encoding="ascii")
-    assert main(argv + [str(path), "--out", str(tmp_path / "plots")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("spherekink: error: ") and document in err
-    assert err.count("\n") == 1 and "Traceback" not in err
+def test_a_document_of_the_wrong_shape_is_an_error(argv, document, solved, tmp_path, capsys):
+    docs = [[1, 2]]
+    if argv[-1] == "--solution":
+        # nu sampled on the profile grid, a form no longer read
+        doc = read_json(solved)
+        docs.append(dict(doc, nu=[0.0] * doc["n"]))
+    for doc in docs:
+        path = tmp_path / "bad.json"
+        write_json(doc, path)
+        assert main(argv + [str(path), "--out", str(tmp_path / "plots")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"spherekink: error: {path} ") and document in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, in_sweep", [

@@ -149,20 +149,6 @@ def test_sweep_report_round_trip_through_files(small_sweep, tmp_path):
         assert dumps(profile_to_doc(a.profile)) == dumps(profile_to_doc(b.profile))
 
 
-def test_read_report_reads_profiles_held_in_sweep_json(small_sweep, tmp_path):
-    # sweep.json as written before each record named its solution file; no
-    # solution file sits beside it
-    doc = sweep_report_to_doc(small_sweep)
-    for rec_doc, rec in zip(doc["records"], small_sweep.records):
-        del rec_doc["solution"]
-        rec_doc["profile"] = profile_to_doc(rec.profile)
-    write_json(doc, tmp_path / "sweep.json")
-    back = read_report(tmp_path / "sweep.json")
-    assert dumps(sweep_report_to_doc(back)) == dumps(sweep_report_to_doc(small_sweep))
-    for a, b in zip(back.records, small_sweep.records):
-        assert dumps(profile_to_doc(a.profile)) == dumps(profile_to_doc(b.profile))
-
-
 @pytest.mark.parametrize("name", ["../solution_odd_1.json", "/abs/solution_odd_1.json",
                                   "sub/solution_odd_1.json", "", ".", "..", 7])
 def test_read_report_refuses_a_solution_that_is_not_a_file_name(name, small_sweep, tmp_path):
@@ -178,6 +164,20 @@ def test_read_report_names_a_missing_key(small_sweep, tmp_path):
     write_report(small_sweep, tmp_path)
     with pytest.raises(ValueError, match="is not a sweep report: no 'max_zeros'"):
         read_report(tmp_path / "solution_odd_1.json")
+    # forms no longer read: a record holding its profile, and a spectral
+    # report listing leading_eigenvalues in place of the margin pair
+    doc = read_json(tmp_path / "sweep.json")
+    rec = doc["records"][0]
+    embedded = dict(rec, profile=profile_to_doc(small_sweep.records[0].profile))
+    del embedded["solution"]
+    listed = dict(rec["spectral"])
+    listed["leading_eigenvalues"] = listed.pop("margin_eigenvalues")
+    for old, message in ((embedded, "is not a sweep report: no 'solution'"),
+                         (dict(rec, spectral=listed),
+                          "not a spectral report: no 'margin_eigenvalues'")):
+        write_json(dict(doc, records=[old]), tmp_path / "sweep.json")
+        with pytest.raises(ValueError, match=message):
+            read_report(tmp_path / "sweep.json")
 
 
 def test_convergence_table_follows_records(small_sweep):

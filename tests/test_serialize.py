@@ -110,16 +110,6 @@ def test_round_trip_keeps_the_lyapunov_check_outside_nu():
     assert after == before
 
 
-def test_profile_from_doc_reads_nu_sampled_on_the_profile_grid():
-    # the form written before nu kept its own grid
-    prof = _profile(_nu_bump(2.0))
-    doc = profile_to_doc(prof)
-    doc["nu"] = prof.params.nu(prof.grid).tolist()
-    back = profile_from_doc(doc)
-    assert np.array_equal(back.params.nu.grid, prof.grid)
-    assert np.array_equal(back.params.nu(prof.grid), prof.params.nu(prof.grid))
-
-
 def test_profile_from_doc_names_a_missing_key(ground33):
     # the compact form and the explicit one
     for prof, key in ((ground33, "half_h"), (_profile(), "dh")):

@@ -14,12 +14,11 @@ shift-invert Lanczos (ARPACK on a sparse LU factorisation), which makes no
 Sturm count.
 """
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
-from conftest import gudermann_profile, old_spectral_doc
+from conftest import gudermann_profile
 from reference import hessian_fd_check, hessian_form, schrodinger_form, symmetric_witnesses
 from scipy import sparse
 from scipy.integrate import quad
@@ -29,7 +28,6 @@ from spherekink.core import (
     NuPerturbation,
     ProblemParams,
     resample,
-    sech,
     singular_profile,
     symmetric_grid,
 )
@@ -38,7 +36,6 @@ from spherekink.shooting import SolveRequest, find_solution, newton_polish
 from spherekink.spectral import (
     NULL_BAND,
     SchrodingerProblem,
-    SpectralReport,
     WitnessFunction,
     _tridiag,
     build_schrodinger,
@@ -46,8 +43,6 @@ from spherekink.spectral import (
     morse_index,
     negative_count,
     potential_samples,
-    report_from_doc,
-    report_to_doc,
     schrodinger_index,
     truncated_singular_count,
     witness_subspace,
@@ -344,22 +339,6 @@ def test_a_report_of_every_eigenvalue_below_the_band():
     rep = schrodinger_index(prob)
     assert rep.index == 199
     assert rep.margin_eigenvalues == pytest.approx([dense_eigs(prob)[-1]], abs=1e-7)
-
-
-@pytest.mark.parametrize("index", [0, 1, 4, 7, 8, 20])
-def test_report_from_doc_reads_the_old_eigenvalue_list(index):
-    prob = box_with_index(index)
-    rep = schrodinger_index(prob)
-    # what the old report listed: the lowest index + 1, at least 3, at most 8
-    leading = eigenvalues_below(prob, min(max(index + 1, 3), 8)).tolist()
-    back = report_from_doc(old_spectral_doc(report_to_doc(rep), leading))
-    if index < 8:
-        assert back.margin_eigenvalues == tuple(leading[max(index - 1, 0):index + 1])
-        assert back.margin_eigenvalues == pytest.approx(rep.margin_eigenvalues, abs=1e-7)
-    else:
-        assert back.margin_eigenvalues == ()
-    assert back == dataclasses.replace(rep, margin_eigenvalues=back.margin_eigenvalues)
-    assert report_from_doc(report_to_doc(rep)) == rep
 
 
 # -- equator branch --------------------------------------------------------------

@@ -224,14 +224,17 @@ def record_to_doc(rec: SolutionRecord) -> dict:
     }
 
 
-def record_from_doc(doc: dict, directory) -> SolutionRecord:
-    """record_to_doc's entry, with its profile read from the file it names in
-    directory.  The record's class and zeros are its profile's."""
+def record_from_doc(doc: dict, path: Path) -> SolutionRecord:
+    """record_to_doc's entry in the sweep.json at path, with its profile read
+    from the file it names beside that one.  The record's class and zeros
+    are its profile's, and a bad spectral block is refused naming path and
+    that level."""
     name = doc["solution"]
     if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
         raise ValueError(f"solution {name!r} is not a file name")
-    prof = load_profile(Path(directory) / name)
-    return SolutionRecord(prof, float(doc["energy"]), report_from_doc(doc["spectral"]),
+    prof = load_profile(path.parent / name)
+    level = f"{path}, level {prof.symmetry_class}/{prof.zero_count}: not a spectral report"
+    return SolutionRecord(prof, float(doc["energy"]), report_from_doc(doc["spectral"], level),
                           float(doc["H_norm"]))
 
 
@@ -268,7 +271,7 @@ def read_report(path) -> SweepReport:
         params = ProblemParams(int(doc["m"]), float(doc["omega"]), nu_from_doc(doc.get("nu")))
         cfg = SweepConfig(params, int(doc["max_zeros"]), float(doc["cutoff"]),
                           int(doc["grid_size"]))
-        return SweepReport(cfg, tuple(record_from_doc(d, path.parent) for d in doc["records"]),
+        return SweepReport(cfg, tuple(record_from_doc(d, path) for d in doc["records"]),
                            tuple((c, int(z), m) for c, z, m in doc["failures"]),
                            str(doc["version"]))
 

@@ -12,10 +12,12 @@ line by a two-stage process:
    1e-3 (never below 1e-14 absolute).  Every trajectory runs scipy's
    compiled DOP853.  The search and the bisection only ask whether the
    count exceeds the request, so each run stops at the sign change that
-   settles it, keeps no step record and runs at the looser COUNT_RTOL: a
-   count only says which side of a transition s lies on, and its relative
-   error in s, about steps * COUNT_RTOL, is far below the bracket's width.
-   The one seed trajectory runs at RTOL and records every accepted step.
+   settles it, keeps no step record, and runs at the looser COUNT_RTOL
+   under COUNT_STEP_FACTOR times the seed's step cap: a count only says
+   which side of a transition s lies on, so it only has to see each sign
+   change, and its relative error in s, about steps * COUNT_RTOL, is far
+   below the bracket's width.  The one seed trajectory runs at RTOL under
+   the seed's cap and records every accepted step.
 
 2. The trajectory at the bracket end without an extra zero, mirrored by
    parity and blended into the linearised tail toward +-pi/2, seeds a
@@ -73,7 +75,8 @@ BOUNDARY_TOL = 1e-6     # largest accepted end gap pi/2 - |h|
 SCAN_POINTS = 24        # uniform scan values below the cap, before the geometric ones
 RTOL = 1e-11            # DOP853 tolerances
 ATOL = 1e-13
-COUNT_RTOL = 1e-8       # DOP853 relative tolerance of the scan's zero counts
+COUNT_RTOL = 1e-6       # DOP853 relative tolerance of the scan's zero counts
+COUNT_STEP_FACTOR = 2.0  # the counts' step cap, in multiples of the seed's _max_step
 
 # verify_solution's thresholds, besides BOUNDARY_TOL and core.TOL_SYM.
 RESIDUAL_TOL = 1e-8     # interior residual max-norm
@@ -272,14 +275,14 @@ def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float) -> Tr
     return Trajectory(float(h0), float(dh0), x_end, crossings, out, sol.sol)
 
 
-def _dop853(params: ProblemParams, rtol: float, solout):
+def _dop853(params: ProblemParams, rtol: float, max_step: float, solout):
     """scipy's compiled DOP853 (Hairer's code, the method solve_ivp
-    re-implements in Python) at rtol, with integrate's ATOL and step cap.
+    re-implements in Python) at rtol and max_step, with integrate's ATOL.
     solout(x, y) runs after each accepted step, the start included, and
     stops the run by returning -1."""
     # solve_ivp has no step limit, so neither has this run
     dop = ode(_rhs(params)).set_integrator("dop853", rtol=rtol, atol=ATOL,
-                                           max_step=_max_step(params), nsteps=2 ** 31 - 1)
+                                           max_step=max_step, nsteps=2 ** 31 - 1)
     dop.set_solout(solout)
     return dop
 
@@ -295,14 +298,19 @@ def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
     solve only asks whether a count exceeds its request, so it passes the
     request plus one as the limit and integrates no zero past that.
 
-    The relative tolerance is COUNT_RTOL, not RTOL.  A count only decides
-    which side of a transition s lies on, and the bisection stops at a
-    relative width of BRACKET_RTOL.  An error made along a run maps back to
-    a relative shift in s of about steps * COUNT_RTOL, below 1e-6 for the
-    few dozen accepted steps a run takes, so far below that width, and a
-    solve makes 0.49-0.66 times the right-hand-side evaluations it makes at
-    RTOL.  The seed trajectory, which Newton starts from, stays at RTOL in
-    its own run (_seed).
+    The run takes COUNT_RTOL, not RTOL, and COUNT_STEP_FACTOR times the
+    seed's step cap _max_step.  A count only decides which side of a
+    transition s lies on, so it only has to see each sign change of h, and
+    the bisection stops at a relative width of BRACKET_RTOL.  The doubled
+    cap, 1/sqrt(1 + omega), still leaves about three accepted steps per
+    shortest zero spacing pi/sqrt(omega (1 + nu)).  An error made along a
+    run maps back to a relative shift in s of about steps * COUNT_RTOL,
+    some 2e-5 for the few dozen accepted steps a run takes, 50 times below
+    that width.  A solve's counts make 0.30-0.54 times the right-hand-side
+    evaluations they make at the seed's settings, and on the benchmark's
+    14 levels 0.71 times those they made at rtol 1e-8 under the seed's cap
+    (53,698 against 75,233).  The seed trajectory, which Newton starts
+    from, keeps RTOL and the seed's cap in its own run (_seed).
 
     Build one counter per solve and reuse it for every count.  scipy's
     dop853 wrapper never frees an integrator: it keeps about 1.1 KB per new
@@ -322,7 +330,7 @@ def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
         state[0] = h
         return -1 if abs(h) > EXIT_WALL else 0
 
-    dop = _dop853(params, COUNT_RTOL, solout)
+    dop = _dop853(params, COUNT_RTOL, COUNT_STEP_FACTOR * _max_step(params), solout)
 
     def count(h0: float, dh0: float) -> int:
         _check_start(h0)
@@ -364,7 +372,7 @@ def _seed(s: float, req: SolveRequest) -> tuple:
         steps.append((x, h, dh))
         return -1 if abs(h) > EXIT_WALL else 0
 
-    dop = _dop853(req.params, RTOL, solout)
+    dop = _dop853(req.params, RTOL, _max_step(req.params), solout)
     dop.set_initial_value(_launch(s, req), 0.0)
     dop.integrate(req.cutoff)
     x, h, dh = np.array(steps).T

@@ -155,11 +155,22 @@ def schrodinger_index(problem: SchrodingerProblem) -> SpectralReport:
     eigenvalue alone at index 0), bisected to 0.1 NULL_BAND.  By Weyl's
     inequality no change of the potential smaller in max-norm than their
     distance from -NULL_BAND can change the index.
+
+    The counts at -+10 NULL_BAND come first.  A count never decreases as
+    the shift grows, which stebz's own bisection relies on, so when those
+    two are equal every count between them equals them: the index is that
+    count and the nullity is 0 at every band.  Only when they differ are
+    the four inner counts made.
     """
-    index = negative_count(problem, -NULL_BAND)
-    nullity = negative_count(problem, NULL_BAND) - index
-    sensitivity = tuple((b, negative_count(problem, b) - negative_count(problem, -b))
-                        for b in (10.0 * NULL_BAND, 0.1 * NULL_BAND))
+    wide, narrow = 10.0 * NULL_BAND, 0.1 * NULL_BAND
+    below, above = negative_count(problem, -wide), negative_count(problem, wide)
+    if below == above:
+        index, nullity, sensitivity = below, 0, ((wide, 0), (narrow, 0))
+    else:
+        index = negative_count(problem, -NULL_BAND)
+        nullity = negative_count(problem, NULL_BAND) - index
+        sensitivity = ((wide, above - below),
+                       (narrow, negative_count(problem, narrow) - negative_count(problem, -narrow)))
     flags = []
     if nullity >= 2:
         flags.append(f"nullity_estimate {nullity} >= 2: unexpected for an isolated critical point")
@@ -199,9 +210,10 @@ def report_to_doc(rep: SpectralReport) -> dict:
     return asdict(rep)
 
 
-def report_from_doc(doc: dict) -> SpectralReport:
-    """report_to_doc's report; ValueError on a missing key or a wrong shape."""
-    with reading("not a spectral report"):
+def report_from_doc(doc: dict, what: str) -> SpectralReport:
+    """report_to_doc's report; ValueError, its message prefixed by what, on a
+    missing key or a wrong shape."""
+    with reading(what):
         return SpectralReport(index=int(doc["index"]),
                               nullity_estimate=int(doc["nullity_estimate"]),
                               margin_eigenvalues=tuple(doc["margin_eigenvalues"]),

@@ -178,6 +178,16 @@ def test_read_report_names_a_missing_key(small_sweep, tmp_path):
         write_json(dict(doc, records=[old]), tmp_path / "sweep.json")
         with pytest.raises(ValueError, match=message):
             read_report(tmp_path / "sweep.json")
+    # a bad spectral block, and only that, is named by its file and level
+    second = doc["records"][1]
+    flagless = dict(second["spectral"])
+    del flagless["flags"]
+    write_json(dict(doc, records=[rec, dict(second, spectral=flagless)]), tmp_path / "sweep.json")
+    with pytest.raises(ValueError) as refused:
+        read_report(tmp_path / "sweep.json")
+    assert str(refused.value) == (f"{tmp_path / 'sweep.json'}, level "
+                                  f"{second['class']}/{second['zeros']}: "
+                                  "not a spectral report: no 'flags'")
 
 
 def test_convergence_table_follows_records(small_sweep):

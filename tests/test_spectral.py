@@ -205,14 +205,39 @@ def test_morse_index_rejects_coarse_grids():
         morse_index(gudermann_profile(n=999))
 
 
-def test_report_flags_fire_at_the_fixed_band():
+def record_shifts(monkeypatch):
+    """List of the shifts of every negative_count call made from here on."""
+    shifts = []
+
+    def recording(problem, shift=0.0):
+        shifts.append(shift)
+        return negative_count(problem, shift)
+
+    monkeypatch.setattr(spectral, "negative_count", recording)
+    return shifts
+
+
+@pytest.mark.parametrize("zeros", [1, 2, 3, 4])
+def test_a_report_with_an_empty_band_makes_two_counts(zeros, records33, monkeypatch):
+    # no eigenvalue within 10 NULL_BAND of 0, so the counts at -+10 NULL_BAND
+    # agree and settle every inner count
+    shifts = record_shifts(monkeypatch)
+    rep = morse_index(records33[("odd" if zeros % 2 else "even", zeros)].profile)
+    assert shifts == [-10.0 * NULL_BAND, 10.0 * NULL_BAND]
+    assert (rep.index, rep.nullity_estimate, rep.flags) == (zeros, 0, ())
+    assert rep.band_sensitivity == ((10.0 * NULL_BAND, 0), (0.1 * NULL_BAND, 0))
+
+
+def test_report_flags_fire_at_the_fixed_band(monkeypatch):
     # the well 4 - 8 sech^2 x, shifted so that its lowest eigenvalue sits at
     # +5e-7: inside the null band, outside the band 10x narrower
     g = symmetric_grid(8.0, 401)
     v = 4.0 - 8.0 / np.cosh(g) ** 2
     prob = SchrodingerProblem(g, v + (5e-7 - dense_eigs(SchrodingerProblem(g, v))[0]))
     assert dense_eigs(prob)[0] == pytest.approx(5e-7, abs=1e-11)
+    shifts = record_shifts(monkeypatch)
     rep = schrodinger_index(prob)
+    assert len(shifts) == 6
     assert (rep.index, rep.nullity_estimate) == (0, 1)
     assert [nb for _, nb in rep.band_sensitivity] == [1, 0]
     assert len(rep.flags) == 1 and "depends on the null band" in rep.flags[0]
@@ -225,7 +250,9 @@ def test_report_flags_fire_at_the_fixed_band():
     prob = SchrodingerProblem(g, v - 0.5 * (lam[0] + lam[1]))
     pair = dense_eigs(prob)[:2]
     assert 0.0 < pair[1] - pair[0] < 1e-7 and np.max(np.abs(pair)) < 1e-7
+    shifts.clear()
     rep = schrodinger_index(prob)
+    assert len(shifts) == 6
     assert (rep.index, rep.nullity_estimate) == (0, 2)
     assert [nb for _, nb in rep.band_sensitivity] == [2, 2]
     assert len(rep.flags) == 1 and "nullity_estimate 2" in rep.flags[0]
@@ -297,7 +324,7 @@ def test_margin_is_the_lowest_eigenvalue_at_index_zero():
 
 
 @pytest.mark.parametrize("k", [0, 1])
-def test_margin_shows_an_eigenvalue_near_the_band(k):
+def test_margin_shows_an_eigenvalue_near_the_band(k, monkeypatch):
     # the well 4 - 8 sech^2 x, shifted so that eigenvalue k sits at 5e-6:
     # outside the null band, inside the band 10x wider
     g = symmetric_grid(8.0, 401)
@@ -305,7 +332,9 @@ def test_margin_shows_an_eigenvalue_near_the_band(k):
     prob = SchrodingerProblem(g, v + (5e-6 - dense_eigs(SchrodingerProblem(g, v))[k]))
     lam = dense_eigs(prob)
     assert lam[k] == pytest.approx(5e-6, abs=1e-11)
+    shifts = record_shifts(monkeypatch)
     rep = schrodinger_index(prob)
+    assert len(shifts) == 6
     assert (rep.index, rep.nullity_estimate) == (k, 0)
     assert rep.margin_eigenvalues[-1] == pytest.approx(5e-6, abs=1e-7)
     assert np.max(np.abs(np.array(rep.margin_eigenvalues) - lam[max(k - 1, 0):k + 1])) < 1e-7

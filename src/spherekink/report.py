@@ -227,15 +227,18 @@ def record_to_doc(rec: SolutionRecord) -> dict:
 def record_from_doc(doc: dict, path: Path) -> SolutionRecord:
     """record_to_doc's entry in the sweep.json at path, with its profile read
     from the file it names beside that one.  The record's class and zeros
-    are its profile's, and a bad spectral block is refused naming path and
-    that level."""
+    are its profile's, and a bad value or spectral block is refused naming
+    path and that level."""
     name = doc["solution"]
     if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
         raise ValueError(f"solution {name!r} is not a file name")
     prof = load_profile(path.parent / name)
-    level = f"{path}, level {prof.symmetry_class}/{prof.zero_count}: not a spectral report"
-    return SolutionRecord(prof, float(doc["energy"]), report_from_doc(doc["spectral"], level),
-                          float(doc["H_norm"]))
+    level = f"{path}, level {prof.symmetry_class}/{prof.zero_count}"
+    with reading(f"{level}: not a sweep record", refused_values=True):
+        energy, h_norm = float(doc["energy"]), float(doc["H_norm"])
+    return SolutionRecord(prof, energy,
+                          report_from_doc(doc["spectral"], f"{level}: not a spectral report"),
+                          h_norm)
 
 
 def sweep_report_to_doc(report: SweepReport) -> dict:
@@ -261,19 +264,23 @@ def read_report(path) -> SweepReport:
     """The report in the sweep.json at path, with the solution files beside it.
 
     ValueError names the file if a key is missing or a value has the wrong
-    shape.  What the report derives is not read: null_band, hypothesis,
-    singular_energy, the convergence table, and each record's class, zeros
-    and sup_norm.
+    shape or type, and the level too if that is in a record.  What the
+    report derives is not read: null_band, hypothesis, singular_energy, the
+    convergence table, and each record's class, zeros and sup_norm.
     """
     path = Path(path)
     doc = read_json(path)
-    with reading(f"{path} is not a sweep report"):
+    what = f"{path} is not a sweep report"
+    with reading(what, refused_values=True):
         params = ProblemParams(int(doc["m"]), float(doc["omega"]), nu_from_doc(doc.get("nu")))
         cfg = SweepConfig(params, int(doc["max_zeros"]), float(doc["cutoff"]),
                           int(doc["grid_size"]))
-        return SweepReport(cfg, tuple(record_from_doc(d, path) for d in doc["records"]),
-                           tuple((c, int(z), m) for c, z, m in doc["failures"]),
-                           str(doc["version"]))
+        failures = tuple((c, int(z), m) for c, z, m in doc["failures"])
+        version = str(doc["version"])
+    # record_from_doc's own ValueErrors already name the file they read
+    with reading(what):
+        records = tuple(record_from_doc(d, path) for d in doc["records"])
+    return SweepReport(cfg, records, failures, version)
 
 
 CSV_COLUMNS = ("class", "zeros", "energy", "energy_gap", "index", "nullity",

@@ -20,6 +20,17 @@ margin pair: the two eigenvalues either side of the null band's lower edge,
 bisected by stebz to a tenth of the band.  They certify nothing; they show
 how far the potential must move before the index can change.
 
+A class even or odd profile has a bitwise even V, so the FD matrix on the
+symmetric grid, whose interior has a centre node, commutes with the
+reflection and splits into an even and an odd block of half size (Cantoni
+& Butler 1976).  Its off-diagonal is nonzero, so its eigenvalues are simple
+and eigenvector j, even or odd, changes sign exactly j times (Sturm
+oscillation).  An even one is nonzero at the centre, so its sign changes
+pair off across it; an odd one is zero there between entries of opposite
+sign, so it has an odd number.  The eigenvalues therefore alternate between
+the blocks, lambda_0 even, lambda_1 odd, and so on, and the margin pair is
+bisected on the blocks.  The counts stay full size.
+
 For the equator branch, where V tends to (m-1)^2/4 - omega < 0 at both
 ends, families of disjoint tent functions placed in the far field give an
 explicit negative-definite subspace of any requested dimension.
@@ -115,6 +126,19 @@ def negative_count(problem: SchrodingerProblem, shift: float = 0.0) -> int:
     return int(m)
 
 
+def _reflection_blocks(problem: SchrodingerProblem):
+    """The even and odd reflection blocks of the FD matrix, or the matrix
+    alone (see eigenvalues_below).  Row c of an even vector reads
+    main[c] v[c] + 2 off[c] v[c+1]; scaling v[c] by sqrt 2 makes it symmetric."""
+    main, off = _tridiag(problem)
+    c = main.size // 2
+    if main.size % 2 == 0 or not np.array_equal(main, main[::-1]):
+        return ((main, off),)
+    even_off = off[c:].copy()
+    even_off[0] *= math.sqrt(2.0)
+    return (main[c:], even_off), (main[c + 1:], off[c + 1:])
+
+
 def eigenvalues_below(problem: SchrodingerProblem, count: int, first: int = 0,
                       tol: float = 0.0) -> np.ndarray:
     """Eigenvalues first..count-1 of the Dirichlet FD matrix, ascending.
@@ -123,12 +147,27 @@ def eigenvalues_below(problem: SchrodingerProblem, count: int, first: int = 0,
     tol stops each bisection once the eigenvalue's interval is that narrow.
     LAPACK's stebz bisects for them with the same Sturm counts that
     negative_count makes; index and nullity are certified by negative_count.
+
+    Block rule: when the matrix has odd size n - 2 and its main diagonal
+    equals its own reverse bitwise, it has p = 2 blocks about its centre
+    index c: the even block main[c:], off[c:] with off[c] times sqrt 2, and
+    the odd block main[c+1:], off[c+1:].  Otherwise p = 1, the whole
+    matrix.  The eigenvalues alternate between the blocks (module
+    docstring), so eigenvalue j is entry j // p of block j mod p, and each
+    block gives its share of the range in one stebz call, placed by j.
     """
     if count <= first:
         return np.zeros(0)
-    main, off = _tridiag(problem)
-    return eigvalsh_tridiagonal(main, off, select="i", select_range=(first, count - 1),
-                                tol=tol)
+    blocks = _reflection_blocks(problem)
+    p = len(blocks)
+    out = np.empty(count - first)
+    for b, (main, off) in enumerate(blocks):
+        # block b holds j = k p + b for k = lo..hi within first..count-1
+        lo, hi = (first - b + p - 1) // p, (count - 1 - b) // p
+        if lo <= hi:
+            out[lo * p + b - first::p] = eigvalsh_tridiagonal(
+                main, off, select="i", select_range=(lo, hi), tol=tol)
+    return out
 
 
 # -- index / nullity reports --------------------------------------------------
@@ -212,8 +251,8 @@ def report_to_doc(rep: SpectralReport) -> dict:
 
 def report_from_doc(doc: dict, what: str) -> SpectralReport:
     """report_to_doc's report; ValueError, its message prefixed by what, on a
-    missing key or a wrong shape."""
-    with reading(what):
+    missing key, a wrong shape or a value of the wrong type."""
+    with reading(what, refused_values=True):
         return SpectralReport(index=int(doc["index"]),
                               nullity_estimate=int(doc["nullity_estimate"]),
                               margin_eigenvalues=tuple(doc["margin_eigenvalues"]),

@@ -389,6 +389,29 @@ def test_plot_report_names_a_solution_file_of_the_wrong_shape(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit, named, message", [
+    (lambda doc: doc["records"][0].update(energy="y"), ", level odd/1: not a sweep record",
+     "could not convert string to float: 'y'"),
+    (lambda doc: doc["records"][0]["spectral"].update(index="x"),
+     ", level odd/1: not a spectral report", "invalid literal for int()"),
+    (lambda doc: doc.update(m="x"), " is not a sweep report", "invalid literal for int()"),
+], ids=["energy", "spectral-index", "m"])
+def test_plot_report_names_a_value_of_the_wrong_type(edit, named, message, tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert main(["--quiet", "sweep", "--m", "3", "--omega", "3",
+                 "--max-zeros", "1", "--cutoff", "16", "--grid", "2001",
+                 "--out", str(out)]) == 0
+    path = out / "sweep.json"
+    doc = read_json(path)
+    edit(doc)
+    write_json(doc, path)
+    assert main(["--quiet", "plot", "--report", str(path),
+                 "--out", str(tmp_path / "plots")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"spherekink: error: {path}{named}: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["verify", "index", "plot"])
 def test_solution_commands_refuse_a_sweep_report(command, tmp_path, capsys):
     out = tmp_path / "rep"

@@ -60,6 +60,32 @@ def test_eigenvalues_below_match_dense(problem, count):
     assert np.max(np.abs(got - lam[:count])) <= 1e-10 * spectral_scale(problem)
 
 
+@st.composite
+def even_problems(draw):
+    """A random half mirrored into an even potential on an odd number of
+    nodes, so the interior matrix has a centre node and splits into blocks."""
+    half = draw(st.integers(3, 30))
+    half_width = draw(st.floats(1.0, 10.0))
+    v = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=half, max_size=half)))
+    return SchrodingerProblem(np.linspace(-half_width, half_width, 2 * half - 1),
+                              np.concatenate([v, v[-2::-1]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(even_problems(), st.data())
+def test_eigenvalues_of_an_even_potential_match_dense(problem, data):
+    lam = dense_eigs(problem)
+    # any range of indices: within one block's parity or across both, up to
+    # the top eigenvalue
+    first = data.draw(st.integers(0, lam.size - 1))
+    count = data.draw(st.integers(first + 1, lam.size))
+    got = eigenvalues_below(problem, count, first)
+    assert got.shape == (count - first,)
+    assert np.max(np.abs(got - lam[first:count])) <= 1e-10 * spectral_scale(problem)
+    top = eigenvalues_below(problem, lam.size, lam.size - 1)
+    assert abs(top[0] - lam[-1]) <= 1e-10 * spectral_scale(problem)
+
+
 def same_float(a, b):
     """Equal, a float, and with the same sign (which tells -0.0 from 0.0)."""
     return type(a) is float and a == b and math.copysign(1.0, a) == math.copysign(1.0, b)

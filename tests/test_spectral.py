@@ -22,6 +22,7 @@ from conftest import gudermann_profile
 from reference import hessian_fd_check, hessian_form, schrodinger_form, symmetric_witnesses
 from scipy import sparse
 from scipy.integrate import quad
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse.linalg import eigsh
 
 from spherekink.core import (
@@ -368,6 +369,36 @@ def test_a_report_of_every_eigenvalue_below_the_band():
     rep = schrodinger_index(prob)
     assert rep.index == 199
     assert rep.margin_eigenvalues == pytest.approx([dense_eigs(prob)[-1]], abs=1e-7)
+
+
+@pytest.mark.parametrize("zeros", [1, 2, 3, 4])
+def test_the_margin_pair_is_bisected_on_the_reflection_blocks(zeros, records33, monkeypatch):
+    # a solved level's V is bitwise even on the symmetric grid: the pair's
+    # two eigenvalues, one even and one odd, come from the even block
+    # (centre node onward) and the odd block (the nodes after it)
+    sizes = []
+
+    def recording(main, off, **kwargs):
+        sizes.append(main.size)
+        return eigvalsh_tridiagonal(main, off, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", recording)
+    prob = build_schrodinger(records33[("odd" if zeros % 2 else "even", zeros)].profile)
+    size = prob.n - 2
+    rep = schrodinger_index(prob)
+    assert sizes == [size // 2 + 1, size // 2]
+    assert rep.index == zeros
+    # a small odd ramp breaks the reflection: one call on the whole matrix,
+    # exactly the call a report made before the split
+    ramp = SchrodingerProblem(prob.grid, prob.potential + 1e-9 * prob.grid)
+    sizes.clear()
+    rep = schrodinger_index(ramp)
+    assert sizes == [size]
+    assert rep.index == zeros
+    main, off = _tridiag(ramp)
+    whole = eigvalsh_tridiagonal(main, off, select="i", select_range=(zeros - 1, zeros),
+                                 tol=0.1 * NULL_BAND)
+    assert np.array_equal(rep.margin_eigenvalues, whole)
 
 
 # -- equator branch --------------------------------------------------------------

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .catalog import catalog_rows, find_eigenmap
@@ -260,39 +261,17 @@ def _cmd_singular_index(args, parser) -> int:
         print(f"refused: {exc}", file=sys.stderr)
         return 4
     count = truncated_singular_count(params, args.cutoff)
-    doc = {
-        "m": args.m,
-        "omega": args.omega,
-        "hypothesis": params.hypothesis(),
-        "dims": fam.size,
-        "epsilon": fam.epsilon,
-        "threshold_radius": fam.threshold_radius,
-        "half_width": fam.half_width,
-        "gram_diagonal": list(fam.gram_diagonal),
-        "quadrature_error": fam.quadrature_error,
-        "cutoff": args.cutoff,
-        "truncated_negative_count": count,
-    }
+    family = {k: v for k, v in asdict(fam).items() if k not in ("params", "starts", "functions")}
+    doc = {"m": args.m, "omega": args.omega, "hypothesis": params.hypothesis(),
+           "dims": fam.size, **family,
+           "cutoff": args.cutoff, "truncated_negative_count": count}
     print(dumps(doc))
     return 0
 
 
 def _cmd_verify(args, parser) -> int:
     diag = verify_solution(load_profile(args.solution))
-    doc = {
-        "residual_max": diag.residual_max,
-        "residual_rms": diag.residual_rms,
-        "boundary_gap_left": diag.boundary_gap_left,
-        "boundary_gap_right": diag.boundary_gap_right,
-        "w_violation": diag.w_violation,
-        "energy": diag.energy_value,
-        "energy_margin": diag.energy_margin,
-        "symmetry_defect": diag.symmetry_defect,
-        "constraint_excess": diag.constraint_excess,
-        "singular_branch": diag.singular_branch,
-        "failures": list(diag.failures),
-        "passed": diag.passed,
-    }
+    doc = {"energy" if k == "energy_value" else k: v for k, v in asdict(diag).items()}
     print(dumps(doc))
     return 0 if diag.passed else 4
 

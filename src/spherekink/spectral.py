@@ -249,18 +249,31 @@ def report_to_doc(rep: SpectralReport) -> dict:
     return asdict(rep)
 
 
+def _listed(doc: dict, key: str, types: tuple, noun: str) -> tuple:
+    """doc[key] as a tuple; ValueError unless it is a list of values of the
+    given types (a JSON true or false is not a number)."""
+    values = doc[key]
+    if not isinstance(values, list):
+        raise ValueError(f"{key} is not a list: {values!r}")
+    for v in values:
+        if not isinstance(v, types) or isinstance(v, bool):
+            raise ValueError(f"{key} holds {v!r}, not a {noun}")
+    return tuple(values)
+
+
 def report_from_doc(doc: dict, what: str) -> SpectralReport:
     """report_to_doc's report; ValueError, its message prefixed by what, on a
     missing key, a wrong shape or a value of the wrong type."""
     with reading(what, refused_values=True):
         return SpectralReport(index=int(doc["index"]),
                               nullity_estimate=int(doc["nullity_estimate"]),
-                              margin_eigenvalues=tuple(doc["margin_eigenvalues"]),
+                              margin_eigenvalues=_listed(doc, "margin_eigenvalues",
+                                                         (int, float), "number"),
                               cutoff=float(doc["cutoff"]), n=int(doc["n"]),
                               null_band=float(doc["null_band"]),
                               band_sensitivity=tuple((float(b), int(c))
                                                      for b, c in doc["band_sensitivity"]),
-                              flags=tuple(doc["flags"]))
+                              flags=_listed(doc, "flags", (str,), "string"))
 
 
 # -- witness families at the equator branch -----------------------------------

@@ -9,6 +9,7 @@ from conftest import explicit_doc
 from spherekink.cli import main
 from spherekink.core import ProblemParams, singular_profile
 from spherekink.serialize import load_profile, read_json, save_profile, write_json
+from spherekink.shooting import SolutionDiagnostics
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +136,15 @@ def test_verify_passes_stored_solution(solved, capsys):
     assert doc["failures"] == []
     assert doc["residual_max"] < 1e-8
     assert doc["energy_margin"] > 0.3
+
+
+def test_verify_document_is_the_diagnostics_record(solved, capsys):
+    # SolutionDiagnostics' fields in order, with energy_value written as energy
+    assert main(["verify", "--solution", str(solved)]) == 0
+    keys = list(json.loads(capsys.readouterr().out))
+    fields = [f.name for f in dataclasses.fields(SolutionDiagnostics)]
+    assert keys == ["energy" if f == "energy_value" else f for f in fields]
+    assert keys[5] == "energy"
 
 
 @pytest.mark.parametrize("command", [["verify", "--solution"], ["index", "--solution"],
@@ -395,7 +405,16 @@ def test_plot_report_names_a_solution_file_of_the_wrong_shape(tmp_path, capsys):
     (lambda doc: doc["records"][0]["spectral"].update(index="x"),
      ", level odd/1: not a spectral report", "invalid literal for int()"),
     (lambda doc: doc.update(m="x"), " is not a sweep report", "invalid literal for int()"),
-], ids=["energy", "spectral-index", "m"])
+    (lambda doc: doc["records"][0]["spectral"].update(margin_eigenvalues="xy"),
+     ", level odd/1: not a spectral report", "margin_eigenvalues is not a list: 'xy'"),
+    (lambda doc: doc["records"][0]["spectral"]["margin_eigenvalues"].append("x"),
+     ", level odd/1: not a spectral report", "margin_eigenvalues holds 'x', not a number"),
+    (lambda doc: doc["records"][0]["spectral"].update(flags="oops"),
+     ", level odd/1: not a spectral report", "flags is not a list: 'oops'"),
+    (lambda doc: doc["records"][0]["spectral"].update(flags=[3]),
+     ", level odd/1: not a spectral report", "flags holds 3, not a string"),
+], ids=["energy", "spectral-index", "m", "margin-string", "margin-entry", "flags-string",
+        "flags-entry"])
 def test_plot_report_names_a_value_of_the_wrong_type(edit, named, message, tmp_path, capsys):
     out = tmp_path / "rep"
     assert main(["--quiet", "sweep", "--m", "3", "--omega", "3",

@@ -192,17 +192,48 @@ def reference_count(h0, dh0, params, cutoff):
     return integrate(h0, dh0, params, cutoff).outcome.zero_count_half
 
 
+def last_index():
+    """K: the scan grid s_k = cap (1 + BRACKET_RTOL)^-k reaches cap 2^-44 at
+    k = K and not before."""
+    return math.ceil(44 * math.log(2) / math.log(1 + shooting.BRACKET_RTOL))
+
+
+def grid_sample(req):
+    """The scan grid's values at 65 evenly spaced indices in 0..K."""
+    return [shooting._scan_value(req, int(k)) for k in np.linspace(0, last_index(), 65).round()]
+
+
+def launched(req, seen):
+    """The shooting parameter of each start that record_counts saw."""
+    return [dh0 if req.symmetry_class == "odd" else h0 for _, _, _, h0, dh0, _ in seen]
+
+
+def grid_index(req, s):
+    """k with s == s_k exactly, or None when s is not a scan value."""
+    k = round(math.log(req.scan_cap() / s) / math.log(1 + shooting.BRACKET_RTOL))
+    return k if shooting._scan_value(req, k) == s else None
+
+
+def test_scan_grid_reaches_the_cap_over_2_to_the_44():
+    req = SolveRequest(P33, "odd", 1)
+    k = last_index()
+    assert k == 30514
+    assert shooting._scan_value(req, 0) == req.scan_cap()
+    assert shooting._scan_value(req, k) <= req.scan_cap() * 2.0 ** -44 < \
+        shooting._scan_value(req, k - 1)
+
+
 @pytest.mark.parametrize("params, zeros", [(P33, 1), (P33, 2), (P33, 3), (P33, 4),
                                            (HOPF32, 3), (HOPF32, 4),
                                            (EICONAL4, 3), (EICONAL4, 4)])
 def test_compiled_count_matches_integrate_along_the_scan(params, zeros, monkeypatch):
-    # every point a solve counts at, and every point of its scan grid, against
+    # every point a solve counts at, and 65 points of its scan grid, against
     # integrate's count capped at the solve's limit
     seen = record_counts(monkeypatch)
     req = SolveRequest(params, "odd" if zeros % 2 else "even", zeros)
     find_solution(req)
     count = shooting._zero_counter(req.params, req.cutoff, req.zeros_half + 1)
-    for s in shooting._scan_values(req):
+    for s in grid_sample(req):
         count(*shooting._launch(s, req))
     assert len(seen) > 20
     for p, cutoff, limit, h0, dh0, n in seen:
@@ -213,13 +244,21 @@ def test_compiled_count_matches_integrate_along_the_scan(params, zeros, monkeypa
 @pytest.mark.parametrize("spec", [s for s in CATALOG if s.omega is not None],
                          ids=lambda s: s.name)
 @pytest.mark.parametrize("symmetry_class", ["odd", "even"])
-def test_count_never_decreases_down_the_scan_grid(spec, symmetry_class):
-    # find_solution's binary search over the scan grid rests on this; sign
-    # -1 is the exact mirror of sign +1, so it is left out
+def test_count_never_decreases_down_the_scan_grid(spec, symmetry_class, monkeypatch):
+    # find_solution's binary search over the scan grid rests on this, checked
+    # at 65 points of the grid and at every point the search for the class's
+    # lowest level (1 odd, 2 even) counts at, whether or not that level
+    # solves; sign -1 is the exact mirror of sign +1, so it is left out
     req = SolveRequest(ProblemParams(spec.m, spec.omega), symmetry_class,
-                       1 if symmetry_class == "odd" else 0)
+                       1 if symmetry_class == "odd" else 2)
+    seen = record_counts(monkeypatch)
+    try:
+        find_solution(req)
+    except (NoBracketFound, PolishDiverged):
+        pass
+    values = sorted(set(grid_sample(req) + launched(req, seen)), reverse=True)
     count = shooting._zero_counter(req.params, req.cutoff, NO_LIMIT)
-    counts = [count(*shooting._launch(s, req)) for s in shooting._scan_values(req)]
+    counts = [count(*shooting._launch(s, req)) for s in values]
     assert counts == sorted(counts), counts
 
 
@@ -234,10 +273,9 @@ NU_LEVELS = [pytest.param(nu_params(), z, id=f"nu-{z}") for z in (1, 2, 3)]
 
 @pytest.mark.parametrize("params, zeros", BENCHMARK_LEVELS + NU_LEVELS)
 def test_count_tolerance_keeps_every_solve(params, zeros, monkeypatch):
-    # counts at COUNT_RTOL and the doubled step cap must make every scan and
-    # bisection decision that counts at the seed's settings (RTOL and
-    # _max_step) make, so the bracket, the seed and the profile come out
-    # bit-for-bit the same
+    # counts at COUNT_RTOL and the doubled step cap must make every search
+    # decision that counts at the seed's settings (RTOL and _max_step) make,
+    # so the bracket, the seed and the profile come out bit-for-bit the same
     req = SolveRequest(params, "odd" if zeros % 2 else "even", zeros)
     loose = find_solution(req)
     monkeypatch.setattr(shooting, "COUNT_RTOL", shooting.RTOL)
@@ -289,10 +327,10 @@ def test_seed_matches_integrate_where_both_run(params, symmetry_class, zeros, s)
 
 
 def test_count_tolerance_cuts_integrator_work(monkeypatch):
-    # hopf-3-2 level 5, the seed trajectory included: 4993 right-hand-side
+    # hopf-3-2 level 5, the seed trajectory included: 4759 right-hand-side
     # evaluations with the counts at COUNT_RTOL and the doubled step cap,
-    # against 13182 with them at the seed's settings (0.38).  Counts at
-    # 1e-8 under the seed's cap made 6589 (0.50).
+    # against 12932 with them at the seed's settings (0.37).  Counts at
+    # 1e-8 under the seed's cap make 6425 (0.50).
     calls = []
     build = shooting._rhs
 
@@ -342,7 +380,7 @@ def test_one_integrator_per_solve_bounds_memory(monkeypatch):
     # scipy's dop853 wrapper keeps about 1.1 KB of each integrator it builds
     # and 64 B per set_initial_value.  find_solution builds one integrator per
     # solve, so its traced memory grows by far less than 1 KB per count.
-    monkeypatch.setattr(shooting, "BRACKET_RTOL", 0.0)      # many counts per solve
+    monkeypatch.setattr(shooting, "BRACKET_RTOL", 5e-15)    # many counts per solve
     req = SolveRequest(P33, "even", 2, cutoff=16.0, grid_size=1001)
     build = shooting._zero_counter
     seen = record_counts(monkeypatch)
@@ -492,21 +530,22 @@ def bracket_width(prof):
 
 @pytest.mark.parametrize("zeros", [1, 2, 3, 4])
 def test_loose_bracket_matches_tight_bracket(zeros, records33, monkeypatch):
-    # BRACKET_RTOL = 0 bisects every bracket down to BRACKET_TOL before the
-    # finish; the loose seed must reach the same discrete solution
+    # BRACKET_RTOL = 5e-15 narrows every bracket to a few ulps of its ends
+    # (K = 6.0e15 stays below 2^53, so the grid still decreases strictly);
+    # the loose seed must reach the same discrete solution
     fast = records33[("odd" if zeros % 2 else "even", zeros)].profile
     assert bracket_width(fast) > 1e-8
-    monkeypatch.setattr(shooting, "BRACKET_RTOL", 0.0)
+    monkeypatch.setattr(shooting, "BRACKET_RTOL", 5e-15)
     tight = find_solution(SolveRequest(P33, fast.symmetry_class, zeros))
-    assert bracket_width(tight) <= shooting.BRACKET_TOL
+    assert bracket_width(tight) <= 1e-14
     assert energy(tight) == pytest.approx(energy(fast), abs=1e-12)
     assert np.max(np.abs(tight.h - fast.h)) < 1e-9
     assert tight.zero_count == fast.zero_count == zeros
 
 
 def test_loose_bracket_saves_integrations(monkeypatch):
-    # deterministic: 50 integrations when every bracket is bisected to 1e-14.
-    # The scan, the bisection and the seed all run the compiled DOP853.
+    # deterministic: at most 15 counts and one seed, all on the compiled
+    # DOP853
     seen = record_counts(monkeypatch)
     calls = []
     inner = shooting.integrate
@@ -532,16 +571,29 @@ def test_loose_bracket_saves_integrations(monkeypatch):
 
 @pytest.mark.parametrize("params, zeros", BENCHMARK_LEVELS)
 def test_scan_is_a_binary_search(params, zeros, monkeypatch):
-    # the scan counts only at its grid's values and the bisection only
-    # strictly inside the bracket, so the grid points counted are the scan's
+    # a binary search over the K + 1 indices makes at most ceil(log2(K + 2))
+    # counts, 15 at BRACKET_RTOL = 1e-3, every one at a value of the grid
     req = SolveRequest(params, "odd" if zeros % 2 else "even", zeros)
-    vals = shooting._scan_values(req)
-    grid = {float(s) for s in vals}
     seen = record_counts(monkeypatch)
     find_solution(req)
-    launched = [dh0 if req.symmetry_class == "odd" else h0 for _, _, _, h0, dh0, _ in seen]
-    scan = sum(s in grid for s in launched)
-    assert 1 <= scan <= math.ceil(math.log2(len(vals) + 1)), scan
+    values = launched(req, seen)
+    assert 1 <= len(values) <= math.ceil(math.log2(last_index() + 2)) == 15, len(values)
+    assert all(grid_index(req, s) is not None for s in values), values
+
+
+@pytest.mark.parametrize("params, zeros", BENCHMARK_LEVELS)
+def test_bracket_is_a_pair_of_grid_neighbours(params, zeros):
+    # the bracket (s_i, s_{i-1}) that the provenance records, with the count
+    # at or below the request at s_{i-1} and above it at s_i
+    req = SolveRequest(params, "odd" if zeros % 2 else "even", zeros)
+    prof = find_solution(req)
+    hi = float(re.search(r"s\*=(\S+) ", prof.provenance).group(1))
+    k = grid_index(req, hi)
+    assert k is not None, hi
+    lo = shooting._scan_value(req, k + 1)
+    assert bracket_width(prof) == float(f"{hi - lo:.2e}")
+    count = shooting._zero_counter(req.params, req.cutoff, NO_LIMIT)
+    assert count(*shooting._launch(hi, req)) <= req.zeros_half < count(*shooting._launch(lo, req))
 
 
 @pytest.mark.parametrize("cutoff, grid_size", [(20.0, 8001), (20.0, 16001), (30.0, 12001),
@@ -560,7 +612,7 @@ def test_fine_grids_solve_levels_one_to_four(cutoff, grid_size, monkeypatch):
     # discrete energy is off by 5.8e-8 to 1.5e-6 times dx^2
     dx = loose[0].grid[1] - loose[0].grid[0]
     assert abs(energy(loose[0]) - 8.0 / 3.0) < 2e-6 * dx * dx
-    monkeypatch.setattr(shooting, "BRACKET_RTOL", 0.0)
+    monkeypatch.setattr(shooting, "BRACKET_RTOL", 5e-15)
     for zeros, prof in zip((1, 2, 3, 4), loose):
         assert prof.zero_count == zeros
         assert verify_solution(prof).passed

@@ -33,9 +33,8 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 from scipy.special import gammaln
 
-# Constraint/symmetry checks are absolute.
+# The band check is absolute.
 TOL_CONSTRAINT = 1e-9
-TOL_SYM = 1e-9
 
 # The standard discretisation: domain half-width X and grid points N.
 DEFAULT_CUTOFF = 20.0
@@ -142,68 +141,82 @@ def linear_tail(x, x0: float, h0: float, limit: float, lam: float):
     return limit - gap * expo, -lam * gap * expo
 
 
+def half_grid(cutoff: float, n: int) -> np.ndarray:
+    """The (n + 1) / 2 nodes x >= 0 of symmetric_grid(cutoff, n), from x = 0."""
+    if not cutoff > 0:
+        raise ValueError("cutoff must be positive")
+    if n < 3 or n % 2 == 0:
+        raise ValueError("grid size must be odd and >= 3")
+    return np.linspace(0.0, float(cutoff), (n + 1) // 2)
+
+
 def symmetric_grid(cutoff: float, n: int) -> np.ndarray:
     """Uniform grid on [-cutoff, cutoff] with an odd point count.
 
     Built by mirroring the half grid so the nodes are symmetric bitwise and
     x = 0 is an exact node.
     """
-    if not cutoff > 0:
-        raise ValueError("cutoff must be positive")
-    if n < 3 or n % 2 == 0:
-        raise ValueError("grid size must be odd and >= 3")
-    half = np.linspace(0.0, float(cutoff), (n + 1) // 2)
+    half = half_grid(cutoff, n)
     return np.concatenate([-half[:0:-1], half])
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
 class Profile:
-    """A sampled profile on a symmetric grid, with solver metadata.
+    """A profile of symmetry class even or odd, held as its half line.
 
-    Invariants: strictly increasing symmetric grid, |h| <= pi/2 within
-    TOL_CONSTRAINT, and, when a symmetry class is declared, parity defect
-    within TOL_SYM.
+    half_h holds h at the nodes half_grid(cutoff, n) of [0, cutoff], so n
+    is 2 len(half_h) - 1.  The class mirrors it onto symmetric_grid(cutoff,
+    n), negated for odd, so h is even or odd bitwise, and an odd profile has
+    h(0) = 0 exactly.  grid, h and dh = derivative_samples(h, dx) are
+    derived from these fields on first read, read-only like half_h.
+    Invariants: at least 3 values on the half line, a positive finite
+    cutoff, |h| <= pi/2 within TOL_CONSTRAINT, and h(0) = 0 when odd.
     """
 
-    grid: np.ndarray
-    h: np.ndarray
-    dh: np.ndarray
     params: ProblemParams
-    symmetry_class: str = "none"
+    symmetry_class: str
+    cutoff: float
+    half_h: np.ndarray
     residual_norm: float | None = None
     provenance: str = ""
 
     def __post_init__(self):
-        for name in ("grid", "h", "dh"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        self._check()
-
-    def _check(self):
-        g, h, dh = self.grid, self.h, self.dh
-        if g.ndim != 1 or g.size < 3 or h.shape != g.shape or dh.shape != g.shape:
-            raise ValueError("grid, h, dh must be 1-d arrays of equal length >= 3")
-        if np.any(np.diff(g) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if np.max(np.abs(g + g[::-1])) > 1e-12 * max(1.0, abs(g[-1])):
-            raise ValueError("grid must be symmetric about 0")
-        if self.symmetry_class not in ("none", "even", "odd"):
-            raise ValueError("symmetry_class must be 'none', 'even' or 'odd'")
-        if np.max(np.abs(h)) > HALF_PI + TOL_CONSTRAINT:
+        object.__setattr__(self, "cutoff", float(self.cutoff))
+        object.__setattr__(self, "half_h", _frozen(np.array(self.half_h, dtype=float)))
+        half_h = self.half_h
+        if self.symmetry_class not in ("even", "odd"):
+            raise ValueError(f"symmetry_class must be 'even' or 'odd', not {self.symmetry_class!r}")
+        if half_h.ndim != 1 or half_h.size < 3:
+            raise ValueError("half_h must be a 1-d array of >= 3 values")
+        if not 0.0 < self.cutoff < math.inf:
+            raise ValueError("cutoff must be positive")
+        if not np.all(np.abs(half_h) <= HALF_PI + TOL_CONSTRAINT):
             raise ValueError("profile leaves the band |h| <= pi/2")
-        if self.symmetry_class != "none" and self.symmetry_defect() > TOL_SYM:
-            raise ValueError(f"{self.symmetry_class} symmetry defect exceeds {TOL_SYM}")
-
-    # -- basic geometry ----------------------------------------------------
-
-    @property
-    def cutoff(self) -> float:
-        return float(self.grid[-1])
+        if self.symmetry_class == "odd" and half_h[0] != 0.0:
+            raise ValueError(f"an odd profile has h(0) = 0, not {float(half_h[0])!r}")
 
     @property
     def n(self) -> int:
-        return int(self.grid.size)
+        return 2 * self.half_h.size - 1
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        return _frozen(symmetric_grid(self.cutoff, self.n))
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        left = self.half_h[:0:-1]
+        return _frozen(np.concatenate([-left if self.symmetry_class == "odd" else left,
+                                       self.half_h]))
+
+    @cached_property
+    def dh(self) -> np.ndarray:
+        return _frozen(derivative_samples(self.h, self.dx))
 
     @property
     def dx(self) -> float:
@@ -211,19 +224,12 @@ class Profile:
 
     @property
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.h)))
+        return float(np.max(np.abs(self.half_h)))
 
     @cached_property
     def zero_count(self) -> int:
         """Interior zeros of h, counted once on first read."""
         return count_zero_crossings(self.h)
-
-    def symmetry_defect(self) -> float:
-        if self.symmetry_class == "odd":
-            return float(np.max(np.abs(self.h + self.h[::-1])))
-        if self.symmetry_class == "even":
-            return float(np.max(np.abs(self.h - self.h[::-1])))
-        return 0.0
 
 
 def count_zero_crossings(values) -> int:
@@ -252,9 +258,7 @@ def derivative_samples(y, dx):
 def singular_profile(params: ProblemParams, cutoff: float = DEFAULT_CUTOFF,
                      n: int = DEFAULT_GRID_SIZE) -> Profile:
     """The constant equator profile h = 0 sampled on the standard grid."""
-    g = symmetric_grid(cutoff, n)
-    z = np.zeros_like(g)
-    return Profile(g, z, z.copy(), params, symmetry_class="even",
+    return Profile(params, "even", cutoff, np.zeros_like(half_grid(cutoff, n)),
                    residual_norm=0.0, provenance="singular equator map")
 
 
@@ -324,35 +328,25 @@ def weighted_norm(prof: Profile) -> float:
 # -- resampling ---------------------------------------------------------------
 
 def resample(prof: Profile, cutoff: float, n: int) -> Profile:
-    """Profile on a new symmetric grid.
+    """The profile on half_grid(cutoff, n), of the same class.
 
-    Inside the original window a cubic spline is used.  Beyond it the
-    profile is continued with the linearised tail toward +-pi/2 when the
-    boundary value is close to +-pi/2, and as a constant otherwise (the
-    equator branch has no decaying tail to follow).
+    Inside the original window a cubic spline through the profile is
+    sampled.  Beyond it the right-hand end is continued with the linearised
+    tail toward +-pi/2 when its value is close to +-pi/2, and as a constant
+    otherwise (the equator branch has no decaying tail to follow); the class
+    mirrors that onto the left.
     """
-    g_new = symmetric_grid(cutoff, n)
-    sp = CubicSpline(prof.grid, prof.h)
+    xs = half_grid(cutoff, n)
     x0 = prof.cutoff
-    lam = decay_rate(prof.params)
-    h_new = np.empty_like(g_new)
-    dh_new = np.empty_like(g_new)
-    inside = np.abs(g_new) <= x0
-    h_new[inside] = sp(g_new[inside])
-    dh_new[inside] = sp(g_new[inside], 1)
-    for side, sel in ((+1, g_new > x0), (-1, g_new < -x0)):
-        if not np.any(sel):
-            continue
-        h_b = float(prof.h[-1] if side > 0 else prof.h[0])
-        if abs(h_b) >= 0.5 * HALF_PI:
-            # the tail in the distance side*x from the centre
-            h_new[sel], dh = linear_tail(side * g_new[sel], x0, h_b,
-                                         math.copysign(HALF_PI, h_b), lam)
-            dh_new[sel] = side * dh
-        else:
-            h_new[sel] = h_b
-            dh_new[sel] = 0.0
-    return Profile(g_new, h_new, dh_new, prof.params,
-                   symmetry_class=prof.symmetry_class,
+    inside = xs <= x0
+    half_h = np.empty_like(xs)
+    half_h[inside] = CubicSpline(prof.grid, prof.h)(xs[inside])
+    h_b = float(prof.half_h[-1])
+    if abs(h_b) >= 0.5 * HALF_PI:
+        half_h[~inside] = linear_tail(xs[~inside], x0, h_b, math.copysign(HALF_PI, h_b),
+                                      decay_rate(prof.params))[0]
+    else:
+        half_h[~inside] = h_b
+    return Profile(prof.params, prof.symmetry_class, cutoff, half_h,
                    residual_norm=prof.residual_norm,
                    provenance=prof.provenance + f"; resampled to X={cutoff}, N={n}")

@@ -35,9 +35,11 @@ from .core import (
 )
 from .serialize import (
     format_float,
+    integer,
     load_profile,
     nu_from_doc,
     nu_to_doc,
+    number,
     profile_to_doc,
     read_json,
     reading,
@@ -235,7 +237,7 @@ def record_from_doc(doc: dict, path: Path) -> SolutionRecord:
     prof = load_profile(path.parent / name)
     level = f"{path}, level {prof.symmetry_class}/{prof.zero_count}"
     with reading(f"{level}: not a sweep record", refused_values=True):
-        energy, h_norm = float(doc["energy"]), float(doc["H_norm"])
+        energy, h_norm = number(doc["energy"]), number(doc["H_norm"])
     return SolutionRecord(prof, energy,
                           report_from_doc(doc["spectral"], f"{level}: not a spectral report"),
                           h_norm)
@@ -272,10 +274,11 @@ def read_report(path) -> SweepReport:
     doc = read_json(path)
     what = f"{path} is not a sweep report"
     with reading(what, refused_values=True):
-        params = ProblemParams(int(doc["m"]), float(doc["omega"]), nu_from_doc(doc.get("nu")))
-        cfg = SweepConfig(params, int(doc["max_zeros"]), float(doc["cutoff"]),
-                          int(doc["grid_size"]))
-        failures = tuple((c, int(z), m) for c, z, m in doc["failures"])
+        params = ProblemParams(integer(doc["m"]), number(doc["omega"]),
+                               nu_from_doc(doc.get("nu")))
+        cfg = SweepConfig(params, integer(doc["max_zeros"]), number(doc["cutoff"]),
+                          integer(doc["grid_size"]))
+        failures = tuple((c, integer(z), m) for c, z, m in doc["failures"])
         version = str(doc["version"])
     # record_from_doc's own ValueErrors already name the file they read
     with reading(what):

@@ -6,19 +6,20 @@ the round trip is exact and 20.0 stays 20.0 and -0.0 stays -0.0.  Keys keep
 insertion order, there is no whitespace, NaN and infinities are refused, and
 numpy arrays and scalars are written as the lists and numbers they hold.
 
-A profile document holds m, omega, nu, the symmetry class, the solver's
-metadata and the samples.  The zero count is written for readers of the
-file but not read back: a loaded profile counts the sign changes of its h.
-The samples are written compactly when they are exactly what the solver
-makes from less: the grid is
-symmetric_grid(cutoff, n), h mirrors its values on x >= 0 by the class
-(negated for odd), and dh is derivative_samples(h, dx), all bit for bit.
-Then the document holds "cutoff", "n" and "half_h", the (n + 1) / 2
-values of h at x >= 0, and the reader rebuilds grid, h and dh with those
-same functions, so the loaded profile is bitwise the saved one.  Any other
-profile (class none, a resampled one, a hand-built dh) is written with
-explicit "grid", "h" and "dh" arrays; files written before the compact form
-have that shape and still read.
+A profile document holds m, omega, nu, the fields of core.Profile and
+the zero count.  The samples are the profile's half line: "cutoff", "n" and
+"half_h", the (n + 1) / 2 values of h at the nodes x >= 0 of
+symmetric_grid(cutoff, n).  The reader hands them to Profile, which derives
+grid, h and dh from them, so the loaded profile is bitwise the saved one.
+The zero count is written for readers of the file but not read back: a
+loaded profile counts the sign changes of its h.  A document of any other
+shape is refused, among them the explicit "grid", "h" and "dh" arrays of
+files from before the half-line form, and a class other than even and odd.
+
+Readers see only values of the kind the writer writes: integer() takes a
+JSON integer, number() a JSON integer or float, and listed() a list of
+those or of strings; a boolean or a string is never a number.  read_json
+refuses NaN, Infinity and -Infinity, which dumps never writes.
 
 A perturbation nu is written as its own samples, {"grid": ..., "values":
 ...}, in a profile document and in a sweep report alike, so it reads back
@@ -33,13 +34,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .core import (
-    NuPerturbation,
-    ProblemParams,
-    Profile,
-    derivative_samples,
-    symmetric_grid,
-)
+from .core import NuPerturbation, ProblemParams, Profile
 
 
 def format_float(x: float) -> str:
@@ -69,45 +64,19 @@ def nu_to_doc(nu: NuPerturbation | None):
 def nu_from_doc(doc) -> NuPerturbation | None:
     if doc is None:
         return None
-    return NuPerturbation(np.asarray(doc["grid"], dtype=float),
-                          np.asarray(doc["values"], dtype=float))
-
-
-def _derived(cutoff: float, n: int, symmetry_class: str, half_h):
-    """(grid, h, dh) that the compact form stands for."""
-    grid = symmetric_grid(cutoff, n)
-    half_h = np.asarray(half_h, dtype=float)
-    left = half_h[:0:-1]
-    h = np.concatenate([-left if symmetry_class == "odd" else left, half_h])
-    return grid, h, derivative_samples(h, grid[1] - grid[0])
-
-
-def _half_line(prof: Profile):
-    """h at x >= 0 when the compact form rebuilds prof's arrays bit for bit,
-    else None."""
-    if prof.symmetry_class == "none" or prof.n < 5:
-        return None
-    half_h = prof.h[prof.n // 2:]
-    rebuilt = _derived(prof.cutoff, prof.n, prof.symmetry_class, half_h)
-    for a, b in zip(rebuilt, (prof.grid, prof.h, prof.dh)):
-        if a.tobytes() != b.tobytes():
-            return None
-    return half_h
+    return NuPerturbation(listed(doc, "grid"), listed(doc, "values"))
 
 
 def profile_to_doc(prof: Profile) -> dict:
-    """Plain-dict form of a profile, compact when it can be (see the module
-    docstring); nu is null when the problem has none."""
-    half_h = _half_line(prof)
-    if half_h is None:
-        samples = {"grid": prof.grid, "h": prof.h, "dh": prof.dh}
-    else:
-        samples = {"cutoff": prof.cutoff, "n": prof.n, "half_h": half_h}
+    """Plain-dict form of a profile (see the module docstring); nu is null
+    when the problem has none."""
     return {
         "m": prof.params.m,
         "omega": prof.params.omega,
         "nu": nu_to_doc(prof.params.nu),
-        **samples,
+        "cutoff": prof.cutoff,
+        "n": prof.n,
+        "half_h": prof.half_h,
         "symmetry_class": prof.symmetry_class,
         "residual_norm": prof.residual_norm,
         "zero_count": prof.zero_count,
@@ -133,25 +102,71 @@ def reading(what: str, *, refused_values: bool = False):
         raise ValueError(f"{what}: {exc}") from None
 
 
+_KINDS = {bool: "boolean", str: "string", list: "array", dict: "object", type(None): "null"}
+
+
+def _is_number_type(t: type) -> bool:
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def integer(value) -> int:
+    """value, which must be an integer (a JSON integer; not a float, true
+    or false)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"invalid literal for int(): {value!r}")
+    return value
+
+
+def number(value) -> float:
+    """value as a finite float; it must be a number (a JSON integer or
+    float; not true, false or a string), and not a literal such as 1e999
+    that overflows to infinity."""
+    if not _is_number_type(type(value)):
+        raise ValueError(f"could not convert {_KINDS.get(type(value), 'value')} "
+                         f"to float: {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
+def listed(doc: dict, key: str, noun: str = "number"):
+    """doc[key], which must be a list (or, as profile_to_doc writes it, a
+    numpy array) of numbers, as number() takes them, or of strings."""
+    values = doc[key]
+    if not isinstance(values, (list, np.ndarray)):
+        raise ValueError(f"{key} is not a list: {values!r}")
+    accepts = _is_number_type if noun == "number" else lambda t: issubclass(t, str)
+    # one check per type held, not per value
+    refused = {t for t in set(map(type, values)) if not accepts(t)}
+    if refused:
+        v = next(v for v in values if type(v) in refused)
+        raise ValueError(f"{key} holds {v!r}, not a {noun}")
+    return values
+
+
+# what profile_to_doc writes; a document with any other key is refused
+_PROFILE_KEYS = {"m", "omega", "nu", "cutoff", "n", "half_h", "symmetry_class",
+                 "residual_norm", "zero_count", "provenance"}
+
+
 def profile_from_doc(doc: dict, what: str = "not a profile document") -> Profile:
-    """profile_to_doc's profile, from either form; ValueError, its message
-    prefixed by what, on a missing key, a wrong shape or a value that the
+    """profile_to_doc's profile; ValueError, its message prefixed by what, on
+    a missing key, a value of the wrong kind or shape, or a value that the
     profile's own checks refuse."""
     with reading(what, refused_values=True):
-        if "grid" in doc:
-            grid, h, dh = (np.asarray(doc[k], dtype=float) for k in ("grid", "h", "dh"))
-        else:
-            half_h, n, cls = doc["half_h"], int(doc["n"]), str(doc["symmetry_class"])
-            if cls not in ("even", "odd"):
-                raise ValueError(f"compact samples need class even or odd, not {cls!r}")
-            if len(half_h) != (n + 1) // 2:
-                raise ValueError(f"{len(half_h)} values in half_h, n = {n}")
-            grid, h, dh = _derived(float(doc["cutoff"]), n, cls, half_h)
-        params = ProblemParams(int(doc["m"]), float(doc["omega"]), nu_from_doc(doc.get("nu")))
+        half_h, n = listed(doc, "half_h"), integer(doc["n"])
+        unknown = sorted(doc.keys() - _PROFILE_KEYS)
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
+        if n % 2 == 0:
+            raise ValueError("grid size must be odd and >= 3")
+        if len(half_h) != (n + 1) // 2:
+            raise ValueError(f"{len(half_h)} values in half_h, n = {n}")
+        params = ProblemParams(integer(doc["m"]), number(doc["omega"]),
+                               nu_from_doc(doc.get("nu")))
         residual = doc["residual_norm"]
-        return Profile(grid, h, dh, params,
-                       symmetry_class=str(doc["symmetry_class"]),
-                       residual_norm=None if residual is None else float(residual),
+        return Profile(params, doc["symmetry_class"], number(doc["cutoff"]), half_h,
+                       residual_norm=None if residual is None else number(residual),
                        provenance=str(doc.get("provenance", "")))
 
 
@@ -162,12 +177,16 @@ def write_json(doc, path) -> None:
         f.write("\n")
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a number")
+
+
 def read_json(path):
     """The document in the file at path; ValueError naming path if the file
-    is not JSON."""
+    is not JSON, NaN, Infinity and -Infinity included."""
     with open(path, "r", encoding="ascii") as f:
         try:
-            return json.load(f)
+            return json.load(f, parse_constant=_refuse_constant)
         except ValueError as exc:
             raise ValueError(f"{path} is not JSON: {exc}") from None
 

@@ -22,12 +22,15 @@ line by a two-stage process:
    trajectory runs at RTOL under the seed's cap and records every accepted
    step.
 
-2. The trajectory at the bracket end without an extra zero, mirrored by
-   parity and blended into the linearised tail toward +-pi/2, seeds a
-   damped Newton iteration on the central-difference discretisation of the
-   full-line boundary value problem, with Robin conditions
-   (pi/2 -+ h)' = lambda_- (pi/2 -+ h) carrying the exponential decay at
-   the cut ends.  Both of Newton's thresholds follow from the grid spacing
+2. The trajectory at the bracket end without an extra zero, blended into
+   the linearised tail toward +-pi/2, seeds a damped Newton iteration on
+   the central-difference discretisation of the boundary value problem on
+   the half line [0, cutoff], which the class mirrors onto the full line.
+   Row 0 is the class's condition at x = 0: for an even profile the
+   equation with the ghost node u_-1 = u_1, for an odd one u_0 = 0, which
+   is then not solved for.  The Robin condition (pi/2 -+ h)' =
+   lambda_- (pi/2 -+ h) carries the exponential decay at the cut end
+   x = cutoff.  Both of Newton's thresholds follow from the grid spacing
    dx, since the residual's second differences scale like 1/dx^2: it stops
    once the residual max-norm is below newton_tolerance(dx), four times the
    roundoff floor eps (pi/2) / dx^2, and it refuses a guess whose residual
@@ -55,15 +58,13 @@ from .core import (
     HALF_PI,
     Profile,
     ProblemParams,
-    count_zero_crossings,
     decay_rate,
-    derivative_samples,
     el_residual,
     energy,
+    half_grid,
     linear_tail,
     lyapunov_W,
     singular_energy,
-    symmetric_grid,
 )
 
 
@@ -436,39 +437,30 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
     # it nears the limit, where _initial_guess blends in the tail.  A seed on
     # the lo side crosses once more first and leaves a jump at the cut end
     # whose residual grows like 1/dx^2.
-    l_plus = sign * (1 if want % 2 == 0 else -1) * HALF_PI
-    l_minus = l_plus if req.symmetry_class == "even" else -l_plus
-    grid = symmetric_grid(req.cutoff, req.grid_size)
-    guess = _initial_guess(*_seed(sign * hi, req), req, grid, l_plus)
-    u, res_norm, iters = _newton_finish(grid, guess, req.params, req.symmetry_class,
-                                        l_plus, l_minus, tol=req.newton_tol)
-    if res_norm > req.newton_tol:
-        raise PolishDiverged(f"residual {res_norm:.3e} above tolerance after symmetrisation")
-
-    zeros = count_zero_crossings(u)
-    if zeros != req.total_zeros:
-        raise PolishDiverged(
-            f"polished profile has {zeros} interior zeros, requested {req.total_zeros}")
-    gap_r = HALF_PI - abs(float(u[-1]))
-    gap_l = HALF_PI - abs(float(u[0]))
-    if max(gap_l, gap_r) > BOUNDARY_TOL:
-        raise PolishDiverged(
-            f"boundary gap {max(gap_l, gap_r):.3e} exceeds {BOUNDARY_TOL:.1e}; "
-            f"increase the cutoff")
-
+    limit = sign * (1 if want % 2 == 0 else -1) * HALF_PI
+    xs = half_grid(req.cutoff, req.grid_size)
+    guess = _initial_guess(*_seed(sign * hi, req), req, xs, limit)
+    u, res_norm, iters = _newton(xs, guess, req.params, req.symmetry_class, limit,
+                                 tol=req.newton_tol)
     hyp = "" if req.params.hypothesis() else "; outside guaranteed regime"
-    prof = Profile(grid, u, derivative_samples(u, grid[1] - grid[0]), req.params,
-                   symmetry_class=req.symmetry_class,
+    prof = Profile(req.params, req.symmetry_class, req.cutoff, u,
                    residual_norm=res_norm,
                    provenance=(f"shooting s*={sign * hi:.17g} "
                                f"(bracket width {hi - lo:.2e}), newton iters={iters}"
                                f"{hyp}"))
+    if prof.zero_count != req.total_zeros:
+        raise PolishDiverged(f"polished profile has {prof.zero_count} interior zeros, "
+                             f"requested {req.total_zeros}")
+    gap = HALF_PI - abs(float(u[-1]))
+    if gap > BOUNDARY_TOL:
+        raise PolishDiverged(
+            f"boundary gap {gap:.3e} exceeds {BOUNDARY_TOL:.1e}; increase the cutoff")
     return prof
 
 
 def _initial_guess(h_at, x_end: float, t_start: float, req: SolveRequest,
-                   grid: np.ndarray, limit: float) -> np.ndarray:
-    """Mirror the seed trajectory onto the full grid and blend its tail.
+                   xs: np.ndarray, limit: float) -> np.ndarray:
+    """The seed trajectory on the half grid xs, with its tail blended.
 
     The seed is h_at(x) on [0, x_end], as _seed gives it, and limit is
     its value at +inf.  Beyond the last requested zero (past t_start) the
@@ -477,7 +469,6 @@ def _initial_guess(h_at, x_end: float, t_start: float, req: SolveRequest,
     the spurious departure the finite bracket width produces at large x and
     pins the zero count.
     """
-    xs = grid[grid.size // 2:]
     h = np.full(xs.size, limit)
     inside = xs <= x_end
     h[inside] = h_at(xs[inside])
@@ -486,11 +477,7 @@ def _initial_guess(h_at, x_end: float, t_start: float, req: SolveRequest,
     if tail.size:
         i0 = int(tail[0])
         h[i0:] = linear_tail(xs[i0:], xs[i0], h[i0], limit, decay_rate(req.params))[0]
-    np.clip(h, -HALF_PI, HALF_PI, out=h)
-
-    if req.symmetry_class == "odd":
-        return np.concatenate([-h[:0:-1], h])
-    return np.concatenate([h[:0:-1], h])
+    return np.clip(h, -HALF_PI, HALF_PI, out=h)
 
 
 # -- Newton stage -------------------------------------------------------------
@@ -513,52 +500,59 @@ def _interior_residual(grid, u, params):
     return el_residual(grid[1:-1], u[1:-1], d1, d2, params)
 
 
-def _full_residual(grid, u, params, l_plus, l_minus, lam):
-    """Discrete residual including the Robin rows (ghost nodes eliminated)."""
+def _half_residual(xs, u, params, first, limit, lam):
+    """Rows first.. of the discrete residual on the half grid xs = [0, X]:
+    row 0 with the ghost node u_-1 = u_1 (an even profile's; an odd one has
+    first = 1), the interior rows, and the Robin row at X with its ghost
+    node eliminated."""
     m1 = params.m - 1
     om = params.omega
-    dx = grid[1] - grid[0]
-    nu = params.nu_at(grid[[0, -1]])
+    dx = xs[1] - xs[0]
     g = np.empty_like(u)
-    g[1:-1] = _interior_residual(grid, u, params)
-    g[0] = (2.0 * (u[1] - u[0]) + 2.0 * dx * lam * (u[0] - l_minus)) / (dx * dx) \
-        + m1 * math.tanh(grid[0]) * lam * (u[0] - l_minus) \
-        + 0.5 * om * (1.0 + nu[0]) * math.sin(2.0 * u[0])
-    g[-1] = (2.0 * (u[-2] - u[-1]) + 2.0 * dx * lam * (u[-1] - l_plus)) / (dx * dx) \
-        - m1 * math.tanh(grid[-1]) * lam * (u[-1] - l_plus) \
-        + 0.5 * om * (1.0 + nu[-1]) * math.sin(2.0 * u[-1])
-    return g
+    g[0] = el_residual(0.0, u[0], 0.0, 2.0 * (u[1] - u[0]) / (dx * dx), params)
+    g[1:-1] = _interior_residual(xs, u, params)
+    g[-1] = (2.0 * (u[-2] - u[-1]) + 2.0 * dx * lam * (u[-1] - limit)) / (dx * dx) \
+        - m1 * math.tanh(xs[-1]) * lam * (u[-1] - limit) \
+        + 0.5 * om * (1.0 + float(params.nu_at(xs[-1]))) * math.sin(2.0 * u[-1])
+    return g[first:]
 
 
-def _jacobian_banded(grid, u, params, lam):
+def _jacobian_banded(xs, u, params, first, lam):
+    """The Jacobian of _half_residual's rows first.., in solve_banded's
+    (1, 1) layout."""
     m1 = params.m - 1
     om = params.omega
-    dx = grid[1] - grid[0]
-    nu = params.nu_at(grid)
+    dx = xs[1] - xs[0]
+    nu = params.nu_at(xs)
     n = u.size
     ab = np.zeros((3, n))
-    t = np.tanh(grid)
-    # interior rows
-    ab[0, 2:] = 1.0 / dx ** 2 - m1 * t[1:-1] / (2.0 * dx)          # super
-    ab[1, 1:-1] = -2.0 / dx ** 2 + om * (1.0 + nu[1:-1]) * np.cos(2.0 * u[1:-1])
-    ab[2, :-2] = 1.0 / dx ** 2 + m1 * t[1:-1] / (2.0 * dx)         # sub
-    # Robin rows
-    ab[1, 0] = (-2.0 + 2.0 * dx * lam) / dx ** 2 + m1 * t[0] * lam \
-        + om * (1.0 + nu[0]) * math.cos(2.0 * u[0])
+    t = np.tanh(xs)
+    # row 0 and the interior rows; the ghost node u_-1 = u_1 doubles row 0's
+    # super-diagonal entry
     ab[0, 1] = 2.0 / dx ** 2
+    ab[0, 2:] = 1.0 / dx ** 2 - m1 * t[1:-1] / (2.0 * dx)          # super
+    ab[1, :-1] = -2.0 / dx ** 2 + om * (1.0 + nu[:-1]) * np.cos(2.0 * u[:-1])
+    ab[2, :-2] = 1.0 / dx ** 2 + m1 * t[1:-1] / (2.0 * dx)         # sub
+    # Robin row
     ab[1, -1] = (-2.0 + 2.0 * dx * lam) / dx ** 2 - m1 * t[-1] * lam \
         + om * (1.0 + nu[-1]) * math.cos(2.0 * u[-1])
     ab[2, -2] = 2.0 / dx ** 2
-    return ab
+    return ab[:, first:]
 
 
-def _newton(grid, u0, params, l_plus, l_minus, lam, *, tol):
+def _newton(xs, u0, params, symmetry_class, limit, *, tol):
+    """Damped Newton on the half grid xs from u0, toward limit at the cut
+    end: (u, residual max-norm, iterations).  An odd profile has u_0 = 0 and
+    solves for u_1.. only."""
+    first = 1 if symmetry_class == "odd" else 0
+    lam = decay_rate(params)
     u = np.array(u0, dtype=float)
-    res = _full_residual(grid, u, params, l_plus, l_minus, lam)
+    u[:first] = 0.0
+    res = _half_residual(xs, u, params, first, limit, lam)
     fnorm = float(np.max(np.abs(res)))
     # A smooth guess has fnorm * dx^2 of a few 1e-3 at most; a jump of pi at
     # one node puts it at 3 to 6.
-    dx = grid[1] - grid[0]
+    dx = xs[1] - xs[0]
     if fnorm * dx * dx > 1.0:
         raise PolishDiverged(f"initial guess residual {fnorm:.3e} is above 1/dx^2 = "
                              f"{1.0 / (dx * dx):.3e}: too rough")
@@ -567,12 +561,13 @@ def _newton(grid, u0, params, l_plus, l_minus, lam, *, tol):
         if iters >= MAX_NEWTON_ITER:
             raise PolishDiverged(f"no convergence after {MAX_NEWTON_ITER} Newton steps "
                                  f"(residual {fnorm:.3e})")
-        ab = _jacobian_banded(grid, u, params, lam)
+        ab = _jacobian_banded(xs, u, params, first, lam)
         delta = solve_banded((1, 1), ab, -res)
         step = 1.0
         for _ in range(12):
-            u_try = u + step * delta
-            res_try = _full_residual(grid, u_try, params, l_plus, l_minus, lam)
+            u_try = u.copy()
+            u_try[first:] += step * delta
+            res_try = _half_residual(xs, u_try, params, first, limit, lam)
             f_try = float(np.max(np.abs(res_try)))
             if f_try < fnorm:
                 u, res, fnorm = u_try, res_try, f_try
@@ -581,38 +576,20 @@ def _newton(grid, u0, params, l_plus, l_minus, lam, *, tol):
         else:
             raise PolishDiverged(f"line search stalled at residual {fnorm:.3e}")
         iters += 1
-    return u, iters
-
-
-def _newton_finish(grid, u0, params, symmetry_class, l_plus, l_minus, *, tol):
-    """Newton, then exact parity pinning, then the residual of the pinned
-    profile: (u, residual max-norm, Newton iterations)."""
-    lam = decay_rate(params)
-    u, iters = _newton(grid, u0, params, l_plus, l_minus, lam, tol=tol)
-    # parity is preserved by the symmetric discretisation; pin it exactly
-    if symmetry_class == "odd":
-        u = 0.5 * (u - u[::-1])
-    elif symmetry_class == "even":
-        u = 0.5 * (u + u[::-1])
-    res_norm = float(np.max(np.abs(_full_residual(grid, u, params, l_plus, l_minus, lam))))
-    return u, res_norm, iters
+    return u, fnorm, iters
 
 
 def newton_polish(prof: Profile, req: SolveRequest) -> Profile:
     """Polish an approximate profile on its own grid.
 
-    Only req.newton_tol is used, so build req on the profile's grid.  Limit
-    signs for the Robin conditions are read off the boundary values of
-    the input.  The result keeps the input's symmetry class (re-pinned
-    exactly when one is declared).
+    Only req.newton_tol is used, so build req on the profile's grid.  The
+    limit sign for the Robin condition is read off the profile's value at
+    the cut end.  The result keeps the input's symmetry class.
     """
-    grid = prof.grid
-    l_plus = math.copysign(HALF_PI, prof.h[-1])
-    l_minus = math.copysign(HALF_PI, prof.h[0])
-    u, res_norm, iters = _newton_finish(grid, prof.h, prof.params, prof.symmetry_class,
-                                        l_plus, l_minus, tol=req.newton_tol)
-    return Profile(grid, u, derivative_samples(u, grid[1] - grid[0]), prof.params,
-                   symmetry_class=prof.symmetry_class,
+    u, res_norm, iters = _newton(half_grid(prof.cutoff, prof.n), prof.half_h, prof.params,
+                                 prof.symmetry_class,
+                                 math.copysign(HALF_PI, prof.half_h[-1]), tol=req.newton_tol)
+    return Profile(prof.params, prof.symmetry_class, prof.cutoff, u,
                    residual_norm=res_norm,
                    provenance=prof.provenance + f"; newton polish iters={iters}")
 
@@ -622,7 +599,7 @@ def newton_polish(prof: Profile, req: SolveRequest) -> Profile:
 @dataclass(frozen=True)
 class SolutionDiagnostics:
     """verify_solution output: residuals, boundary gaps, monotonicity of the
-    Lyapunov quantity, energy margin below the singular level, symmetry."""
+    Lyapunov quantity and energy margin below the singular level."""
 
     residual_max: float
     residual_rms: float
@@ -631,7 +608,6 @@ class SolutionDiagnostics:
     w_violation: float
     energy_value: float
     energy_margin: float
-    symmetry_defect: float
     constraint_excess: float
     singular_branch: bool
     failures: tuple
@@ -668,7 +644,6 @@ def verify_solution(prof: Profile) -> SolutionDiagnostics:
 
     e = energy(prof)
     margin = singular_energy(p) - e
-    sym = prof.symmetry_defect()
     excess = max(0.0, prof.sup_norm - HALF_PI)
 
     failures = []
@@ -689,6 +664,6 @@ def verify_solution(prof: Profile) -> SolutionDiagnostics:
         residual_max=residual_max, residual_rms=residual_rms,
         boundary_gap_left=gap_l, boundary_gap_right=gap_r,
         w_violation=w_violation, energy_value=e, energy_margin=float(margin),
-        symmetry_defect=sym, constraint_excess=excess,
+        constraint_excess=excess,
         singular_branch=singular, failures=tuple(failures),
         passed=not failures)

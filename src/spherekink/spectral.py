@@ -47,7 +47,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dstebz
 
 from .core import ProblemParams, Profile, sech, singular_profile
-from .serialize import reading
+from .serialize import integer, listed, number, reading
 
 NULL_BAND = 1e-6          # eigenvalues within +-band of 0 count toward the nullity
 NODES_PER_UNIT = 100       # grid density of truncated_singular_count
@@ -249,31 +249,18 @@ def report_to_doc(rep: SpectralReport) -> dict:
     return asdict(rep)
 
 
-def _listed(doc: dict, key: str, types: tuple, noun: str) -> tuple:
-    """doc[key] as a tuple; ValueError unless it is a list of values of the
-    given types (a JSON true or false is not a number)."""
-    values = doc[key]
-    if not isinstance(values, list):
-        raise ValueError(f"{key} is not a list: {values!r}")
-    for v in values:
-        if not isinstance(v, types) or isinstance(v, bool):
-            raise ValueError(f"{key} holds {v!r}, not a {noun}")
-    return tuple(values)
-
-
 def report_from_doc(doc: dict, what: str) -> SpectralReport:
     """report_to_doc's report; ValueError, its message prefixed by what, on a
     missing key, a wrong shape or a value of the wrong type."""
     with reading(what, refused_values=True):
-        return SpectralReport(index=int(doc["index"]),
-                              nullity_estimate=int(doc["nullity_estimate"]),
-                              margin_eigenvalues=_listed(doc, "margin_eigenvalues",
-                                                         (int, float), "number"),
-                              cutoff=float(doc["cutoff"]), n=int(doc["n"]),
-                              null_band=float(doc["null_band"]),
-                              band_sensitivity=tuple((float(b), int(c))
+        return SpectralReport(index=integer(doc["index"]),
+                              nullity_estimate=integer(doc["nullity_estimate"]),
+                              margin_eigenvalues=tuple(listed(doc, "margin_eigenvalues")),
+                              cutoff=number(doc["cutoff"]), n=integer(doc["n"]),
+                              null_band=number(doc["null_band"]),
+                              band_sensitivity=tuple((number(b), integer(c))
                                                      for b, c in doc["band_sensitivity"]),
-                              flags=_listed(doc, "flags", (str,), "string"))
+                              flags=tuple(listed(doc, "flags", "string")))
 
 
 # -- witness families at the equator branch -----------------------------------

@@ -9,7 +9,7 @@ four-level sweep is expensive enough to share across the whole session.
 import numpy as np
 import pytest
 
-from spherekink.core import HALF_PI, ProblemParams, Profile, symmetric_grid
+from spherekink.core import HALF_PI, ProblemParams, Profile, half_grid
 from spherekink.report import SweepConfig, run_sweep
 
 
@@ -32,22 +32,38 @@ def ground33(records33):
 
 def gudermann_profile(m=3, cutoff=20.0, n=4001, *, nu=None, residual_norm=0.0,
                       provenance="exact"):
-    """The closed-form one-zero profile 2 atan(e^x) - pi/2 with its analytic
-    derivative sech x; it solves the equation for omega = m."""
-    g = symmetric_grid(cutoff, n)
-    h = 2.0 * np.arctan(np.exp(g)) - HALF_PI
-    dh = 1.0 / np.cosh(g)
-    return Profile(g, h, dh, ProblemParams(m, float(m), nu), symmetry_class="odd",
+    """The closed-form one-zero profile 2 atan(e^x) - pi/2, which solves the
+    equation for omega = m; its dh is derived from h, as every profile's."""
+    h = 2.0 * np.arctan(np.exp(half_grid(cutoff, n))) - HALF_PI
+    return Profile(ProblemParams(m, float(m), nu), "odd", cutoff, h,
                    residual_norm=residual_norm, provenance=provenance)
 
 
-def explicit_doc(prof):
-    """The document of a profile without nu in the form written before the
-    compact one: explicit grid, h and dh."""
-    return {"m": prof.params.m, "omega": prof.params.omega, "nu": None,
-            "grid": prof.grid, "h": prof.h, "dh": prof.dh,
-            "symmetry_class": prof.symmetry_class, "residual_norm": prof.residual_norm,
-            "zero_count": prof.zero_count, "provenance": prof.provenance}
+def json_leaves(doc, path=()):
+    """(path, value) of every scalar in a parsed JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for k, v in items:
+        if isinstance(v, (dict, list)):
+            yield from json_leaves(v, path + (k,))
+        else:
+            yield path + (k,), v
+
+
+def other_kinds(value):
+    """Values of JSON kinds other than value's, the float for an integer
+    included."""
+    kinds = [1.5, "x", True, None, [value], {"v": value}]
+    if type(value) is int:
+        kinds[0] = value + 0.5
+    return [k for k in kinds if type(k) is not type(value)]
+
+
+def put(doc, path, value):
+    """Put value at path in doc; returns the value it replaces."""
+    for k in path[:-1]:
+        doc = doc[k]
+    doc[path[-1]], old = value, doc[path[-1]]
+    return old
 
 
 @pytest.fixture()

@@ -21,18 +21,11 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import gudermann_profile
 from reference import hessian_fd_check, symmetric_witnesses
 from scipy.integrate import quad
 
-from spherekink.core import (
-    HALF_PI,
-    ProblemParams,
-    Profile,
-    energy,
-    resample,
-    singular_energy,
-    symmetric_grid,
-)
+from spherekink.core import ProblemParams, energy, resample, singular_energy
 from spherekink.report import SweepConfig, convergence_check, run_sweep, write_report
 from spherekink.shooting import SolveRequest, find_solution, newton_polish
 from spherekink.spectral import (
@@ -310,10 +303,8 @@ def test_criterion_06_infinite_index_witnesses():
 
 
 def test_criterion_07_hessian_consistency():
-    g = symmetric_grid(20.0, 4001)
-    h = 2.0 * np.arctan(np.exp(g)) - HALF_PI
-    prof = Profile(g, h, 1.0 / np.cosh(g), P33, symmetry_class="odd",
-                   residual_norm=0.0)
+    prof = gudermann_profile()
+    g = prof.grid
     bumps = {
         "even bump": 1.0 / np.cosh(g) ** 2,
         "odd bump": np.tanh(g) / np.cosh(g) ** 2,

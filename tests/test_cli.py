@@ -3,11 +3,11 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
-from conftest import explicit_doc
 
 from spherekink.cli import main
-from spherekink.core import ProblemParams, singular_profile
+from spherekink.core import ProblemParams, half_grid, singular_profile
 from spherekink.serialize import load_profile, read_json, save_profile, write_json
 from spherekink.shooting import SolutionDiagnostics
 
@@ -168,10 +168,8 @@ def test_verify_flags_equator_branch(tmp_path, capsys):
 
 def test_verify_exit_four_on_corrupted_solution(solved, tmp_path, capsys):
     prof = load_profile(solved)
-    g = prof.grid
-    import dataclasses
-    import numpy as np
-    bad = dataclasses.replace(prof, h=prof.h + 1e-3 * g / np.cosh(g))
+    xs = half_grid(prof.cutoff, prof.n)
+    bad = dataclasses.replace(prof, half_h=prof.half_h + 1e-3 * xs / np.cosh(xs))
     path = tmp_path / "bad.json"
     save_profile(bad, path)
     assert main(["verify", "--solution", str(path)]) == 4
@@ -509,24 +507,25 @@ def test_a_profile_of_even_size_is_named(solved, tmp_path, capsys):
                    "grid size must be odd and >= 3\n")
 
 
-def test_compact_and_explicit_files_give_the_same_output(records33, tmp_path, capsys):
+def test_an_explicit_or_class_none_file_is_refused(records33, tmp_path, capsys):
+    # the explicit grid, h and dh of files from before the half-line form,
+    # beside the half line or in its place, and the class none
     prof = records33[("even", 4)].profile
-    compact, explicit = tmp_path / "compact.json", tmp_path / "explicit.json"
-    save_profile(prof, compact)
-    write_json(explicit_doc(prof), explicit)
-    assert "half_h" in read_json(compact) and "grid" in read_json(explicit)
-    outputs = []
-    for path in (compact, explicit):
-        plots = tmp_path / f"plots-{path.stem}"
-        got = []
+    path = tmp_path / "solution.json"
+    save_profile(prof, path)
+    doc = read_json(path)
+    explicit = {"grid": prof.grid, "h": prof.h, "dh": prof.dh}
+    old = {k: v for k, v in doc.items() if k not in ("cutoff", "n", "half_h")}
+    for bad in (dict(doc, **explicit), dict(old, **explicit), dict(doc, symmetry_class="none")):
+        write_json(bad, path)
         for argv in (["verify", "--solution", str(path)],
                      ["index", "--solution", str(path), "--cutoff", "25", "--grid", "10001"],
-                     ["--quiet", "plot", "--solution", str(path), "--out", str(plots)]):
-            assert main(argv) == 0
-            got.append(capsys.readouterr().out)
-        got.append((plots / "profile_even_4.svg").read_bytes())
-        outputs.append(got)
-    assert outputs[0] == outputs[1]
+                     ["--quiet", "plot", "--solution", str(path), "--out", str(tmp_path)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"spherekink: error: {path} is not a profile document: ")
+            assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["solution.json"]
 
 
 def test_a_sweep_record_of_the_wrong_shape_is_an_error(tmp_path, capsys):

@@ -23,6 +23,7 @@ from spherekink.core import (
     derivative_samples,
     el_residual,
     energy,
+    half_grid,
     lyapunov_W,
     resample,
     singular_energy,
@@ -47,17 +48,27 @@ def test_symmetric_grid_rejects_even_size():
 
 
 def test_profile_rejects_constraint_violation():
-    g = symmetric_grid(10.0, 101)
-    h = np.full(101, HALF_PI + 1e-3)
-    with pytest.raises(ValueError):
-        Profile(g, h, np.zeros(101), ProblemParams(3, 3.0))
+    with pytest.raises(ValueError, match="leaves the band"):
+        Profile(ProblemParams(3, 3.0), "even", 10.0, np.full(51, HALF_PI + 1e-3))
 
 
 def test_profile_rejects_wrong_symmetry_class():
-    g = symmetric_grid(10.0, 101)
-    h = np.tanh(g)
-    with pytest.raises(ValueError):
-        Profile(g, h, np.zeros(101), ProblemParams(3, 3.0), symmetry_class="even")
+    # a class is even or odd, and an odd profile vanishes at 0 exactly
+    with pytest.raises(ValueError, match="must be 'even' or 'odd', not 'none'"):
+        Profile(ProblemParams(3, 3.0), "none", 10.0, np.zeros(51))
+    h = np.tanh(half_grid(10.0, 101)) + 1e-12
+    with pytest.raises(ValueError, match=r"an odd profile has h\(0\) = 0, not 1e-12"):
+        Profile(ProblemParams(3, 3.0), "odd", 10.0, h)
+
+
+@pytest.mark.parametrize("cls, sign", [("even", 1.0), ("odd", -1.0)])
+def test_profile_mirrors_its_half_line_by_class(cls, sign):
+    half = half_grid(10.0, 101)
+    prof = Profile(ProblemParams(3, 3.0), cls, 10.0, np.tanh(half) if sign < 0 else np.cos(half))
+    assert prof.n == 101 and prof.grid.tobytes() == symmetric_grid(10.0, 101).tobytes()
+    assert np.array_equal(prof.h[50:], prof.half_h)
+    assert np.array_equal(prof.h, sign * prof.h[::-1])
+    assert np.array_equal(prof.dh, derivative_samples(prof.h, prof.dx))
 
 
 def test_profile_arrays_are_frozen():
@@ -124,7 +135,7 @@ def test_el_residual_vanishes_on_exact_solution():
     prof = gudermann_profile()
     g = prof.grid
     d2h = -np.tanh(g) / np.cosh(g)
-    r = el_residual(g, prof.h, prof.dh, d2h, prof.params)
+    r = el_residual(g, prof.h, 1.0 / np.cosh(g), d2h, prof.params)
     assert np.max(np.abs(r)) < 1e-13
 
 
@@ -190,26 +201,24 @@ def test_energy_tail_bound_controls_truncation():
 
 def test_z2_symmetry_of_energy():
     prof = gudermann_profile()
-    neg = Profile(prof.grid, -prof.h, -prof.dh, prof.params, symmetry_class="odd",
-                  residual_norm=0.0)
+    neg = Profile(prof.params, "odd", prof.cutoff, -prof.half_h, residual_norm=0.0)
     assert energy(neg) == energy(prof)
 
 
 def test_weighted_norm_constant():
-    g = symmetric_grid(20.0, 4001)
-    prof = Profile(g, np.ones(g.size), np.zeros(g.size), ProblemParams(3, 3.0),
-                   residual_norm=0.0)
+    prof = Profile(ProblemParams(3, 3.0), "even", 20.0, np.ones(2001), residual_norm=0.0)
     assert weighted_norm(prof) == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
 
 def test_weighted_norm_tanh():
-    g = symmetric_grid(20.0, 4001)
-    h = np.tanh(g)
-    dh = 1.0 / np.cosh(g) ** 2
-    prof = Profile(g, h, dh, ProblemParams(3, 3.0), symmetry_class="odd",
+    # h = a x with a = pi / (2 X) rather than tanh x, because derivative_samples
+    # is exact for a linear h, so the check sees the quadrature alone:
+    # int a^2 (1 + x^2) sech^2 x dx = a^2 (2 + pi^2 / 6)
+    a = HALF_PI / 20.0
+    prof = Profile(ProblemParams(3, 3.0), "odd", 20.0, a * half_grid(20.0, 4001),
                    residual_norm=0.0)
-    # int (sech^4 + tanh^2) sech^2 dx = 16/15 + 2/3 = 26/15
-    assert weighted_norm(prof) == pytest.approx(math.sqrt(26.0 / 15.0), abs=1e-9)
+    assert weighted_norm(prof) == pytest.approx(a * math.sqrt(2.0 + math.pi ** 2 / 6.0),
+                                                abs=1e-9)
 
 
 # -- decay rate -------------------------------------------------------------------
@@ -240,9 +249,12 @@ def test_resample_matches_exact_solution():
     g = fine.grid
     exact = 2.0 * np.arctan(np.exp(g)) - HALF_PI
     assert np.max(np.abs(fine.h - exact)) < 1e-8
-    # the continued tails on both sides carry h' = sech x, sign included
+    # the continued tails on both sides approach +-pi/2 as the exact profile
+    # does, its gap sign(x) pi/2 - h being sign(x) 2 atan(e^-|x|)
     tails = np.abs(g) > 20.0
-    np.testing.assert_allclose(fine.dh[tails], 1.0 / np.cosh(g[tails]), rtol=1e-5, atol=0.0)
+    np.testing.assert_allclose(np.sign(g[tails]) * HALF_PI - fine.h[tails],
+                               np.sign(g[tails]) * 2.0 * np.arctan(np.exp(-np.abs(g[tails]))),
+                               rtol=1e-5, atol=0.0)
 
 
 def test_resample_keeps_equator_branch_flat():

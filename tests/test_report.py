@@ -1,10 +1,14 @@
 """Sweep orchestration, convergence checking, and the collector stage."""
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
+from conftest import json_leaves, other_kinds, put
+
+from spherekink import report
 
 from spherekink.core import NuPerturbation, ProblemParams
 from spherekink.report import (
@@ -316,3 +320,73 @@ def test_written_json_is_the_encoding_of_its_document(name, small_sweep, tmp_pat
         expected = dumps(profile_to_doc(rec.profile)) + "\n"
         path = tmp_path / ("solution_%s_%d.json" % rec.sequence_key)
         assert path.read_bytes() == expected.encode("ascii")
+
+
+# -- strict reading ----------------------------------------------------------------
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_constant_in_a_report_is_not_json(constant, small_sweep, tmp_path):
+    write_report(small_sweep, tmp_path)
+    path = tmp_path / "sweep.json"
+    text = path.read_text(encoding="ascii")
+    energy = repr(small_sweep.records[0].energy)
+    assert text.count(f'"energy":{energy}') == 1
+    path.write_text(text.replace(f'"energy":{energy}', f'"energy":{constant}'), encoding="ascii")
+    with pytest.raises(ValueError, match=f"{path} is not JSON: {constant} is not a number"):
+        read_report(path)
+
+
+@pytest.mark.parametrize("edit, named, message", [
+    (lambda doc: doc["records"][0]["spectral"].update(index=1.7),
+     ", level even/2: not a spectral report", "invalid literal for int(): 1.7"),
+    (lambda doc: doc["records"][0].update(energy=True),
+     ", level even/2: not a sweep record", "could not convert boolean to float: True"),
+    (lambda doc: doc["records"][0]["spectral"]["band_sensitivity"][0].__setitem__(1, True),
+     ", level even/2: not a spectral report", "invalid literal for int(): True"),
+    (lambda doc: doc.update(max_zeros=4.9), " is not a sweep report",
+     "invalid literal for int(): 4.9"),
+    (lambda doc: doc["records"][0]["spectral"].update(n=4001.5),
+     ", level even/2: not a spectral report", "invalid literal for int(): 4001.5"),
+    (lambda doc: doc.update(m=3.9), " is not a sweep report", "invalid literal for int(): 3.9"),
+    (lambda doc: doc.update(omega="3"), " is not a sweep report",
+     "could not convert string to float: '3'"),
+], ids=["index-float", "energy-true", "band-count-true", "max-zeros-float", "n-float",
+        "m-float", "omega-string"])
+def test_a_report_value_of_the_wrong_kind_is_refused(edit, named, message, small_sweep,
+                                                     tmp_path):
+    write_report(small_sweep, tmp_path)
+    path = tmp_path / "sweep.json"
+    doc = read_json(path)
+    edit(doc)
+    write_json(doc, path)
+    with pytest.raises(ValueError) as refused:
+        read_report(path)
+    assert str(refused.value) == f"{path}{named}: {message}"
+
+
+# leaves a reader keeps as free text: another kind may read back
+FREE_REPORT_LEAVES = {("version",)}
+
+
+def test_every_leaf_of_a_report_is_read_strictly(sweep33, tmp_path, monkeypatch):
+    # each leaf of a K=4 sweep.json set to another kind is refused or read
+    # back as written; the solution files do not change, so each is read once
+    write_report(sweep33, tmp_path)
+    path = tmp_path / "sweep.json"
+    text = path.read_text(encoding="ascii")
+    doc = json.loads(text)
+    monkeypatch.setattr(report, "load_profile", functools.cache(report.load_profile))
+    leaves = list(json_leaves(doc))
+    assert len(leaves) == 98
+    for leaf, value in leaves:
+        if leaf in FREE_REPORT_LEAVES:
+            continue
+        for other in other_kinds(value):
+            put(doc, leaf, other)
+            path.write_text(json.dumps(doc), encoding="ascii")
+            put(doc, leaf, value)
+            try:
+                back = read_report(path)
+            except ValueError:
+                continue
+            assert dumps(sweep_report_to_doc(back)) + "\n" == text, (leaf, other)

@@ -3,12 +3,13 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from conftest import explicit_doc, gudermann_profile
+from conftest import gudermann_profile, json_leaves, other_kinds, put
 
-from spherekink.core import NuPerturbation, ProblemParams, Profile, resample, symmetric_grid
+from spherekink.core import NuPerturbation, ProblemParams, Profile, half_grid, resample
 from spherekink.serialize import (
     dumps,
     format_float,
@@ -97,13 +98,12 @@ def test_nu_wider_than_the_profile_grid_round_trips():
 
 
 def test_round_trip_keeps_the_lyapunov_check_outside_nu():
-    # W may decrease only inside nu's support; a kink put into dh outside it
+    # W may decrease only inside nu's support; a kink put into h outside it
     # must still be seen after the profile is saved and read back
     prof = _profile(_nu_bump(2.0))
-    dh = prof.dh.copy()
-    dh[np.searchsorted(prof.grid, 5.0)] -= 0.05
-    tampered = Profile(prof.grid, prof.h, dh, prof.params, symmetry_class="odd",
-                       residual_norm=prof.residual_norm)
+    half_h = prof.half_h.copy()
+    half_h[np.searchsorted(half_grid(prof.cutoff, prof.n), 5.0)] -= 0.05
+    tampered = dataclasses.replace(prof, half_h=half_h)
     before = verify_solution(tampered).w_violation
     after = verify_solution(profile_from_doc(profile_to_doc(tampered))).w_violation
     assert before > W_TOL
@@ -111,17 +111,16 @@ def test_round_trip_keeps_the_lyapunov_check_outside_nu():
 
 
 def test_profile_from_doc_names_a_missing_key(ground33):
-    # the compact form and the explicit one
-    for prof, key in ((ground33, "half_h"), (_profile(), "dh")):
-        doc = profile_to_doc(prof)
+    for key in ("half_h", "n", "m", "omega", "cutoff", "symmetry_class", "residual_norm"):
+        doc = profile_to_doc(ground33)
         del doc[key]
         with pytest.raises(ValueError, match=f"not a profile document: no '{key}'"):
             profile_from_doc(doc)
 
 
-def test_save_and_load_profile_bytes_stable(ground33, tmp_path):
-    # the explicit form and the compact one
-    for prof in (_profile(), ground33):
+def test_save_and_load_profile_bytes_stable(sweep33, tmp_path):
+    # a closed-form profile and every level of the K=4 sweep
+    for prof in (_profile(), *(r.profile for r in sweep33.records)):
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
         save_profile(prof, p1)
@@ -133,15 +132,14 @@ def test_save_and_load_profile_bytes_stable(ground33, tmp_path):
 def test_profile_with_default_metadata_round_trips(tmp_path):
     # residual_norm left unset is written as null and read back as None; the
     # zero count written is the samples' own, sin's three on [-4, 4]
-    g = symmetric_grid(4.0, 41)
-    prof = Profile(g, np.sin(g), np.cos(g), ProblemParams(3, 3.0))
+    prof = Profile(ProblemParams(3, 3.0), "odd", 4.0, np.sin(half_grid(4.0, 41)))
     path = tmp_path / "bare.json"
     save_profile(prof, path)
     assert read_json(path)["zero_count"] == 3
     back = load_profile(path)
     assert back.residual_norm is None and back.zero_count == 3
     assert np.array_equal(back.h, prof.h)
-    assert back.symmetry_class == "none"
+    assert (back.symmetry_class, back.provenance) == ("odd", "")
 
 
 def test_doc_shape_is_documented(ground33):
@@ -152,17 +150,12 @@ def test_doc_shape_is_documented(ground33):
     assert doc["nu"] is None
     assert (doc["cutoff"], doc["n"]) == (20.0, 4001)
     assert len(doc["half_h"]) == 2001
-    # an exact derivative is not what the reader would rebuild: explicit arrays
-    doc = profile_to_doc(_profile())
-    assert list(doc.keys()) == ["m", "omega", "nu", "grid", "h", "dh", "symmetry_class",
-                                "residual_norm", "zero_count", "provenance"]
-    assert len(doc["grid"]) == len(doc["h"]) == len(doc["dh"]) == 401
 
 
-# -- the compact form ---------------------------------------------------------------
+# -- the half-line form ------------------------------------------------------------
 
 def _assert_same_profile(back, prof):
-    for name in ("grid", "h", "dh"):
+    for name in ("half_h", "grid", "h", "dh"):
         assert getattr(back, name).tobytes() == getattr(prof, name).tobytes(), name
     assert (back.params.m, back.params.omega) == (prof.params.m, prof.params.omega)
     if prof.params.nu is None:
@@ -195,28 +188,33 @@ def test_solver_profiles_are_written_compact_and_read_back_bitwise(sweep33, solv
         _assert_same_profile(load_profile(path), prof)
 
 
-def _hand_edited_dh(prof):
-    dh = prof.dh.copy()
-    dh[prof.n // 3] = np.nextafter(dh[prof.n // 3], np.inf)
-    return dataclasses.replace(prof, dh=dh)
-
-
-@pytest.mark.parametrize("edit", [
-    lambda p: dataclasses.replace(p, symmetry_class="none"),
-    lambda p: resample(p, 18.0, 1801),
-    _hand_edited_dh,
-], ids=["class-none", "resampled", "hand-edited-dh"])
-def test_other_profiles_are_written_explicit_and_read_back_bitwise(edit, ground33, tmp_path):
-    prof = edit(ground33)
-    doc = profile_to_doc(prof)
-    assert "half_h" not in doc and "grid" in doc and "dh" in doc
+def test_a_resampled_profile_is_written_compact_and_read_back_bitwise(ground33, tmp_path):
+    prof = resample(ground33, 18.0, 1801)
+    assert list(profile_to_doc(prof))[3:6] == ["cutoff", "n", "half_h"]
     path = tmp_path / "p.json"
     save_profile(prof, path)
     _assert_same_profile(load_profile(path), prof)
 
 
-def test_an_old_explicit_document_still_reads(ground33):
-    _assert_same_profile(profile_from_doc(json.loads(dumps(explicit_doc(ground33)))), ground33)
+def _explicit_doc(prof):
+    """A profile's document in the form written before the half-line one:
+    explicit grid, h and dh."""
+    return {"m": prof.params.m, "omega": prof.params.omega, "nu": None,
+            "grid": prof.grid, "h": prof.h, "dh": prof.dh,
+            "symmetry_class": prof.symmetry_class, "residual_norm": prof.residual_norm,
+            "zero_count": prof.zero_count, "provenance": prof.provenance}
+
+
+def test_an_old_explicit_document_is_refused(ground33):
+    explicit = json.loads(dumps(_explicit_doc(ground33)))
+    with pytest.raises(ValueError, match="not a profile document: no 'half_h'"):
+        profile_from_doc(explicit)
+    # nor is the half line read beside explicit arrays
+    both = dict(profile_to_doc(ground33), grid=explicit["grid"], h=explicit["h"],
+                dh=explicit["dh"])
+    with pytest.raises(ValueError,
+                       match=r"not a profile document: unknown keys \['dh', 'grid', 'h'\]"):
+        profile_from_doc(both)
 
 
 @pytest.mark.parametrize("change", [lambda half: half[:-1], lambda half: half + half[-1:]],
@@ -230,5 +228,82 @@ def test_a_compact_document_whose_half_does_not_match_n_is_refused(change, groun
 
 def test_a_compact_document_needs_a_parity_class(ground33):
     doc = dict(profile_to_doc(ground33), symmetry_class="none")
-    with pytest.raises(ValueError, match="not a profile document: compact samples need class"):
+    with pytest.raises(ValueError, match="not a profile document: symmetry_class must be "
+                                         "'even' or 'odd', not 'none'"):
         profile_from_doc(doc)
+
+
+def test_an_odd_document_must_vanish_at_the_origin(ground33, tmp_path):
+    # within 1e-9 of 0 is not 0: the class makes h(0) = 0 exactly
+    doc = json.loads(dumps(profile_to_doc(ground33)))
+    assert doc["half_h"][0] == 0.0
+    doc["half_h"][0] = 1e-12
+    path = tmp_path / "p.json"
+    path.write_text(dumps(doc), encoding="ascii")
+    with pytest.raises(ValueError, match=f"{path} is not a profile document: an odd "
+                                         r"profile has h\(0\) = 0, not 1e-12"):
+        load_profile(path)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_constant_is_not_json(constant, ground33, tmp_path):
+    # dumps never writes these, so read_json does not read them either
+    text = dumps(profile_to_doc(ground33))
+    path = tmp_path / "p.json"
+    for edited in (text.replace('"half_h":[0.0,', f'"half_h":[{constant},', 1),
+                   text.replace('"omega":3.0', f'"omega":{constant}', 1)):
+        assert edited != text
+        path.write_text(edited, encoding="ascii")
+        with pytest.raises(ValueError, match=f"{path} is not JSON: {constant} is not a number"):
+            load_profile(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("m", 3.9, "invalid literal for int(): 3.9"),
+    ("m", True, "invalid literal for int(): True"),
+    ("n", 4001.0, "invalid literal for int(): 4001.0"),
+    ("omega", "3", "could not convert string to float: '3'"),
+    ("omega", False, "could not convert boolean to float: False"),
+    ("cutoff", None, "could not convert null to float: None"),
+    ("residual_norm", [1e-12], "could not convert array to float: [1e-12]"),
+    ("omega", 1e999, "inf is not a finite number"),
+], ids=["m-float", "m-true", "n-float", "omega-string", "omega-false", "cutoff-null",
+        "residual-list", "omega-overflow"])
+def test_a_profile_value_of_the_wrong_kind_is_refused(key, value, message, ground33):
+    doc = dict(profile_to_doc(ground33), **{key: value})
+    with pytest.raises(ValueError, match=re.escape(f"not a profile document: {message}")):
+        profile_from_doc(doc)
+
+
+@pytest.mark.parametrize("entry", ["0.5", True, None, [0.5]], ids=["string", "true", "null",
+                                                                    "list"])
+def test_a_half_h_entry_that_is_not_a_number_is_refused(entry, ground33):
+    doc = json.loads(dumps(profile_to_doc(ground33)))
+    doc["half_h"][7] = entry
+    with pytest.raises(ValueError, match=re.escape(f"half_h holds {entry!r}, not a number")):
+        profile_from_doc(doc)
+
+
+# leaves a reader keeps as free text or as null: another kind may read back
+FREE_PROFILE_LEAVES = {("residual_norm",), ("provenance",)}
+
+
+def test_every_leaf_of_a_solution_file_is_read_strictly(ground33):
+    # each leaf set to another kind is refused or read back as written
+    text = dumps(profile_to_doc(ground33))
+    doc = json.loads(text)
+    leaves = list(json_leaves(doc))
+    assert len(leaves) == 9 + 2001
+    for path, value in leaves:
+        if path in FREE_PROFILE_LEAVES:
+            continue
+        for other in other_kinds(value):
+            put(doc, path, other)
+            try:
+                back = profile_from_doc(doc)
+            except ValueError:
+                continue
+            finally:
+                put(doc, path, value)
+            assert dumps(profile_to_doc(back)) == text, (path, other)
+

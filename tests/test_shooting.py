@@ -25,7 +25,7 @@ from spherekink.core import (
     Profile,
     energy,
     singular_profile,
-    symmetric_grid,
+    half_grid,
 )
 from spherekink.shooting import (
     NoBracketFound,
@@ -630,11 +630,9 @@ def test_boundary_gap_failure_propagates():
 # -- newton polish -----------------------------------------------------------------
 
 def test_newton_polish_fixes_perturbed_profile(exact_profile):
-    rng_free_bump = 1e-3 * np.sin(exact_profile.grid) / np.cosh(exact_profile.grid)
-    g = exact_profile.grid
-    h = exact_profile.h + rng_free_bump
-    prof = Profile(g, h, exact_profile.dh, P33, symmetry_class="odd",
-                   residual_norm=None)
+    xs = half_grid(exact_profile.cutoff, exact_profile.n)
+    prof = Profile(P33, "odd", exact_profile.cutoff,
+                   exact_profile.half_h + 1e-3 * np.sin(xs) / np.cosh(xs))
     req = SolveRequest(P33, "odd", 1)
     polished = newton_polish(prof, req)
     assert polished.residual_norm < 1e-9
@@ -646,11 +644,9 @@ def test_newton_polish_fixes_perturbed_profile(exact_profile):
 def test_newton_polish_refuses_a_jump_at_the_cut_end(grid_size):
     # a jump of pi at the last node: residual 6.3e4 at N=4001, 1.0e6 at
     # N=16001; the guard scales with 1/dx^2 so both are refused
-    g = symmetric_grid(20.0, grid_size)
-    h = 2.0 * np.arctan(np.exp(g)) - HALF_PI
+    h = 2.0 * np.arctan(np.exp(half_grid(20.0, grid_size))) - HALF_PI
     h[-1] = -h[-1]
-    prof = Profile(g, h, 1.0 / np.cosh(g), P33, symmetry_class="none",
-                   residual_norm=None)
+    prof = Profile(P33, "odd", 20.0, h)
     req = SolveRequest(P33, "odd", 1, cutoff=20.0, grid_size=grid_size)
     with pytest.raises(PolishDiverged, match="too rough"):
         newton_polish(prof, req)
@@ -683,6 +679,17 @@ def test_newton_polish_preserves_declared_parity(exact_profile):
     assert np.max(np.abs(polished.h + polished.h[::-1])) == 0.0
 
 
+def test_solved_profiles_have_their_parity_bitwise(records33):
+    # Newton runs on the half line, and the class mirrors it
+    for (cls, zeros), rec in records33.items():
+        h = rec.profile.h
+        if cls == "odd":
+            assert h[h.size // 2] == 0.0
+            assert np.array_equal(h, -h[::-1]), zeros
+        else:
+            assert np.array_equal(h, h[::-1]), zeros
+
+
 # -- verification ------------------------------------------------------------------
 
 def test_verify_passes_on_solved_profile(ground33):
@@ -703,21 +710,17 @@ def test_verify_flags_equator_branch():
 
 
 def test_verify_flags_corrupted_profile(ground33):
-    h = ground33.h.copy()
-    h[1500:2500] += 1e-3
-    bad = Profile(ground33.grid, h, ground33.dh, P33, symmetry_class="none",
-                  residual_norm=None)
+    half_h = ground33.half_h.copy()
+    half_h[1:500] += 1e-3
+    bad = Profile(P33, "odd", ground33.cutoff, half_h)
     diag = verify_solution(bad)
     assert not diag.passed
     assert any("residual" in f for f in diag.failures)
 
 
 def test_verify_flags_wrong_boundary():
-    g = symmetric_grid(20.0, 4001)
-    h = np.tanh(g)          # odd, smooth, but tends to 1, far from pi/2
-    dh = 1.0 / np.cosh(g) ** 2
-    prof = Profile(g, h, dh, P33, symmetry_class="odd",
-                   residual_norm=None)
+    h = np.tanh(half_grid(20.0, 4001))     # odd, smooth, but tends to 1, far from pi/2
+    prof = Profile(P33, "odd", 20.0, h)
     diag = verify_solution(prof)
     assert not diag.passed
     assert any("boundary gap" in f for f in diag.failures)

@@ -63,7 +63,8 @@ class NuPerturbation:
 
     Represented by samples on its own symmetric grid and evaluated by
     linear interpolation, identically zero outside the sample window.
-    Required: sup |nu| < 1, even symmetry, vanishing endpoints.
+    Required: finite samples, sup |nu| < 1, even symmetry, vanishing
+    endpoints.
     """
 
     grid: np.ndarray
@@ -74,6 +75,8 @@ class NuPerturbation:
         v = np.asarray(self.values, dtype=float)
         if g.ndim != 1 or g.shape != v.shape or g.size < 3:
             raise ValueError("nu needs matching 1-d grids with >= 3 samples")
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
+            raise ValueError("nu samples must be finite")
         if np.any(np.diff(g) <= 0):
             raise ValueError("nu grid must be strictly increasing")
         if np.max(np.abs(g + g[::-1])) > 1e-12 * max(1.0, abs(g[-1])):

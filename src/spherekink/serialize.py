@@ -17,8 +17,8 @@ shape is refused, among them the explicit "grid", "h" and "dh" arrays of
 files from before the half-line form, and a class other than even and odd.
 
 Readers see only values of the kind the writer writes: integer() takes a
-JSON integer, number() a JSON integer or float, and listed() a list of
-those or of strings; a boolean or a string is never a number.  read_json
+JSON integer, number() a finite JSON integer or float, and listed() a list
+of those or of strings; a boolean or a string is never a number.  read_json
 refuses NaN, Infinity and -Infinity, which dumps never writes.
 
 A perturbation nu is written as its own samples, {"grid": ..., "values":
@@ -124,14 +124,23 @@ def number(value) -> float:
     if not _is_number_type(type(value)):
         raise ValueError(f"could not convert {_KINDS.get(type(value), 'value')} "
                          f"to float: {value!r}")
-    if not math.isfinite(value):
+    if not _all_finite([value]):
         raise ValueError(f"{value!r} is not a finite number")
     return float(value)
 
 
+def _all_finite(values) -> bool:
+    """Whether every number in values is finite as a float; an integer
+    beyond the float range is not."""
+    try:
+        return bool(np.isfinite(np.asarray(values, dtype=float)).all())
+    except OverflowError:
+        return False
+
+
 def listed(doc: dict, key: str, noun: str = "number"):
     """doc[key], which must be a list (or, as profile_to_doc writes it, a
-    numpy array) of numbers, as number() takes them, or of strings."""
+    numpy array) of finite numbers, as number() takes them, or of strings."""
     values = doc[key]
     if not isinstance(values, (list, np.ndarray)):
         raise ValueError(f"{key} is not a list: {values!r}")
@@ -141,6 +150,9 @@ def listed(doc: dict, key: str, noun: str = "number"):
     if refused:
         v = next(v for v in values if type(v) in refused)
         raise ValueError(f"{key} holds {v!r}, not a {noun}")
+    if noun == "number" and not _all_finite(values):
+        v = next(v for v in values if not _all_finite([v]))
+        raise ValueError(f"{key} holds {v!r}, not a finite number")
     return values
 
 

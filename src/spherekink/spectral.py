@@ -20,6 +20,15 @@ margin pair: the two eigenvalues either side of the null band's lower edge,
 bisected by stebz to a tenth of the band.  They certify nothing; they show
 how far the potential must move before the index can change.
 
+stebz asked for eigenvalues by index first bisects the index range's ends
+down from the Gershgorin bound, about 4/dx^2, most of the cost of a call.
+So the wanted eigenvalues are first located on two coarser copies of the
+matrix, at spacings COARSE_SPACING and twice that, and extrapolated to the
+fine grid (Richardson); stebz then bisects only a window about that
+estimate, as wide as the coarse copies disagree, and one count below the
+window places what it finds by index.  Where the window does not hold
+them, the index-range call runs instead.
+
 A class even or odd profile has a bitwise even V, so the FD matrix on the
 symmetric grid, whose interior has a centre node, commutes with the
 reflection and splits into an even and an odd block of half size (Cantoni
@@ -29,7 +38,7 @@ oscillation).  An even one is nonzero at the centre, so its sign changes
 pair off across it; an odd one is zero there between entries of opposite
 sign, so it has an odd number.  The eigenvalues therefore alternate between
 the blocks, lambda_0 even, lambda_1 odd, and so on, and the margin pair is
-bisected on the blocks.  The counts stay full size.
+bisected on the blocks, one window each.  The counts stay full size.
 
 For the equator branch, where V tends to (m-1)^2/4 - omega < 0 at both
 ends, families of disjoint tent functions placed in the far field give an
@@ -52,6 +61,7 @@ from .serialize import integer, listed, number, reading
 NULL_BAND = 1e-6          # eigenvalues within +-band of 0 count toward the nullity
 NODES_PER_UNIT = 100       # grid density of truncated_singular_count
 QUAD_DIVISIONS = 64        # Simpson divisions per tent; half as many give the error estimate
+COARSE_SPACING = 0.04      # node spacing of the finer coarse copy that places an eigenvalue window
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,28 @@ def _tridiag(problem: SchrodingerProblem):
     return main, np.full(main.size - 1, -1.0 / dx ** 2)
 
 
+def _stebz(main, off, by_index: bool, low, high, tol: float) -> np.ndarray:
+    """The eigenvalues of the tridiagonal main, off with indices low..high
+    (0-based), or in (low, high], ascending, bisected to tol by stebz."""
+    if by_index:
+        m, w, _, _, info = dstebz(main, off, 2, 0.0, 0.0, low + 1, high + 1, tol, "E")
+    else:
+        m, w, _, _, info = dstebz(main, off, 1, low, high, 0, 0, tol, "E")
+    if info != 0:
+        raise RuntimeError(f"stebz failed with info={info}")
+    return w[:m]
+
+
+def _count_below(main, off, shift: float) -> int:
+    """Number of eigenvalues of the tridiagonal main, off below shift (see
+    negative_count).  off[0] is its largest off-diagonal entry, so vl lies
+    below the Gershgorin bound."""
+    vl = float(np.min(main)) - 2.0 * abs(float(off[0])) - 1.0
+    if shift <= vl:
+        return 0
+    return _stebz(main, off, False, vl, shift, shift - vl).size
+
+
 def negative_count(problem: SchrodingerProblem, shift: float = 0.0) -> int:
     """Number of eigenvalues of the Dirichlet FD matrix below shift.
 
@@ -116,14 +148,7 @@ def negative_count(problem: SchrodingerProblem, shift: float = 0.0) -> int:
     two inertia counts, at vl and at shift, and no bisection steps.  An
     eigenvalue within roundoff of shift may be counted on either side.
     """
-    main, off = _tridiag(problem)
-    vl = float(np.min(main)) - 2.0 * abs(float(off[0])) - 1.0
-    if shift <= vl:
-        return 0
-    m, _, _, _, info = dstebz(main, off, 1, vl, shift, 0, 0, shift - vl, "E")
-    if info != 0:
-        raise RuntimeError(f"stebz failed with info={info} counting below shift {shift!r}")
-    return int(m)
+    return _count_below(*_tridiag(problem), shift)
 
 
 def _reflection_blocks(problem: SchrodingerProblem):
@@ -137,6 +162,49 @@ def _reflection_blocks(problem: SchrodingerProblem):
     even_off = off[c:].copy()
     even_off[0] *= math.sqrt(2.0)
     return (main[c:], even_off), (main[c + 1:], off[c + 1:])
+
+
+def _windowed(main, off, dx: float, mirrored: bool, lo: int, hi: int, tol: float):
+    """Eigenvalues lo..hi of one block (see eigenvalues_below), or None when
+    the window placed for them does not hold them.
+
+    Two coarse copies of the block keep its potential at every s-th and
+    every 2s-th node, s = round(COARSE_SPACING / dx), and a mirrored block's
+    mirror node and sqrt 2 coupling; their Dirichlet end is the block's
+    when s divides the number of spacings, as on the package's grids.  The
+    central difference underestimates an eigenvalue by about C H^2 at
+    spacing H, so the copies' eigenvalues l_s and l_2s extrapolate to the
+    block's as l_s + (l_s - l_2s)(1 - 1/s^2)/3.  The window about that
+    estimate has half-width |l_s - l_2s|, three times the correction, plus
+    2 tol for the copies' own bisection.  One count c below its lower end
+    and one value-range bisection of its m eigenvalues place them as
+    eigenvalues c..c+m-1 (Barth, Martin & Wilkinson 1967), with no walk
+    down from the Gershgorin bound; they must include lo..hi.
+    """
+    s = round(COARSE_SPACING / dx)
+    if s < 2:
+        return None
+    coarse = []
+    for stride in (s, 2 * s):
+        first = 0 if mirrored else stride - 1
+        sub = main[first::stride] - 2.0 / dx ** 2 * (1.0 - 1.0 / stride ** 2)
+        if sub.size <= hi:
+            return None
+        # each coupling is -1/dx^2 (sqrt 2 at a mirror node); at spacing
+        # stride dx it is 1/stride^2 of that
+        coarse.append(_stebz(sub, off[first::stride][:sub.size - 1] / stride ** 2,
+                             True, lo, hi, tol))
+    near, far = coarse
+    guess = near + (near - far) * (1.0 - 1.0 / s ** 2) / 3.0
+    half = np.abs(near - far) + 2.0 * tol
+    vl = float(np.min(guess - half))
+    below = _count_below(main, off, vl)
+    if below > lo:
+        return None
+    found = _stebz(main, off, False, vl, float(np.max(guess + half)), tol)
+    if below + found.size <= hi:
+        return None
+    return found[lo - below:hi + 1 - below]
 
 
 def eigenvalues_below(problem: SchrodingerProblem, count: int, first: int = 0,
@@ -154,7 +222,11 @@ def eigenvalues_below(problem: SchrodingerProblem, count: int, first: int = 0,
     the odd block main[c+1:], off[c+1:].  Otherwise p = 1, the whole
     matrix.  The eigenvalues alternate between the blocks (module
     docstring), so eigenvalue j is entry j // p of block j mod p, and each
-    block gives its share of the range in one stebz call, placed by j.
+    block gives its share of the range, placed by j.
+
+    A block bisects its share in a window that two coarse copies of it
+    place (_windowed).  Where the window does not hold the share, or the
+    copies are too small to, one index-range stebz call finds it instead.
     """
     if count <= first:
         return np.zeros(0)
@@ -165,8 +237,11 @@ def eigenvalues_below(problem: SchrodingerProblem, count: int, first: int = 0,
         # block b holds j = k p + b for k = lo..hi within first..count-1
         lo, hi = (first - b + p - 1) // p, (count - 1 - b) // p
         if lo <= hi:
-            out[lo * p + b - first::p] = eigvalsh_tridiagonal(
-                main, off, select="i", select_range=(lo, hi), tol=tol)
+            found = _windowed(main, off, problem.dx, p == 2 and b == 0, lo, hi, tol)
+            if found is None:
+                found = eigvalsh_tridiagonal(main, off, select="i", select_range=(lo, hi),
+                                             tol=tol)
+            out[lo * p + b - first::p] = found
     return out
 
 

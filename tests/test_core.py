@@ -123,6 +123,23 @@ def test_nu_rejects_amplitude_one():
         NuPerturbation(g, vals)
 
 
+@pytest.mark.parametrize("where, at, value", [
+    ("values", [50], math.nan), ("values", [50], math.inf), ("values", [50], -math.inf),
+    ("grid", [50], math.nan), ("grid", [0], -math.inf), ("grid", [0, -1], math.inf),
+], ids=["values-nan", "values-inf", "values-minus-inf", "grid-nan", "grid-minus-inf",
+        "grid-both-inf"])
+def test_nu_rejects_non_finite_samples(where, at, value):
+    # a NaN fails no comparison, and -inf + inf is NaN: each check the
+    # samples meet after the finiteness one would let some of these through
+    g = np.linspace(-1.0, 1.0, 101)
+    samples = {"grid": g, "values": 0.1 * (1.0 - g ** 2)}
+    samples[where][at] = value
+    if len(at) == 2:
+        samples[where][0] = -value
+    with pytest.raises(ValueError, match="nu samples must be finite"):
+        NuPerturbation(samples["grid"], samples["values"])
+
+
 # -- residual, Lyapunov quantity -----------------------------------------------
 
 def test_el_residual_point_value():

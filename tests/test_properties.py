@@ -6,13 +6,17 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
+from spherekink import spectral
 from spherekink.core import ProblemParams
 from spherekink.serialize import dumps
 from spherekink.shooting import NoBracketFound, PolishDiverged, SolveRequest, find_solution
 from spherekink.spectral import (
+    COARSE_SPACING,
     SchrodingerProblem,
     eigenvalues_below,
     negative_count,
@@ -84,6 +88,58 @@ def test_eigenvalues_of_an_even_potential_match_dense(problem, data):
     assert np.max(np.abs(got - lam[first:count])) <= 1e-10 * spectral_scale(problem)
     top = eigenvalues_below(problem, lam.size, lam.size - 1)
     assert abs(top[0] - lam[-1]) <= 1e-10 * spectral_scale(problem)
+
+
+@st.composite
+def wells(draw):
+    """One to three sech^2 wells below a constant floor on 1001 to 4001
+    nodes, mirrored into a bitwise even potential or left uneven.  The
+    spacing is COARSE_SPACING / s for a stride s from 2 to 10, and the half
+    line [0, X], 5 <= X <= 12, is a whole number of spacings 2 s dx, so
+    that each coarse copy of eigenvalues_below keeps the Dirichlet ends."""
+    s = draw(st.integers(2, 10))
+    k = draw(st.integers(max(63, -(-250 // s)), min(150, 1000 // s)))
+    n, half_width = 4 * s * k + 1, 2 * k * COARSE_SPACING
+    floor = draw(st.floats(0.5, 4.0))
+    g = np.linspace(-half_width, half_width, n)
+    v = np.full(n, floor)
+    for _ in range(draw(st.integers(1, 3))):
+        depth, width = draw(st.floats(1.0, 20.0)), draw(st.floats(0.5, 3.0))
+        centre = draw(st.floats(-0.5, 0.5)) * half_width
+        v -= depth / np.cosh((g - centre) / width) ** 2
+    if draw(st.booleans()):
+        v = np.concatenate([v[:n // 2 + 1], v[n // 2 - 1::-1]])
+    return SchrodingerProblem(g, v), floor
+
+
+@settings(max_examples=40, deadline=None)
+@given(wells(), st.data())
+def test_eigenvalues_of_smooth_wells_match_the_whole_range_call(well, data):
+    # the grids are fine enough for the coarse copies that place each
+    # block's window, and the bound states below the floor are resolved
+    # there, so no block falls back to its whole-range call
+    problem, floor = well
+    bound = negative_count(problem, floor)
+    assume(bound >= 1)
+    first = data.draw(st.integers(0, bound - 1))
+    count = data.draw(st.integers(first + 1, min(bound, first + 4)))
+    main = 2.0 / problem.dx ** 2 + problem.potential[1:-1]
+    off = np.full(main.size - 1, -1.0 / problem.dx ** 2)
+    fallbacks = []
+
+    def fallback(*args, **kwargs):
+        fallbacks.append(args[0].size)
+        return eigvalsh_tridiagonal(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "eigvalsh_tridiagonal", fallback)
+        for tol, bound_diff in ((0.0, 1e-10 * spectral_scale(problem)), (1e-7, 1e-7)):
+            got = eigenvalues_below(problem, count, first, tol)
+            whole = eigvalsh_tridiagonal(main, off, select="i",
+                                         select_range=(first, count - 1), tol=tol)
+            assert got.shape == whole.shape
+            assert np.max(np.abs(got - whole)) <= bound_diff
+    assert fallbacks == []
 
 
 def same_float(a, b):

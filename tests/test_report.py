@@ -336,6 +336,20 @@ def test_a_non_finite_constant_in_a_report_is_not_json(constant, small_sweep, tm
         read_report(path)
 
 
+def test_a_margin_eigenvalue_beyond_the_float_range_is_refused(small_sweep, tmp_path):
+    # 1e999 parses as inf; the reader names the file and the level
+    write_report(small_sweep, tmp_path)
+    path = tmp_path / "sweep.json"
+    text = path.read_text(encoding="ascii")
+    pair = dumps(list(small_sweep.records[0].spectral.margin_eigenvalues))
+    assert text.count(pair) == 1
+    path.write_text(text.replace(pair, "[-1e999," + pair[1:].split(",", 1)[1]), encoding="ascii")
+    with pytest.raises(ValueError) as refused:
+        read_report(path)
+    assert str(refused.value) == (f"{path}, level even/2: not a spectral report: "
+                                  "margin_eigenvalues holds -inf, not a finite number")
+
+
 @pytest.mark.parametrize("edit, named, message", [
     (lambda doc: doc["records"][0]["spectral"].update(index=1.7),
      ", level even/2: not a spectral report", "invalid literal for int(): 1.7"),

@@ -258,6 +258,24 @@ def test_a_non_finite_constant_is_not_json(constant, ground33, tmp_path):
             load_profile(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (('"nu":null', '"nu":{"grid":[-1e999,0.0,1e999],"values":[0.0,0.1,0.0]}'),
+     "grid holds -inf, not a finite number"),
+    (('"nu":null', '"nu":{"grid":[-1.0,0.0,1.0],"values":[0.0,1e999,0.0]}'),
+     "values holds inf, not a finite number"),
+    (('"omega":3.0', '"omega":1' + "0" * 400), "1" + "0" * 400 + " is not a finite number"),
+], ids=["nu-grid", "nu-values", "omega-integer"])
+def test_a_number_beyond_the_float_range_is_refused(edit, message, ground33, tmp_path):
+    # 1e999 parses as inf, and an integer this long has no float at all
+    text = dumps(profile_to_doc(ground33))
+    path = tmp_path / "p.json"
+    path.write_text(text.replace(*edit, 1), encoding="ascii")
+    assert path.read_text(encoding="ascii") != text
+    with pytest.raises(ValueError) as refused:
+        load_profile(path)
+    assert str(refused.value) == f"{path} is not a profile document: {message}"
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("m", 3.9, "invalid literal for int(): 3.9"),
     ("m", True, "invalid literal for int(): True"),

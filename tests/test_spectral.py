@@ -23,6 +23,7 @@ from reference import hessian_fd_check, hessian_form, schrodinger_form, symmetri
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstebz
 from scipy.sparse.linalg import eigsh
 
 from spherekink.core import (
@@ -35,6 +36,7 @@ from spherekink.core import (
 from spherekink import spectral
 from spherekink.shooting import SolveRequest, find_solution, newton_polish
 from spherekink.spectral import (
+    COARSE_SPACING,
     NULL_BAND,
     SchrodingerProblem,
     WitnessFunction,
@@ -371,34 +373,90 @@ def test_a_report_of_every_eigenvalue_below_the_band():
     assert rep.margin_eigenvalues == pytest.approx([dense_eigs(prob)[-1]], abs=1e-7)
 
 
+def record_stebz(monkeypatch):
+    """(matrix size, 'index' or 'value') of each stebz call spectral makes,
+    and a list that each whole-range fallback call appends to."""
+    calls, fallbacks = [], []
+
+    def stebz(d, e, rng, *args):
+        calls.append((d.size, {1: "value", 2: "index"}[rng]))
+        return dstebz(d, e, rng, *args)
+
+    def fallback(main, off, **kwargs):
+        fallbacks.append(main.size)
+        return eigvalsh_tridiagonal(main, off, **kwargs)
+
+    monkeypatch.setattr(spectral, "dstebz", stebz)
+    monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", fallback)
+    return calls, fallbacks
+
+
+def windowed_calls(size, dx, first):
+    """The stebz calls that place and bisect a window on one block of the
+    given size and spacing, whose coarse copy at stride t starts first(t)
+    nodes in (0 at a mirror node, else t - 1): an index-range call on each
+    coarse copy, then a count and a value-range call on the block."""
+    s = round(COARSE_SPACING / dx)
+    coarse = [(len(range(first(t), size, t)), "index") for t in (s, 2 * s)]
+    return coarse + [(size, "value"), (size, "value")]
+
+
 @pytest.mark.parametrize("zeros", [1, 2, 3, 4])
 def test_the_margin_pair_is_bisected_on_the_reflection_blocks(zeros, records33, monkeypatch):
     # a solved level's V is bitwise even on the symmetric grid: the pair's
     # two eigenvalues, one even and one odd, come from the even block
-    # (centre node onward) and the odd block (the nodes after it)
-    sizes = []
-
-    def recording(main, off, **kwargs):
-        sizes.append(main.size)
-        return eigvalsh_tridiagonal(main, off, **kwargs)
-
-    monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", recording)
+    # (centre node onward) and the odd block (the nodes after it), each
+    # bisected in a window that two coarse copies place and one count
+    # certifies; no call searches a whole block's range
     prob = build_schrodinger(records33[("odd" if zeros % 2 else "even", zeros)].profile)
     size = prob.n - 2
     rep = schrodinger_index(prob)
-    assert sizes == [size // 2 + 1, size // 2]
     assert rep.index == zeros
-    # a small odd ramp breaks the reflection: one call on the whole matrix,
-    # exactly the call a report made before the split
+    main, off = _tridiag(prob)
+    whole = eigvalsh_tridiagonal(main, off, select="i", select_range=(zeros - 1, zeros))
+    assert np.max(np.abs(np.array(rep.margin_eigenvalues) - whole)) <= 1e-7
+    calls, fallbacks = record_stebz(monkeypatch)
+    pair = eigenvalues_below(prob, zeros + 1, zeros - 1, tol=0.1 * NULL_BAND)
+    assert np.array_equal(pair, rep.margin_eigenvalues)
+    assert calls == (windowed_calls(size // 2 + 1, prob.dx, lambda t: 0)
+                     + windowed_calls(size // 2, prob.dx, lambda t: t - 1))
+    assert fallbacks == []
+    # a small odd ramp breaks the reflection: the whole matrix is one block
     ramp = SchrodingerProblem(prob.grid, prob.potential + 1e-9 * prob.grid)
-    sizes.clear()
+    calls.clear()
     rep = schrodinger_index(ramp)
-    assert sizes == [size]
     assert rep.index == zeros
+    assert calls[-4:] == windowed_calls(size, prob.dx, lambda t: t - 1)
+    assert fallbacks == []
     main, off = _tridiag(ramp)
-    whole = eigvalsh_tridiagonal(main, off, select="i", select_range=(zeros - 1, zeros),
-                                 tol=0.1 * NULL_BAND)
-    assert np.array_equal(rep.margin_eigenvalues, whole)
+    whole = eigvalsh_tridiagonal(main, off, select="i", select_range=(zeros - 1, zeros))
+    assert np.max(np.abs(np.array(rep.margin_eigenvalues) - whole)) <= 1e-7
+
+
+def test_a_window_that_cannot_be_certified_falls_back(monkeypatch):
+    # a one-node well either side of the centre node, deep enough to hold
+    # each block's lowest eigenvalue, lies between the coarse copies' nodes:
+    # they place each window at an eigenvalue of the smooth well, the count
+    # below it reads 1, not 0, and each block's share comes from the
+    # whole-range call, as before the windows
+    g = symmetric_grid(20.0, 4001)
+    v = 4.0 - 8.0 / np.cosh(g) ** 2
+    c = g.size // 2
+    v[c - 1] = v[c + 1] = -2.0 / (g[1] - g[0]) ** 2
+    prob = SchrodingerProblem(g, v)
+    blocks = spectral._reflection_blocks(prob)
+    calls, fallbacks = record_stebz(monkeypatch)
+    got = eigenvalues_below(prob, 4, tol=0.1 * NULL_BAND)
+    assert fallbacks == [main.size for main, _ in blocks]
+    # the coarse copies and the count, and no value-range call
+    assert calls == (windowed_calls(blocks[0][0].size, prob.dx, lambda t: 0)[:3]
+                     + windowed_calls(blocks[1][0].size, prob.dx, lambda t: t - 1)[:3])
+    for b, (main, off) in enumerate(blocks):
+        assert np.array_equal(got[b::2], eigvalsh_tridiagonal(
+            main, off, select="i", select_range=(0, 1), tol=0.1 * NULL_BAND))
+    main, off = _tridiag(prob)
+    assert np.max(np.abs(got - eigvalsh_tridiagonal(main, off, select="i",
+                                                    select_range=(0, 3)))) <= 1e-7
 
 
 # -- equator branch --------------------------------------------------------------

@@ -43,6 +43,7 @@ from .serialize import (
     profile_to_doc,
     read_json,
     reading,
+    refuse_unknown,
     write_json,
 )
 from .shooting import (
@@ -54,8 +55,8 @@ from .shooting import (
 from .spectral import (
     NULL_BAND,
     SpectralReport,
-    build_schrodinger,
     morse_index,
+    potential_samples,
     report_from_doc,
     report_to_doc,
 )
@@ -229,18 +230,18 @@ def record_to_doc(rec: SolutionRecord) -> dict:
 def record_from_doc(doc: dict, path: Path) -> SolutionRecord:
     """record_to_doc's entry in the sweep.json at path, with its profile read
     from the file it names beside that one.  The record's class and zeros
-    are its profile's, and a bad value or spectral block is refused naming
-    path and that level."""
+    are its profile's, and a bad value, a key record_to_doc does not write
+    or a bad spectral block is refused naming path and that level."""
     name = doc["solution"]
     if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
         raise ValueError(f"solution {name!r} is not a file name")
     prof = load_profile(path.parent / name)
     level = f"{path}, level {prof.symmetry_class}/{prof.zero_count}"
+    spectral = report_from_doc(doc["spectral"], f"{level}: not a spectral report")
     with reading(f"{level}: not a sweep record", refused_values=True):
-        energy, h_norm = number(doc["energy"]), number(doc["H_norm"])
-    return SolutionRecord(prof, energy,
-                          report_from_doc(doc["spectral"], f"{level}: not a spectral report"),
-                          h_norm)
+        rec = SolutionRecord(prof, number(doc["energy"]), spectral, number(doc["H_norm"]))
+        refuse_unknown(doc, record_to_doc(rec))
+    return rec
 
 
 def sweep_report_to_doc(report: SweepReport) -> dict:
@@ -265,10 +266,12 @@ def sweep_report_to_doc(report: SweepReport) -> dict:
 def read_report(path) -> SweepReport:
     """The report in the sweep.json at path, with the solution files beside it.
 
-    ValueError names the file if a key is missing or a value has the wrong
-    shape or type, and the level too if that is in a record.  What the
-    report derives is not read: null_band, hypothesis, singular_energy, the
-    convergence table, and each record's class, zeros and sup_norm.
+    ValueError names the file if a key is missing or is not one the writer
+    writes, a value has the wrong shape or type, or a failure entry is not
+    [class of the level, level, message], and the level too if that is in a
+    record.  What the report derives is not read: null_band, hypothesis,
+    singular_energy, the convergence table, and each record's class, zeros
+    and sup_norm.
     """
     path = Path(path)
     doc = read_json(path)
@@ -279,11 +282,17 @@ def read_report(path) -> SweepReport:
         cfg = SweepConfig(params, integer(doc["max_zeros"]), number(doc["cutoff"]),
                           integer(doc["grid_size"]))
         failures = tuple((c, integer(z), m) for c, z, m in doc["failures"])
+        for c, z, m in failures:
+            if c != class_of_level(z) or not isinstance(m, str):
+                raise ValueError(f"failure {[c, z, m]!r} is not [class, level, message]")
         version = str(doc["version"])
     # record_from_doc's own ValueErrors already name the file they read
     with reading(what):
         records = tuple(record_from_doc(d, path) for d in doc["records"])
-    return SweepReport(cfg, records, failures, version)
+    report = SweepReport(cfg, records, failures, version)
+    with reading(what, refused_values=True):
+        refuse_unknown(doc, sweep_report_to_doc(report))
+    return report
 
 
 CSV_COLUMNS = ("class", "zeros", "energy", "energy_gap", "index", "nullity",
@@ -334,9 +343,8 @@ def write_report(report: SweepReport, out_dir) -> list:
 
 def profile_chart(prof: Profile) -> str:
     """SVG of h with its Schrodinger potential overlaid and +-pi/2 dashed."""
-    pot = build_schrodinger(prof).potential
     xs, hs = svg.decimate(prof.grid, prof.h)
-    xv, vv = svg.decimate(prof.grid, pot)
+    xv, vv = svg.decimate(prof.grid, potential_samples(prof.grid, prof.h, prof.params))
     return svg.line_chart(
         [svg.Series(xs, hs, "#1f6feb", label="h(x)"),
          svg.Series(xv, vv, "#d29922", label="V(x)",

@@ -156,6 +156,13 @@ def listed(doc: dict, key: str, noun: str = "number"):
     return values
 
 
+def refuse_unknown(doc: dict, keys) -> None:
+    """ValueError naming the keys of doc that are not in keys."""
+    unknown = sorted(doc.keys() - set(keys))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
+
+
 # what profile_to_doc writes; a document with any other key is refused
 _PROFILE_KEYS = {"m", "omega", "nu", "cutoff", "n", "half_h", "symmetry_class",
                  "residual_norm", "zero_count", "provenance"}
@@ -167,9 +174,7 @@ def profile_from_doc(doc: dict, what: str = "not a profile document") -> Profile
     profile's own checks refuse."""
     with reading(what, refused_values=True):
         half_h, n = listed(doc, "half_h"), integer(doc["n"])
-        unknown = sorted(doc.keys() - _PROFILE_KEYS)
-        if unknown:
-            raise ValueError(f"unknown keys {unknown}")
+        refuse_unknown(doc, _PROFILE_KEYS)
         if n % 2 == 0:
             raise ValueError("grid size must be odd and >= 3")
         if len(half_h) != (n + 1) // 2:

@@ -598,13 +598,12 @@ def newton_polish(prof: Profile, req: SolveRequest) -> Profile:
 
 @dataclass(frozen=True)
 class SolutionDiagnostics:
-    """verify_solution output: residuals, boundary gaps, monotonicity of the
-    Lyapunov quantity and energy margin below the singular level."""
+    """verify_solution output: residuals, the boundary gap, monotonicity of
+    the Lyapunov quantity and energy margin below the singular level."""
 
     residual_max: float
     residual_rms: float
-    boundary_gap_left: float
-    boundary_gap_right: float
+    boundary_gap: float
     w_violation: float
     energy_value: float
     energy_margin: float
@@ -617,9 +616,10 @@ class SolutionDiagnostics:
 def verify_solution(prof: Profile) -> SolutionDiagnostics:
     """Independent checks on a claimed connecting profile.
 
-    The equator branch (boundary values far from +-pi/2) is flagged rather
+    The equator branch (boundary value far from +-pi/2) is flagged rather
     than scored against the boundary and energy-margin checks it cannot
     meet: it is a genuine critical point but not a connecting profile.
+    The profile is even or odd, so h(X) and W on x > 0 speak for both ends.
     """
     p = prof.params
     grid, h, dh = prof.grid, prof.h, prof.dh
@@ -627,20 +627,13 @@ def verify_solution(prof: Profile) -> SolutionDiagnostics:
     residual_max = float(np.max(np.abs(r)))
     residual_rms = float(np.sqrt(np.mean(r * r)))
 
-    gap_l = float(HALF_PI - abs(h[0]))
-    gap_r = float(HALF_PI - abs(h[-1]))
-    singular = max(abs(float(h[0])), abs(float(h[-1]))) < 0.25
+    gap = float(HALF_PI - abs(h[-1]))
+    singular = abs(float(h[-1])) < 0.25
 
     support = 0.0 if p.nu is None else p.nu.support_radius
-    w = lyapunov_W(grid, h, dh, p)
     right = grid > support
-    left = grid < -support
-    viol = 0.0
-    if np.count_nonzero(right) > 1:
-        viol = max(viol, -float(np.min(np.diff(w[right]))))
-    if np.count_nonzero(left) > 1:
-        viol = max(viol, float(np.max(np.diff(w[left]))))
-    w_violation = max(0.0, viol)
+    w = lyapunov_W(grid[right], h[right], dh[right], p)
+    w_violation = max(0.0, -float(np.min(np.diff(w)))) if w.size > 1 else 0.0
 
     e = energy(prof)
     margin = singular_energy(p) - e
@@ -651,8 +644,8 @@ def verify_solution(prof: Profile) -> SolutionDiagnostics:
         failures.append(f"residual max {residual_max:.3e} exceeds {RESIDUAL_TOL:.1e}")
     if singular:
         failures.append("boundary values sit on the equator branch, not a connecting profile")
-    elif max(gap_l, gap_r) > BOUNDARY_TOL:
-        failures.append(f"boundary gap {max(gap_l, gap_r):.3e} exceeds {BOUNDARY_TOL:.1e}")
+    elif gap > BOUNDARY_TOL:
+        failures.append(f"boundary gap {gap:.3e} exceeds {BOUNDARY_TOL:.1e}")
     if w_violation > W_TOL:
         failures.append(f"Lyapunov monotonicity violated by {w_violation:.3e}")
     if not singular and margin <= 0:
@@ -662,7 +655,7 @@ def verify_solution(prof: Profile) -> SolutionDiagnostics:
 
     return SolutionDiagnostics(
         residual_max=residual_max, residual_rms=residual_rms,
-        boundary_gap_left=gap_l, boundary_gap_right=gap_r,
+        boundary_gap=gap,
         w_violation=w_violation, energy_value=e, energy_margin=float(margin),
         constraint_excess=excess,
         singular_branch=singular, failures=tuple(failures),

@@ -7,10 +7,10 @@ form into the flat quadratic form of a Schrodinger operator -w'' + V w with
     V(x) = (m-1)^2/4 - ((m-1)^2/4 + (m-1)/2) sech^2 x - omega (1+nu) cos(2h).
 
 Index and nullity are then read off the tridiagonal central-difference
-matrix of that operator by Sylvester inertia counts: A - sigma I has as
-many negative LDL^T pivots as eigenvalues below sigma.  A count is one
-call to LAPACK's stebz, one compiled O(N) pass per shift that reads only
-pivot signs; no iterative eigensolve is trusted for counting.  An
+matrix of that operator on the symmetric grid by Sylvester inertia counts:
+A - sigma I has as many negative LDL^T pivots as eigenvalues below sigma.
+LAPACK's stebz makes a count in one compiled O(N) pass per shift that reads
+only pivot signs; no iterative eigensolve is trusted for counting.  An
 eigenvalue within roundoff of sigma may be counted on either side of it,
 which is why nullity is counted over a band of shifts, not at sigma = 0.
 Dirichlet truncation at the grid ends can only undercount negative
@@ -20,25 +20,24 @@ margin pair: the two eigenvalues either side of the null band's lower edge,
 bisected by stebz to a tenth of the band.  They certify nothing; they show
 how far the potential must move before the index can change.
 
+V is even for a profile of class even or odd, so a SchrodingerProblem holds
+it on [0, X], and the matrix is built as its two reflection blocks (Cantoni
+& Butler 1976): an even block on the nodes 0..X-dx, its first coupling
+sqrt 2 times the others, and an odd block on the nodes dx..X-dx.  Its
+eigenvalues are simple and eigenvector j changes sign exactly j times
+(Sturm oscillation): an even one's sign changes pair off across the centre,
+and an odd one, zero there between entries of opposite sign, has an odd
+number.  So the eigenvalues alternate between the blocks, lambda_0 even,
+lambda_1 odd, and so on, and a count is the sum of the blocks' counts.
+
 stebz asked for eigenvalues by index first bisects the index range's ends
 down from the Gershgorin bound, about 4/dx^2, most of the cost of a call.
-So the wanted eigenvalues are first located on two coarser copies of the
-matrix, at spacings COARSE_SPACING and twice that, and extrapolated to the
-fine grid (Richardson); stebz then bisects only a window about that
-estimate, as wide as the coarse copies disagree, and one count below the
-window places what it finds by index.  Where the window does not hold
-them, the index-range call runs instead.
-
-A class even or odd profile has a bitwise even V, so the FD matrix on the
-symmetric grid, whose interior has a centre node, commutes with the
-reflection and splits into an even and an odd block of half size (Cantoni
-& Butler 1976).  Its off-diagonal is nonzero, so its eigenvalues are simple
-and eigenvector j, even or odd, changes sign exactly j times (Sturm
-oscillation).  An even one is nonzero at the centre, so its sign changes
-pair off across it; an odd one is zero there between entries of opposite
-sign, so it has an odd number.  The eigenvalues therefore alternate between
-the blocks, lambda_0 even, lambda_1 odd, and so on, and the margin pair is
-bisected on the blocks, one window each.  The counts stay full size.
+So each block's wanted eigenvalues are first located on two coarser copies
+of the block, at spacings about COARSE_SPACING and twice that, and
+extrapolated to the fine grid (Richardson); stebz then bisects only a
+window about that estimate, as wide as the coarse copies disagree, and one
+count below the window places what it finds by index.  Where the window
+does not hold them, the index-range call runs instead.
 
 For the equator branch, where V tends to (m-1)^2/4 - omega < 0 at both
 ends, families of disjoint tent functions placed in the far field give an
@@ -55,8 +54,8 @@ from scipy.integrate import simpson
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dstebz
 
-from .core import ProblemParams, Profile, sech, singular_profile
-from .serialize import integer, listed, number, reading
+from .core import ProblemParams, Profile, half_grid, sech, singular_profile
+from .serialize import integer, listed, number, reading, refuse_unknown
 
 NULL_BAND = 1e-6          # eigenvalues within +-band of 0 count toward the nullity
 NODES_PER_UNIT = 100       # grid density of truncated_singular_count
@@ -66,7 +65,9 @@ COARSE_SPACING = 0.04      # node spacing of the finer coarse copy that places a
 
 @dataclass(frozen=True)
 class SchrodingerProblem:
-    """Flat-form operator -d^2/dx^2 + V on a uniform grid, Dirichlet ends."""
+    """Flat-form operator -d^2/dx^2 + V on [-X, X], Dirichlet ends, for an
+    even V held on the half line: grid is half_grid(X, n), from x = 0, and
+    n and dx (Profile.dx, bitwise) are those of symmetric_grid(X, n)."""
 
     grid: np.ndarray
     potential: np.ndarray
@@ -74,8 +75,8 @@ class SchrodingerProblem:
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
         v = np.asarray(self.potential, dtype=float)
-        if g.ndim != 1 or g.shape != v.shape or g.size < 5:
-            raise ValueError("grid and potential must be matching 1-d arrays, >= 5 samples")
+        if g.ndim != 1 or g.shape != v.shape or g.size < 4 or g[0] != 0.0:
+            raise ValueError("need a matching 1-d grid on [0, X] and potential, >= 4 samples")
         if not np.all(np.isfinite(v)):
             raise ValueError("potential must be finite")
         object.__setattr__(self, "grid", g)
@@ -83,7 +84,7 @@ class SchrodingerProblem:
 
     @property
     def dx(self) -> float:
-        return float(self.grid[1] - self.grid[0])
+        return float(self.grid[-1] - self.grid[-2])
 
     @property
     def cutoff(self) -> float:
@@ -91,7 +92,7 @@ class SchrodingerProblem:
 
     @property
     def n(self) -> int:
-        return int(self.grid.size)
+        return 2 * int(self.grid.size) - 1
 
 
 def potential_samples(x, h, params: ProblemParams) -> np.ndarray:
@@ -102,17 +103,22 @@ def potential_samples(x, h, params: ProblemParams) -> np.ndarray:
 
 
 def build_schrodinger(prof: Profile) -> SchrodingerProblem:
-    """Potential of the flat-form Hessian along the profile's own grid."""
-    return SchrodingerProblem(prof.grid, potential_samples(prof.grid, prof.h, prof.params))
+    """Potential of the flat-form Hessian along the profile's half line."""
+    xs = half_grid(prof.cutoff, prof.n)
+    return SchrodingerProblem(xs, potential_samples(xs, prof.half_h, prof.params))
 
 
 # -- inertia counting ---------------------------------------------------------
 
-def _tridiag(problem: SchrodingerProblem):
-    """Main diagonal and off-diagonal of the interior-node FD matrix."""
-    dx = problem.dx
-    main = 2.0 / dx ** 2 + problem.potential[1:-1]
-    return main, np.full(main.size - 1, -1.0 / dx ** 2)
+def _blocks(problem: SchrodingerProblem):
+    """The even and odd blocks (main, off) of the interior-node FD matrix on
+    [-X, X].  Row 0 of an even vector reads main[0] v[0] + 2 off[0] v[1];
+    scaling v[0] by sqrt 2 makes it symmetric."""
+    main = 2.0 / problem.dx ** 2 + problem.potential[:-1]
+    off = np.full(main.size - 1, -1.0 / problem.dx ** 2)
+    even_off = off.copy()
+    even_off[0] *= math.sqrt(2.0)
+    return (main, even_off), (main[1:], off[1:])
 
 
 def _stebz(main, off, by_index: bool, low, high, tol: float) -> np.ndarray:
@@ -138,9 +144,10 @@ def _count_below(main, off, shift: float) -> int:
 
 
 def negative_count(problem: SchrodingerProblem, shift: float = 0.0) -> int:
-    """Number of eigenvalues of the Dirichlet FD matrix below shift.
+    """Number of eigenvalues of the Dirichlet FD matrix below shift, the
+    sum of its two blocks' counts.
 
-    LAPACK's stebz counts the negative LDL^T pivots of the matrix minus
+    LAPACK's stebz counts the negative LDL^T pivots of a block minus
     shift, in compiled code, taking a pivot within underflow of zero as a
     small negative one (Kahan 1966; Barth, Martin & Wilkinson 1967).  With
     vl strictly below the Gershgorin bound and abstol = shift - vl, every
@@ -148,47 +155,41 @@ def negative_count(problem: SchrodingerProblem, shift: float = 0.0) -> int:
     two inertia counts, at vl and at shift, and no bisection steps.  An
     eigenvalue within roundoff of shift may be counted on either side.
     """
-    return _count_below(*_tridiag(problem), shift)
+    return sum(_count_below(main, off, shift) for main, off in _blocks(problem))
 
 
-def _reflection_blocks(problem: SchrodingerProblem):
-    """The even and odd reflection blocks of the FD matrix, or the matrix
-    alone (see eigenvalues_below).  Row c of an even vector reads
-    main[c] v[c] + 2 off[c] v[c+1]; scaling v[c] by sqrt 2 makes it symmetric."""
-    main, off = _tridiag(problem)
-    c = main.size // 2
-    if main.size % 2 == 0 or not np.array_equal(main, main[::-1]):
-        return ((main, off),)
-    even_off = off[c:].copy()
-    even_off[0] *= math.sqrt(2.0)
-    return (main[c:], even_off), (main[c + 1:], off[c + 1:])
+def _stride(problem: SchrodingerProblem):
+    """The stride s of _windowed's coarse copies: of the d >= 2 within a
+    factor 2 of r = round(COARSE_SPACING / dx) such that 2d divides the half
+    line's spacings, the one nearest r (the smaller on a tie), else None."""
+    r = round(COARSE_SPACING / problem.dx)
+    spacings = problem.grid.size - 1
+    fits = [d for d in range(2, 2 * r + 1) if 2 * d >= r and spacings % (2 * d) == 0]
+    return min(fits, key=lambda d: (abs(d - r), d), default=None)
 
 
-def _windowed(main, off, dx: float, mirrored: bool, lo: int, hi: int, tol: float):
+def _windowed(main, off, dx: float, s: int, even: bool, lo: int, hi: int, tol: float):
     """Eigenvalues lo..hi of one block (see eigenvalues_below), or None when
     the window placed for them does not hold them.
 
     Two coarse copies of the block keep its potential at every s-th and
-    every 2s-th node, s = round(COARSE_SPACING / dx), and a mirrored block's
-    mirror node and sqrt 2 coupling; their Dirichlet end is the block's
-    when s divides the number of spacings, as on the package's grids.  The
-    central difference underestimates an eigenvalue by about C H^2 at
-    spacing H, so the copies' eigenvalues l_s and l_2s extrapolate to the
-    block's as l_s + (l_s - l_2s)(1 - 1/s^2)/3.  The window about that
-    estimate has half-width |l_s - l_2s|, three times the correction, plus
-    2 tol for the copies' own bisection.  One count c below its lower end
-    and one value-range bisection of its m eigenvalues place them as
-    eigenvalues c..c+m-1 (Barth, Martin & Wilkinson 1967), with no walk
-    down from the Gershgorin bound; they must include lo..hi.
+    every 2s-th node, and the even block's mirror node and sqrt 2 coupling;
+    s and 2s divide the half line's spacings (_stride), so their Dirichlet
+    ends are the block's.  The central difference underestimates an
+    eigenvalue by about C H^2 at spacing H, so the copies' eigenvalues l_s
+    and l_2s extrapolate to the block's as l_s + (l_s - l_2s)(1 - 1/s^2)/3.
+    The window about that estimate has half-width |l_s - l_2s|, three times
+    the correction, plus 2 tol for the copies' own bisection.  One count c
+    below its lower end and one value-range bisection of its m eigenvalues
+    place them as eigenvalues c..c+m-1 (Barth, Martin & Wilkinson 1967),
+    with no walk down from the Gershgorin bound; they must include lo..hi.
     """
-    s = round(COARSE_SPACING / dx)
-    if s < 2:
-        return None
     coarse = []
     for stride in (s, 2 * s):
-        first = 0 if mirrored else stride - 1
+        first = 0 if even else stride - 1
         sub = main[first::stride] - 2.0 / dx ** 2 * (1.0 - 1.0 / stride ** 2)
-        if sub.size <= hi:
+        # stebz wants an off-diagonal, so at least two nodes
+        if sub.size <= max(hi, 1):
             return None
         # each coupling is -1/dx^2 (sqrt 2 at a mirror node); at spacing
         # stride dx it is 1/stride^2 of that
@@ -216,32 +217,27 @@ def eigenvalues_below(problem: SchrodingerProblem, count: int, first: int = 0,
     LAPACK's stebz bisects for them with the same Sturm counts that
     negative_count makes; index and nullity are certified by negative_count.
 
-    Block rule: when the matrix has odd size n - 2 and its main diagonal
-    equals its own reverse bitwise, it has p = 2 blocks about its centre
-    index c: the even block main[c:], off[c:] with off[c] times sqrt 2, and
-    the odd block main[c+1:], off[c+1:].  Otherwise p = 1, the whole
-    matrix.  The eigenvalues alternate between the blocks (module
-    docstring), so eigenvalue j is entry j // p of block j mod p, and each
-    block gives its share of the range, placed by j.
+    Eigenvalue j is entry j // 2 of block j mod 2 (module docstring), so
+    each block gives its share of the range, placed by j.
 
     A block bisects its share in a window that two coarse copies of it
-    place (_windowed).  Where the window does not hold the share, or the
-    copies are too small to, one index-range stebz call finds it instead.
+    place (_windowed).  Where no stride fits the grid (_stride), the window
+    does not hold the share, or the copies are too small to, one
+    index-range stebz call finds it instead.
     """
     if count <= first:
         return np.zeros(0)
-    blocks = _reflection_blocks(problem)
-    p = len(blocks)
+    s = _stride(problem)
     out = np.empty(count - first)
-    for b, (main, off) in enumerate(blocks):
-        # block b holds j = k p + b for k = lo..hi within first..count-1
-        lo, hi = (first - b + p - 1) // p, (count - 1 - b) // p
+    for b, (main, off) in enumerate(_blocks(problem)):
+        # block b holds j = 2k + b for k = lo..hi within first..count-1
+        lo, hi = (first - b + 1) // 2, (count - 1 - b) // 2
         if lo <= hi:
-            found = _windowed(main, off, problem.dx, p == 2 and b == 0, lo, hi, tol)
+            found = _windowed(main, off, problem.dx, s, b == 0, lo, hi, tol) if s else None
             if found is None:
                 found = eigvalsh_tridiagonal(main, off, select="i", select_range=(lo, hi),
                                              tol=tol)
-            out[lo * p + b - first::p] = found
+            out[2 * lo + b - first::2] = found
     return out
 
 
@@ -326,16 +322,18 @@ def report_to_doc(rep: SpectralReport) -> dict:
 
 def report_from_doc(doc: dict, what: str) -> SpectralReport:
     """report_to_doc's report; ValueError, its message prefixed by what, on a
-    missing key, a wrong shape or a value of the wrong type."""
+    missing or unknown key, a wrong shape or a value of the wrong type."""
     with reading(what, refused_values=True):
-        return SpectralReport(index=integer(doc["index"]),
-                              nullity_estimate=integer(doc["nullity_estimate"]),
-                              margin_eigenvalues=tuple(listed(doc, "margin_eigenvalues")),
-                              cutoff=number(doc["cutoff"]), n=integer(doc["n"]),
-                              null_band=number(doc["null_band"]),
-                              band_sensitivity=tuple((number(b), integer(c))
-                                                     for b, c in doc["band_sensitivity"]),
-                              flags=tuple(listed(doc, "flags", "string")))
+        rep = SpectralReport(index=integer(doc["index"]),
+                             nullity_estimate=integer(doc["nullity_estimate"]),
+                             margin_eigenvalues=tuple(listed(doc, "margin_eigenvalues")),
+                             cutoff=number(doc["cutoff"]), n=integer(doc["n"]),
+                             null_band=number(doc["null_band"]),
+                             band_sensitivity=tuple((number(b), integer(c))
+                                                    for b, c in doc["band_sensitivity"]),
+                             flags=tuple(listed(doc, "flags", "string")))
+        refuse_unknown(doc, report_to_doc(rep))
+    return rep
 
 
 # -- witness families at the equator branch -----------------------------------

@@ -144,7 +144,8 @@ def test_verify_document_is_the_diagnostics_record(solved, capsys):
     keys = list(json.loads(capsys.readouterr().out))
     fields = [f.name for f in dataclasses.fields(SolutionDiagnostics)]
     assert keys == ["energy" if f == "energy_value" else f for f in fields]
-    assert keys[5] == "energy"
+    # one boundary gap, h(X)'s: the profile is even or odd
+    assert keys[2:5] == ["boundary_gap", "w_violation", "energy"]
 
 
 @pytest.mark.parametrize("command", [["verify", "--solution"], ["index", "--solution"],

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference import dense_eigs, full_tridiagonal
 from scipy.linalg import eigvalsh_tridiagonal
 
 from spherekink import spectral
@@ -27,17 +28,12 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def problems(draw):
-    n = draw(st.integers(5, 60))
+    """A random potential on 4 to 30 nodes of a half line [0, X], whose
+    mirror is the even potential on [-X, X] that dense_eigs diagonalises."""
+    half = draw(st.integers(4, 30))
     half_width = draw(st.floats(1.0, 10.0))
-    v = draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
-    return SchrodingerProblem(np.linspace(-half_width, half_width, n), np.array(v))
-
-
-def dense_eigs(problem):
-    dx = problem.dx
-    main = 2.0 / dx ** 2 + problem.potential[1:-1]
-    off = np.full(main.size - 1, -1.0 / dx ** 2)
-    return np.linalg.eigvalsh(np.diag(main) + np.diag(off, 1) + np.diag(off, -1))
+    v = draw(st.lists(st.floats(-50.0, 50.0), min_size=half, max_size=half))
+    return SchrodingerProblem(np.linspace(0.0, half_width, half), np.array(v))
 
 
 def spectral_scale(problem):
@@ -64,19 +60,8 @@ def test_eigenvalues_below_match_dense(problem, count):
     assert np.max(np.abs(got - lam[:count])) <= 1e-10 * spectral_scale(problem)
 
 
-@st.composite
-def even_problems(draw):
-    """A random half mirrored into an even potential on an odd number of
-    nodes, so the interior matrix has a centre node and splits into blocks."""
-    half = draw(st.integers(3, 30))
-    half_width = draw(st.floats(1.0, 10.0))
-    v = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=half, max_size=half)))
-    return SchrodingerProblem(np.linspace(-half_width, half_width, 2 * half - 1),
-                              np.concatenate([v, v[-2::-1]]))
-
-
 @settings(max_examples=200, deadline=None)
-@given(even_problems(), st.data())
+@given(problems(), st.data())
 def test_eigenvalues_of_an_even_potential_match_dense(problem, data):
     lam = dense_eigs(problem)
     # any range of indices: within one block's parity or across both, up to
@@ -92,24 +77,24 @@ def test_eigenvalues_of_an_even_potential_match_dense(problem, data):
 
 @st.composite
 def wells(draw):
-    """One to three sech^2 wells below a constant floor on 1001 to 4001
-    nodes, mirrored into a bitwise even potential or left uneven.  The
+    """One to three sech^2 wells below a constant floor on a half line of
+    501 to 2001 nodes, mirrored into an even potential on [-X, X].  The
     spacing is COARSE_SPACING / s for a stride s from 2 to 10, and the half
-    line [0, X], 5 <= X <= 12, is a whole number of spacings 2 s dx, so
-    that each coarse copy of eigenvalues_below keeps the Dirichlet ends."""
+    line [0, X], 5 <= X <= 12, is a whole number of spacings 2 s dx, so that
+    eigenvalues_below takes s for its coarse copies."""
     s = draw(st.integers(2, 10))
     k = draw(st.integers(max(63, -(-250 // s)), min(150, 1000 // s)))
-    n, half_width = 4 * s * k + 1, 2 * k * COARSE_SPACING
+    half_width = 2 * k * COARSE_SPACING
     floor = draw(st.floats(0.5, 4.0))
-    g = np.linspace(-half_width, half_width, n)
-    v = np.full(n, floor)
+    g = np.linspace(0.0, half_width, 2 * s * k + 1)
+    v = np.full(g.size, floor)
     for _ in range(draw(st.integers(1, 3))):
         depth, width = draw(st.floats(1.0, 20.0)), draw(st.floats(0.5, 3.0))
         centre = draw(st.floats(-0.5, 0.5)) * half_width
         v -= depth / np.cosh((g - centre) / width) ** 2
-    if draw(st.booleans()):
-        v = np.concatenate([v[:n // 2 + 1], v[n // 2 - 1::-1]])
-    return SchrodingerProblem(g, v), floor
+    problem = SchrodingerProblem(g, v)
+    assert spectral._stride(problem) == s
+    return problem, floor
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,8 +108,7 @@ def test_eigenvalues_of_smooth_wells_match_the_whole_range_call(well, data):
     assume(bound >= 1)
     first = data.draw(st.integers(0, bound - 1))
     count = data.draw(st.integers(first + 1, min(bound, first + 4)))
-    main = 2.0 / problem.dx ** 2 + problem.potential[1:-1]
-    off = np.full(main.size - 1, -1.0 / problem.dx ** 2)
+    main, off = full_tridiagonal(problem)
     fallbacks = []
 
     def fallback(*args, **kwargs):

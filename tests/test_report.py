@@ -205,14 +205,41 @@ def test_convergence_table_follows_records(small_sweep):
     assert small_sweep.convergence_table[1][2] == gap - 0.125
 
 
-def test_read_report_ignores_old_newton_tol(small_sweep, tmp_path):
-    # files written while the Newton tolerance was a setting carry this key
+def test_read_report_refuses_unknown_keys(small_sweep, tmp_path):
+    # an old file's newton_tol (the Newton tolerance was once a setting), and
+    # a key the writer never wrote in a record or in its spectral block
     write_report(small_sweep, tmp_path)
-    doc = read_json(tmp_path / "sweep.json")
+    path = tmp_path / "sweep.json"
+    doc = read_json(path)
     assert "newton_tol" not in doc
-    write_json(dict(doc, newton_tol=1e-10), tmp_path / "sweep.json")
-    back = read_report(tmp_path / "sweep.json")
-    assert dumps(sweep_report_to_doc(back)) == dumps(doc)
+    rec = doc["records"][0]
+    level = f"{path}, level {rec['class']}/{rec['zeros']}"
+    for edited, where, key in (
+            (dict(doc, newton_tol=1e-10), f"{path} is not a sweep report", "newton_tol"),
+            (dict(doc, records=[dict(rec, index=2)]), f"{level}: not a sweep record", "index"),
+            (dict(doc, records=[dict(rec, spectral=dict(rec["spectral"], index_even=1))]),
+             f"{level}: not a spectral report", "index_even")):
+        write_json(edited, path)
+        with pytest.raises(ValueError) as refused:
+            read_report(path)
+        assert str(refused.value) == f"{where}: unknown keys [{key!r}]"
+
+
+@pytest.mark.parametrize("entry", [["even", 3, "no bracket"], ["odd", 2, "no bracket"],
+                                   ["none", 3, "no bracket"], ["odd", 3, None],
+                                   ["odd", 3, ["no bracket"]]])
+def test_read_report_refuses_a_failure_entry_of_the_wrong_form(entry, small_sweep, tmp_path):
+    # an entry is [class of the level, level, message]
+    write_report(small_sweep, tmp_path)
+    path = tmp_path / "sweep.json"
+    doc = read_json(path)
+    write_json(dict(doc, failures=[["odd", 3, "no bracket"]]), path)
+    assert read_report(path).failures == (("odd", 3, "no bracket"),)
+    write_json(dict(doc, failures=[entry]), path)
+    with pytest.raises(ValueError) as refused:
+        read_report(path)
+    assert str(refused.value) == (f"{path} is not a sweep report: failure {entry!r} "
+                                  "is not [class, level, message]")
 
 
 def test_csv_layout(small_sweep, tmp_path):

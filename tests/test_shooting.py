@@ -724,3 +724,5 @@ def test_verify_flags_wrong_boundary():
     diag = verify_solution(prof)
     assert not diag.passed
     assert any("boundary gap" in f for f in diag.failures)
+    # one gap, h(X)'s, which the mirror makes h(-X)'s too
+    assert diag.boundary_gap == HALF_PI - math.tanh(20.0)

@@ -5,13 +5,16 @@ Two independent oracles anchor this file:
 * the potential along the one-zero (3,3) profile is exactly
   4 - 8 sech^2 x, a reflectionless well whose bound states are
   4 - ((sqrt(33) - 1)/2 - n)^2 for n = 0, 1, 2;
-* on small grids the tridiagonal matrix is rebuilt densely and handed to
-  numpy's symmetric eigensolver, so the Sturm counts and the bisected
-  eigenvalues can be compared against a full diagonalisation.
+* on small grids the tridiagonal matrix is rebuilt densely on the whole
+  symmetric grid, its potential mirrored, and handed to numpy's symmetric
+  eigensolver, so the Sturm counts and the bisected eigenvalues, which the
+  package takes from the two reflection blocks, can be compared against a
+  full diagonalisation.
 
 On grids too fine for a dense matrix, the margin pair is checked against
 shift-invert Lanczos (ARPACK on a sparse LU factorisation), which makes no
-Sturm count.
+Sturm count.  The equator branch's counts are checked against the closed
+form of its Poschl-Teller phase.
 """
 
 import math
@@ -19,7 +22,17 @@ import math
 import numpy as np
 import pytest
 from conftest import gudermann_profile
-from reference import hessian_fd_check, hessian_form, schrodinger_form, symmetric_witnesses
+from reference import (
+    dense_eigs,
+    full_line,
+    full_tridiagonal,
+    hessian_fd_check,
+    hessian_form,
+    poschl_teller_phase,
+    schrodinger_form,
+    singular_count,
+    symmetric_witnesses,
+)
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.linalg import eigvalsh_tridiagonal
@@ -29,6 +42,7 @@ from scipy.sparse.linalg import eigsh
 from spherekink.core import (
     NuPerturbation,
     ProblemParams,
+    half_grid,
     resample,
     singular_profile,
     symmetric_grid,
@@ -40,7 +54,6 @@ from spherekink.spectral import (
     NULL_BAND,
     SchrodingerProblem,
     WitnessFunction,
-    _tridiag,
     build_schrodinger,
     eigenvalues_below,
     morse_index,
@@ -53,15 +66,6 @@ from spherekink.spectral import (
 
 P33 = ProblemParams(3, 3.0)
 P22 = ProblemParams(2, 2.0)
-
-
-def dense_eigs(problem):
-    """Full diagonalisation of the same interior-node matrix."""
-    dx = problem.dx
-    main = 2.0 / dx ** 2 + problem.potential[1:-1]
-    a = np.diag(main) + np.diag(np.full(main.size - 1, -1.0 / dx ** 2), 1) \
-        + np.diag(np.full(main.size - 1, -1.0 / dx ** 2), -1)
-    return np.linalg.eigvalsh(a)
 
 
 # -- potential -------------------------------------------------------------------
@@ -82,35 +86,56 @@ def test_potential_along_exact_profile_is_reflectionless():
 
 
 def test_build_schrodinger_carries_metadata():
-    prob = build_schrodinger(gudermann_profile())
+    prof = gudermann_profile()
+    prob = build_schrodinger(prof)
     assert prob.n == 4001
     assert prob.cutoff == 20.0
+    # V on the half line, at the symmetric grid's own spacing
+    assert np.array_equal(prob.grid, prof.grid[2000:])
+    assert np.array_equal(prob.potential,
+                          potential_samples(prof.grid, prof.h, prof.params)[2000:])
+    assert prob.dx == prof.dx
 
 
 def test_problem_rejects_nonfinite_potential():
-    g = symmetric_grid(5.0, 11)
-    v = np.zeros(11)
+    g = half_grid(5.0, 11)
+    v = np.zeros(6)
     v[3] = np.inf
     with pytest.raises(ValueError):
         SchrodingerProblem(g, v)
+
+
+def test_problem_is_a_half_line_of_at_least_four_nodes():
+    # three nodes would leave the odd block one node and no coupling
+    for g in (half_grid(5.0, 5), symmetric_grid(5.0, 11)):
+        with pytest.raises(ValueError, match=r"on \[0, X\] and potential, >= 4 samples"):
+            SchrodingerProblem(g, np.zeros(g.size))
+    # five nodes 0.03 apart: stride 2, at which a coarse copy of either block
+    # would be one node with no coupling, so both take the whole-range call
+    g = half_grid(0.12, 9)
+    prob = SchrodingerProblem(g, np.cos(g))
+    assert spectral._stride(prob) == 2
+    lam = dense_eigs(prob)
+    for count in range(1, 8):
+        assert np.max(np.abs(eigenvalues_below(prob, count) - lam[:count])) < 1e-9 / prob.dx ** 2
 
 
 # -- counting against dense diagonalisation ----------------------------------------
 
 @pytest.mark.parametrize("n", [51, 101, 201])
 def test_negative_count_matches_dense_eigensolver(n, records33):
-    g = symmetric_grid(6.0, n)
+    g = half_grid(6.0, n)
     problems = [SchrodingerProblem(g, v) for v in (
-        np.full(n, 1.0),
-        np.full(n, -1.0),
-        potential_samples(g, np.zeros(n), P33),
+        np.full(g.size, 1.0),
+        np.full(g.size, -1.0),
+        potential_samples(g, np.zeros(g.size), P33),
         4.0 - 8.0 / np.cosh(g) ** 2)]
     # a solved level's own potential, index 4, resampled to at most 801 nodes
     prof = records33[("even", 4)].profile
     problems.append(build_schrodinger(resample(prof, prof.cutoff, 4 * n - 3)))
     for prob in problems:
         lam = dense_eigs(prob)
-        main, off = _tridiag(prob)
+        main, off = full_tridiagonal(prob)
         below = float(np.min(main)) - 2.0 * abs(float(off[0])) - 1.0   # Gershgorin
         above = float(np.max(main)) + 2.0 * abs(float(off[0])) + 1.0
         assert negative_count(prob, below) == 0
@@ -120,16 +145,16 @@ def test_negative_count_matches_dense_eigensolver(n, records33):
 
 
 def test_negative_count_survives_an_exactly_zero_pivot():
-    # V = 0 and shift = 2/dx^2 zero every shifted diagonal entry, so the first
-    # pivot is exactly 0.  shift is also the middle eigenvalue of the 49
-    # interior nodes, so the count must land between the counts just below
-    # and just above it: 24 and 25.  stebz takes the zero pivot as a tiny
-    # negative one, counting the eigenvalue as below shift.
-    g = symmetric_grid(6.0, 51)
-    prob = SchrodingerProblem(g, np.zeros(51))
-    main, _ = _tridiag(prob)
+    # V = 0 and shift = 2/dx^2 zero every shifted diagonal entry of both
+    # blocks, so each block's first pivot is exactly 0.  shift is also the
+    # middle eigenvalue of the 49 interior nodes, lambda_24, an eigenvalue
+    # of the even block, so the count must land between the counts just
+    # below and just above it: 24 and 25.  stebz takes the zero pivot as a
+    # tiny negative one, counting the eigenvalue as below shift.
+    g = half_grid(6.0, 51)
+    prob = SchrodingerProblem(g, np.zeros(26))
     shift = 2.0 / prob.dx ** 2
-    assert main[0] - shift == 0.0
+    assert [main[0] - shift for main, _ in spectral._blocks(prob)] == [0.0, 0.0]
     lam = dense_eigs(prob)
     assert int(np.sum(lam < shift * (1.0 - 1e-12))) == 24
     assert int(np.sum(lam < shift * (1.0 + 1e-12))) == 25
@@ -137,23 +162,23 @@ def test_negative_count_survives_an_exactly_zero_pivot():
 
 
 def test_eigenvalues_below_match_dense_eigensolver():
-    g = symmetric_grid(6.0, 201)
-    prob = SchrodingerProblem(g, potential_samples(g, np.zeros(201), P33))
+    g = half_grid(6.0, 201)
+    prob = SchrodingerProblem(g, potential_samples(g, np.zeros(101), P33))
     got = eigenvalues_below(prob, 5)
     ref = np.sort(dense_eigs(prob))[:5]
     assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-9
 
 
 def test_eigenvalues_below_zero_request():
-    g = symmetric_grid(6.0, 51)
-    prob = SchrodingerProblem(g, np.zeros(51))
+    g = half_grid(6.0, 51)
+    prob = SchrodingerProblem(g, np.zeros(26))
     assert eigenvalues_below(prob, 0).size == 0
     assert eigenvalues_below(prob, 3, 3).size == 0
 
 
 def test_eigenvalues_below_from_an_index():
-    g = symmetric_grid(6.0, 201)
-    prob = SchrodingerProblem(g, potential_samples(g, np.zeros(201), P33))
+    g = half_grid(6.0, 201)
+    prob = SchrodingerProblem(g, potential_samples(g, np.zeros(101), P33))
     ref = np.sort(dense_eigs(prob))[3:6]
     got = eigenvalues_below(prob, 6, 3)
     assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-9
@@ -162,8 +187,8 @@ def test_eigenvalues_below_from_an_index():
 
 
 def test_positive_box_has_no_negative_directions():
-    g = symmetric_grid(10.0, 1001)
-    prob = SchrodingerProblem(g, np.full(1001, 1.0))
+    g = half_grid(10.0, 1001)
+    prob = SchrodingerProblem(g, np.full(501, 1.0))
     assert negative_count(prob, 0.0) == 0
 
 
@@ -234,7 +259,7 @@ def test_a_report_with_an_empty_band_makes_two_counts(zeros, records33, monkeypa
 def test_report_flags_fire_at_the_fixed_band(monkeypatch):
     # the well 4 - 8 sech^2 x, shifted so that its lowest eigenvalue sits at
     # +5e-7: inside the null band, outside the band 10x narrower
-    g = symmetric_grid(8.0, 401)
+    g = half_grid(8.0, 401)
     v = 4.0 - 8.0 / np.cosh(g) ** 2
     prob = SchrodingerProblem(g, v + (5e-7 - dense_eigs(SchrodingerProblem(g, v))[0]))
     assert dense_eigs(prob)[0] == pytest.approx(5e-7, abs=1e-11)
@@ -247,7 +272,7 @@ def test_report_flags_fire_at_the_fixed_band(monkeypatch):
 
     # two such wells 10 apart: their ground states split by about 1e-8, and
     # the pair, shifted to straddle 0, lies inside every band
-    g = symmetric_grid(16.0, 801)
+    g = half_grid(16.0, 801)
     v = -8.0 / np.cosh(g - 5.0) ** 2 - 8.0 / np.cosh(g + 5.0) ** 2
     lam = dense_eigs(SchrodingerProblem(g, v))
     prob = SchrodingerProblem(g, v - 0.5 * (lam[0] + lam[1]))
@@ -266,7 +291,7 @@ def test_report_flags_fire_at_the_fixed_band(monkeypatch):
 def straddling_pair(problem):
     """The eigenvalues either side of -NULL_BAND (the one above alone when
     none lies below), by shift-invert Lanczos: no Sturm count, no bisection."""
-    main, off = _tridiag(problem)
+    main, off = full_tridiagonal(problem)
     a = sparse.diags([off, main, off], [-1, 0, 1], format="csc")
     lam = eigsh(a, k=6, sigma=-NULL_BAND, return_eigenvectors=False)
     below, above = lam[lam < -NULL_BAND], lam[lam >= -NULL_BAND]
@@ -277,10 +302,10 @@ def straddling_pair(problem):
 def box_with_index(index, n=201):
     """The zero potential lowered until exactly `index` eigenvalues lie
     below zero, halfway between two of them."""
-    g = symmetric_grid(10.0, n)
-    mu = dense_eigs(SchrodingerProblem(g, np.zeros(n)))
+    g = half_grid(10.0, n)
+    mu = dense_eigs(SchrodingerProblem(g, np.zeros(g.size)))
     lower = mu[index - 1] if index else 0.0
-    return SchrodingerProblem(g, np.full(n, -0.5 * (lower + mu[index])))
+    return SchrodingerProblem(g, np.full(g.size, -0.5 * (lower + mu[index])))
 
 
 @pytest.fixture(scope="module")
@@ -330,7 +355,7 @@ def test_margin_is_the_lowest_eigenvalue_at_index_zero():
 def test_margin_shows_an_eigenvalue_near_the_band(k, monkeypatch):
     # the well 4 - 8 sech^2 x, shifted so that eigenvalue k sits at 5e-6:
     # outside the null band, inside the band 10x wider
-    g = symmetric_grid(8.0, 401)
+    g = half_grid(8.0, 401)
     v = 4.0 - 8.0 / np.cosh(g) ** 2
     prob = SchrodingerProblem(g, v + (5e-6 - dense_eigs(SchrodingerProblem(g, v))[k]))
     lam = dense_eigs(prob)
@@ -366,8 +391,8 @@ def test_a_report_bisects_at_most_two_eigenvalues(index, monkeypatch):
 def test_a_report_of_every_eigenvalue_below_the_band():
     # at index = size the matrix has no eigenvalue above the band, so the
     # margin holds the highest one alone
-    g = symmetric_grid(10.0, 201)
-    prob = SchrodingerProblem(g, np.full(201, -1e4))
+    g = half_grid(10.0, 201)
+    prob = SchrodingerProblem(g, np.full(101, -1e4))
     rep = schrodinger_index(prob)
     assert rep.index == 199
     assert rep.margin_eigenvalues == pytest.approx([dense_eigs(prob)[-1]], abs=1e-7)
@@ -391,46 +416,36 @@ def record_stebz(monkeypatch):
     return calls, fallbacks
 
 
-def windowed_calls(size, dx, first):
+def windowed_calls(size, s, first):
     """The stebz calls that place and bisect a window on one block of the
-    given size and spacing, whose coarse copy at stride t starts first(t)
-    nodes in (0 at a mirror node, else t - 1): an index-range call on each
-    coarse copy, then a count and a value-range call on the block."""
-    s = round(COARSE_SPACING / dx)
+    given size at stride s, whose coarse copy at stride t starts first(t)
+    nodes in (0 at the even block's mirror node, else t - 1): an index-range
+    call on each coarse copy, then a count and a value-range call on the
+    block."""
     coarse = [(len(range(first(t), size, t)), "index") for t in (s, 2 * s)]
     return coarse + [(size, "value"), (size, "value")]
 
 
 @pytest.mark.parametrize("zeros", [1, 2, 3, 4])
 def test_the_margin_pair_is_bisected_on_the_reflection_blocks(zeros, records33, monkeypatch):
-    # a solved level's V is bitwise even on the symmetric grid: the pair's
-    # two eigenvalues, one even and one odd, come from the even block
-    # (centre node onward) and the odd block (the nodes after it), each
-    # bisected in a window that two coarse copies place and one count
+    # the pair's two eigenvalues, one even and one odd, come from the even
+    # block (centre node onward) and the odd block (the nodes after it),
+    # each bisected in a window that two coarse copies place and one count
     # certifies; no call searches a whole block's range
     prob = build_schrodinger(records33[("odd" if zeros % 2 else "even", zeros)].profile)
     size = prob.n - 2
     rep = schrodinger_index(prob)
     assert rep.index == zeros
-    main, off = _tridiag(prob)
+    main, off = full_tridiagonal(prob)
     whole = eigvalsh_tridiagonal(main, off, select="i", select_range=(zeros - 1, zeros))
     assert np.max(np.abs(np.array(rep.margin_eigenvalues) - whole)) <= 1e-7
     calls, fallbacks = record_stebz(monkeypatch)
     pair = eigenvalues_below(prob, zeros + 1, zeros - 1, tol=0.1 * NULL_BAND)
     assert np.array_equal(pair, rep.margin_eigenvalues)
-    assert calls == (windowed_calls(size // 2 + 1, prob.dx, lambda t: 0)
-                     + windowed_calls(size // 2, prob.dx, lambda t: t - 1))
+    assert spectral._stride(prob) == round(COARSE_SPACING / prob.dx) == 4
+    assert calls == (windowed_calls(size // 2 + 1, 4, lambda t: 0)
+                     + windowed_calls(size // 2, 4, lambda t: t - 1))
     assert fallbacks == []
-    # a small odd ramp breaks the reflection: the whole matrix is one block
-    ramp = SchrodingerProblem(prob.grid, prob.potential + 1e-9 * prob.grid)
-    calls.clear()
-    rep = schrodinger_index(ramp)
-    assert rep.index == zeros
-    assert calls[-4:] == windowed_calls(size, prob.dx, lambda t: t - 1)
-    assert fallbacks == []
-    main, off = _tridiag(ramp)
-    whole = eigvalsh_tridiagonal(main, off, select="i", select_range=(zeros - 1, zeros))
-    assert np.max(np.abs(np.array(rep.margin_eigenvalues) - whole)) <= 1e-7
 
 
 def test_a_window_that_cannot_be_certified_falls_back(monkeypatch):
@@ -439,24 +454,55 @@ def test_a_window_that_cannot_be_certified_falls_back(monkeypatch):
     # they place each window at an eigenvalue of the smooth well, the count
     # below it reads 1, not 0, and each block's share comes from the
     # whole-range call, as before the windows
-    g = symmetric_grid(20.0, 4001)
+    g = half_grid(20.0, 4001)
     v = 4.0 - 8.0 / np.cosh(g) ** 2
-    c = g.size // 2
-    v[c - 1] = v[c + 1] = -2.0 / (g[1] - g[0]) ** 2
+    v[1] = -2.0 / (g[-1] - g[-2]) ** 2
     prob = SchrodingerProblem(g, v)
-    blocks = spectral._reflection_blocks(prob)
+    blocks = spectral._blocks(prob)
     calls, fallbacks = record_stebz(monkeypatch)
     got = eigenvalues_below(prob, 4, tol=0.1 * NULL_BAND)
     assert fallbacks == [main.size for main, _ in blocks]
     # the coarse copies and the count, and no value-range call
-    assert calls == (windowed_calls(blocks[0][0].size, prob.dx, lambda t: 0)[:3]
-                     + windowed_calls(blocks[1][0].size, prob.dx, lambda t: t - 1)[:3])
+    s = spectral._stride(prob)
+    assert calls == (windowed_calls(blocks[0][0].size, s, lambda t: 0)[:3]
+                     + windowed_calls(blocks[1][0].size, s, lambda t: t - 1)[:3])
     for b, (main, off) in enumerate(blocks):
         assert np.array_equal(got[b::2], eigvalsh_tridiagonal(
             main, off, select="i", select_range=(0, 1), tol=0.1 * NULL_BAND))
-    main, off = _tridiag(prob)
+    main, off = full_tridiagonal(prob)
     assert np.max(np.abs(got - eigvalsh_tridiagonal(main, off, select="i",
                                                     select_range=(0, 3)))) <= 1e-7
+
+
+@pytest.mark.parametrize("cutoff, n, stride", [
+    (20.0, 4001, 4), (20.0, 16001, 16), (16.0, 2001, 2), (30.0, 6001, 4),
+    # 16 does not divide 5000 spacings, nor 8 550; 10 and 5 are the nearest
+    # strides that do, 6 and 3 tying with them but not dividing
+    (25.0, 10001, 10), (5.5, 1101, 5),
+    # 45 spacings of 0.022: r = round(0.04 / 0.022) = 2, and no d in 2..4
+    # has 2d dividing 45
+    (1.0, 91, None)])
+def test_the_coarse_stride_divides_the_half_line(cutoff, n, stride):
+    g = half_grid(cutoff, n)
+    assert spectral._stride(SchrodingerProblem(g, np.zeros(g.size))) == stride
+
+
+def test_wells_on_a_grid_that_the_rounded_stride_does_not_divide(monkeypatch):
+    # X = 5.5, N = 1101: 550 spacings of 0.01, which 2 round(COARSE_SPACING
+    # / dx) = 8 does not divide.  At stride 4 the coarse copies' Dirichlet
+    # end lies at 5.52, which moves a weakly bound state off the Richardson
+    # line: 18 of these 36 wells then fall back.  At stride 5 none does
+    g = half_grid(5.5, 1101)
+    _, fallbacks = record_stebz(monkeypatch)
+    for depth in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
+        for width in (0.5, 0.75, 1.0, 1.5, 2.0, 3.0):
+            prob = SchrodingerProblem(g, 1.0 - depth / np.cosh(g / width) ** 2)
+            bound = negative_count(prob, 1.0)
+            got = eigenvalues_below(prob, bound, tol=1e-7)
+            main, off = full_tridiagonal(prob)
+            whole = eigvalsh_tridiagonal(main, off, select="i", select_range=(0, bound - 1))
+            assert np.max(np.abs(got - whole)) <= 1e-6
+    assert fallbacks == []
 
 
 # -- equator branch --------------------------------------------------------------
@@ -469,6 +515,42 @@ def test_singular_count_grows_with_cutoff():
     assert c40 == 36
     assert abs(c20 - 40.0 * math.sqrt(2.0) / math.pi) <= 1.0
     assert c40 > c20
+
+
+# ten maps in the regime (m-1)^2/4 < omega and six cutoffs on the 0.01 grid,
+# fixed before the counts were compared; a case whose closed form lies
+# within SINGULAR_MARGIN of an integer is skipped, since the FD count there
+# may fall either side
+SINGULAR_MAPS = ((3, 3.0), (2, 2.0), (4, 18.0), (3, 8.0), (5, 5.0), (4, 4.0), (2, 5.0),
+                 (6, 10.0), (3, 2.5), (7, 12.0))
+SINGULAR_CUTOFFS = (8.0, 12.5, 17.77, 23.31, 34.06, 45.0)
+SINGULAR_MARGIN = 0.02
+
+
+def test_singular_count_matches_the_poschl_teller_phase():
+    # an oracle with no matrix: floor((2 q X + phi) / pi), q the lattice
+    # wavenumber of the far field and phi the well's transmission phase,
+    # against the sum of the two blocks' counts
+    checked, skipped = 0, []
+    for m, omega in SINGULAR_MAPS:
+        params = ProblemParams(m, omega)
+        assert params.hypothesis()
+        for cutoff in SINGULAR_CUTOFFS:
+            law = singular_count(params, cutoff)
+            if abs(law - round(law)) < SINGULAR_MARGIN:
+                skipped.append((m, omega, cutoff))
+                continue
+            assert truncated_singular_count(params, cutoff) == math.floor(law), (m, omega, cutoff)
+            checked += 1
+    assert checked + len(skipped) == 60 and len(skipped) <= 6, skipped
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_poschl_teller_phase_at_integer_depth(a):
+    # for integer a the phase is 2 sum_{j=1}^{a} arctan(j / kappa)
+    for kappa in (0.3, 1.0, math.sqrt(2.0), 4.0):
+        want = 2.0 * sum(math.atan(j / kappa) for j in range(1, a + 1))
+        assert poschl_teller_phase(a, kappa) == pytest.approx(want, abs=1e-12)
 
 
 def test_singular_count_saturates_when_hypothesis_fails():
@@ -582,7 +664,8 @@ def test_witness_values_against_flat_form():
     fam = witness_subspace(P33, 3)
     prof = singular_profile(P33, cutoff=60.0, n=12001)
     prob = build_schrodinger(prof)
-    samples = [f(prob.grid) for f in fam.functions]
+    grid, _ = full_line(prob)
+    samples = [f(grid) for f in fam.functions]
     for w, q in zip(samples, fam.gram_diagonal):
         assert schrodinger_form(prob, w, w) == pytest.approx(q, abs=5e-2)
     # disjoint interiors: the only cross contribution is the sampled

@@ -7,8 +7,11 @@ draws its SVG charts.  Output bytes are a pure function of the
 configuration: records are sorted, floats are written as their shortest
 exact repr, and nothing stamps wall-clock time.
 
-Levels are solved independently of each other; a level that fails to
-bracket or polish becomes a failure entry rather than aborting the rest.
+Each level's bracket search starts from the bracket of its class's level
+two below (shooting.shoot's prior), which only narrows where the search
+starts: every level gets the bracket find_solution finds for it alone.  A
+level that fails to bracket or polish becomes a failure entry rather than
+aborting the rest, and leaves the next level of its class without a prior.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ from .shooting import (
     NoBracketFound,
     PolishDiverged,
     SolveRequest,
-    find_solution,
+    finish,
+    shoot,
 )
 from .spectral import (
     NULL_BAND,
@@ -137,10 +141,7 @@ def solution_name(zeros: int) -> str:
     return f"solution_{class_of_level(zeros)}_{zeros}.json"
 
 
-def _solve_level(config: SweepConfig, zeros: int, e_inf: float) -> SolutionRecord:
-    req = SolveRequest(config.params, class_of_level(zeros), zeros,
-                       cutoff=config.cutoff, grid_size=config.grid_size)
-    prof = find_solution(req)
+def _record(prof: Profile, e_inf: float) -> SolutionRecord:
     spectral = morse_index(prof)
     e = energy(prof)
     if not e < e_inf:
@@ -155,11 +156,16 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     e_inf = singular_energy(config.params)
     records = []
     failures = []
+    shots = {}          # class -> Shot of its last level
     for zeros in range(1, config.max_zeros + 1):
+        cls = class_of_level(zeros)
+        req = SolveRequest(config.params, cls, zeros,
+                           cutoff=config.cutoff, grid_size=config.grid_size)
         try:
-            records.append(_solve_level(config, zeros, e_inf))
+            shots[cls] = shot = shoot(req, prior=shots.pop(cls, None))
+            records.append(_record(finish(req, shot), e_inf))
         except (NoBracketFound, PolishDiverged) as exc:
-            failures.append((class_of_level(zeros), zeros, str(exc)))
+            failures.append((cls, zeros, str(exc)))
     records.sort(key=lambda r: r.sequence_key)
     return SweepReport(config, tuple(records), tuple(sorted(failures)))
 

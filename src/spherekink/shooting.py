@@ -12,15 +12,18 @@ line by a two-stage process:
    parameters of successive levels do, and one binary search over its
    indices finds the neighbours s_{i-1} > s_i across which the count passes
    the request: a bracket of relative width about 1e-3, in at most 15
-   counts.  Every trajectory runs scipy's compiled DOP853.  The search only
-   asks whether the count exceeds the request, so each run stops at the
-   sign change that settles it, keeps no step record, and runs at the
-   looser COUNT_RTOL under COUNT_STEP_FACTOR times the seed's step cap: a
-   count only says which side of a transition s lies on, so it only has to
-   see each sign change, and its relative error in s, about
-   steps * COUNT_RTOL, is far below the bracket's width.  The one seed
-   trajectory runs at RTOL under the seed's cap and records every accepted
-   step.
+   counts.  Started from the bracket of the class's level two below
+   (shoot's prior, which run_sweep passes), it takes 8 or fewer where that
+   predicts the level.  Every trajectory runs scipy's compiled DOP853.  The
+   search only asks whether the count exceeds the request, so each run
+   stops once that is settled (at the sign change that settles it, or
+   earlier, once the Lyapunov function W says which zeros are left), keeps
+   no step record, and runs at the looser COUNT_RTOL under
+   COUNT_STEP_FACTOR times the seed's step cap: a count only says which
+   side of a transition s lies on, so it only has to see each sign change,
+   and its relative error in s, about steps * COUNT_RTOL, is far below the
+   bracket's width.  The one seed trajectory runs at RTOL under the seed's
+   cap and records every accepted step.
 
 2. The trajectory at the bracket end without an extra zero, blended into
    the linearised tail toward +-pi/2, seeds a damped Newton iteration on
@@ -78,6 +81,7 @@ RTOL = 1e-11            # DOP853 tolerances
 ATOL = 1e-13
 COUNT_RTOL = 1e-6       # DOP853 relative tolerance of the scan's zero counts
 COUNT_STEP_FACTOR = 2.0  # the counts' step cap, in multiples of the seed's _max_step
+CONTINUATION_WINDOW = 32  # half-width, in scan indices, of a prior's first window
 
 # verify_solution's thresholds, besides BOUNDARY_TOL.
 RESIDUAL_TOL = 1e-8     # interior residual max-norm
@@ -297,6 +301,17 @@ def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
     solve only asks whether a count exceeds its request, so it passes the
     request plus one as the limit and integrates no zero past that.
 
+    Past nu's support and inside |h| <= pi/2, the Lyapunov function
+    W = h'^2/2 + omega sin^2(h)/2 never decreases (core.lyapunov_W), so
+    solout ends the run as soon as W decides the rest of it:
+    - if h heads toward 0, h'^2 = 2W - omega sin^2 h cannot shrink while
+      |h| falls, so h meets 0 within |h/h'|.  When that bound lies before
+      the cutoff and the zero is the limit-th one or W > omega/2, the run
+      counts the zero and stops;
+    - if h heads outward with W > omega/2, h' never vanishes, since
+      h'^2 >= 2W - omega > 0: h leaves the band with no zero left, and the
+      run stops.
+
     The run takes COUNT_RTOL, not RTOL, and COUNT_STEP_FACTOR times the
     seed's step cap _max_step.  A count only decides which side of a
     transition s lies on, so it only has to see each sign change of h, and
@@ -305,9 +320,11 @@ def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
     steps per shortest zero spacing pi/sqrt(omega (1 + nu)).  An error made
     along a run maps back to a relative shift in s of about
     steps * COUNT_RTOL, some 2e-5 for the few dozen accepted steps a run
-    takes, 50 times below that spacing.  On the benchmark's 14 levels the
-    searches make 14-15 counts a level, and the solves 64,069
-    right-hand-side evaluations, the seeds included.  The seed trajectory,
+    takes, 50 times below that spacing.  Solved alone, the benchmark's 14
+    levels take 14-15 counts each, and 55,104 right-hand-side evaluations
+    with the seeds' 10,923 (64,069 without the early stops); in the
+    benchmark's sweep, levels 3 and 4 take 8 counts each from their priors
+    (shoot).  The seed trajectory,
     which Newton starts from, keeps RTOL and the seed's cap in its own run
     (_seed).
 
@@ -318,16 +335,31 @@ def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
     module level.
     """
     state = [0.0, 0]            # h at the last accepted step, sign changes so far
+    om = params.omega
+    support = 0.0 if params.nu is None else params.nu.support_radius
 
     def solout(x, y):
-        # a Python float: comparing numpy scalars costs a third more per step
-        h, h_prev = y.item(0), state[0]
+        # Python floats: comparing numpy scalars costs a third more per step
+        h, dh = y.tolist()
+        h_prev = state[0]
         if h < 0.0 < h_prev or h_prev < 0.0 < h:
             state[1] += 1
             if state[1] >= limit:
                 return -1
         state[0] = h
-        return -1 if abs(h) > EXIT_WALL else 0
+        if abs(h) > HALF_PI:
+            return -1 if abs(h) > EXIT_WALL else 0
+        if x <= support:        # the start (dop853 refuses a stop there) or nu's support
+            return 0
+        w_high = dh * dh + om * math.sin(h) ** 2 > om      # W > omega/2
+        heading = h * dh
+        if heading < 0.0:
+            if x - h / dh < cutoff and (w_high or state[1] + 1 >= limit):
+                state[1] += 1
+                return -1
+        elif heading > 0.0 and w_high:
+            return -1
+        return 0
 
     dop = _dop853(params, COUNT_RTOL, COUNT_STEP_FACTOR * _max_step(params), solout)
 
@@ -396,32 +428,75 @@ def _scan_value(req: SolveRequest, k: int) -> float:
     return req.scan_cap() * (1.0 + BRACKET_RTOL) ** -k
 
 
-def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
-    """Connecting profile with the requested parity and total zero count.
+@dataclass(frozen=True)
+class Shot:
+    """What the bracket stage decided: the bracket (lo, hi) = (s_i, s_{i-1})
+    of the scan grid at index i, in magnitude, for launches of the given
+    sign, and the zero counts the search made.  step is i less the prior's
+    index when the search started from a prior, else None."""
 
-    The bracket is the first pair of neighbours s_{i-1} > s_i of the scan
-    grid, s_0 = scan_cap down to s_K, the first value at or below
-    scan_cap 2^-44, across which the zero count passes the request.  One
-    binary search over the indices 0..K finds it in at most
+    index: int
+    lo: float
+    hi: float
+    counts: int
+    sign: int
+    step: int | None
+
+
+def _level_step(params: ProblemParams) -> int:
+    """ln(1/rho) / ln(1 + BRACKET_RTOL): the scan indices between two levels
+    of one class, whose shooting parameters tend to the ratio
+    rho = exp(-(m-1) pi / (2 kappa)), kappa = sqrt(omega - (m-1)^2/4)
+    (Bizon 1995).  Only defined under the hypothesis."""
+    m1 = params.m - 1
+    kappa = math.sqrt(params.omega - 0.25 * m1 * m1)
+    return round(m1 * math.pi / (2.0 * kappa) / math.log(1.0 + BRACKET_RTOL))
+
+
+def shoot(req: SolveRequest, *, sign: int = 1, prior: Shot | None = None) -> Shot:
+    """The bracket stage: the first pair of neighbours s_{i-1} > s_i of the
+    scan grid, s_0 = scan_cap down to s_K, the first value at or below
+    scan_cap 2^-44, across which the zero count passes the request.
+
+    One binary search over the indices 0..K finds it in at most
     ceil(log2(K + 2)) counts (15 at BRACKET_RTOL = 1e-3), so it assumes that
-    the count does not decrease as s decreases along the grid.
-
-    sign = -1 launches the scan with negated shooting parameters and returns
-    the pointwise negation of the sign = +1 solution (the two are related by
-    the h -> -h symmetry of the energy).  Outside the instability regime the
-    solver still runs but labels its output accordingly.
+    the count does not decrease as s decreases along the grid.  prior, the
+    Shot of the same class's level two below, only narrows where that search
+    starts: the level lies near the prior's index plus its measured step
+    (or _level_step while it has none), and two counts confirm a window of
+    CONTINUATION_WINDOW indices either side of that prediction.  A miss
+    doubles the window once; a second miss leaves the rest of the grid to
+    the search.  No prior is used outside the hypothesis, where rho does
+    not exist.  Every path finds the same index.
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     want = req.zeros_half
     counter = _zero_counter(req.params, req.cutoff, want + 1)
+    made = 0
 
-    def count(s_mag: float) -> int:
-        return counter(*_launch(sign * s_mag, req))
+    def above(k: int) -> bool:
+        nonlocal made
+        made += 1
+        return counter(*_launch(sign * _scan_value(req, k), req)) > want
 
     last = math.ceil(44.0 * math.log(2.0) / math.log(1.0 + BRACKET_RTOL))
-    i = bisect.bisect_left(range(last + 1), True,
-                           key=lambda k: count(_scan_value(req, k)) > want)
+    # the index lies in [lo, hi]: above(lo - 1) is False and above(hi) True,
+    # with -1 and last + 1 standing for the ends of the grid
+    lo, hi = 0, last + 1
+    use_prior = prior is not None and req.params.hypothesis()
+    if use_prior:
+        guess = prior.index + (_level_step(req.params) if prior.step is None else prior.step)
+        for half in (CONTINUATION_WINDOW, 2 * CONTINUATION_WINDOW):
+            for k in (guess - half, guess + half):
+                if lo <= k < hi:
+                    if above(k):
+                        hi = k
+                    else:
+                        lo = k + 1
+            if hi - lo < 2 * half:
+                break
+    i = bisect.bisect_left(range(last + 1), True, lo, hi, key=above)
     if i == 0:
         raise NoBracketFound(
             f"zero count already exceeds {want} at the scan cap "
@@ -432,21 +507,28 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
             f"no transition to zero count > {want} found while scanning down to "
             f"{_scan_value(req, last):.3e}; the requested level may not exist "
             f"for these parameters")
-    lo, hi = _scan_value(req, i), _scan_value(req, i - 1)
+    return Shot(i, _scan_value(req, i), _scan_value(req, i - 1), made, sign,
+                i - prior.index if use_prior else None)
+
+
+def finish(req: SolveRequest, shot: Shot) -> Profile:
+    """The Newton stage: the connecting profile seeded from the shot's
+    bracket, checked for its zero count and its boundary gap."""
     # Seed from hi: its trajectory has no zero beyond the requested ones, so
     # it nears the limit, where _initial_guess blends in the tail.  A seed on
     # the lo side crosses once more first and leaves a jump at the cut end
     # whose residual grows like 1/dx^2.
-    limit = sign * (1 if want % 2 == 0 else -1) * HALF_PI
+    s_star = shot.sign * shot.hi
+    limit = shot.sign * (1 if req.zeros_half % 2 == 0 else -1) * HALF_PI
     xs = half_grid(req.cutoff, req.grid_size)
-    guess = _initial_guess(*_seed(sign * hi, req), req, xs, limit)
+    guess = _initial_guess(*_seed(s_star, req), req, xs, limit)
     u, res_norm, iters = _newton(xs, guess, req.params, req.symmetry_class, limit,
                                  tol=req.newton_tol)
     hyp = "" if req.params.hypothesis() else "; outside guaranteed regime"
     prof = Profile(req.params, req.symmetry_class, req.cutoff, u,
                    residual_norm=res_norm,
-                   provenance=(f"shooting s*={sign * hi:.17g} "
-                               f"(bracket width {hi - lo:.2e}), newton iters={iters}"
+                   provenance=(f"shooting s*={s_star:.17g} "
+                               f"(bracket width {shot.hi - shot.lo:.2e}), newton iters={iters}"
                                f"{hyp}"))
     if prof.zero_count != req.total_zeros:
         raise PolishDiverged(f"polished profile has {prof.zero_count} interior zeros, "
@@ -456,6 +538,18 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
         raise PolishDiverged(
             f"boundary gap {gap:.3e} exceeds {BOUNDARY_TOL:.1e}; increase the cutoff")
     return prof
+
+
+def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
+    """Connecting profile with the requested parity and total zero count:
+    the bracket stage from the whole scan grid, then the Newton stage.
+
+    sign = -1 launches the scan with negated shooting parameters and returns
+    the pointwise negation of the sign = +1 solution (the two are related by
+    the h -> -h symmetry of the energy).  Outside the instability regime the
+    solver still runs but labels its output accordingly.
+    """
+    return finish(req, shoot(req, sign=sign))
 
 
 def _initial_guess(h_at, x_end: float, t_start: float, req: SolveRequest,

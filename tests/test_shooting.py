@@ -10,13 +10,12 @@ profile against the closed form 2 atan(e^x) - pi/2.
 import functools
 import gc
 import math
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from spherekink import shooting
+from spherekink import report, shooting
 from spherekink.catalog import CATALOG, find_eigenmap
 from spherekink.core import (
     HALF_PI,
@@ -37,15 +36,16 @@ from spherekink.shooting import (
     newton_polish,
     verify_solution,
 )
+from spherekink.report import SweepConfig, class_of_level, run_sweep
 from spherekink.spectral import morse_index
 
 P33 = ProblemParams(3, 3.0)
 
 
-def nu_params():
-    """(3, 3) with a smooth bump nu of height 0.2 supported on |x| < 1.5."""
+def nu_params(height=0.2):
+    """(3, 3) with a smooth bump nu of that height supported on |x| < 1.5."""
     g = np.linspace(-1.5, 1.5, 301)
-    vals = 0.2 * np.cos(np.pi * g / 3.0) ** 2
+    vals = height * np.cos(np.pi * g / 3.0) ** 2
     vals[0] = vals[-1] = 0.0
     return ProblemParams(3, 3.0, NuPerturbation(g, vals))
 
@@ -67,6 +67,24 @@ def record_counts(monkeypatch):
 
     monkeypatch.setattr(shooting, "_zero_counter", recording)
     return seen
+
+
+def rhs_positions(monkeypatch):
+    """List that collects the x of every right-hand-side evaluation of the
+    integrators built from here on."""
+    xs = []
+    build = shooting._rhs
+
+    def tracking(params):
+        rhs = build(params)
+
+        def tracked(x, y):
+            xs.append(x)
+            return rhs(x, y)
+        return tracked
+
+    monkeypatch.setattr(shooting, "_rhs", tracking)
+    return xs
 
 
 def rk4_reference(h0, dh0, params, x_end, steps):
@@ -327,22 +345,11 @@ def test_seed_matches_integrate_where_both_run(params, symmetry_class, zeros, s)
 
 
 def test_count_tolerance_cuts_integrator_work(monkeypatch):
-    # hopf-3-2 level 5, the seed trajectory included: 4759 right-hand-side
+    # hopf-3-2 level 5, the seed trajectory included: 4088 right-hand-side
     # evaluations with the counts at COUNT_RTOL and the doubled step cap,
-    # against 12932 with them at the seed's settings (0.37).  Counts at
-    # 1e-8 under the seed's cap make 6425 (0.50).
-    calls = []
-    build = shooting._rhs
-
-    def counting(params):
-        rhs = build(params)
-
-        def counted(x, y):
-            calls.append(None)
-            return rhs(x, y)
-        return counted
-
-    monkeypatch.setattr(shooting, "_rhs", counting)
+    # against 10355 with them at the seed's settings (0.39).  Counts at
+    # 1e-8 under the seed's cap make 5374 (0.52).
+    calls = rhs_positions(monkeypatch)
     req = SolveRequest(HOPF32, "odd", 5)
     find_solution(req)
     loose = len(calls)
@@ -353,7 +360,20 @@ def test_count_tolerance_cuts_integrator_work(monkeypatch):
     assert loose <= 0.42 * len(calls), f"{loose} against {len(calls)}"
 
 
-def test_compiled_count_edge_cases():
+def check_early_stops(params, starts, monkeypatch):
+    """Each (h0, dh0, limit, counted) start's count against integrate's, and
+    its run ended where W decided it: before the zero it counted early
+    (counted) or before integrate's exit (not counted)."""
+    xs = rhs_positions(monkeypatch)
+    for h0, dh0, limit, counted in starts:
+        traj = integrate(h0, dh0, params, 20.0)
+        n = min(traj.outcome.zero_count_half, limit)
+        xs.clear()
+        assert shooting._zero_counter(params, 20.0, limit)(h0, dh0) == n, (h0, dh0)
+        assert max(xs) < (traj.crossings[n - 1] if counted else traj.x_end), (h0, dh0)
+
+
+def test_compiled_count_edge_cases(monkeypatch):
     count = shooting._zero_counter(P33, 20.0, NO_LIMIT)
     assert count(0.0, 0.0) == 0           # the equilibrium at 0
     assert count(HALF_PI, 0.0) == 1       # falls off the cap after a long dwell
@@ -363,9 +383,13 @@ def test_compiled_count_edge_cases():
         count(2.0, 0.0)
     for h0, dh0 in [(0.0, 0.0), (HALF_PI, 0.0), (0.0, 10.0)]:
         assert count(h0, dh0) == integrate(h0, dh0, P33, 20.0).outcome.zero_count_half
+    # one start per early stop: h heads toward 0 with W > omega/2, h heads
+    # toward the limit-th zero, and h heads outward with W > omega/2
+    check_early_stops(P33, [(1.0, -3.0, NO_LIMIT, True), (1.0, -0.5, 1, True),
+                            (1.0, 3.0, NO_LIMIT, False)], monkeypatch)
 
 
-def test_compiled_count_matches_integrate_with_nu():
+def test_compiled_count_matches_integrate_with_nu(monkeypatch):
     p = nu_params()
     count = shooting._zero_counter(p, 20.0, NO_LIMIT)
     # nu's interpolation kinks make each run slow, so only a few starts
@@ -374,6 +398,32 @@ def test_compiled_count_matches_integrate_with_nu():
     assert sorted(set(counts)) == [0, 1, 2]
     for (h0, dh0), n in zip(starts, counts):
         assert n == integrate(h0, dh0, p, 20.0).outcome.zero_count_half, (h0, dh0)
+    # the early stops, each made past nu's support |x| < 1.5, where W is
+    # nondecreasing: toward 0 with W > omega/2 (from x = 12.5), toward the
+    # limit-th zero (from 1.52) and outward with W > omega/2 (from 2.10)
+    check_early_stops(p, [(-HALF_PI, 0.0, NO_LIMIT, True), (0.0, 0.9, 1, True),
+                          (0.0, 0.5, NO_LIMIT, False)], monkeypatch)
+
+
+def test_count_stops_early_only_past_nus_support():
+    # inside the support W can fall: under a bump of height 0.9 this start
+    # heads outward with W > omega/2 (without nu), then turns back and
+    # crosses 0 at x = 2.25
+    p = nu_params(0.9)
+    assert integrate(0.2, 1.75, p, 20.0).outcome.zero_count_half == 1
+    assert shooting._zero_counter(p, 20.0, NO_LIMIT)(0.2, 1.75) == 1
+
+
+@pytest.mark.parametrize("h0, dh0, limit, cutoff", [(1.0, -0.5, 1, 0.75),
+                                                    (1.0, -3.0, NO_LIMIT, 0.28)])
+def test_count_takes_no_certain_zero_past_the_cutoff(h0, dh0, limit, cutoff):
+    # h heads toward 0 from the first step, and its zero (at x = 0.78 and
+    # 0.30) is certain and the limit-th or past W > omega/2, but it lies
+    # beyond the cutoff: integrate never reaches it, so the count must not
+    # take it early
+    traj = integrate(h0, dh0, P33, cutoff)
+    assert traj.crossings == () and traj.x_end == cutoff
+    assert shooting._zero_counter(P33, cutoff, limit)(h0, dh0) == 0
 
 
 def test_one_integrator_per_solve_bounds_memory(monkeypatch):
@@ -522,11 +572,7 @@ def test_richardson_energy_improves_with_grid():
     assert 12.0 < ratio < 20.0
 
 
-# -- bracket width -----------------------------------------------------------------
-
-def bracket_width(prof):
-    return float(re.search(r"bracket width ([^)]+)\)", prof.provenance).group(1))
-
+# -- bracket stage -----------------------------------------------------------------
 
 @pytest.mark.parametrize("zeros", [1, 2, 3, 4])
 def test_loose_bracket_matches_tight_bracket(zeros, records33, monkeypatch):
@@ -534,10 +580,13 @@ def test_loose_bracket_matches_tight_bracket(zeros, records33, monkeypatch):
     # (K = 6.0e15 stays below 2^53, so the grid still decreases strictly);
     # the loose seed must reach the same discrete solution
     fast = records33[("odd" if zeros % 2 else "even", zeros)].profile
-    assert bracket_width(fast) > 1e-8
+    req = SolveRequest(P33, fast.symmetry_class, zeros)
+    loose = shooting.shoot(req)
+    assert loose.hi - loose.lo > 1e-8
     monkeypatch.setattr(shooting, "BRACKET_RTOL", 5e-15)
-    tight = find_solution(SolveRequest(P33, fast.symmetry_class, zeros))
-    assert bracket_width(tight) <= 1e-14
+    shot = shooting.shoot(req)
+    assert shot.hi - shot.lo <= 1e-14
+    tight = shooting.finish(req, shot)
     assert energy(tight) == pytest.approx(energy(fast), abs=1e-12)
     assert np.max(np.abs(tight.h - fast.h)) < 1e-9
     assert tight.zero_count == fast.zero_count == zeros
@@ -575,25 +624,77 @@ def test_scan_is_a_binary_search(params, zeros, monkeypatch):
     # counts, 15 at BRACKET_RTOL = 1e-3, every one at a value of the grid
     req = SolveRequest(params, "odd" if zeros % 2 else "even", zeros)
     seen = record_counts(monkeypatch)
-    find_solution(req)
+    shot = shooting.shoot(req)
     values = launched(req, seen)
     assert 1 <= len(values) <= math.ceil(math.log2(last_index() + 2)) == 15, len(values)
     assert all(grid_index(req, s) is not None for s in values), values
+    assert shot.counts == len(values)
 
 
 @pytest.mark.parametrize("params, zeros", BENCHMARK_LEVELS)
 def test_bracket_is_a_pair_of_grid_neighbours(params, zeros):
-    # the bracket (s_i, s_{i-1}) that the provenance records, with the count
-    # at or below the request at s_{i-1} and above it at s_i
+    # the shot's bracket (s_i, s_{i-1}), with the count at or below the
+    # request at s_{i-1} and above it at s_i
     req = SolveRequest(params, "odd" if zeros % 2 else "even", zeros)
-    prof = find_solution(req)
-    hi = float(re.search(r"s\*=(\S+) ", prof.provenance).group(1))
-    k = grid_index(req, hi)
-    assert k is not None, hi
-    lo = shooting._scan_value(req, k + 1)
-    assert bracket_width(prof) == float(f"{hi - lo:.2e}")
+    shot = shooting.shoot(req)
+    assert shot.hi == shooting._scan_value(req, shot.index - 1)
+    assert shot.lo == shooting._scan_value(req, shot.index)
     count = shooting._zero_counter(req.params, req.cutoff, NO_LIMIT)
-    assert count(*shooting._launch(hi, req)) <= req.zeros_half < count(*shooting._launch(lo, req))
+    assert count(*shooting._launch(shot.hi, req)) <= req.zeros_half \
+        < count(*shooting._launch(shot.lo, req))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_provenance_is_formatted_from_the_shot(sign):
+    req = SolveRequest(P33, "even", 2)
+    shot = shooting.shoot(req, sign=sign)
+    prof = find_solution(req, sign=sign)
+    assert prof.provenance == shooting.finish(req, shot).provenance
+    assert prof.provenance.startswith(f"shooting s*={sign * shot.hi:.17g} "
+                                      f"(bracket width {shot.hi - shot.lo:.2e}), newton iters=")
+
+
+# levels 1-10 at X=30 bracket parameters down to about 1e-5 of the scan cap
+DEEP_MAPS = [pytest.param(ProblemParams(m, om), id=f"{m}-{om:g}")
+             for m, om in ((3, 3.0), (2, 2.0), (3, 8.0), (4, 18.0))]
+
+
+@pytest.mark.parametrize("params", DEEP_MAPS)
+def test_sweep_finds_each_bracket_the_plain_search_finds(params, monkeypatch):
+    # run_sweep starts each level's search from the shot of its class's
+    # level two below; the index must be the one shoot finds from the whole
+    # grid.  From level 3 on every level has a prior, and on (3,3) each takes
+    # at most 8 counts: two to confirm the window of +-32 indices, six to
+    # bisect it.  The closed-form step misses (4,18) level 3 by more than
+    # the window, so that map takes the miss path.
+    shots = {}
+    inner = report.shoot
+
+    def recording(req, **kwargs):
+        shots[req.total_zeros] = shot = inner(req, **kwargs)
+        return shot
+
+    monkeypatch.setattr(report, "shoot", recording)
+    rep = run_sweep(SweepConfig(params, 10, cutoff=30.0, grid_size=6001))
+    assert not rep.failures and sorted(shots) == list(range(1, 11))
+    for z, shot in shots.items():
+        alone = shooting.shoot(SolveRequest(params, class_of_level(z), z,
+                                            cutoff=30.0, grid_size=6001))
+        assert (shot.index, shot.lo, shot.hi) == (alone.index, alone.lo, alone.hi), z
+        assert (shot.step is None) == (z <= 2), z
+        assert alone.step is None and alone.counts >= 14
+    if params == ProblemParams(3, 3.0):
+        assert all(shots[z].counts <= 8 for z in range(3, 11)), shots
+    if params == ProblemParams(4, 18.0):
+        assert abs(shots[3].step - shooting._level_step(params)) > shooting.CONTINUATION_WINDOW
+
+
+def test_no_prior_outside_the_hypothesis():
+    # rho = exp(-(m-1) pi / (2 kappa)) has no kappa when (m-1)^2/4 >= omega
+    req = SolveRequest(ProblemParams(15, 32.0), "odd", 1, cutoff=12.0, grid_size=1201)
+    alone = shooting.shoot(req)
+    prior = shooting.Shot(alone.index - 100, 1.0, 1.001, 8, 1, 50)
+    assert shooting.shoot(req, prior=prior) == alone
 
 
 @pytest.mark.parametrize("cutoff, grid_size", [(20.0, 8001), (20.0, 16001), (30.0, 12001),

@@ -17,8 +17,9 @@ shape is refused, among them the explicit "grid", "h" and "dh" arrays of
 files from before the half-line form, and a class other than even and odd.
 
 Readers see only values of the kind the writer writes: integer() takes a
-JSON integer, number() a finite JSON integer or float, and listed() a list
-of those or of strings; a boolean or a string is never a number.  read_json
+JSON integer, number() a finite JSON integer or float, listed() a list of
+JSON integers and floats or of strings, and floats() a list of finite
+numbers as a float array; a boolean or a string is never a number.  read_json
 refuses NaN, Infinity and -Infinity, which dumps never writes.
 
 A perturbation nu is written as its own samples, {"grid": ..., "values":
@@ -64,7 +65,7 @@ def nu_to_doc(nu: NuPerturbation | None):
 def nu_from_doc(doc) -> NuPerturbation | None:
     if doc is None:
         return None
-    return NuPerturbation(listed(doc, "grid"), listed(doc, "values"))
+    return NuPerturbation(floats(doc, "grid"), floats(doc, "values"))
 
 
 def profile_to_doc(prof: Profile) -> dict:
@@ -140,7 +141,7 @@ def _all_finite(values) -> bool:
 
 def listed(doc: dict, key: str, noun: str = "number"):
     """doc[key], which must be a list (or, as profile_to_doc writes it, a
-    numpy array) of finite numbers, as number() takes them, or of strings."""
+    numpy array) of numbers of the kinds number() takes, or of strings."""
     values = doc[key]
     if not isinstance(values, (list, np.ndarray)):
         raise ValueError(f"{key} is not a list: {values!r}")
@@ -150,10 +151,21 @@ def listed(doc: dict, key: str, noun: str = "number"):
     if refused:
         v = next(v for v in values if type(v) in refused)
         raise ValueError(f"{key} holds {v!r}, not a {noun}")
-    if noun == "number" and not _all_finite(values):
+    return values
+
+
+def floats(doc: dict, key: str) -> np.ndarray:
+    """listed(doc, key) as a float array, converted once; every value must
+    be finite as a float."""
+    values = listed(doc, key)
+    try:
+        a = np.asarray(values, dtype=float)
+    except OverflowError:
+        a = None
+    if a is None or not np.isfinite(a).all():
         v = next(v for v in values if not _all_finite([v]))
         raise ValueError(f"{key} holds {v!r}, not a finite number")
-    return values
+    return a
 
 
 def refuse_unknown(doc: dict, keys) -> None:
@@ -173,7 +185,7 @@ def profile_from_doc(doc: dict, what: str = "not a profile document") -> Profile
     a missing key, a value of the wrong kind or shape, or a value that the
     profile's own checks refuse."""
     with reading(what, refused_values=True):
-        half_h, n = listed(doc, "half_h"), integer(doc["n"])
+        half_h, n = floats(doc, "half_h"), integer(doc["n"])
         refuse_unknown(doc, _PROFILE_KEYS)
         if n % 2 == 0:
             raise ValueError("grid size must be odd and >= 3")

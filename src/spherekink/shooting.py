@@ -465,9 +465,10 @@ def shoot(req: SolveRequest, *, sign: int = 1, prior: Shot | None = None) -> Sho
     starts: the level lies near the prior's index plus its measured step
     (or _level_step while it has none), and two counts confirm a window of
     CONTINUATION_WINDOW indices either side of that prediction.  A miss
-    doubles the window once; a second miss leaves the rest of the grid to
-    the search.  No prior is used outside the hypothesis, where rho does
-    not exist.  Every path finds the same index.
+    doubles the window on the side that missed, again until one holds the
+    index or reaches past the end of the grid, which leaves the rest of the
+    grid to the search.  No prior is used outside the hypothesis, where rho
+    does not exist.  Every path finds the same index.
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
@@ -487,15 +488,19 @@ def shoot(req: SolveRequest, *, sign: int = 1, prior: Shot | None = None) -> Sho
     use_prior = prior is not None and req.params.hypothesis()
     if use_prior:
         guess = prior.index + (_level_step(req.params) if prior.step is None else prior.step)
-        for half in (CONTINUATION_WINDOW, 2 * CONTINUATION_WINDOW):
+        half = CONTINUATION_WINDOW
+        while True:
+            tried = False
             for k in (guess - half, guess + half):
                 if lo <= k < hi:
+                    tried = True
                     if above(k):
                         hi = k
                     else:
                         lo = k + 1
-            if hi - lo < 2 * half:
+            if not tried or hi - lo < 2 * half:
                 break
+            half *= 2
     i = bisect.bisect_left(range(last + 1), True, lo, hi, key=above)
     if i == 0:
         raise NoBracketFound(

@@ -17,8 +17,9 @@ Dirichlet truncation at the grid ends can only undercount negative
 directions, so reported indices are certified lower bounds, checked for
 stability under domain growth.  Besides the counts, a report lists only the
 margin pair: the two eigenvalues either side of the null band's lower edge,
-bisected by stebz to a tenth of the band.  They certify nothing; they show
-how far the potential must move before the index can change.
+each placed within a tenth of the band and its index certified by a count.
+They show how far the potential must move before the index can change, and
+where the upper one lies clear above the band they settle the nullity.
 
 V is even for a profile of class even or odd, so a SchrodingerProblem holds
 it on [0, X], and the matrix is built as its two reflection blocks (Cantoni
@@ -34,10 +35,11 @@ stebz asked for eigenvalues by index first bisects the index range's ends
 down from the Gershgorin bound, about 4/dx^2, most of the cost of a call.
 So each block's wanted eigenvalues are first located on two coarser copies
 of the block, at spacings about COARSE_SPACING and twice that, and
-extrapolated to the fine grid (Richardson); stebz then bisects only a
-window about that estimate, as wide as the coarse copies disagree, and one
-count below the window places what it finds by index.  Where the window
-does not hold them, the index-range call runs instead.
+extrapolated to the fine grid (Richardson).  Inverse iteration at that
+estimate, one LU factorisation and two or three solves, finds a Rayleigh
+quotient with a small residual, and one count just below it certifies
+which eigenvalue it is.  Where that count reads another index, or the
+residual stays large, the index-range call runs instead.
 
 For the equator branch, where V tends to (m-1)^2/4 - omega < 0 at both
 ends, families of disjoint tent functions placed in the far field give an
@@ -52,15 +54,17 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.integrate import simpson
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dstebz
+from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
 from .core import ProblemParams, Profile, half_grid, sech, singular_profile
-from .serialize import integer, listed, number, reading, refuse_unknown
+from .serialize import floats, integer, listed, number, reading, refuse_unknown
 
 NULL_BAND = 1e-6          # eigenvalues within +-band of 0 count toward the nullity
 NODES_PER_UNIT = 100       # grid density of truncated_singular_count
 QUAD_DIVISIONS = 64        # Simpson divisions per tent; half as many give the error estimate
-COARSE_SPACING = 0.04      # node spacing of the finer coarse copy that places an eigenvalue window
+COARSE_SPACING = 0.04      # node spacing of the finer coarse copy that estimates an eigenvalue
+MAX_SOLVES = 4             # inverse iteration solves before an estimate falls back to bisection
+ROUNDOFF = 64 * np.finfo(float).eps  # times |T|: the narrowest width that places an eigenvalue
 
 
 @dataclass(frozen=True)
@@ -168,21 +172,51 @@ def _stride(problem: SchrodingerProblem):
     return min(fits, key=lambda d: (abs(d - r), d), default=None)
 
 
-def _windowed(main, off, dx: float, s: int, even: bool, lo: int, hi: int, tol: float):
+def _inverse_iteration(main, off, mu: float, width: float):
+    """The Rayleigh quotient rho = x^T T x of the unit vector x that inverse
+    iteration on the tridiagonal T = main, off reaches at the shift mu, once
+    the residual |T x - rho x| is at most width / 2, or None when MAX_SOLVES
+    solves do not reach it.
+
+    T - mu I is factored once (LAPACK gttrf, partial pivoting) and each
+    solve (gttrs) is one O(n) pass.  Each solve shrinks every other
+    eigenvector's share of x by the ratio of mu's distances to the two
+    eigenvalues (Wilkinson 1965, ch. 9; Parlett 1998, ch. 4).  The start
+    is a fixed pseudo-random vector, entries in [0, 1): a vector of ones is
+    all but orthogonal to a state odd about a well off the centre.
+    """
+    dl, d, du, du2, ipiv, info = dgttrf(off, main - mu, off)
+    if info != 0:
+        # a pivot is exactly zero: mu is an eigenvalue to rounding
+        return None
+    x = np.random.default_rng(0).random(main.size)
+    for _ in range(MAX_SOLVES):
+        x, info = dgttrs(dl, d, du, du2, ipiv, x)
+        x /= np.linalg.norm(x)
+        tx = main * x
+        tx[:-1] += off * x[1:]
+        tx[1:] += off * x[:-1]
+        rho = float(x @ tx)
+        if np.linalg.norm(tx - rho * x) <= 0.5 * width:
+            return rho
+    return None
+
+
+def _windowed(main, off, dx: float, s: int, even: bool, lo: int, hi: int, width: float):
     """Eigenvalues lo..hi of one block (see eigenvalues_below), or None when
-    the window placed for them does not hold them.
+    the estimates placed for them do not lead to them.
 
     Two coarse copies of the block keep its potential at every s-th and
     every 2s-th node, and the even block's mirror node and sqrt 2 coupling;
     s and 2s divide the half line's spacings (_stride), so their Dirichlet
     ends are the block's.  The central difference underestimates an
     eigenvalue by about C H^2 at spacing H, so the copies' eigenvalues l_s
-    and l_2s extrapolate to the block's as l_s + (l_s - l_2s)(1 - 1/s^2)/3.
-    The window about that estimate has half-width |l_s - l_2s|, three times
-    the correction, plus 2 tol for the copies' own bisection.  One count c
-    below its lower end and one value-range bisection of its m eigenvalues
-    place them as eigenvalues c..c+m-1 (Barth, Martin & Wilkinson 1967),
-    with no walk down from the Gershgorin bound; they must include lo..hi.
+    and l_2s extrapolate to the block's as mu = l_s + (l_s - l_2s)(1 - 1/s^2)/3.
+    Inverse iteration at mu (_inverse_iteration) gives rho with a residual r
+    <= width / 2.  T is symmetric, so some eigenvalue lies within r of rho;
+    one count at rho - width that reads k then puts eigenvalue k in
+    [rho - width, rho + r] (Barth, Martin & Wilkinson 1967), with no walk
+    down from the Gershgorin bound and no bisection.
     """
     coarse = []
     for stride in (s, 2 * s):
@@ -194,46 +228,53 @@ def _windowed(main, off, dx: float, s: int, even: bool, lo: int, hi: int, tol: f
         # each coupling is -1/dx^2 (sqrt 2 at a mirror node); at spacing
         # stride dx it is 1/stride^2 of that
         coarse.append(_stebz(sub, off[first::stride][:sub.size - 1] / stride ** 2,
-                             True, lo, hi, tol))
+                             True, lo, hi, width))
     near, far = coarse
-    guess = near + (near - far) * (1.0 - 1.0 / s ** 2) / 3.0
-    half = np.abs(near - far) + 2.0 * tol
-    vl = float(np.min(guess - half))
-    below = _count_below(main, off, vl)
-    if below > lo:
-        return None
-    found = _stebz(main, off, False, vl, float(np.max(guess + half)), tol)
-    if below + found.size <= hi:
-        return None
-    return found[lo - below:hi + 1 - below]
+    found = []
+    for k, mu in enumerate(near + (near - far) * (1.0 - 1.0 / s ** 2) / 3.0, lo):
+        rho = _inverse_iteration(main, off, float(mu), width)
+        if rho is None or _count_below(main, off, rho - width) != k:
+            return None
+        found.append(rho)
+    return np.array(found)
+
+
+def _width(problem: SchrodingerProblem, tol: float) -> float:
+    """How close eigenvalues_below places each eigenvalue: the larger of
+    tol and the rounding floor ROUNDOFF |T|, below which a residual or a
+    count cannot resolve; max |V| + 5/dx^2 bounds either block's norm."""
+    norm = float(np.max(np.abs(problem.potential))) + 5.0 / problem.dx ** 2
+    return max(tol, ROUNDOFF * norm)
 
 
 def eigenvalues_below(problem: SchrodingerProblem, count: int, first: int = 0,
                       tol: float = 0.0) -> np.ndarray:
     """Eigenvalues first..count-1 of the Dirichlet FD matrix, ascending.
 
-    By default the lowest `count`, bisected to full precision; a positive
-    tol stops each bisection once the eigenvalue's interval is that narrow.
-    LAPACK's stebz bisects for them with the same Sturm counts that
-    negative_count makes; index and nullity are certified by negative_count.
+    By default the lowest `count` to full precision, each within the
+    rounding floor of _width; a positive tol places each within tol
+    instead.  Index and nullity are certified by negative_count.
 
     Eigenvalue j is entry j // 2 of block j mod 2 (module docstring), so
     each block gives its share of the range, placed by j.
 
-    A block bisects its share in a window that two coarse copies of it
-    place (_windowed).  Where no stride fits the grid (_stride), the window
-    does not hold the share, or the copies are too small to, one
-    index-range stebz call finds it instead.
+    A block finds its share by inverse iteration from estimates that two
+    coarse copies of it place, each certified by one count (_windowed).
+    Where no stride fits the grid (_stride), an estimate does not lead to
+    its eigenvalue, or the copies are too small to hold the share, one
+    index-range call (LAPACK stebz, bisection down from the Gershgorin
+    bound) finds it instead.
     """
     if count <= first:
         return np.zeros(0)
     s = _stride(problem)
+    width = _width(problem, tol)
     out = np.empty(count - first)
     for b, (main, off) in enumerate(_blocks(problem)):
         # block b holds j = 2k + b for k = lo..hi within first..count-1
         lo, hi = (first - b + 1) // 2, (count - 1 - b) // 2
         if lo <= hi:
-            found = _windowed(main, off, problem.dx, s, b == 0, lo, hi, tol) if s else None
+            found = _windowed(main, off, problem.dx, s, b == 0, lo, hi, width) if s else None
             if found is None:
                 found = eigvalsh_tridiagonal(main, off, select="i", select_range=(lo, hi),
                                              tol=tol)
@@ -262,18 +303,31 @@ def schrodinger_index(problem: SchrodingerProblem) -> SpectralReport:
     bands 10x wider and 10x narrower; disagreement is flagged, not fatal.
     The margin eigenvalues are the pair that straddles the band's lower
     edge, lambda_{index-1} < -NULL_BAND <= lambda_index (the lowest
-    eigenvalue alone at index 0), bisected to 0.1 NULL_BAND.  By Weyl's
-    inequality no change of the potential smaller in max-norm than their
-    distance from -NULL_BAND can change the index.
+    eigenvalue alone at index 0), each placed within 0.1 NULL_BAND.  By
+    Weyl's inequality no change of the potential smaller in max-norm than
+    their distance from -NULL_BAND can change the index.
 
-    The counts at -+10 NULL_BAND come first.  A count never decreases as
-    the shift grows, which stebz's own bisection relies on, so when those
-    two are equal every count between them equals them: the index is that
-    count and the nullity is 0 at every band.  Only when they differ are
-    the four inner counts made.
+    The count at -10 NULL_BAND comes first, and the margin pair for it.
+    That count, c, puts lambda_c at or above -10 NULL_BAND; when the pair
+    places lambda_c above +10 NULL_BAND as well, no eigenvalue lies in the
+    widest band, so the index is c and the nullity is 0 at every band.
+    Otherwise the count at +10 NULL_BAND follows.  A count never decreases
+    as the shift grows, so when the two are equal every count between them
+    equals them; only when they differ are the four inner counts made, and
+    the pair made again if the index is not c.
     """
-    wide, narrow = 10.0 * NULL_BAND, 0.1 * NULL_BAND
-    below, above = negative_count(problem, -wide), negative_count(problem, wide)
+    wide, narrow, tol = 10.0 * NULL_BAND, 0.1 * NULL_BAND, 0.1 * NULL_BAND
+
+    def straddling(index):
+        # the matrix has n - 2 eigenvalues: with all of them below the
+        # band, the margin is the highest alone
+        return eigenvalues_below(problem, min(index + 1, problem.n - 2), max(index - 1, 0),
+                                 tol=tol)
+
+    below = negative_count(problem, -wide)
+    margin = straddling(below)
+    clear = margin[-1] - _width(problem, tol) > wide
+    above = below if clear else negative_count(problem, wide)
     if below == above:
         index, nullity, sensitivity = below, 0, ((wide, 0), (narrow, 0))
     else:
@@ -281,16 +335,14 @@ def schrodinger_index(problem: SchrodingerProblem) -> SpectralReport:
         nullity = negative_count(problem, NULL_BAND) - index
         sensitivity = ((wide, above - below),
                        (narrow, negative_count(problem, narrow) - negative_count(problem, -narrow)))
+        if index != below:
+            margin = straddling(index)
     flags = []
     if nullity >= 2:
         flags.append(f"nullity_estimate {nullity} >= 2: unexpected for an isolated critical point")
     if any(nb != nullity for _, nb in sensitivity):
         flags.append("nullity depends on the null band width: "
                      + ", ".join(f"{b:g} -> {nb}" for b, nb in sensitivity))
-    # the matrix has n - 2 eigenvalues: with all of them below the band,
-    # the margin is the highest alone
-    margin = eigenvalues_below(problem, min(index + 1, problem.n - 2), max(index - 1, 0),
-                               tol=0.1 * NULL_BAND)
     return SpectralReport(index=index, nullity_estimate=nullity,
                           margin_eigenvalues=tuple(float(v) for v in margin),
                           cutoff=problem.cutoff, n=problem.n, null_band=NULL_BAND,
@@ -326,7 +378,7 @@ def report_from_doc(doc: dict, what: str) -> SpectralReport:
     with reading(what, refused_values=True):
         rep = SpectralReport(index=integer(doc["index"]),
                              nullity_estimate=integer(doc["nullity_estimate"]),
-                             margin_eigenvalues=tuple(listed(doc, "margin_eigenvalues")),
+                             margin_eigenvalues=tuple(floats(doc, "margin_eigenvalues").tolist()),
                              cutoff=number(doc["cutoff"]), n=integer(doc["n"]),
                              null_band=number(doc["null_band"]),
                              band_sensitivity=tuple((number(b), integer(c))

@@ -101,7 +101,7 @@ def wells(draw):
 @given(wells(), st.data())
 def test_eigenvalues_of_smooth_wells_match_the_whole_range_call(well, data):
     # the grids are fine enough for the coarse copies that place each
-    # block's window, and the bound states below the floor are resolved
+    # block's estimates, and the bound states below the floor are resolved
     # there, so no block falls back to its whole-range call
     problem, floor = well
     bound = negative_count(problem, floor)

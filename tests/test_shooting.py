@@ -683,10 +683,27 @@ def test_sweep_finds_each_bracket_the_plain_search_finds(params, monkeypatch):
         assert (shot.index, shot.lo, shot.hi) == (alone.index, alone.lo, alone.hi), z
         assert (shot.step is None) == (z <= 2), z
         assert alone.step is None and alone.counts >= 14
+        assert shot.counts <= alone.counts, (z, shot.counts, alone.counts)
     if params == ProblemParams(3, 3.0):
         assert all(shots[z].counts <= 8 for z in range(3, 11)), shots
     if params == ProblemParams(4, 18.0):
         assert abs(shots[3].step - shooting._level_step(params)) > shooting.CONTINUATION_WINDOW
+
+
+@pytest.mark.parametrize("miss", [-300, -100, 100, 300])
+def test_a_missed_window_doubles_on_the_side_that_missed(miss):
+    # a prediction `miss` indices from the bracket: the windows of +-32 and
+    # +-64 indices miss it, and doubling on the side that missed holds it
+    # within 128 (two counts past the first window) or 512 (four), leaving
+    # fewer than 64 or 256 indices to bisect.  The search from the whole
+    # grid takes 15 counts
+    req = SolveRequest(P33, "even", 4)
+    alone = shooting.shoot(req)
+    assert alone.counts == 15
+    prior = shooting.Shot(alone.index - miss - 1, 1.0, 1.001, 8, 1, 1)
+    shot = shooting.shoot(req, prior=prior)
+    assert (shot.index, shot.lo, shot.hi) == (alone.index, alone.lo, alone.hi)
+    assert shot.counts <= (2 + 2 + 6 if abs(miss) == 100 else 2 + 4 + 8)
 
 
 def test_no_prior_outside_the_hypothesis():

@@ -7,7 +7,7 @@ Two independent oracles anchor this file:
   4 - ((sqrt(33) - 1)/2 - n)^2 for n = 0, 1, 2;
 * on small grids the tridiagonal matrix is rebuilt densely on the whole
   symmetric grid, its potential mirrored, and handed to numpy's symmetric
-  eigensolver, so the Sturm counts and the bisected eigenvalues, which the
+  eigensolver, so the Sturm counts and the eigenvalues, which the
   package takes from the two reflection blocks, can be compared against a
   full diagonalisation.
 
@@ -36,7 +36,7 @@ from reference import (
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dstebz
+from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 from scipy.sparse.linalg import eigsh
 
 from spherekink.core import (
@@ -246,14 +246,34 @@ def record_shifts(monkeypatch):
 
 
 @pytest.mark.parametrize("zeros", [1, 2, 3, 4])
-def test_a_report_with_an_empty_band_makes_two_counts(zeros, records33, monkeypatch):
-    # no eigenvalue within 10 NULL_BAND of 0, so the counts at -+10 NULL_BAND
-    # agree and settle every inner count
+def test_a_report_with_an_empty_band_makes_one_count(zeros, records33, monkeypatch):
+    # the count at -10 NULL_BAND, and the margin pair for it, which places
+    # lambda_index far above +10 NULL_BAND: no eigenvalue lies in the widest
+    # band, so no other count is needed
     shifts = record_shifts(monkeypatch)
     rep = morse_index(records33[("odd" if zeros % 2 else "even", zeros)].profile)
-    assert shifts == [-10.0 * NULL_BAND, 10.0 * NULL_BAND]
+    assert shifts == [-10.0 * NULL_BAND]
+    assert rep.margin_eigenvalues[1] > 1e-3
     assert (rep.index, rep.nullity_estimate, rep.flags) == (zeros, 0, ())
     assert rep.band_sensitivity == ((10.0 * NULL_BAND, 0), (0.1 * NULL_BAND, 0))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_an_eigenvalue_within_tol_above_the_wide_band_is_counted(k, monkeypatch):
+    # the well 4 - 8 sech^2 x, shifted so that eigenvalue k sits 0.05 NULL_BAND
+    # above +10 NULL_BAND: the margin pair, placed within 0.1 NULL_BAND, cannot
+    # tell it from one inside the band, so the count at +10 NULL_BAND is made
+    g = half_grid(8.0, 401)
+    v = 4.0 - 8.0 / np.cosh(g) ** 2
+    at = 10.05 * NULL_BAND
+    prob = SchrodingerProblem(g, v + (at - dense_eigs(SchrodingerProblem(g, v))[k]))
+    lam = dense_eigs(prob)
+    assert lam[k] == pytest.approx(at, abs=1e-11)
+    shifts = record_shifts(monkeypatch)
+    rep = schrodinger_index(prob)
+    assert shifts == [-10.0 * NULL_BAND, 10.0 * NULL_BAND]
+    assert (rep.index, rep.nullity_estimate, rep.flags) == (k, 0, ())
+    assert np.max(np.abs(np.array(rep.margin_eigenvalues) - lam[max(k - 1, 0):k + 1])) < 1e-7
 
 
 def test_report_flags_fire_at_the_fixed_band(monkeypatch):
@@ -398,40 +418,53 @@ def test_a_report_of_every_eigenvalue_below_the_band():
     assert rep.margin_eigenvalues == pytest.approx([dense_eigs(prob)[-1]], abs=1e-7)
 
 
-def record_stebz(monkeypatch):
-    """(matrix size, 'index' or 'value') of each stebz call spectral makes,
-    and a list that each whole-range fallback call appends to."""
+def record_lapack(monkeypatch):
+    """(matrix size, kind) of each LAPACK call spectral makes, the kind
+    'index' or 'value' for a stebz call and 'factor' or 'solve' for the
+    tridiagonal LU of inverse iteration, and a list that each whole-range
+    fallback call appends to."""
     calls, fallbacks = [], []
 
     def stebz(d, e, rng, *args):
         calls.append((d.size, {1: "value", 2: "index"}[rng]))
         return dstebz(d, e, rng, *args)
 
+    def factor(dl, d, du):
+        calls.append((d.size, "factor"))
+        return dgttrf(dl, d, du)
+
+    def solve(*args):
+        calls.append((args[1].size, "solve"))
+        return dgttrs(*args)
+
     def fallback(main, off, **kwargs):
         fallbacks.append(main.size)
         return eigvalsh_tridiagonal(main, off, **kwargs)
 
     monkeypatch.setattr(spectral, "dstebz", stebz)
+    monkeypatch.setattr(spectral, "dgttrf", factor)
+    monkeypatch.setattr(spectral, "dgttrs", solve)
     monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", fallback)
     return calls, fallbacks
 
 
-def windowed_calls(size, s, first):
-    """The stebz calls that place and bisect a window on one block of the
-    given size at stride s, whose coarse copy at stride t starts first(t)
-    nodes in (0 at the even block's mirror node, else t - 1): an index-range
-    call on each coarse copy, then a count and a value-range call on the
-    block."""
+def windowed_calls(size, s, first, solves):
+    """The LAPACK calls that find one eigenvalue of a block of the given
+    size at stride s, whose coarse copy at stride t starts first(t) nodes
+    in (0 at the even block's mirror node, else t - 1): an index-range
+    stebz call on each coarse copy, one factorisation and `solves` solves
+    of inverse iteration, and the count that certifies its index."""
     coarse = [(len(range(first(t), size, t)), "index") for t in (s, 2 * s)]
-    return coarse + [(size, "value"), (size, "value")]
+    return coarse + [(size, "factor")] + [(size, "solve")] * solves + [(size, "value")]
 
 
 @pytest.mark.parametrize("zeros", [1, 2, 3, 4])
 def test_the_margin_pair_is_bisected_on_the_reflection_blocks(zeros, records33, monkeypatch):
     # the pair's two eigenvalues, one even and one odd, come from the even
     # block (centre node onward) and the odd block (the nodes after it),
-    # each bisected in a window that two coarse copies place and one count
-    # certifies; no call searches a whole block's range
+    # each estimated by bisection on two coarse copies of its block, found
+    # by two or three solves of inverse iteration and certified by one
+    # count; no call searches a whole block's range
     prob = build_schrodinger(records33[("odd" if zeros % 2 else "even", zeros)].profile)
     size = prob.n - 2
     rep = schrodinger_index(prob)
@@ -439,39 +472,70 @@ def test_the_margin_pair_is_bisected_on_the_reflection_blocks(zeros, records33, 
     main, off = full_tridiagonal(prob)
     whole = eigvalsh_tridiagonal(main, off, select="i", select_range=(zeros - 1, zeros))
     assert np.max(np.abs(np.array(rep.margin_eigenvalues) - whole)) <= 1e-7
-    calls, fallbacks = record_stebz(monkeypatch)
+    calls, fallbacks = record_lapack(monkeypatch)
     pair = eigenvalues_below(prob, zeros + 1, zeros - 1, tol=0.1 * NULL_BAND)
     assert np.array_equal(pair, rep.margin_eigenvalues)
     assert spectral._stride(prob) == round(COARSE_SPACING / prob.dx) == 4
-    assert calls == (windowed_calls(size // 2 + 1, 4, lambda t: 0)
-                     + windowed_calls(size // 2, 4, lambda t: t - 1))
+    solves = [n for n, kind in calls if kind == "solve"]
+    even, odd = solves.count(size // 2 + 1), solves.count(size // 2)
+    assert 2 <= even <= 3 and 2 <= odd <= 3
+    assert calls == (windowed_calls(size // 2 + 1, 4, lambda t: 0, even)
+                     + windowed_calls(size // 2, 4, lambda t: t - 1, odd))
     assert fallbacks == []
 
 
-def test_a_window_that_cannot_be_certified_falls_back(monkeypatch):
-    # a one-node well either side of the centre node, deep enough to hold
-    # each block's lowest eigenvalue, lies between the coarse copies' nodes:
-    # they place each window at an eigenvalue of the smooth well, the count
-    # below it reads 1, not 0, and each block's share comes from the
-    # whole-range call, as before the windows
+def spiked_well():
+    """The well 4 - 8 sech^2 x on [-20, 20], N = 4001, with a one-node well
+    of depth 2/dx^2 either side of the centre node.  The spikes lie between
+    the coarse copies' nodes, so the copies see the smooth well alone, and
+    each block's lowest eigenvalue is one the copies do not have."""
     g = half_grid(20.0, 4001)
     v = 4.0 - 8.0 / np.cosh(g) ** 2
     v[1] = -2.0 / (g[-1] - g[-2]) ** 2
-    prob = SchrodingerProblem(g, v)
+    return SchrodingerProblem(g, v)
+
+
+def test_a_window_that_cannot_be_certified_falls_back(monkeypatch):
+    # the copies estimate each block's lowest eigenvalue at the smooth
+    # well's, which the spikes move by 0.09 or more: from there inverse
+    # iteration does not reach a residual of tol / 2 within MAX_SOLVES
+    # solves, so no count is made, and each block's share comes from the
+    # whole-range call
+    prob = spiked_well()
     blocks = spectral._blocks(prob)
-    calls, fallbacks = record_stebz(monkeypatch)
+    calls, fallbacks = record_lapack(monkeypatch)
     got = eigenvalues_below(prob, 4, tol=0.1 * NULL_BAND)
     assert fallbacks == [main.size for main, _ in blocks]
-    # the coarse copies and the count, and no value-range call
+    # the coarse copies, and no count
     s = spectral._stride(prob)
-    assert calls == (windowed_calls(blocks[0][0].size, s, lambda t: 0)[:3]
-                     + windowed_calls(blocks[1][0].size, s, lambda t: t - 1)[:3])
+    assert calls == (windowed_calls(blocks[0][0].size, s, lambda t: 0, spectral.MAX_SOLVES)[:-1]
+                     + windowed_calls(blocks[1][0].size, s, lambda t: t - 1,
+                                      spectral.MAX_SOLVES)[:-1])
     for b, (main, off) in enumerate(blocks):
         assert np.array_equal(got[b::2], eigvalsh_tridiagonal(
             main, off, select="i", select_range=(0, 1), tol=0.1 * NULL_BAND))
     main, off = full_tridiagonal(prob)
     assert np.max(np.abs(got - eigvalsh_tridiagonal(main, off, select="i",
                                                     select_range=(0, 3)))) <= 1e-7
+
+
+def test_a_start_that_converges_to_the_wrong_eigenvalue_falls_back(monkeypatch):
+    # the odd block's eigenvalue 1 (overall eigenvalue 3): the copies'
+    # eigenvalue 1 is the smooth well's first excited state, which in the
+    # spiked block is eigenvalue 2.  Inverse iteration converges to it, and
+    # the count below it reads 2, not 1, so the whole-range call runs
+    prob = spiked_well()
+    main, off = spectral._blocks(prob)[1]
+    calls, fallbacks = record_lapack(monkeypatch)
+    got = eigenvalues_below(prob, 4, 3, tol=0.1 * NULL_BAND)
+    assert fallbacks == [main.size]
+    s = spectral._stride(prob)
+    solves = sum(kind == "solve" for _, kind in calls)
+    assert solves < spectral.MAX_SOLVES
+    assert calls == windowed_calls(main.size, s, lambda t: t - 1, solves)
+    lam = eigvalsh_tridiagonal(main, off, select="i", select_range=(1, 2))
+    assert got == pytest.approx(lam[:1], abs=1e-7)
+    assert lam[1] - lam[0] > 1.0
 
 
 @pytest.mark.parametrize("cutoff, n, stride", [
@@ -493,7 +557,7 @@ def test_wells_on_a_grid_that_the_rounded_stride_does_not_divide(monkeypatch):
     # end lies at 5.52, which moves a weakly bound state off the Richardson
     # line: 18 of these 36 wells then fall back.  At stride 5 none does
     g = half_grid(5.5, 1101)
-    _, fallbacks = record_stebz(monkeypatch)
+    _, fallbacks = record_lapack(monkeypatch)
     for depth in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
         for width in (0.5, 0.75, 1.0, 1.5, 2.0, 3.0):
             prob = SchrodingerProblem(g, 1.0 - depth / np.cosh(g / width) ** 2)
@@ -502,6 +566,24 @@ def test_wells_on_a_grid_that_the_rounded_stride_does_not_divide(monkeypatch):
             main, off = full_tridiagonal(prob)
             whole = eigvalsh_tridiagonal(main, off, select="i", select_range=(0, bound - 1))
             assert np.max(np.abs(got - whole)) <= 1e-6
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("depth", [4.0, 8.0, 16.0])
+def test_states_odd_about_an_off_centre_well_need_no_fallback(depth, monkeypatch):
+    # a well centred at x = 5 on the half line [0, 10], mirrored at -5: its
+    # states odd about x = 5 are all but orthogonal to a vector of ones, so
+    # inverse iteration from ones does not reach them within MAX_SOLVES
+    # solves at depths 8 and 16, and starts from a pseudo-random vector
+    g = half_grid(10.0, 1001)
+    prob = SchrodingerProblem(g, 1.0 - depth / np.cosh(g - 5.0) ** 2)
+    bound = negative_count(prob, 1.0)
+    _, fallbacks = record_lapack(monkeypatch)
+    main, off = full_tridiagonal(prob)
+    for tol in (0.0, 1e-7):
+        got = eigenvalues_below(prob, bound, tol=tol)
+        whole = eigvalsh_tridiagonal(main, off, select="i", select_range=(0, bound - 1))
+        assert np.max(np.abs(got - whole)) <= max(tol, 1e-10 * 5.0 / prob.dx ** 2)
     assert fallbacks == []
 
 

@@ -196,21 +196,28 @@ def _rhs(params: ProblemParams):
     Scalar math rather than core.el_residual: DOP853 calls it thousands of
     times per integration, where numpy's per-call overhead would dominate.
     Python floats rather than numpy scalars (y.tolist()) for the same reason.
-    It returns a list because scipy's ode rejects tuples.
+    Every call fills and returns the same 2-array, which spares building an
+    array per call: the compiled DOP853 copies it into its own buffer, and
+    integrate passes solve_ivp a copy, since solve_ivp keeps each stage's.
     """
     m1 = params.m - 1
     om = params.omega
+    out = np.empty(2)
     if params.nu is None:
         def rhs(x, y):
             h, dh = y.tolist()
-            return [dh, m1 * math.tanh(x) * dh - 0.5 * om * math.sin(2.0 * h)]
+            out[0] = dh
+            out[1] = m1 * math.tanh(x) * dh - 0.5 * om * math.sin(2.0 * h)
+            return out
     else:
         nu = params.nu
 
         def rhs(x, y):
             h, dh = y.tolist()
-            return [dh, m1 * math.tanh(x) * dh
-                    - 0.5 * om * (1.0 + float(nu(x))) * math.sin(2.0 * h)]
+            out[0] = dh
+            out[1] = (m1 * math.tanh(x) * dh
+                      - 0.5 * om * (1.0 + float(nu(x))) * math.sin(2.0 * h))
+            return out
     return rhs
 
 
@@ -256,8 +263,9 @@ def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float) -> Tr
     exit_down.terminal = True
     exit_down.direction = -1.0
 
-    sol = solve_ivp(_rhs(params), (0.0, float(cutoff)), (float(h0), float(dh0)),
-                    method="DOP853", dense_output=True,
+    rhs = _rhs(params)
+    sol = solve_ivp(lambda x, y: rhs(x, y).copy(), (0.0, float(cutoff)),
+                    (float(h0), float(dh0)), method="DOP853", dense_output=True,
                     events=(crossing, exit_up, exit_down),
                     rtol=RTOL, atol=ATOL, max_step=_max_step(params))
 
@@ -279,14 +287,18 @@ def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float) -> Tr
     return Trajectory(float(h0), float(dh0), x_end, crossings, out, sol.sol)
 
 
-def _dop853(params: ProblemParams, rtol: float, max_step: float, solout):
+def _dop853(params: ProblemParams, rtol: float, max_step: float, solout,
+            first_step: float = 0.0):
     """scipy's compiled DOP853 (Hairer's code, the method solve_ivp
     re-implements in Python) at rtol and max_step, with integrate's ATOL.
     solout(x, y) runs after each accepted step, the start included, and
-    stops the run by returning -1."""
+    stops the run by returning -1.  first_step is the first step tried;
+    the error test shrinks it like any other step.  At 0 DOP853 picks it
+    itself (HINIT, Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
     # solve_ivp has no step limit, so neither has this run
     dop = ode(_rhs(params)).set_integrator("dop853", rtol=rtol, atol=ATOL,
-                                           max_step=max_step, nsteps=2 ** 31 - 1)
+                                           max_step=max_step, first_step=first_step,
+                                           nsteps=2 ** 31 - 1)
     dop.set_solout(solout)
     return dop
 
@@ -320,17 +332,26 @@ def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
     steps per shortest zero spacing pi/sqrt(omega (1 + nu)).  An error made
     along a run maps back to a relative shift in s of about
     steps * COUNT_RTOL, some 2e-5 for the few dozen accepted steps a run
-    takes, 50 times below that spacing.  Solved alone, the benchmark's 14
-    levels take 14-15 counts each, and 55,104 right-hand-side evaluations
-    with the seeds' 10,923 (64,069 without the early stops); in the
-    benchmark's sweep, levels 3 and 4 take 8 counts each from their priors
-    (shoot).  The seed trajectory,
-    which Newton starts from, keeps RTOL and the seed's cap in its own run
-    (_seed).
+    takes, 50 times below that spacing.
+
+    Each run tries its first step at that cap.  DOP853's own first step
+    weighs the launch component that is exactly 0 (h(0) of an odd profile,
+    h'(0) of an even one) by ATOL alone, so at COUNT_RTOL it starts near
+    4e-7 and takes 8 steps to grow to the cap, some 100 evaluations a
+    count.  The error test still shrinks a first step that is too long, and
+    no step exceeds the cap, so the argument above holds as it stands.
+    Solved alone, the benchmark's 14 levels take 14-15 counts each, and
+    37,837 right-hand-side evaluations with the seeds' 10,923 (46,514
+    without the early stops); in the benchmark's sweep, levels 3 and 4
+    take 8 counts each from their priors (shoot).  The seed trajectory,
+    which Newton starts from, keeps RTOL, the seed's cap and DOP853's own
+    first step in its own run (_seed): its ramp costs one run per level,
+    and a different seed trajectory would move Newton's last bits.
 
     Build one counter per solve and reuse it for every count.  scipy's
-    dop853 wrapper never frees an integrator: it keeps about 1.1 KB per new
-    one, with its solout, and 64 B per set_initial_value.  It is not
+    dop853 wrapper never frees an integrator: it keeps about 1.3 KB per new
+    one, with its solout and right-hand side, and 64 B per
+    set_initial_value.  It is not
     re-entrant either.  So a counter is neither made per count nor kept at
     module level.
     """
@@ -361,7 +382,8 @@ def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
             return -1
         return 0
 
-    dop = _dop853(params, COUNT_RTOL, COUNT_STEP_FACTOR * _max_step(params), solout)
+    cap = COUNT_STEP_FACTOR * _max_step(params)
+    dop = _dop853(params, COUNT_RTOL, cap, solout, first_step=cap)
 
     def count(h0: float, dh0: float) -> int:
         _check_start(h0)

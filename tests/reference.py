@@ -9,7 +9,7 @@
   dense eigensolver, so that no reflection block enters the oracle.
 * poschl_teller_phase and singular_count: the equator branch's truncated
   count in closed form, from the transmission phase of its Poschl-Teller
-  well (ROADMAP item 16).
+  well (ROADMAP item 18).
 * symmetric_witnesses: even and odd combinations of the equator branch's
   witness family (acceptance criterion 6).
 * energy_tail_bound: a bound on the energy that truncation at the cutoff

@@ -87,6 +87,22 @@ def rhs_positions(monkeypatch):
     return xs
 
 
+def step_positions(monkeypatch):
+    """List that collects the x of every accepted step of the compiled DOP853
+    runs built from here on, the start included, as their solout sees it."""
+    xs = []
+    build = shooting._dop853
+
+    def tracking(params, rtol, max_step, solout, first_step=0.0):
+        def tracked(x, y):
+            xs.append(x)
+            return solout(x, y)
+        return build(params, rtol, max_step, tracked, first_step)
+
+    monkeypatch.setattr(shooting, "_dop853", tracking)
+    return xs
+
+
 def rk4_reference(h0, dh0, params, x_end, steps):
     """Independent fixed-step RK4 for the same first-order system."""
     m, om = params.m, params.omega
@@ -345,10 +361,10 @@ def test_seed_matches_integrate_where_both_run(params, symmetry_class, zeros, s)
 
 
 def test_count_tolerance_cuts_integrator_work(monkeypatch):
-    # hopf-3-2 level 5, the seed trajectory included: 4088 right-hand-side
+    # hopf-3-2 level 5, the seed trajectory included: 2884 right-hand-side
     # evaluations with the counts at COUNT_RTOL and the doubled step cap,
-    # against 10355 with them at the seed's settings (0.39).  Counts at
-    # 1e-8 under the seed's cap make 5374 (0.52).
+    # against 10470 with them at the seed's settings (0.28).  Counts at
+    # 1e-8 under the seed's cap make 4846 (0.46).
     calls = rhs_positions(monkeypatch)
     req = SolveRequest(HOPF32, "odd", 5)
     find_solution(req)
@@ -360,11 +376,32 @@ def test_count_tolerance_cuts_integrator_work(monkeypatch):
     assert loose <= 0.42 * len(calls), f"{loose} against {len(calls)}"
 
 
+@pytest.mark.parametrize("params, symmetry_class, zeros",
+                         [pytest.param(HOPF32, "odd", 5, id="hopf-3-2-5"),
+                          pytest.param(P33, "even", 2, id="identity-3-2")])
+def test_counts_start_at_their_step_cap(params, symmetry_class, zeros, monkeypatch):
+    # a count's first step is tried at its cap.  DOP853's own first step
+    # weighs the launch component that is exactly 0 by ATOL alone, starts
+    # near 4e-7 and takes 8 steps to ramp up to the cap.
+    req = SolveRequest(params, symmetry_class, zeros)
+    shot = shooting.shoot(req)
+    cap = shooting.COUNT_STEP_FACTOR * shooting._max_step(params)
+    xs = step_positions(monkeypatch)
+    count = shooting._zero_counter(params, req.cutoff, req.zeros_half + 1)
+    for s in (shot.lo, shot.hi):
+        xs.clear()
+        count(*shooting._launch(s, req))
+        assert xs[0] == 0.0 and xs[1] >= cap / 8, (s, xs[:3])
+
+
 def check_early_stops(params, starts, monkeypatch):
     """Each (h0, dh0, limit, counted) start's count against integrate's, and
-    its run ended where W decided it: before the zero it counted early
-    (counted) or before integrate's exit (not counted)."""
-    xs = rhs_positions(monkeypatch)
+    its run ended where W decided it: its last accepted step lies before the
+    zero it counted early (counted) or before integrate's exit (not
+    counted).  Rejected steps may try points past either: the count's first
+    step, at its cap, can reach past a near zero before the error test
+    shrinks it."""
+    xs = step_positions(monkeypatch)
     for h0, dh0, limit, counted in starts:
         traj = integrate(h0, dh0, params, 20.0)
         n = min(traj.outcome.zero_count_half, limit)

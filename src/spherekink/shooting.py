@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -287,20 +288,46 @@ def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float) -> Tr
     return Trajectory(float(h0), float(dh0), x_end, crossings, out, sol.sol)
 
 
+_runners = threading.local()    # .dop853: this thread's compiled integrators, by key
+
+
 def _dop853(params: ProblemParams, rtol: float, max_step: float, solout,
             first_step: float = 0.0):
-    """scipy's compiled DOP853 (Hairer's code, the method solve_ivp
-    re-implements in Python) at rtol and max_step, with integrate's ATOL.
-    solout(x, y) runs after each accepted step, the start included, and
-    stops the run by returning -1.  first_step is the first step tried;
-    the error test shrinks it like any other step.  At 0 DOP853 picks it
-    itself (HINIT, Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
-    # solve_ivp has no step limit, so neither has this run
-    dop = ode(_rhs(params)).set_integrator("dop853", rtol=rtol, atol=ATOL,
-                                           max_step=max_step, first_step=first_step,
-                                           nsteps=2 ** 31 - 1)
-    dop.set_solout(solout)
-    return dop
+    """run(y0, x_end): one run of scipy's compiled DOP853 (Hairer's code,
+    the method solve_ivp re-implements in Python) from y0 at x = 0 toward
+    x_end, at rtol and max_step, with integrate's ATOL.  solout(x, y) runs
+    after each accepted step, the start included, and stops the run by
+    returning -1.  first_step is the first step tried; the error test
+    shrinks it like any other step.  At 0 DOP853 picks it itself (HINIT,
+    Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+
+    The integrator behind run is built once for each problem and setting,
+    and every later run reuses it.  scipy's dop853 wrapper never frees an
+    integrator once it has run: it keeps about 1.3 KB of each, with its
+    right-hand side and last solout, and 64 B per run.  The key is the
+    problem by value (m, omega, nu's samples), not the ProblemParams
+    object, since callers build a fresh one for equal values.  Each run
+    installs its own solout and start, so runs of different callers may
+    interleave on one integrator.  Runs in two threads at once would
+    overwrite each other's, so each thread builds its own.
+    """
+    nu = params.nu
+    key = (params.m, params.omega,
+           None if nu is None else (nu.grid.tobytes(), nu.values.tobytes()),
+           rtol, max_step, first_step)
+    made = vars(_runners).setdefault("dop853", {})
+    dop = made.get(key)
+    if dop is None:
+        # solve_ivp has no step limit, so neither has this run
+        dop = made[key] = ode(_rhs(params)).set_integrator(
+            "dop853", rtol=rtol, atol=ATOL, max_step=max_step, first_step=first_step,
+            nsteps=2 ** 31 - 1)
+
+    def run(y0, x_end: float) -> None:
+        dop.set_solout(solout)
+        dop.set_initial_value(y0, 0.0)
+        dop.integrate(x_end)
+    return run
 
 
 def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
@@ -348,12 +375,8 @@ def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
     first step in its own run (_seed): its ramp costs one run per level,
     and a different seed trajectory would move Newton's last bits.
 
-    Build one counter per solve and reuse it for every count.  scipy's
-    dop853 wrapper never frees an integrator: it keeps about 1.3 KB per new
-    one, with its solout and right-hand side, and 64 B per
-    set_initial_value.  It is not
-    re-entrant either.  So a counter is neither made per count nor kept at
-    module level.
+    Every counter of one problem shares one compiled integrator with the
+    others at its settings (_dop853); its own solout goes in with each run.
     """
     state = [0.0, 0]            # h at the last accepted step, sign changes so far
     om = params.omega
@@ -383,15 +406,14 @@ def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
         return 0
 
     cap = COUNT_STEP_FACTOR * _max_step(params)
-    dop = _dop853(params, COUNT_RTOL, cap, solout, first_step=cap)
+    run = _dop853(params, COUNT_RTOL, cap, solout, first_step=cap)
 
     def count(h0: float, dh0: float) -> int:
         _check_start(h0)
         if h0 == 0.0 and dh0 == 0.0:
             return 0
         state[:] = [h0, 0]
-        dop.set_initial_value((h0, dh0), 0.0)
-        dop.integrate(cutoff)
+        run((h0, dh0), cutoff)
         return state[1]
 
     return count
@@ -425,11 +447,9 @@ def _seed(s: float, req: SolveRequest) -> tuple:
         steps.append((x, h, dh))
         return -1 if abs(h) > EXIT_WALL else 0
 
-    dop = _dop853(req.params, RTOL, _max_step(req.params), solout)
-    dop.set_initial_value(_launch(s, req), 0.0)
-    dop.integrate(req.cutoff)
+    _dop853(req.params, RTOL, _max_step(req.params), solout)(_launch(s, req), req.cutoff)
     x, h, dh = np.array(steps).T
-    # scipy never frees the integrator, which holds solout and so this list
+    # the integrator holds this solout, and so this list, until its next run
     steps.clear()
     d2h = -el_residual(x, h, dh, 0.0, req.params)
     # Bernstein coefficients on each step of width w that match (h, h', h'')

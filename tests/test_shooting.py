@@ -10,6 +10,8 @@ profile against the closed form 2 atan(e^x) - pi/2.
 import functools
 import gc
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -50,9 +52,18 @@ def nu_params(height=0.2):
     return ProblemParams(3, 3.0, NuPerturbation(g, vals))
 
 
+def fresh_runners(monkeypatch):
+    """Empty this thread's registry of compiled DOP853 integrators until the
+    test ends, so that every run from here on goes through an integrator
+    built from here on; returns the registry, key -> integrator."""
+    monkeypatch.setattr(shooting, "_runners", threading.local())
+    return vars(shooting._runners).setdefault("dop853", {})
+
+
 def record_counts(monkeypatch):
     """List that collects (params, cutoff, limit, h0, dh0, count) for every
     compiled zero count made from here on."""
+    fresh_runners(monkeypatch)
     seen = []
     build = shooting._zero_counter
 
@@ -71,7 +82,8 @@ def record_counts(monkeypatch):
 
 def rhs_positions(monkeypatch):
     """List that collects the x of every right-hand-side evaluation of the
-    integrators built from here on."""
+    compiled DOP853 runs made from here on."""
+    fresh_runners(monkeypatch)
     xs = []
     build = shooting._rhs
 
@@ -89,7 +101,8 @@ def rhs_positions(monkeypatch):
 
 def step_positions(monkeypatch):
     """List that collects the x of every accepted step of the compiled DOP853
-    runs built from here on, the start included, as their solout sees it."""
+    runs made from here on, the start included, as their solout sees it."""
+    fresh_runners(monkeypatch)
     xs = []
     build = shooting._dop853
 
@@ -101,6 +114,40 @@ def step_positions(monkeypatch):
 
     monkeypatch.setattr(shooting, "_dop853", tracking)
     return xs
+
+
+def dop853_runs(monkeypatch):
+    """List that collects one entry per compiled DOP853 run made from here
+    on."""
+    runs = []
+    build = shooting._dop853
+
+    def counting(*args, **kwargs):
+        run = build(*args, **kwargs)
+
+        def counted(y0, x_end):
+            runs.append(x_end)
+            return run(y0, x_end)
+        return counted
+
+    monkeypatch.setattr(shooting, "_dop853", counting)
+    return runs
+
+
+def traced_growth(work, repeats):
+    """Traced memory, in bytes, that repeats calls of work leave behind,
+    after one untraced call that pays every one-time set-up."""
+    work()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(repeats):
+            work()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 def rk4_reference(h0, dh0, params, x_end, steps):
@@ -463,49 +510,94 @@ def test_count_takes_no_certain_zero_past_the_cutoff(h0, dh0, limit, cutoff):
     assert shooting._zero_counter(P33, cutoff, limit)(h0, dh0) == 0
 
 
-def test_one_integrator_per_solve_bounds_memory(monkeypatch):
-    # scipy's dop853 wrapper keeps about 1.1 KB of each integrator it builds
-    # and 64 B per set_initial_value.  find_solution builds one integrator per
-    # solve, so its traced memory grows by far less than 1 KB per count.
+def test_sweeps_keep_little_memory():
+    # scipy's dop853 wrapper never frees an integrator once it has run, nor
+    # the 64 B bound method of each run's reset.  With two integrators built
+    # per solve a K = 4 sweep left 18.8 KB behind; with one per problem and
+    # setting it leaves about 4 KB, the runs' 64 B each.
+    grown = traced_growth(lambda: run_sweep(SweepConfig(P33, 4)), 20)
+    assert grown / 20 <= 5 * 1024, f"{grown / 20:.0f} B per sweep"
+
+
+def test_lone_solves_keep_little_memory_per_run(monkeypatch):
+    # what a repeated solve leaves behind is the 64 B each run costs in
+    # scipy's wrapper, and no integrator
     monkeypatch.setattr(shooting, "BRACKET_RTOL", 5e-15)    # many counts per solve
     req = SolveRequest(P33, "even", 2, cutoff=16.0, grid_size=1001)
-    build = shooting._zero_counter
-    seen = record_counts(monkeypatch)
-    find_solution(req)                  # also pays scipy's one-time set-up
-    counts = 2 * len(seen)              # over the two traced solves
-    monkeypatch.setattr(shooting, "_zero_counter", build)
+    runs = dop853_runs(monkeypatch)
+    grown = traced_growth(lambda: find_solution(req), 4)
+    made = 4 * len(runs) // 5           # the runs of the four traced solves of five alike
+    assert made > 200
+    assert grown / made <= 128, f"{grown} B over {made} runs"
 
-    gc.collect()
-    tracemalloc.start()
+
+def test_equal_problems_share_their_integrators(monkeypatch):
+    runners = fresh_runners(monkeypatch)
+    find_solution(SolveRequest(P33, "even", 2))
+    assert len(runners) == 2            # the counts' and the seed's
+    built = dict(runners)
+    find_solution(SolveRequest(ProblemParams(3, 3), "even", 2))
+    assert runners == built
+    # a nu rebuilt from the same samples is the same problem
+    for params in (nu_params(), nu_params()):
+        shooting._zero_counter(params, 20.0, NO_LIMIT)(0.0, 0.9)
+    assert len(runners) == 3
+    # another omega, or nu with other samples, is another problem
+    shooting._zero_counter(ProblemParams(3, 3.5), 20.0, NO_LIMIT)(0.0, 0.9)
+    shooting._zero_counter(nu_params(0.3), 20.0, NO_LIMIT)(0.0, 0.9)
+    assert len(runners) == 5
+
+
+def test_counters_and_seeds_of_one_problem_interleave(monkeypatch):
+    # two counters of one problem share its counts' integrator, and the
+    # seed runs on its own between their counts; each count must be what a
+    # counter made alone from an empty registry gives
+    starts = [(0.0, 0.9), (0.0, 0.05), (0.0, 5e-3), (0.0, 5e-4), (0.0, 5e-5), (0.01, 0.0)]
+    specs = [(20.0, NO_LIMIT), (8.0, 3)]            # (cutoff, limit)
+    alone = {}
+    for spec in specs:
+        for start in starts:
+            fresh_runners(monkeypatch)
+            alone[spec, start] = shooting._zero_counter(P33, *spec)(*start)
+    runners = fresh_runners(monkeypatch)
+    counters = {spec: shooting._zero_counter(P33, *spec) for spec in specs}
+    req = SolveRequest(P33, "odd", 3)
+    for start in starts:
+        for spec in specs:
+            assert counters[spec](*start) == alone[spec, start], (spec, start)
+            shooting._seed(0.9, req)
+    assert len(runners) == 2
+    assert set(alone.values()) == {1, 2, 3, 4, 5}
+
+
+def test_threads_solve_a_level_at_once():
+    # each thread builds its own integrators, so solves in four threads at
+    # once give what the level gives solved alone
+    req = SolveRequest(HOPF32, "odd", 5)
+    alone = shooting.shoot(req)
+    prof = shooting.finish(req, alone)
+    start = threading.Barrier(4)
+    got = []
+
+    def solve():
+        start.wait(timeout=60)
+        shot = shooting.shoot(req)
+        got.append((shot, shooting.finish(req, shot)))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)         # switch threads inside each run
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        find_solution(req)
-        find_solution(req)
-        gc.collect()
-        grown = tracemalloc.get_traced_memory()[0] - before
+        threads = [threading.Thread(target=solve) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
     finally:
-        tracemalloc.stop()
-    assert counts > 50
-    assert grown / counts <= 256, f"{grown} B over {counts} counts"
-
-
-def test_seed_run_keeps_no_step_record():
-    # scipy never frees the seed's integrator, nor its solout and the step
-    # list that solout fills.  Two leaked integrators and 64 B per count stay
-    # below 8 KB a solve (6.4-6.7 KB measured); with the seed's step record
-    # kept alive as well it grew by 12.2 KB.
-    req = SolveRequest(P33, "even", 2)
-    find_solution(req)                  # also pays scipy's one-time set-up
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        find_solution(req)
-        gc.collect()
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert grown <= 8192, f"{grown} B"
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads) and len(got) == 4
+    for shot, p in got:
+        assert shot == alone
+        assert np.array_equal(p.half_h, prof.half_h) and p.provenance == prof.provenance
 
 
 # -- request validation -----------------------------------------------------------

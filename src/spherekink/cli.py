@@ -223,7 +223,7 @@ def _cmd_sweep(args, parser) -> int:
         for r in report.records:
             cls, z = r.sequence_key
             print(f"{cls:<5}  {z:<5}  {r.energy:<16.12g}  "
-                  f"{report.energy_gap(r):<16.6e}  "
+                  f"{r.clearance:<16.6e}  "
                   f"{r.spectral.index:<5}  {r.spectral.nullity_estimate}")
         chk = convergence_check(report)
         print(f"convergence: {chk.status}")

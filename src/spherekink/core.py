@@ -11,15 +11,18 @@ the Euler-Lagrange equation of the weighted energy
 
     E(h) = (1/2) int [ (h')^2 + omega (1 + nu) cos^2 h ] sech^(m-1)(x) dx.
 
-Here m >= 2 is the domain sphere dimension and nu is an optional even C^2
-perturbation with compact support and sup |nu| < 1.  The constant profile
-h = 0 (the "equator" or singular map) is a critical point for every
-parameter choice; genuine solutions connect -pi/2 to pi/2 inside the
-constraint band |h| <= pi/2.
+Here m >= 2 is the domain sphere dimension and nu is an optional even
+perturbation with compact support and sup |nu| < 1.  The paper asks nu to
+be C^2; NuPerturbation interpolates its samples linearly, so it is only
+continuous and piecewise linear, with a kink at each sample (ROADMAP item
+22).  The constant profile h = 0 (the "equator" or singular map) is a
+critical point for every parameter choice; genuine solutions connect -pi/2
+to pi/2 inside the constraint band |h| <= pi/2.
 
-This module holds problem parameters, sampled profiles, the energy and
-related functionals, and the linearised tail toward +-pi/2 (its decay rate
-and its formula) that the solvers and resampling continue profiles with.
+This module holds problem parameters, sampled profiles, the energy, its
+clearance below the singular energy and related functionals, and the
+linearised tail toward +-pi/2 (its decay rate and its formula) that the
+solvers and resampling continue profiles with.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
-from scipy.special import gammaln
+from scipy.special import beta, betainc, gammaln
 
 # The band check is absolute.
 TOL_CONSTRAINT = 1e-9
@@ -320,6 +323,33 @@ def singular_energy(params: ProblemParams) -> float:
     g = symmetric_grid(max(SINGULAR_NU_CUTOFF, 1.25 * r), SINGULAR_NU_GRID)
     corr = 0.5 * om * simpson(params.nu(g) * weight(g, m), x=g)
     return base + float(corr)
+
+
+def clearance(prof: Profile) -> float:
+    """The profile's clearance below the singular energy, without cancellation.
+
+    The paper's levels approach the singular energy from below, so the
+    clearance is what a level certifies.  It equals singular_energy minus
+    energy, but that difference falls to roundoff within a few levels.
+    Directly it is
+
+        (1/2) int_{-X}^{X} [ omega (1 + nu) sin^2 h - (h')^2 ] sech^(m-1) dx
+          + (omega/2) int_{|x| > X} (1 + nu) sech^(m-1) dx,
+
+    the first term by Simpson on the profile's grid as in energy.  With
+    n = m - 1 the unperturbed tail is (omega/2) B(n/2, 1/2) I_t(n/2, 1/2),
+    t = sech^2 X, and nu adds its part beyond X only when its support
+    reaches past X.
+    """
+    p, x = prof.params, prof.grid
+    m, om, cut = p.m, p.omega, prof.cutoff
+    inner = (om * (1.0 + p.nu_at(x)) * np.sin(prof.h) ** 2 - prof.dh ** 2) * weight(x, m)
+    a = 0.5 * (m - 1)
+    beyond = beta(a, 0.5) * betainc(a, 0.5, float(sech(cut)) ** 2)   # int_{|x|>X} (1 + nu) sech^(m-1)
+    if p.nu is not None and p.nu.support_radius > cut:
+        g = np.linspace(cut, p.nu.support_radius, SINGULAR_NU_GRID)
+        beyond += 2.0 * simpson(p.nu(g) * weight(g, m), x=g)
+    return 0.5 * float(simpson(inner, x=x) + om * beyond)
 
 
 def weighted_norm(prof: Profile) -> float:

@@ -32,6 +32,7 @@ from .core import (
     HALF_PI,
     ProblemParams,
     Profile,
+    clearance,
     energy,
     singular_energy,
     weighted_norm,
@@ -99,6 +100,11 @@ class SolutionRecord:
     def sup_norm(self) -> float:
         return self.profile.sup_norm
 
+    @cached_property
+    def clearance(self) -> float:
+        """The profile's clearance below the singular energy (core.clearance)."""
+        return clearance(self.profile)
+
     @property
     def sequence_key(self) -> tuple:
         """(symmetry class, total zeros)"""
@@ -121,14 +127,10 @@ class SweepReport:
     def hypothesis(self) -> bool:
         return self.config.params.hypothesis()
 
-    def energy_gap(self, rec: SolutionRecord) -> float:
-        """The record's clearance below the singular energy."""
-        return self.singular_energy - rec.energy
-
     @property
     def convergence_table(self) -> tuple:
-        """(class, zeros, energy_gap, sup_norm, H_norm) per record."""
-        return tuple((*r.sequence_key, self.energy_gap(r), r.sup_norm, r.H_norm)
+        """(class, zeros, clearance, sup_norm, H_norm) per record."""
+        return tuple((*r.sequence_key, r.clearance, r.sup_norm, r.H_norm)
                      for r in self.records)
 
 
@@ -141,19 +143,17 @@ def solution_name(zeros: int) -> str:
     return f"solution_{class_of_level(zeros)}_{zeros}.json"
 
 
-def _record(prof: Profile, e_inf: float) -> SolutionRecord:
-    spectral = morse_index(prof)
-    e = energy(prof)
-    if not e < e_inf:
+def _record(prof: Profile) -> SolutionRecord:
+    rec = SolutionRecord(prof, energy(prof), morse_index(prof), weighted_norm(prof))
+    if not rec.clearance > 0:
         raise PolishDiverged(
-            f"energy {e!r} is not below the singular level; the level "
-            f"did not converge to a connecting profile")
-    return SolutionRecord(prof, e, spectral, weighted_norm(prof))
+            f"clearance {rec.clearance!r} below the singular level is not "
+            f"positive; the level did not converge to a connecting profile")
+    return rec
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Solve all levels and assemble the report; it writes no file."""
-    e_inf = singular_energy(config.params)
     records = []
     failures = []
     shots = {}          # class -> Shot of its last level
@@ -163,7 +163,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                            cutoff=config.cutoff, grid_size=config.grid_size)
         try:
             shots[cls] = shot = shoot(req, prior=shots.pop(cls, None))
-            records.append(_record(finish(req, shot), e_inf))
+            records.append(_record(finish(req, shot)))
         except (NoBracketFound, PolishDiverged) as exc:
             failures.append((cls, zeros, str(exc)))
     records.sort(key=lambda r: r.sequence_key)
@@ -182,22 +182,22 @@ class ConvergenceCheck:
 
 
 def convergence_check(report: SweepReport) -> ConvergenceCheck:
-    """Trend check per class: sup_norm, H_norm, and the energy gap to the
+    """Trend check per class: sup_norm, H_norm, and the clearance below the
     singular level must all decrease along increasing zero count.
 
-    The energy gap must decrease strictly.  sup_norm and H_norm may fail to
+    The clearance must decrease strictly.  sup_norm and H_norm may fail to
     decrease by less than NORM_SLACK (they can be separated by less than the
-    discretisation noise, sup_norm especially).  Records violating the
-    strict energy bound are reported regardless.
+    discretisation noise, sup_norm especially).  Records whose clearance is
+    not positive are reported regardless.
     """
     failures = []
     checked_any = False
     for rec in report.records:
-        if not rec.energy < report.singular_energy:
+        if not rec.clearance > 0:
             failures.append(
-                f"record {rec.sequence_key} has energy {rec.energy!r} not strictly "
-                f"below the singular level {report.singular_energy!r}: violates the "
-                f"connecting-profile energy bound")
+                f"record {rec.sequence_key} has clearance {rec.clearance!r} below the "
+                f"singular level, not positive: violates the connecting-profile "
+                f"energy bound")
     for cls in ("even", "odd"):
         recs = [r for r in report.records if r.sequence_key[0] == cls]
         if len(recs) < 2:
@@ -207,7 +207,7 @@ def convergence_check(report: SweepReport) -> ConvergenceCheck:
             for name, va, vb, tol in (
                     ("sup_norm", a.sup_norm, b.sup_norm, NORM_SLACK),
                     ("H_norm", a.H_norm, b.H_norm, NORM_SLACK),
-                    ("energy gap", report.energy_gap(a), report.energy_gap(b), 0.0)):
+                    ("energy gap", a.clearance, b.clearance, 0.0)):
                 if vb >= va + tol:
                     failures.append(
                         f"{name} fails to decrease from {a.sequence_key} to "
@@ -313,7 +313,7 @@ def write_sweep_csv(report: SweepReport, path) -> None:
             cls, zeros = r.sequence_key
             w.writerow([cls, zeros,
                         format_float(r.energy),
-                        format_float(report.energy_gap(r)),
+                        format_float(r.clearance),
                         r.spectral.index, r.spectral.nullity_estimate,
                         format_float(r.sup_norm), format_float(r.H_norm),
                         format_float(r.profile.residual_norm),

@@ -62,13 +62,13 @@ from .core import (
     HALF_PI,
     Profile,
     ProblemParams,
+    clearance,
     decay_rate,
     el_residual,
     energy,
     half_grid,
     linear_tail,
     lyapunov_W,
-    singular_energy,
 )
 
 
@@ -777,7 +777,7 @@ def verify_solution(prof: Profile) -> SolutionDiagnostics:
     w_violation = max(0.0, -float(np.min(np.diff(w)))) if w.size > 1 else 0.0
 
     e = energy(prof)
-    margin = singular_energy(p) - e
+    margin = clearance(prof)
     excess = max(0.0, prof.sup_norm - HALF_PI)
 
     failures = []
@@ -797,7 +797,7 @@ def verify_solution(prof: Profile) -> SolutionDiagnostics:
     return SolutionDiagnostics(
         residual_max=residual_max, residual_rms=residual_rms,
         boundary_gap=gap,
-        w_violation=w_violation, energy_value=e, energy_margin=float(margin),
+        w_violation=w_violation, energy_value=e, energy_margin=margin,
         constraint_excess=excess,
         singular_branch=singular, failures=tuple(failures),
         passed=not failures)

@@ -25,6 +25,15 @@ def records33(sweep33):
 
 
 @pytest.fixture(scope="session")
+def records55():
+    """Levels 1..8 of (m=5, omega=5) at X=30, N=6001.  Levels 7 and 8 sit
+    8.5e-18 and 1.6e-20 below the singular energy 10/3, under the roundoff
+    of subtracting their energies from it."""
+    report = run_sweep(SweepConfig(ProblemParams(5, 5.0), 8, cutoff=30.0, grid_size=6001))
+    return {rec.sequence_key[1]: rec for rec in report.records}
+
+
+@pytest.fixture(scope="session")
 def ground33(records33):
     """The solved one-zero profile (the exact-solution level)."""
     return records33[("odd", 1)].profile

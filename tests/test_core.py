@@ -18,6 +18,7 @@ from spherekink.core import (
     NuPerturbation,
     ProblemParams,
     Profile,
+    clearance,
     count_zero_crossings,
     decay_rate,
     derivative_samples,
@@ -31,6 +32,7 @@ from spherekink.core import (
     symmetric_grid,
     weighted_norm,
 )
+from spherekink.shooting import SolveRequest, newton_polish
 
 
 # -- grids and profiles --------------------------------------------------------
@@ -204,6 +206,51 @@ def test_exact_profile_energy_m2():
 def test_energy_below_singular_level():
     prof = gudermann_profile()
     assert energy(prof) < singular_energy(prof.params)
+
+
+# -- clearance below the singular energy -----------------------------------------
+
+def test_clearance_agrees_with_the_subtraction_where_that_resolves_it(records33):
+    # levels 1-4 of (3, 3) clear 3 by 0.33 down to 4.1e-4, far above the
+    # roundoff of singular_energy - energy
+    for key, rec in records33.items():
+        want = singular_energy(rec.profile.params) - energy(rec.profile)
+        assert abs(clearance(rec.profile) - want) <= 1e-14, key
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+@pytest.mark.parametrize("cutoff", [5.0, 20.0])
+def test_clearance_tail_is_the_weight_beyond_the_cutoff(n, cutoff):
+    # h = 0 has no interior clearance, so all of it is the closed-form tail
+    # (omega/2) int_{|x| > X} sech^n; a nu inside the window adds nothing
+    def sech_n(x):
+        return (2.0 * math.exp(-x) / (1.0 + math.exp(-2.0 * x))) ** n
+
+    want = 0.5 * 3.0 * 2.0 * quad(sech_n, cutoff, np.inf, epsabs=0.0, epsrel=1e-13)[0]
+    g = np.linspace(-2.0, 2.0, 41)
+    for nu in (None, NuPerturbation(g, 0.5 * np.cos(np.pi * g / 4.0) ** 2)):
+        zero = Profile(ProblemParams(n + 1, 3.0, nu), "even", cutoff, np.zeros(101))
+        assert clearance(zero) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_clearance_counts_nu_beyond_the_cutoff():
+    # nu reaching past X adds (omega/2) int_{|x| > X} nu sech^2, the part of
+    # singular_energy's nu correction that energy's window leaves out
+    g = np.linspace(-3.0, 3.0, 601)
+    p = ProblemParams(3, 3.0, NuPerturbation(g, 0.5 * np.cos(np.pi * g / 6.0) ** 2))
+    zero = singular_profile(p, cutoff=1.0, n=4001)
+    assert clearance(zero) == pytest.approx(singular_energy(p) - energy(zero), abs=1e-9)
+    assert clearance(zero) > clearance(singular_profile(ProblemParams(3, 3.0), 1.0, 4001))
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_clearance_below_roundoff_is_resolved_under_refinement(k, records55):
+    # (5, 5) level k re-polished from N=6001 to N=11001 at X=30
+    prof = records55[k].profile
+    req = SolveRequest(prof.params, prof.symmetry_class, k, cutoff=30.0, grid_size=11001)
+    fine = newton_polish(resample(prof, 30.0, 11001), req)
+    assert 0.0 < clearance(prof) < 1e-16
+    assert clearance(fine) == pytest.approx(clearance(prof), rel=1e-3)
 
 
 def test_energy_tail_bound_controls_truncation():

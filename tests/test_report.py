@@ -10,7 +10,7 @@ from conftest import json_leaves, other_kinds, put
 
 from spherekink import report
 
-from spherekink.core import NuPerturbation, ProblemParams
+from spherekink.core import NuPerturbation, ProblemParams, clearance
 from spherekink.report import (
     CSV_COLUMNS,
     NORM_SLACK,
@@ -81,8 +81,12 @@ def test_convergence_check_passes(sweep33):
 
 
 def test_convergence_check_catches_corrupted_energy(sweep33):
-    bad_rec = dataclasses.replace(sweep33.records[0],
-                                  energy=sweep33.singular_energy + 0.1)
+    # the level-2 profile squeezed onto a quarter of its window: four times
+    # the gradient energy puts it above the singular level
+    rec = sweep33.records[0]
+    squeezed = dataclasses.replace(rec.profile, cutoff=rec.profile.cutoff / 4.0)
+    bad_rec = dataclasses.replace(rec, profile=squeezed)
+    assert bad_rec.clearance < 0.0
     report = dataclasses.replace(sweep33, records=(bad_rec,) + sweep33.records[1:])
     check = convergence_check(report)
     assert check.status == "fail"
@@ -100,11 +104,13 @@ def test_convergence_check_catches_wrong_trend(sweep33):
 
 
 def test_convergence_check_energy_trend_is_strict(sweep33):
-    # an even-class inversion far smaller than the slack must still fail
+    # a tie, smaller than any slack, must still fail: level 4's record
+    # carrying level 2's profile has level 2's clearance
     recs = list(sweep33.records)
     even2 = recs[0]
-    inverted = dataclasses.replace(recs[1], energy=even2.energy - 1e-9)
-    report = dataclasses.replace(sweep33, records=(even2, inverted) + tuple(recs[2:]))
+    tied = dataclasses.replace(recs[1], profile=even2.profile)
+    assert tied.clearance == even2.clearance
+    report = dataclasses.replace(sweep33, records=(even2, tied) + tuple(recs[2:]))
     check = convergence_check(report)
     assert check.status == "fail"
     assert any("energy gap fails to decrease" in f for f in check.failures)
@@ -127,6 +133,24 @@ def test_failures_are_collected_not_raised():
     cls, zeros, message = report.failures[0]
     assert (cls, zeros) == ("odd", 3)
     assert "transition" in message or "bracket" in message.lower()
+
+
+@pytest.mark.parametrize("config", [
+    lambda: SweepConfig(ProblemParams(5, 5.0), 8, cutoff=30.0, grid_size=6001),
+    lambda: SweepConfig(ProblemParams(8, 12.438), 4),
+    lambda: SweepConfig(ProblemParams(3, 3.0, _nu_bump()), 8, cutoff=30.0, grid_size=6001),
+], ids=["5-5", "8-12.438", "3-3-nu"])
+def test_sweep_keeps_levels_that_clear_the_singular_energy_by_less_than_roundoff(config):
+    # the deepest clearances here (down to 2.1e-22 at (8, 12.438) level 4)
+    # lie below the roundoff of singular_energy - energy, and with nu the
+    # subtraction misses nu's kinks; every level is genuine
+    cfg = config()
+    report = run_sweep(cfg)
+    assert report.failures == ()
+    got = sorted((r.sequence_key[1], r.spectral.index, r.spectral.nullity_estimate)
+                 for r in report.records)
+    assert got == [(k, k, 0) for k in range(1, cfg.max_zeros + 1)]
+    assert all(r.clearance > 0.0 for r in report.records)
 
 
 def test_record_round_trip_through_files(sweep33, tmp_path):
@@ -195,14 +219,15 @@ def test_read_report_names_a_missing_key(small_sweep, tmp_path):
 
 
 def test_convergence_table_follows_records(small_sweep):
-    # the table is derived from the records, so it cannot go stale
+    # the table is derived from the records' profiles, so it cannot go stale
     recs = list(small_sweep.records)
-    recs[1] = dataclasses.replace(recs[1], energy=recs[1].energy - 0.125)
+    recs[1] = dataclasses.replace(recs[1], profile=recs[0].profile)
     changed = dataclasses.replace(small_sweep, records=tuple(recs))
     cls, zeros, gap, sup, hn = changed.convergence_table[1]
-    assert (cls, zeros) == recs[1].sequence_key
-    assert gap == changed.singular_energy - recs[1].energy
-    assert small_sweep.convergence_table[1][2] == gap - 0.125
+    assert (cls, zeros) == recs[0].sequence_key
+    assert gap == clearance(recs[0].profile)
+    assert (gap, sup) == small_sweep.convergence_table[0][2:4]
+    assert hn == small_sweep.convergence_table[1][4]
 
 
 def test_read_report_refuses_unknown_keys(small_sweep, tmp_path):

@@ -949,6 +949,13 @@ def test_verify_passes_on_solved_profile(ground33):
     assert not diag.singular_branch
 
 
+def test_verify_passes_a_level_below_the_roundoff_of_its_energy(records55):
+    # (5, 5) level 7 clears 10/3 by 8.5e-18, less than an ulp of its energy
+    diag = verify_solution(records55[7].profile)
+    assert diag.passed, diag.failures
+    assert 0.0 < diag.energy_margin < 1e-16
+
+
 def test_verify_flags_equator_branch():
     diag = verify_solution(singular_profile(P33))
     assert diag.singular_branch

@@ -582,8 +582,14 @@ def finish(req: SolveRequest, shot: Shot) -> Profile:
                              f"requested {req.total_zeros}")
     gap = HALF_PI - abs(float(u[-1]))
     if gap > BOUNDARY_TOL:
+        # the gap shrinks like exp(decay_rate x): this cutoff, rounded up,
+        # brings it to BOUNDARY_TOL, on as many more nodes as keep dx
+        cutoff = math.ceil(req.cutoff + math.log(gap / BOUNDARY_TOL)
+                           / abs(decay_rate(req.params)))
+        grid = 2 * round((req.grid_size - 1) * cutoff / (2.0 * req.cutoff)) + 1
         raise PolishDiverged(
-            f"boundary gap {gap:.3e} exceeds {BOUNDARY_TOL:.1e}; increase the cutoff")
+            f"boundary gap {gap:.3e} exceeds {BOUNDARY_TOL:.1e}; increase the cutoff "
+            f"to {cutoff} (grid size {grid} keeps dx)")
     return prof
 
 

@@ -41,6 +41,13 @@ quotient with a small residual, and one count just below it certifies
 which eigenvalue it is.  Where that count reads another index, or the
 residual stays large, the index-range call runs instead.
 
+A report counts at -10 null bands first.  The blocks' coarse copies at
+the finer spacing guess that count in O(N/s), and the margin pair for the
+guess settles it where the pair clears the shift on both sides by the
+width it is placed to: the pair's own certifying counts then fix the
+count, and no whole-block count is made for it.  Otherwise, as where no
+stride fits, the count is made.
+
 For the equator branch, where V tends to (m-1)^2/4 - omega < 0 at both
 ends, families of disjoint tent functions placed in the far field give an
 explicit negative-definite subspace of any requested dimension.
@@ -172,6 +179,32 @@ def _stride(problem: SchrodingerProblem):
     return min(fits, key=lambda d: (abs(d - r), d), default=None)
 
 
+def _coarse(main, off, dx: float, stride: int, even: bool):
+    """The copy (main, off) of a block at spacing stride dx: its potential at
+    every stride-th node, from the even block's mirror node or the odd
+    block's node stride dx, the mirror node's sqrt 2 coupling kept."""
+    first = 0 if even else stride - 1
+    sub = main[first::stride] - 2.0 / dx ** 2 * (1.0 - 1.0 / stride ** 2)
+    # each coupling is -1/dx^2 (sqrt 2 at a mirror node); at spacing
+    # stride dx it is 1/stride^2 of that
+    return sub, off[first::stride][:sub.size - 1] / stride ** 2
+
+
+def _coarse_count(problem: SchrodingerProblem, s, shift: float):
+    """negative_count(problem, shift) as the blocks' coarse copies at stride
+    s read it, in O(N/s), or None where no stride fits (s is None) or a
+    copy has fewer than two nodes.  The copies place a smooth state's
+    eigenvalue about C (s dx)^2 low and miss a state narrower than s dx, so
+    the guess may be off either way; schrodinger_index checks it."""
+    if s is None:
+        return None
+    copies = [_coarse(main, off, problem.dx, s, b == 0)
+              for b, (main, off) in enumerate(_blocks(problem))]
+    if any(sub.size < 2 for sub, _ in copies):
+        return None
+    return sum(_count_below(sub, sub_off, shift) for sub, sub_off in copies)
+
+
 def _inverse_iteration(main, off, mu: float, width: float):
     """The Rayleigh quotient rho = x^T T x of the unit vector x that inverse
     iteration on the tridiagonal T = main, off reaches at the shift mu, once
@@ -206,12 +239,11 @@ def _windowed(main, off, dx: float, s: int, even: bool, lo: int, hi: int, width:
     """Eigenvalues lo..hi of one block (see eigenvalues_below), or None when
     the estimates placed for them do not lead to them.
 
-    Two coarse copies of the block keep its potential at every s-th and
-    every 2s-th node, and the even block's mirror node and sqrt 2 coupling;
-    s and 2s divide the half line's spacings (_stride), so their Dirichlet
-    ends are the block's.  The central difference underestimates an
-    eigenvalue by about C H^2 at spacing H, so the copies' eigenvalues l_s
-    and l_2s extrapolate to the block's as mu = l_s + (l_s - l_2s)(1 - 1/s^2)/3.
+    The block's coarse copies at strides s and 2s (_coarse) have its
+    Dirichlet ends, as s and 2s divide the half line's spacings (_stride).
+    The central difference underestimates an eigenvalue by about C H^2 at
+    spacing H, so the copies' eigenvalues l_s and l_2s extrapolate to the
+    block's as mu = l_s + (l_s - l_2s)(1 - 1/s^2)/3.
     Inverse iteration at mu (_inverse_iteration) gives rho with a residual r
     <= width / 2.  T is symmetric, so some eigenvalue lies within r of rho;
     one count at rho - width that reads k then puts eigenvalue k in
@@ -220,15 +252,11 @@ def _windowed(main, off, dx: float, s: int, even: bool, lo: int, hi: int, width:
     """
     coarse = []
     for stride in (s, 2 * s):
-        first = 0 if even else stride - 1
-        sub = main[first::stride] - 2.0 / dx ** 2 * (1.0 - 1.0 / stride ** 2)
+        sub, sub_off = _coarse(main, off, dx, stride, even)
         # stebz wants an off-diagonal, so at least two nodes
         if sub.size <= max(hi, 1):
             return None
-        # each coupling is -1/dx^2 (sqrt 2 at a mirror node); at spacing
-        # stride dx it is 1/stride^2 of that
-        coarse.append(_stebz(sub, off[first::stride][:sub.size - 1] / stride ** 2,
-                             True, lo, hi, width))
+        coarse.append(_stebz(sub, sub_off, True, lo, hi, width))
     near, far = coarse
     found = []
     for k, mu in enumerate(near + (near - far) * (1.0 - 1.0 / s ** 2) / 3.0, lo):
@@ -307,16 +335,24 @@ def schrodinger_index(problem: SchrodingerProblem) -> SpectralReport:
     Weyl's inequality no change of the potential smaller in max-norm than
     their distance from -NULL_BAND can change the index.
 
-    The count at -10 NULL_BAND comes first, and the margin pair for it.
-    That count, c, puts lambda_c at or above -10 NULL_BAND; when the pair
-    places lambda_c above +10 NULL_BAND as well, no eigenvalue lies in the
-    widest band, so the index is c and the nullity is 0 at every band.
-    Otherwise the count at +10 NULL_BAND follows.  A count never decreases
-    as the shift grows, so when the two are equal every count between them
-    equals them; only when they differ are the four inner counts made, and
-    the pair made again if the index is not c.
+    The count c at -10 NULL_BAND comes first, and the margin pair for it.
+    c is guessed from the blocks' coarse copies (_coarse_count) and taken
+    without a whole-block count when the pair, each eigenvalue placed within
+    w = _width, clears -10 NULL_BAND by w on both sides: lambda_{c-1} + w <
+    -10 NULL_BAND < lambda_c - w (the upper inequality alone at c = 0).  Where no
+    stride fits, the guess is n - 2 or more, or the pair does not clear the
+    shift, c is counted, and the pair made again if it differs from the
+    guess.  Either way c and its pair are the same.  c puts lambda_c at or
+    above -10 NULL_BAND; when the pair places lambda_c above +10 NULL_BAND
+    as well, no eigenvalue lies in the widest band, so the index is c and
+    the nullity is 0 at every band.  Otherwise the count at +10 NULL_BAND
+    follows.  A count never decreases as the shift grows, so when the two
+    are equal every count between them equals them; only when they differ
+    are the four inner counts made, and the pair made again if the index is
+    not c.
     """
     wide, narrow, tol = 10.0 * NULL_BAND, 0.1 * NULL_BAND, 0.1 * NULL_BAND
+    s, width = _stride(problem), _width(problem, tol)
 
     def straddling(index):
         # the matrix has n - 2 eigenvalues: with all of them below the
@@ -324,9 +360,14 @@ def schrodinger_index(problem: SchrodingerProblem) -> SpectralReport:
         return eigenvalues_below(problem, min(index + 1, problem.n - 2), max(index - 1, 0),
                                  tol=tol)
 
-    below = negative_count(problem, -wide)
-    margin = straddling(below)
-    clear = margin[-1] - _width(problem, tol) > wide
+    guess = _coarse_count(problem, s, -wide)
+    margin = straddling(guess) if guess is not None and guess < problem.n - 2 else None
+    certified = (margin is not None and margin[-1] - width > -wide
+                 and (guess == 0 or margin[0] + width < -wide))
+    below = guess if certified else negative_count(problem, -wide)
+    if margin is None or below != guess:
+        margin = straddling(below)
+    clear = margin[-1] - width > wide
     above = below if clear else negative_count(problem, wide)
     if below == above:
         index, nullity, sensitivity = below, 0, ((wide, 0), (narrow, 0))

@@ -18,9 +18,11 @@ from spherekink.serialize import dumps
 from spherekink.shooting import NoBracketFound, PolishDiverged, SolveRequest, find_solution
 from spherekink.spectral import (
     COARSE_SPACING,
+    NULL_BAND,
     SchrodingerProblem,
     eigenvalues_below,
     negative_count,
+    schrodinger_index,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -124,6 +126,44 @@ def test_eigenvalues_of_smooth_wells_match_the_whole_range_call(well, data):
             assert got.shape == whole.shape
             assert np.max(np.abs(got - whole)) <= bound_diff
     assert fallbacks == []
+
+
+def near_a_band_edge(problem, data, top):
+    """problem with its potential shifted so that one of its lowest top
+    eigenvalues lies within 20 NULL_BAND of -10, -1, 1 or 10 NULL_BAND."""
+    j = data.draw(st.integers(0, top - 1))
+    lam = eigvalsh_tridiagonal(*full_tridiagonal(problem), select="i", select_range=(j, j))[0]
+    at = NULL_BAND * (data.draw(st.sampled_from([-10.0, -1.0, 1.0, 10.0]))
+                      + data.draw(st.floats(-20.0, 20.0)))
+    return SchrodingerProblem(problem.grid, problem.potential + (at - lam))
+
+
+def assert_report_is_six_counts(problem):
+    """schrodinger_index's index, nullity and band sensitivity are those of
+    negative_count at -+10, -+1 and -+0.1 NULL_BAND."""
+    rep = schrodinger_index(problem)
+    count = {t: negative_count(problem, t * NULL_BAND)
+             for t in (-10.0, -1.0, -0.1, 0.1, 1.0, 10.0)}
+    assert (rep.index, rep.nullity_estimate) == (count[-1.0], count[1.0] - count[-1.0])
+    assert rep.band_sensitivity == ((10.0 * NULL_BAND, count[10.0] - count[-10.0]),
+                                    (0.1 * NULL_BAND, count[0.1] - count[-0.1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wells(), st.data())
+def test_a_report_near_a_band_edge_is_six_counts_on_smooth_wells(well, data):
+    # the coarse copies guess the count at -10 NULL_BAND, which the report
+    # takes only where its margin pair clears that shift
+    problem, floor = well
+    assert_report_is_six_counts(
+        near_a_band_edge(problem, data, max(1, negative_count(problem, floor))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(problems(), st.data())
+def test_a_report_near_a_band_edge_is_six_counts(problem, data):
+    # on these few nodes a stride seldom fits, so the count is made
+    assert_report_is_six_counts(near_a_band_edge(problem, data, problem.n - 2))
 
 
 def same_float(a, b):

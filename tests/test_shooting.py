@@ -20,6 +20,8 @@ import pytest
 from spherekink import report, shooting
 from spherekink.catalog import CATALOG, find_eigenmap
 from spherekink.core import (
+    DEFAULT_CUTOFF,
+    DEFAULT_GRID_SIZE,
     HALF_PI,
     NuPerturbation,
     ProblemParams,
@@ -872,6 +874,27 @@ def test_boundary_gap_failure_propagates():
     # level 6 at the default cutoff ends 1.27e-6 short of pi/2
     with pytest.raises(PolishDiverged, match="increase the cutoff"):
         find_solution(SolveRequest(P33, "even", 6))
+
+
+@pytest.mark.parametrize("params, zeros, cutoff, grid", [
+    (P33, 6, 21, 4201),
+    # near the threshold (m-1)^2/4 = omega, where kappa is small
+    (ProblemParams(4, 3.39), 4, 22, 4401),
+    # below it
+    (ProblemParams(5, 3.5), 1, 21, 4201)])
+def test_a_boundary_gap_failure_names_a_cutoff_at_which_the_level_solves(params, zeros,
+                                                                        cutoff, grid):
+    # at X = 20 the gap exceeds BOUNDARY_TOL; the named cutoff, at the
+    # default dx, gives a verified profile of the requested index
+    cls = class_of_level(zeros)
+    with pytest.raises(PolishDiverged, match=f"increase the cutoff to {cutoff} "
+                                             fr"\(grid size {grid} keeps dx\)"):
+        find_solution(SolveRequest(params, cls, zeros))
+    prof = find_solution(SolveRequest(params, cls, zeros, cutoff=cutoff, grid_size=grid))
+    assert prof.dx == pytest.approx(2.0 * DEFAULT_CUTOFF / (DEFAULT_GRID_SIZE - 1))
+    assert verify_solution(prof).passed
+    rep = morse_index(prof)
+    assert (rep.index, rep.nullity_estimate) == (zeros, 0)
 
 
 # -- newton polish -----------------------------------------------------------------

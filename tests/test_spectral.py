@@ -59,6 +59,7 @@ from spherekink.spectral import (
     morse_index,
     negative_count,
     potential_samples,
+    report_to_doc,
     schrodinger_index,
     truncated_singular_count,
     witness_subspace,
@@ -246,16 +247,54 @@ def record_shifts(monkeypatch):
 
 
 @pytest.mark.parametrize("zeros", [1, 2, 3, 4])
-def test_a_report_with_an_empty_band_makes_one_count(zeros, records33, monkeypatch):
-    # the count at -10 NULL_BAND, and the margin pair for it, which places
-    # lambda_index far above +10 NULL_BAND: no eigenvalue lies in the widest
-    # band, so no other count is needed
+def test_a_genuine_level_makes_no_negative_count(zeros, records33, monkeypatch):
+    # the blocks' coarse copies at stride s guess the count at -10 NULL_BAND,
+    # and the margin pair for the guess clears that shift on both sides and
+    # places lambda_index far above +10 NULL_BAND: no eigenvalue lies in the
+    # widest band, so the only whole-block counts are the two that certify
+    # the pair
+    prof = records33[("odd" if zeros % 2 else "even", zeros)].profile
+    size = prof.n - 2
     shifts = record_shifts(monkeypatch)
-    rep = morse_index(records33[("odd" if zeros % 2 else "even", zeros)].profile)
-    assert shifts == [-10.0 * NULL_BAND]
+    calls, fallbacks = record_lapack(monkeypatch)
+    rep = morse_index(prof)
+    assert shifts == [] and fallbacks == []
+    s = spectral._stride(build_schrodinger(prof))
+    assert s == 4
+    solves = [n for n, kind in calls if kind == "solve"]
+    even, odd = solves.count(size // 2 + 1), solves.count(size // 2)
+    assert calls == ([(len(range(0, size // 2 + 1, s)), "value"),
+                      (len(range(s - 1, size // 2, s)), "value")]
+                     + windowed_calls(size // 2 + 1, s, lambda t: 0, even)
+                     + windowed_calls(size // 2, s, lambda t: t - 1, odd))
     assert rep.margin_eigenvalues[1] > 1e-3
     assert (rep.index, rep.nullity_estimate, rep.flags) == (zeros, 0, ())
     assert rep.band_sensitivity == ((10.0 * NULL_BAND, 0), (0.1 * NULL_BAND, 0))
+
+
+@pytest.mark.parametrize("miss", [-1, 1, None])
+@pytest.mark.parametrize("zeros", [1, 2, 3, 4])
+def test_a_wrong_guess_falls_back_to_the_same_report(zeros, miss, records33, monkeypatch):
+    # a guess one too low or one too high finds a pair that does not clear
+    # -10 NULL_BAND on both sides, and no guess finds no pair: the report
+    # then counts at -10 NULL_BAND and finds the pair for that count
+    prob = build_schrodinger(records33[("odd" if zeros % 2 else "even", zeros)].profile)
+    want = schrodinger_index(prob)
+    monkeypatch.setattr(spectral, "_coarse_count",
+                        lambda *args: None if miss is None else zeros + miss)
+    shifts = record_shifts(monkeypatch)
+    assert report_to_doc(schrodinger_index(prob)) == report_to_doc(want)
+    assert shifts == [-10.0 * NULL_BAND]
+
+
+def test_a_guess_that_misses_the_spike_states_is_counted_again():
+    # the coarse copies see the smooth well alone, so they guess one
+    # eigenvalue below -10 NULL_BAND too few
+    prob = spiked_well()
+    wide = 10.0 * NULL_BAND
+    guess = spectral._coarse_count(prob, spectral._stride(prob), -wide)
+    assert guess < negative_count(prob, -wide)
+    assert schrodinger_index(prob).index == negative_count(prob, -NULL_BAND) == 2
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -416,6 +455,19 @@ def test_a_report_of_every_eigenvalue_below_the_band():
     rep = schrodinger_index(prob)
     assert rep.index == 199
     assert rep.margin_eigenvalues == pytest.approx([dense_eigs(prob)[-1]], abs=1e-7)
+
+
+def test_a_report_counts_where_a_coarse_copy_is_one_node():
+    # X = 0.16 at dx = 0.04: stride 2 fits its 4 spacings, and the odd
+    # block's copy at stride 2 is one node, too few to count on
+    g = half_grid(0.16, 9)
+    prob = SchrodingerProblem(g, np.full(g.size, -1e3))
+    assert spectral._stride(prob) == 2
+    assert spectral._coarse_count(prob, 2, -10.0 * NULL_BAND) is None
+    rep = schrodinger_index(prob)
+    lam = dense_eigs(prob)
+    assert (rep.index, rep.nullity_estimate) == (np.sum(lam < 0.0), 0) == (3, 0)
+    assert rep.margin_eigenvalues == pytest.approx(lam[2:4], abs=1e-7)
 
 
 def record_lapack(monkeypatch):

@@ -77,22 +77,16 @@ def _build_parser() -> _Parser:
                             "equation between spheres: construction, energies, "
                             "Morse index counts, and reports.")
     _add_global_flags(p, suppress=False)
-
-    def gp():
-        # fresh parent per subparser: argparse shares parent actions by
-        # reference, so one mutable instance must never serve two parsers
-        parent = _Parser(add_help=False)
-        _add_global_flags(parent, suppress=True)
-        return parent
-
     sub = p.add_subparsers(dest="command", metavar="COMMAND")
 
-    c = sub.add_parser("catalog", help="list built-in eigenmaps", parents=[gp()])
+    c = sub.add_parser("catalog", help="list built-in eigenmaps")
+    _add_global_flags(c, suppress=True)
     c.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
     c.set_defaults(func=_cmd_catalog)
 
-    s = sub.add_parser("solve", parents=[gp()], conflict_handler="resolve",
-                   help="solve one level; its parity fixes the symmetry class")
+    s = sub.add_parser("solve", conflict_handler="resolve",
+                       help="solve one level; its parity fixes the symmetry class")
+    _add_global_flags(s, suppress=True)
     _add_problem_flags(s)
     s.add_argument("--zeros", type=int, required=True, help="total interior zeros")
     _add_discretisation_flags(s)
@@ -100,14 +94,16 @@ def _build_parser() -> _Parser:
                    help="solution file (default: solution_<class>_<zeros>.json)")
     s.set_defaults(func=_cmd_solve)
 
-    w = sub.add_parser("sweep", parents=[gp()], help="solve levels 1..K and write a report")
+    w = sub.add_parser("sweep", help="solve levels 1..K and write a report")
+    _add_global_flags(w, suppress=True)
     _add_problem_flags(w)
     w.add_argument("--max-zeros", type=int, required=True, help="highest level K")
     _add_discretisation_flags(w)
     w.add_argument("--plot", action="store_true", help="also emit SVG charts")
     w.set_defaults(func=_cmd_sweep)
 
-    i = sub.add_parser("index", parents=[gp()], help="Morse index report for a stored solution")
+    i = sub.add_parser("index", help="Morse index report for a stored solution")
+    _add_global_flags(i, suppress=True)
     i.add_argument("--solution", metavar="FILE.json", required=True)
     i.add_argument("--cutoff", type=float, default=None,
                    help="recompute after resampling to this half-width")
@@ -115,19 +111,22 @@ def _build_parser() -> _Parser:
                    help="recompute after resampling to this many points")
     i.set_defaults(func=_cmd_index)
 
-    g = sub.add_parser("singular-index", parents=[gp()],
+    g = sub.add_parser("singular-index",
                        help="witness family and truncated counts at the equator map")
+    _add_global_flags(g, suppress=True)
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--omega", type=float, required=True)
     g.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
     g.add_argument("--dims", type=int, default=10, help="requested family size")
     g.set_defaults(func=_cmd_singular_index)
 
-    v = sub.add_parser("verify", parents=[gp()], help="check a stored solution against the equation")
+    v = sub.add_parser("verify", help="check a stored solution against the equation")
+    _add_global_flags(v, suppress=True)
     v.add_argument("--solution", metavar="FILE.json", required=True)
     v.set_defaults(func=_cmd_verify)
 
-    t = sub.add_parser("plot", parents=[gp()], help="emit SVG charts from stored results")
+    t = sub.add_parser("plot", help="emit SVG charts from stored results")
+    _add_global_flags(t, suppress=True)
     t.add_argument("--report", metavar="sweep.json", default=None)
     t.add_argument("--solution", metavar="FILE.json", default=None)
     t.set_defaults(func=_cmd_plot)

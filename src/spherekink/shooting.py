@@ -37,7 +37,9 @@ line by a two-stage process:
    dx, since the residual's second differences scale like 1/dx^2: it stops
    once the residual max-norm is below newton_tolerance(dx), four times the
    roundoff floor eps (pi/2) / dx^2, and it refuses a guess whose residual
-   is above 1/dx^2 as too rough.
+   is above 1/dx^2 as too rough.  What the residual and its tridiagonal
+   Jacobian take from the grid alone is built once per solve, and each step
+   is one LAPACK gtsv solve; a singular system is refused.
 
 The shooting stage only needs to deliver the topology (zero count and limit
 signs); all quantitative accuracy comes from the Newton stage.
@@ -54,7 +56,7 @@ from enum import Enum
 import numpy as np
 from scipy.integrate import ode, solve_ivp
 from scipy.interpolate import BPoly
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .core import (
     DEFAULT_CUTOFF,
@@ -647,59 +649,53 @@ def _interior_residual(grid, u, params):
     return el_residual(grid[1:-1], u[1:-1], d1, d2, params)
 
 
-def _half_residual(xs, u, params, first, limit, lam):
-    """Rows first.. of the discrete residual on the half grid xs = [0, X]:
-    row 0 with the ghost node u_-1 = u_1 (an even profile's; an odd one has
-    first = 1), the interior rows, and the Robin row at X with its ghost
-    node eliminated."""
-    m1 = params.m - 1
-    om = params.omega
-    dx = xs[1] - xs[0]
-    g = np.empty_like(u)
-    g[0] = el_residual(0.0, u[0], 0.0, 2.0 * (u[1] - u[0]) / (dx * dx), params)
-    g[1:-1] = _interior_residual(xs, u, params)
-    g[-1] = (2.0 * (u[-2] - u[-1]) + 2.0 * dx * lam * (u[-1] - limit)) / (dx * dx) \
-        - m1 * math.tanh(xs[-1]) * lam * (u[-1] - limit) \
-        + 0.5 * om * (1.0 + float(params.nu_at(xs[-1]))) * math.sin(2.0 * u[-1])
-    return g[first:]
-
-
-def _jacobian_banded(xs, u, params, first, lam):
-    """The Jacobian of _half_residual's rows first.., in solve_banded's
-    (1, 1) layout."""
-    m1 = params.m - 1
-    om = params.omega
-    dx = xs[1] - xs[0]
-    nu = params.nu_at(xs)
-    n = u.size
-    ab = np.zeros((3, n))
-    t = np.tanh(xs)
-    # row 0 and the interior rows; the ghost node u_-1 = u_1 doubles row 0's
-    # super-diagonal entry
-    ab[0, 1] = 2.0 / dx ** 2
-    ab[0, 2:] = 1.0 / dx ** 2 - m1 * t[1:-1] / (2.0 * dx)          # super
-    ab[1, :-1] = -2.0 / dx ** 2 + om * (1.0 + nu[:-1]) * np.cos(2.0 * u[:-1])
-    ab[2, :-2] = 1.0 / dx ** 2 + m1 * t[1:-1] / (2.0 * dx)         # sub
-    # Robin row
-    ab[1, -1] = (-2.0 + 2.0 * dx * lam) / dx ** 2 - m1 * t[-1] * lam \
-        + om * (1.0 + nu[-1]) * math.cos(2.0 * u[-1])
-    ab[2, -2] = 2.0 / dx ** 2
-    return ab[:, first:]
-
-
 def _newton(xs, u0, params, symmetry_class, limit, *, tol):
     """Damped Newton on the half grid xs from u0, toward limit at the cut
     end: (u, residual max-norm, iterations).  An odd profile has u_0 = 0 and
-    solves for u_1.. only."""
+    solves for u_1.. only.
+
+    The residual's rows are row 0 with the ghost node u_-1 = u_1 (an even
+    profile's), the interior rows, and the Robin row at X with its ghost node
+    eliminated.  What they and their tridiagonal Jacobian take from the grid
+    alone is built once, here; each step is one LAPACK gtsv solve.
+    """
     first = 1 if symmetry_class == "odd" else 0
     lam = decay_rate(params)
+    om = params.omega
+    dx = xs[1] - xs[0]
+    # (m-1) tanh x, (omega/2)(1+nu), omega (1+nu) and the Robin row's
+    # constants, each factor in core.el_residual's order; tanh and nu act
+    # elementwise, so their samples on the whole grid are those of any slice
+    mt = (params.m - 1) * np.tanh(xs)
+    w = 1.0 + params.nu_at(xs)
+    half_w, w = 0.5 * om * w, om * w
+    robin_dx, robin_tanh = 2.0 * dx * lam, (params.m - 1) * math.tanh(xs[-1]) * lam
+    diag_end = (-2.0 + robin_dx) / dx ** 2 - mt[-1] * lam
+    # the off-diagonals: the ghost node u_-1 = u_1 doubles row 0's
+    # super-diagonal entry, and the Robin row's doubles its sub-diagonal one
+    du = np.empty(xs.size - 1)
+    dl = np.empty(xs.size - 1)
+    du[0] = dl[-1] = 2.0 / dx ** 2
+    du[1:] = 1.0 / dx ** 2 - mt[1:-1] / (2.0 * dx)
+    dl[:-1] = 1.0 / dx ** 2 + mt[1:-1] / (2.0 * dx)
+    du, dl = du[first:], dl[first:]
+
+    def residual(u):
+        g = np.empty_like(u)
+        g[0] = 2.0 * (u[1] - u[0]) / (dx * dx) + half_w[0] * np.sin(2.0 * u[0])
+        # one expression, so that each temporary is freed once it is used
+        g[1:-1] = ((u[2:] - u[1:-1]) - (u[1:-1] - u[:-2])) / (dx * dx) \
+            - mt[1:-1] * ((u[2:] - u[:-2]) / (2.0 * dx)) + half_w[1:-1] * np.sin(2.0 * u[1:-1])
+        g[-1] = (2.0 * (u[-2] - u[-1]) + robin_dx * (u[-1] - limit)) / (dx * dx) \
+            - robin_tanh * (u[-1] - limit) + half_w[-1] * math.sin(2.0 * u[-1])
+        return g[first:]
+
     u = np.array(u0, dtype=float)
     u[:first] = 0.0
-    res = _half_residual(xs, u, params, first, limit, lam)
+    res = residual(u)
     fnorm = float(np.max(np.abs(res)))
     # A smooth guess has fnorm * dx^2 of a few 1e-3 at most; a jump of pi at
     # one node puts it at 3 to 6.
-    dx = xs[1] - xs[0]
     if fnorm * dx * dx > 1.0:
         raise PolishDiverged(f"initial guess residual {fnorm:.3e} is above 1/dx^2 = "
                              f"{1.0 / (dx * dx):.3e}: too rough")
@@ -708,13 +704,16 @@ def _newton(xs, u0, params, symmetry_class, limit, *, tol):
         if iters >= MAX_NEWTON_ITER:
             raise PolishDiverged(f"no convergence after {MAX_NEWTON_ITER} Newton steps "
                                  f"(residual {fnorm:.3e})")
-        ab = _jacobian_banded(xs, u, params, first, lam)
-        delta = solve_banded((1, 1), ab, -res)
+        d = -2.0 / dx ** 2 + w * np.cos(2.0 * u)
+        d[-1] = diag_end + w[-1] * math.cos(2.0 * u[-1])
+        delta, info = dgtsv(dl, d[first:], du, -res, overwrite_d=1, overwrite_b=1)[3:]
+        if info > 0:
+            raise PolishDiverged(f"singular Newton system at residual {fnorm:.3e}")
         step = 1.0
         for _ in range(12):
             u_try = u.copy()
             u_try[first:] += step * delta
-            res_try = _half_residual(xs, u_try, params, first, limit, lam)
+            res_try = residual(u_try)
             f_try = float(np.max(np.abs(res_try)))
             if f_try < fnorm:
                 u, res, fnorm = u_try, res_try, f_try

@@ -14,6 +14,9 @@
   witness family (acceptance criterion 6).
 * energy_tail_bound: a bound on the energy that truncation at the cutoff
   drops.
+* newton_reference: the Newton finish as first written, which rebuilds its
+  residual and Jacobian from the grid at every step and solves through
+  scipy's solve_banded; shooting._newton must return its bytes.
 """
 
 import dataclasses
@@ -21,6 +24,7 @@ import math
 
 import numpy as np
 from scipy.integrate import simpson
+from scipy.linalg import solve_banded
 from scipy.special import loggamma
 
 from spherekink.core import (
@@ -29,9 +33,11 @@ from spherekink.core import (
     Profile,
     decay_rate,
     derivative_samples,
+    el_residual,
     energy_arrays,
     weight,
 )
+from spherekink import shooting
 from spherekink.spectral import (
     NODES_PER_UNIT,
     SchrodingerProblem,
@@ -193,3 +199,82 @@ def energy_tail_bound(prof: Profile) -> float:
         total += (0.5 * (lam * lam + p.omega * (1.0 + nu_max)) * gap * gap
                   * weight(x_b, p.m) * 2.0 ** m1 / (m1 + 2.0 * abs(lam)))
     return total
+
+
+# -- the Newton finish ----------------------------------------------------------
+
+def _half_residual(xs, u, params, first, limit, lam):
+    """Rows first.. of the discrete residual on the half grid xs = [0, X]:
+    row 0 with the ghost node u_-1 = u_1 (an even profile's; an odd one has
+    first = 1), the interior rows, and the Robin row at X with its ghost
+    node eliminated."""
+    m1 = params.m - 1
+    om = params.omega
+    dx = xs[1] - xs[0]
+    g = np.empty_like(u)
+    g[0] = el_residual(0.0, u[0], 0.0, 2.0 * (u[1] - u[0]) / (dx * dx), params)
+    d2 = ((u[2:] - u[1:-1]) - (u[1:-1] - u[:-2])) / (dx * dx)
+    d1 = (u[2:] - u[:-2]) / (2.0 * dx)
+    g[1:-1] = el_residual(xs[1:-1], u[1:-1], d1, d2, params)
+    g[-1] = (2.0 * (u[-2] - u[-1]) + 2.0 * dx * lam * (u[-1] - limit)) / (dx * dx) \
+        - m1 * math.tanh(xs[-1]) * lam * (u[-1] - limit) \
+        + 0.5 * om * (1.0 + float(params.nu_at(xs[-1]))) * math.sin(2.0 * u[-1])
+    return g[first:]
+
+
+def _jacobian_banded(xs, u, params, first, lam):
+    """The Jacobian of _half_residual's rows first.., in solve_banded's
+    (1, 1) layout."""
+    m1 = params.m - 1
+    om = params.omega
+    dx = xs[1] - xs[0]
+    nu = params.nu_at(xs)
+    n = u.size
+    ab = np.zeros((3, n))
+    t = np.tanh(xs)
+    # row 0 and the interior rows; the ghost node u_-1 = u_1 doubles row 0's
+    # super-diagonal entry
+    ab[0, 1] = 2.0 / dx ** 2
+    ab[0, 2:] = 1.0 / dx ** 2 - m1 * t[1:-1] / (2.0 * dx)          # super
+    ab[1, :-1] = -2.0 / dx ** 2 + om * (1.0 + nu[:-1]) * np.cos(2.0 * u[:-1])
+    ab[2, :-2] = 1.0 / dx ** 2 + m1 * t[1:-1] / (2.0 * dx)         # sub
+    # Robin row
+    ab[1, -1] = (-2.0 + 2.0 * dx * lam) / dx ** 2 - m1 * t[-1] * lam \
+        + om * (1.0 + nu[-1]) * math.cos(2.0 * u[-1])
+    ab[2, -2] = 2.0 / dx ** 2
+    return ab[:, first:]
+
+
+def newton_reference(xs, u0, params, symmetry_class, limit, *, tol):
+    """shooting._newton's (u, residual max-norm, iterations), with the
+    residual and the banded Jacobian rebuilt in full at every step."""
+    first = 1 if symmetry_class == "odd" else 0
+    lam = decay_rate(params)
+    u = np.array(u0, dtype=float)
+    u[:first] = 0.0
+    res = _half_residual(xs, u, params, first, limit, lam)
+    fnorm = float(np.max(np.abs(res)))
+    dx = xs[1] - xs[0]
+    if fnorm * dx * dx > 1.0:
+        raise shooting.PolishDiverged(f"initial guess residual {fnorm:.3e} is above "
+                                      f"1/dx^2 = {1.0 / (dx * dx):.3e}: too rough")
+    iters = 0
+    while fnorm > tol:
+        if iters >= shooting.MAX_NEWTON_ITER:
+            raise shooting.PolishDiverged(f"no convergence after {iters} Newton steps "
+                                          f"(residual {fnorm:.3e})")
+        delta = solve_banded((1, 1), _jacobian_banded(xs, u, params, first, lam), -res)
+        step = 1.0
+        for _ in range(12):
+            u_try = u.copy()
+            u_try[first:] += step * delta
+            res_try = _half_residual(xs, u_try, params, first, limit, lam)
+            f_try = float(np.max(np.abs(res_try)))
+            if f_try < fnorm:
+                u, res, fnorm = u_try, res_try, f_try
+                break
+            step *= 0.5
+        else:
+            raise shooting.PolishDiverged(f"line search stalled at residual {fnorm:.3e}")
+        iters += 1
+    return u, fnorm, iters

@@ -29,6 +29,7 @@ from spherekink.core import (
     energy,
     singular_profile,
     half_grid,
+    resample,
 )
 from spherekink.shooting import (
     NoBracketFound,
@@ -42,6 +43,8 @@ from spherekink.shooting import (
 )
 from spherekink.report import SweepConfig, class_of_level, run_sweep
 from spherekink.spectral import morse_index
+
+from reference import newton_reference
 
 P33 = ProblemParams(3, 3.0)
 
@@ -920,6 +923,92 @@ def test_newton_polish_refuses_a_jump_at_the_cut_end(grid_size):
     req = SolveRequest(P33, "odd", 1, cutoff=20.0, grid_size=grid_size)
     with pytest.raises(PolishDiverged, match="too rough"):
         newton_polish(prof, req)
+
+
+def record_newton(monkeypatch):
+    """List that collects (args, kwargs, result) for every shooting._newton
+    call made from here on, through the module global as finish and
+    newton_polish make them."""
+    seen = []
+    real = shooting._newton
+
+    def recording(*args, **kwargs):
+        seen.append((args, kwargs, real(*args, **kwargs)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(shooting, "_newton", recording)
+    return seen
+
+
+def assert_newton_is_the_reference(seen):
+    # u's bytes, the residual max-norm and the iteration count, each the
+    # same as the Newton finish that rebuilds its operands at every step
+    assert seen
+    for args, kwargs, (u, fnorm, iters) in seen:
+        want_u, want_fnorm, want_iters = newton_reference(*args, **kwargs)
+        assert (u.tobytes(), fnorm, iters) == (want_u.tobytes(), want_fnorm, want_iters)
+
+
+@pytest.mark.parametrize("params, zeros", [
+    *((P33, z) for z in (1, 2, 3, 4)),
+    # its last residual is 0.85 of the tolerance, the closest of the
+    # catalog's default finishes, so one changed bit could change its count
+    (ProblemParams(2, 2.0), 3),
+    (HOPF32, 5),
+    (nu_params(), 2), (nu_params(), 3)])
+def test_newton_is_bitwise_the_reference(params, zeros, monkeypatch):
+    seen = record_newton(monkeypatch)
+    prof = find_solution(SolveRequest(params, class_of_level(zeros), zeros))
+    assert_newton_is_the_reference(seen)
+    assert prof.provenance.endswith(f"newton iters={seen[0][2][2]}")
+
+
+@pytest.mark.parametrize("zeros", [3, 4])
+def test_refined_newton_is_bitwise_the_reference(zeros, monkeypatch):
+    req = SolveRequest(P33, class_of_level(zeros), zeros, grid_size=16001)
+    prof = find_solution(SolveRequest(P33, req.symmetry_class, zeros))
+    seen = record_newton(monkeypatch)
+    newton_polish(resample(prof, req.cutoff, req.grid_size), req)
+    assert_newton_is_the_reference(seen)
+
+
+def test_newton_stalls_below_the_roundoff_floor(ground33, monkeypatch):
+    # no step lowers a converged residual any further
+    monkeypatch.setattr(SolveRequest, "newton_tol", 0.0)
+    with pytest.raises(PolishDiverged,
+                       match=f"line search stalled at residual {ground33.residual_norm:.3e}"):
+        newton_polish(ground33, SolveRequest(P33, "odd", 1))
+
+
+def test_newton_gives_up_after_its_step_cap(monkeypatch):
+    # level 1 takes 3 steps from its seed
+    monkeypatch.setattr(shooting, "MAX_NEWTON_ITER", 1)
+    with pytest.raises(PolishDiverged, match="no convergence after 1 Newton steps"):
+        find_solution(SolveRequest(P33, "odd", 1))
+
+
+def test_a_singular_newton_system_fails_only_its_level(sweep33, monkeypatch):
+    real, failed = shooting.dgtsv, []
+    half = half_grid(DEFAULT_CUTOFF, DEFAULT_GRID_SIZE).size
+
+    def singular_once(dl, d, du, b, **kwargs):
+        # the first system of an even level, which solves for u_0 too
+        if d.size == half and not failed:
+            failed.append(d.size)
+            return dl, d, du, b, 1
+        return real(dl, d, du, b, **kwargs)
+
+    monkeypatch.setattr(shooting, "dgtsv", singular_once)
+    rep = run_sweep(SweepConfig(P33, 4))
+    (cls, zeros, message), = rep.failures
+    assert (cls, zeros) == ("even", 2)
+    assert message.startswith("singular Newton system at residual")
+    want = sorted((r.profile for r in sweep33.records if r.profile.zero_count != 2),
+                  key=lambda p: p.zero_count)
+    got = sorted((r.profile for r in rep.records), key=lambda p: p.zero_count)
+    assert [p.zero_count for p in got] == [1, 3, 4]
+    assert [(p.half_h.tobytes(), p.provenance) for p in got] == \
+        [(p.half_h.tobytes(), p.provenance) for p in want]
 
 
 def test_newton_tolerance_follows_the_grid():

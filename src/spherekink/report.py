@@ -350,10 +350,9 @@ def write_report(report: SweepReport, out_dir) -> list:
 def profile_chart(prof: Profile) -> str:
     """SVG of h with its Schrodinger potential overlaid and +-pi/2 dashed."""
     xs, hs = svg.decimate(prof.grid, prof.h)
-    xv, vv = svg.decimate(prof.grid, potential_samples(prof.grid, prof.h, prof.params))
     return svg.line_chart(
         [svg.Series(xs, hs, "#1f6feb", label="h(x)"),
-         svg.Series(xv, vv, "#d29922", label="V(x)",
+         svg.Series(xs, potential_samples(xs, hs, prof.params), "#d29922", label="V(x)",
                     dashed=True, axis="right")],
         hlines=((HALF_PI, "#8c959f", True, "left"),
                 (-HALF_PI, "#8c959f", True, "left")),

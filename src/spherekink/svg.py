@@ -2,7 +2,11 @@
 
 Plain geometry only: polylines, circles, lines, text.  No scripting, no
 external references, so the files render anywhere and diff cleanly.  All
-coordinates are written with a fixed format, keeping output byte-stable.
+coordinates are written as "%.2f", keeping output byte-stable.  A series'
+points are one %-template: its x pixels are formatted once, leaving "%.2f"
+in each y slot, and its y pixels fill the slots in one operation.  A later
+series on equal x pixels (h and V of a profile chart) reuses the template.
+Each series needs as many x values as y values, and at least one.
 """
 
 from __future__ import annotations
@@ -86,6 +90,9 @@ def line_chart(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
     series = list(series)
     if not series:
         raise ValueError("line_chart needs at least one series")
+    for s in series:
+        if len(s.xs) != len(s.ys) or not len(s.xs):
+            raise ValueError(f"series {s.label!r} has {len(s.xs)} x and {len(s.ys)} y values")
     xs_all = np.concatenate([np.asarray(s.xs, dtype=float) for s in series])
     x_lo, x_hi = _padded(float(np.min(xs_all)), float(np.max(xs_all)))
 
@@ -159,10 +166,13 @@ def line_chart(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
                  f'stroke="{color}" stroke-width="1.2"{dash}/>')
 
     legend_y = py1 + 14.0
+    px_prev = None
     for s in series:
         px = to_x(np.asarray(s.xs, dtype=float)).tolist()
         py = to_y[s.axis](np.asarray(s.ys, dtype=float)).tolist()
-        pts = " ".join(map("{:.2f},{:.2f}".format, px, py))     # _px's format
+        if px != px_prev:       # _px's format; "%%.2f" is left for the y pixels
+            template, px_prev = " ".join(["%.2f,%%.2f"] * len(px)) % tuple(px), px
+        pts = template % tuple(py)
         dash = ' stroke-dasharray="6 4"' if s.dashed else ""
         e.append(f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
                  f'stroke-width="1.5"{dash}/>')

@@ -9,7 +9,7 @@ four-level sweep is expensive enough to share across the whole session.
 import numpy as np
 import pytest
 
-from spherekink.core import HALF_PI, ProblemParams, Profile, half_grid
+from spherekink.core import HALF_PI, NuPerturbation, ProblemParams, Profile, half_grid
 from spherekink.report import SweepConfig, run_sweep
 
 
@@ -46,6 +46,14 @@ def gudermann_profile(m=3, cutoff=20.0, n=4001, *, nu=None, residual_norm=0.0,
     h = 2.0 * np.arctan(np.exp(half_grid(cutoff, n))) - HALF_PI
     return Profile(ProblemParams(m, float(m), nu), "odd", cutoff, h,
                    residual_norm=residual_norm, provenance=provenance)
+
+
+def nu_params(height=0.2):
+    """(3, 3) with a smooth bump nu of that height supported on |x| < 1.5."""
+    g = np.linspace(-1.5, 1.5, 301)
+    vals = height * np.cos(np.pi * g / 3.0) ** 2
+    vals[0] = vals[-1] = 0.0
+    return ProblemParams(3, 3.0, NuPerturbation(g, vals))
 
 
 def json_leaves(doc, path=()):

@@ -23,7 +23,6 @@ from spherekink.core import (
     DEFAULT_CUTOFF,
     DEFAULT_GRID_SIZE,
     HALF_PI,
-    NuPerturbation,
     ProblemParams,
     Profile,
     energy,
@@ -44,17 +43,10 @@ from spherekink.shooting import (
 from spherekink.report import SweepConfig, class_of_level, run_sweep
 from spherekink.spectral import morse_index
 
+from conftest import nu_params
 from reference import newton_reference
 
 P33 = ProblemParams(3, 3.0)
-
-
-def nu_params(height=0.2):
-    """(3, 3) with a smooth bump nu of that height supported on |x| < 1.5."""
-    g = np.linspace(-1.5, 1.5, 301)
-    vals = height * np.cos(np.pi * g / 3.0) ** 2
-    vals[0] = vals[-1] = 0.0
-    return ProblemParams(3, 3.0, NuPerturbation(g, vals))
 
 
 def fresh_runners(monkeypatch):

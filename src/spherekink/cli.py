@@ -27,7 +27,6 @@ from .core import (
 )
 from .report import (
     SweepConfig,
-    class_of_level,
     convergence_check,
     emit_plots,
     read_report,
@@ -41,6 +40,7 @@ from .shooting import (
     NoBracketFound,
     PolishDiverged,
     SolveRequest,
+    class_of_level,
     find_solution,
     newton_polish,
     verify_solution,

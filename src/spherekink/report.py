@@ -54,6 +54,7 @@ from .shooting import (
     NoBracketFound,
     PolishDiverged,
     SolveRequest,
+    class_of_level,
     finish,
     shoot,
 )
@@ -132,10 +133,6 @@ class SweepReport:
         """(class, zeros, clearance, sup_norm, H_norm) per record."""
         return tuple((*r.sequence_key, r.clearance, r.sup_norm, r.H_norm)
                      for r in self.records)
-
-
-def class_of_level(zeros: int) -> str:
-    return "odd" if zeros % 2 == 1 else "even"
 
 
 def solution_name(zeros: int) -> str:
@@ -354,8 +351,7 @@ def profile_chart(prof: Profile) -> str:
         [svg.Series(xs, hs, "#1f6feb", label="h(x)"),
          svg.Series(xs, potential_samples(xs, hs, prof.params), "#d29922", label="V(x)",
                     dashed=True, axis="right")],
-        hlines=((HALF_PI, "#8c959f", True, "left"),
-                (-HALF_PI, "#8c959f", True, "left")),
+        hlines=((HALF_PI, "#8c959f"), (-HALF_PI, "#8c959f")),
         title=f"profile {prof.symmetry_class} class, {prof.zero_count} zeros "
               f"(m={prof.params.m}, omega={prof.params.omega:g})",
         xlabel="x", ylabel="h", ylabel_right="V")
@@ -378,12 +374,11 @@ def emit_plots(report: SweepReport, out_dir) -> list:
         return []
     written = [write_profile_chart(r.profile, out_dir) for r in report.records]
 
-    ks = [r.sequence_key[1] for r in sorted(report.records, key=lambda r: r.sequence_key[1])]
-    es = [r.energy for r in sorted(report.records, key=lambda r: r.sequence_key[1])]
+    by_zeros = sorted(report.records, key=lambda r: r.sequence_key[1])
     doc = svg.line_chart(
-        [svg.Series(tuple(float(k) for k in ks), tuple(es), "#1f6feb",
-                    label="E(h_k)", markers=True)],
-        hlines=((report.singular_energy, "#cf222e", True, "left"),),
+        [svg.Series(tuple(float(r.sequence_key[1]) for r in by_zeros),
+                    tuple(r.energy for r in by_zeros), "#1f6feb", label="E(h_k)", markers=True)],
+        hlines=((report.singular_energy, "#cf222e"),),
         title=f"energies toward the singular level "
               f"(m={report.config.params.m}, omega={report.config.params.omega:g})",
         xlabel="total zeros", ylabel="energy")

@@ -98,26 +98,20 @@ class OutcomeKind(Enum):
 
 
 @dataclass(frozen=True)
-class ShootingOutcome:
-    """Classification of one trajectory: exit direction (if any), number of
-    zeros of h on (0, x_exit), and where integration stopped."""
-
-    kind: OutcomeKind
-    zero_count_half: int
-    x_exit: float
-    message: str = ""
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Half-line integration record; dense evaluation valid on [0, x_end]."""
+    """Half-line integration record: the zeros of h on (0, x_end), how it
+    ended (kind); dense evaluation valid on [0, x_end]."""
 
     h0: float
     dh0: float
     x_end: float
     crossings: tuple
-    outcome: ShootingOutcome
+    kind: OutcomeKind
     dense: object = None
+
+    @property
+    def zero_count_half(self) -> int:
+        return len(self.crossings)
 
     def sample(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -136,6 +130,11 @@ class NoBracketFound(RuntimeError):
 
 class PolishDiverged(RuntimeError):
     """Newton polishing failed to converge or broke an invariant."""
+
+
+def class_of_level(zeros: int) -> str:
+    """The symmetry class of the level with this total zero count."""
+    return "odd" if zeros % 2 == 1 else "even"
 
 
 @dataclass(frozen=True)
@@ -159,10 +158,9 @@ class SolveRequest:
             raise ValueError("symmetry_class must be 'odd' or 'even'")
         if self.total_zeros < 0:
             raise ValueError("total_zeros must be >= 0")
-        if self.symmetry_class == "odd" and self.total_zeros % 2 == 0:
-            raise ValueError("odd class requires an odd total zero count")
-        if self.symmetry_class == "even" and self.total_zeros % 2 == 1:
-            raise ValueError("even class requires an even total zero count")
+        if self.symmetry_class != class_of_level(self.total_zeros):
+            raise ValueError(f"{self.symmetry_class} class requires an "
+                             f"{self.symmetry_class} total zero count")
         if math.tanh(self.cutoff) < 0.999:
             raise ValueError("cutoff too small: need tanh(cutoff) >= 0.999")
         if self.grid_size < 5 or self.grid_size % 2 == 0:
@@ -246,9 +244,8 @@ def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float) -> Tr
     are tested against.
     """
     _check_start(h0)
-    if h0 == 0.0 and dh0 == 0.0:
-        out = ShootingOutcome(OutcomeKind.UNDECIDED, 0, cutoff, "equilibrium at 0")
-        return Trajectory(h0, dh0, cutoff, (), out, None)
+    if h0 == 0.0 and dh0 == 0.0:     # the equilibrium at 0
+        return Trajectory(h0, dh0, cutoff, (), OutcomeKind.UNDECIDED, None)
 
     def crossing(x, y):
         return y[0]
@@ -276,18 +273,11 @@ def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float) -> Tr
     crossings = tuple(t for t in sol.t_events[0] if t > 1e-9)
     x_end = float(sol.t[-1])
 
+    kind = OutcomeKind.UNDECIDED    # reached the cutoff, or the integrator stopped early
     if sol.status == 1:
-        if len(sol.t_events[1]):
-            kind = OutcomeKind.OVERSHOOT_POSITIVE
-        else:
-            kind = OutcomeKind.OVERSHOOT_NEGATIVE
-        out = ShootingOutcome(kind, len(crossings), x_end)
-    elif sol.status == 0:
-        out = ShootingOutcome(OutcomeKind.UNDECIDED, len(crossings), float(cutoff))
-    else:
-        out = ShootingOutcome(OutcomeKind.UNDECIDED, len(crossings), x_end,
-                              f"integrator stopped early: {sol.message}")
-    return Trajectory(float(h0), float(dh0), x_end, crossings, out, sol.sol)
+        kind = (OutcomeKind.OVERSHOOT_POSITIVE if len(sol.t_events[1])
+                else OutcomeKind.OVERSHOOT_NEGATIVE)
+    return Trajectory(float(h0), float(dh0), x_end, crossings, kind, sol.sol)
 
 
 _runners = threading.local()    # .dop853: this thread's compiled integrators, by key

@@ -60,7 +60,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
 from .core import ProblemParams, Profile, half_grid, sech, singular_profile
@@ -304,8 +303,7 @@ def eigenvalues_below(problem: SchrodingerProblem, count: int, first: int = 0,
         if lo <= hi:
             found = _windowed(main, off, problem.dx, s, b == 0, lo, hi, width) if s else None
             if found is None:
-                found = eigvalsh_tridiagonal(main, off, select="i", select_range=(lo, hi),
-                                             tol=tol)
+                found = _stebz(main, off, True, lo, hi, tol)
             out[2 * lo + b - first::2] = found
     return out
 

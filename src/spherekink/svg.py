@@ -7,6 +7,7 @@ points are one %-template: its x pixels are formatted once, leaving "%.2f"
 in each y slot, and its y pixels fill the slots in one operation.  A later
 series on equal x pixels (h and V of a profile chart) reuses the template.
 Each series needs as many x values as y values, and at least one.
+Guide lines (hlines) are (y, color) pairs, dashed, on the left axis.
 """
 
 from __future__ import annotations
@@ -44,9 +45,13 @@ def _padded(lo: float, hi: float) -> tuple:
     return lo - pad, hi + pad
 
 
-def _ticks(lo: float, hi: float, target: int = 5):
+def _ticks(lo: float, hi: float):
+    """About five ticks on [lo, hi], 1, 2 or 5 times a power of 10 apart; refused where
+    a fifth of the span is infinite, within 2 ulps of lo, hi, or too fine for finite pixels."""
     span = hi - lo
-    raw = span / max(target, 2)
+    raw = span / 5
+    if not (2.0 * math.ulp(max(-lo, hi)) < raw < math.inf and _WIDTH / raw < math.inf):
+        raise ValueError(f"axis range [{lo!r}, {hi!r}] cannot be drawn")
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -83,8 +88,8 @@ def line_chart(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
                ylabel_right: str = "", hlines=()) -> str:
     """Chart with an optional independent right-hand axis.
 
-    series: iterable of Series; hlines: (y, color, dashed, axis) tuples of
-    horizontal reference lines included in the axis range of their side.
+    series: iterable of Series; hlines: (y, color) pairs of dashed
+    horizontal reference lines on the left axis, included in its range.
     """
     width, height = _WIDTH, _HEIGHT
     series = list(series)
@@ -98,7 +103,7 @@ def line_chart(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
 
     def y_range(side):
         vals = [np.asarray(s.ys, dtype=float) for s in series if s.axis == side]
-        vals += [np.array([h[0]]) for h in hlines if h[3] == side]
+        vals += [np.array([y]) for y, _ in hlines if side == "left"]
         if not vals:
             return None
         allv = np.concatenate(vals)
@@ -159,11 +164,10 @@ def line_chart(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
                  f'transform="rotate(90 {_px(x)} {_px((py0 + py1) / 2)})">'
                  f'{escape(ylabel_right)}</text>')
 
-    for y_val, color, dashed, axis in hlines:
-        y = to_y[axis](y_val)
-        dash = ' stroke-dasharray="6 4"' if dashed else ""
+    for y_val, color in hlines:
+        y = to_y["left"](y_val)
         e.append(f'<line x1="{_px(px0)}" y1="{_px(y)}" x2="{_px(px1)}" y2="{_px(y)}" '
-                 f'stroke="{color}" stroke-width="1.2"{dash}/>')
+                 f'stroke="{color}" stroke-width="1.2" stroke-dasharray="6 4"/>')
 
     legend_y = py1 + 14.0
     px_prev = None

@@ -8,7 +8,9 @@ four-level sweep is expensive enough to share across the whole session.
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
+from spherekink import spectral
 from spherekink.core import HALF_PI, NuPerturbation, ProblemParams, Profile, half_grid
 from spherekink.report import SweepConfig, run_sweep
 
@@ -87,3 +89,37 @@ def put(doc, path, value):
 def exact_profile():
     """Closed-form one-zero profile for (3, 3) on the standard grid."""
     return gudermann_profile()
+
+
+def record_lapack(monkeypatch):
+    """(matrix size, kind) of each LAPACK call spectral makes, the kind
+    'index' or 'value' for a stebz call and 'factor' or 'solve' for the
+    tridiagonal LU of inverse iteration, and the sizes of the index-range
+    stebz calls on a whole reflection block: eigenvalues_below's fallback."""
+    calls, fallbacks, blocks = [], [], []
+    blocks_of = spectral._blocks
+
+    def recording_blocks(problem):
+        made = blocks_of(problem)
+        blocks.extend(main for main, _ in made)
+        return made
+
+    def stebz(d, e, rng, *args):
+        calls.append((d.size, {1: "value", 2: "index"}[rng]))
+        if rng == 2 and any(d is main for main in blocks):
+            fallbacks.append(d.size)
+        return dstebz(d, e, rng, *args)
+
+    def factor(dl, d, du):
+        calls.append((d.size, "factor"))
+        return dgttrf(dl, d, du)
+
+    def solve(*args):
+        calls.append((args[1].size, "solve"))
+        return dgttrs(*args)
+
+    monkeypatch.setattr(spectral, "_blocks", recording_blocks)
+    monkeypatch.setattr(spectral, "dstebz", stebz)
+    monkeypatch.setattr(spectral, "dgttrf", factor)
+    monkeypatch.setattr(spectral, "dgttrs", solve)
+    return calls, fallbacks

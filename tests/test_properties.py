@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import record_lapack
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import dense_eigs, full_tridiagonal
@@ -111,14 +112,8 @@ def test_eigenvalues_of_smooth_wells_match_the_whole_range_call(well, data):
     first = data.draw(st.integers(0, bound - 1))
     count = data.draw(st.integers(first + 1, min(bound, first + 4)))
     main, off = full_tridiagonal(problem)
-    fallbacks = []
-
-    def fallback(*args, **kwargs):
-        fallbacks.append(args[0].size)
-        return eigvalsh_tridiagonal(*args, **kwargs)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "eigvalsh_tridiagonal", fallback)
+        _, fallbacks = record_lapack(mp)
         for tol, bound_diff in ((0.0, 1e-10 * spectral_scale(problem)), (1e-7, 1e-7)):
             got = eigenvalues_below(problem, count, first, tol)
             whole = eigvalsh_tridiagonal(main, off, select="i",

@@ -16,7 +16,6 @@ from spherekink.report import (
     NORM_SLACK,
     SweepConfig,
     VERSION_STAMP,
-    class_of_level,
     convergence_check,
     emit_plots,
     read_report,
@@ -26,6 +25,7 @@ from spherekink.report import (
     write_sweep_csv,
 )
 from spherekink.serialize import dumps, profile_to_doc, read_json, write_json
+from spherekink.shooting import class_of_level
 
 P33 = ProblemParams(3, 3.0)
 SMALL = dict(cutoff=16.0, grid_size=2001)

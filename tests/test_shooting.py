@@ -35,12 +35,13 @@ from spherekink.shooting import (
     OutcomeKind,
     PolishDiverged,
     SolveRequest,
+    class_of_level,
     find_solution,
     integrate,
     newton_polish,
     verify_solution,
 )
-from spherekink.report import SweepConfig, class_of_level, run_sweep
+from spherekink.report import SweepConfig, run_sweep
 from spherekink.spectral import morse_index
 
 from conftest import nu_params
@@ -205,22 +206,22 @@ def test_integrate_exact_slope_tracks_connection_then_departs():
 
 def test_integrate_steep_slope_overshoots_without_crossing():
     traj = integrate(0.0, 10.0, P33, 20.0)
-    assert traj.outcome.kind is OutcomeKind.OVERSHOOT_POSITIVE
-    assert traj.outcome.zero_count_half == 0
+    assert traj.kind is OutcomeKind.OVERSHOOT_POSITIVE
+    assert traj.zero_count_half == 0
     assert traj.x_end < 2.0
 
 
 def test_integrate_shallow_slope_crosses_then_exits_negative():
     # far below the connecting slope the orbit turns around and dives
     traj = integrate(0.0, 0.2, P33, 40.0)
-    assert traj.outcome.kind is OutcomeKind.OVERSHOOT_NEGATIVE
-    assert traj.outcome.zero_count_half >= 1
+    assert traj.kind is OutcomeKind.OVERSHOOT_NEGATIVE
+    assert traj.zero_count_half >= 1
 
 
 def test_integrate_equilibrium_is_undecided():
     traj = integrate(0.0, 0.0, P33, 20.0)
-    assert traj.outcome.kind is OutcomeKind.UNDECIDED
-    assert traj.outcome.zero_count_half == 0
+    assert traj.kind is OutcomeKind.UNDECIDED
+    assert traj.zero_count_half == 0
 
 
 def test_integrate_even_start_at_cap_eventually_falls():
@@ -228,8 +229,8 @@ def test_integrate_even_start_at_cap_eventually_falls():
     # rounds to ~1.2e-16, and the saddle amplifies the drift until the
     # orbit falls off; the long dwell time is what matters for bracketing.
     traj = integrate(HALF_PI, 0.0, P33, 20.0)
-    assert traj.outcome.kind is OutcomeKind.OVERSHOOT_NEGATIVE
-    assert traj.outcome.zero_count_half == 1
+    assert traj.kind is OutcomeKind.OVERSHOOT_NEGATIVE
+    assert traj.zero_count_half == 1
     assert traj.x_end > 5.0
 
 
@@ -253,7 +254,7 @@ def test_classify_parameter_flips_across_exact_slope():
     assert count(*shooting._launch(0.9, req)) == 1
     assert count(*shooting._launch(1.1, req)) == 0
     for s, kind in [(0.9, OutcomeKind.OVERSHOOT_NEGATIVE), (1.1, OutcomeKind.OVERSHOOT_POSITIVE)]:
-        assert integrate(*shooting._launch(s, req), req.params, req.cutoff).outcome.kind is kind
+        assert integrate(*shooting._launch(s, req), req.params, req.cutoff).kind is kind
 
 
 # -- compiled zero count -------------------------------------------------------------
@@ -267,7 +268,7 @@ NO_LIMIT = 10 ** 6      # a counter limit above any zero count
 def reference_count(h0, dh0, params, cutoff):
     """integrate's zero count, once per start: two levels of one class share
     their scan grid."""
-    return integrate(h0, dh0, params, cutoff).outcome.zero_count_half
+    return integrate(h0, dh0, params, cutoff).zero_count_half
 
 
 def last_index():
@@ -448,7 +449,7 @@ def check_early_stops(params, starts, monkeypatch):
     xs = step_positions(monkeypatch)
     for h0, dh0, limit, counted in starts:
         traj = integrate(h0, dh0, params, 20.0)
-        n = min(traj.outcome.zero_count_half, limit)
+        n = min(traj.zero_count_half, limit)
         xs.clear()
         assert shooting._zero_counter(params, 20.0, limit)(h0, dh0) == n, (h0, dh0)
         assert max(xs) < (traj.crossings[n - 1] if counted else traj.x_end), (h0, dh0)
@@ -463,7 +464,7 @@ def test_compiled_count_edge_cases(monkeypatch):
     with pytest.raises(ValueError):
         count(2.0, 0.0)
     for h0, dh0 in [(0.0, 0.0), (HALF_PI, 0.0), (0.0, 10.0)]:
-        assert count(h0, dh0) == integrate(h0, dh0, P33, 20.0).outcome.zero_count_half
+        assert count(h0, dh0) == integrate(h0, dh0, P33, 20.0).zero_count_half
     # one start per early stop: h heads toward 0 with W > omega/2, h heads
     # toward the limit-th zero, and h heads outward with W > omega/2
     check_early_stops(P33, [(1.0, -3.0, NO_LIMIT, True), (1.0, -0.5, 1, True),
@@ -478,7 +479,7 @@ def test_compiled_count_matches_integrate_with_nu(monkeypatch):
     counts = [count(h0, dh0) for h0, dh0 in starts]
     assert sorted(set(counts)) == [0, 1, 2]
     for (h0, dh0), n in zip(starts, counts):
-        assert n == integrate(h0, dh0, p, 20.0).outcome.zero_count_half, (h0, dh0)
+        assert n == integrate(h0, dh0, p, 20.0).zero_count_half, (h0, dh0)
     # the early stops, each made past nu's support |x| < 1.5, where W is
     # nondecreasing: toward 0 with W > omega/2 (from x = 12.5), toward the
     # limit-th zero (from 1.52) and outward with W > omega/2 (from 2.10)
@@ -491,7 +492,7 @@ def test_count_stops_early_only_past_nus_support():
     # heads outward with W > omega/2 (without nu), then turns back and
     # crosses 0 at x = 2.25
     p = nu_params(0.9)
-    assert integrate(0.2, 1.75, p, 20.0).outcome.zero_count_half == 1
+    assert integrate(0.2, 1.75, p, 20.0).zero_count_half == 1
     assert shooting._zero_counter(p, 20.0, NO_LIMIT)(0.2, 1.75) == 1
 
 
@@ -600,9 +601,9 @@ def test_threads_solve_a_level_at_once():
 # -- request validation -----------------------------------------------------------
 
 def test_request_rejects_wrong_parity():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^odd class requires an odd total zero count$"):
         SolveRequest(P33, "odd", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^even class requires an even total zero count$"):
         SolveRequest(P33, "even", 1)
     with pytest.raises(ValueError):
         SolveRequest(P33, "sideways", 1)

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import gudermann_profile
+from conftest import gudermann_profile, record_lapack
 from reference import (
     dense_eigs,
     full_line,
@@ -36,7 +36,6 @@ from reference import (
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 from scipy.sparse.linalg import eigsh
 
 from spherekink.core import (
@@ -470,36 +469,6 @@ def test_a_report_counts_where_a_coarse_copy_is_one_node():
     assert rep.margin_eigenvalues == pytest.approx(lam[2:4], abs=1e-7)
 
 
-def record_lapack(monkeypatch):
-    """(matrix size, kind) of each LAPACK call spectral makes, the kind
-    'index' or 'value' for a stebz call and 'factor' or 'solve' for the
-    tridiagonal LU of inverse iteration, and a list that each whole-range
-    fallback call appends to."""
-    calls, fallbacks = [], []
-
-    def stebz(d, e, rng, *args):
-        calls.append((d.size, {1: "value", 2: "index"}[rng]))
-        return dstebz(d, e, rng, *args)
-
-    def factor(dl, d, du):
-        calls.append((d.size, "factor"))
-        return dgttrf(dl, d, du)
-
-    def solve(*args):
-        calls.append((args[1].size, "solve"))
-        return dgttrs(*args)
-
-    def fallback(main, off, **kwargs):
-        fallbacks.append(main.size)
-        return eigvalsh_tridiagonal(main, off, **kwargs)
-
-    monkeypatch.setattr(spectral, "dstebz", stebz)
-    monkeypatch.setattr(spectral, "dgttrf", factor)
-    monkeypatch.setattr(spectral, "dgttrs", solve)
-    monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", fallback)
-    return calls, fallbacks
-
-
 def windowed_calls(size, s, first, solves):
     """The LAPACK calls that find one eigenvalue of a block of the given
     size at stride s, whose coarse copy at stride t starts first(t) nodes
@@ -558,11 +527,14 @@ def test_a_window_that_cannot_be_certified_falls_back(monkeypatch):
     calls, fallbacks = record_lapack(monkeypatch)
     got = eigenvalues_below(prob, 4, tol=0.1 * NULL_BAND)
     assert fallbacks == [main.size for main, _ in blocks]
-    # the coarse copies, and no count
+    # the coarse copies, no count, and each block's whole-range stebz call
     s = spectral._stride(prob)
-    assert calls == (windowed_calls(blocks[0][0].size, s, lambda t: 0, spectral.MAX_SOLVES)[:-1]
-                     + windowed_calls(blocks[1][0].size, s, lambda t: t - 1,
-                                      spectral.MAX_SOLVES)[:-1])
+    even, odd = (main.size for main, _ in blocks)
+    assert calls == (windowed_calls(even, s, lambda t: 0, spectral.MAX_SOLVES)[:-1]
+                     + [(even, "index")]
+                     + windowed_calls(odd, s, lambda t: t - 1, spectral.MAX_SOLVES)[:-1]
+                     + [(odd, "index")])
+    # that call is the one scipy's index-range eigvalsh_tridiagonal makes
     for b, (main, off) in enumerate(blocks):
         assert np.array_equal(got[b::2], eigvalsh_tridiagonal(
             main, off, select="i", select_range=(0, 1), tol=0.1 * NULL_BAND))
@@ -584,7 +556,7 @@ def test_a_start_that_converges_to_the_wrong_eigenvalue_falls_back(monkeypatch):
     s = spectral._stride(prob)
     solves = sum(kind == "solve" for _, kind in calls)
     assert solves < spectral.MAX_SOLVES
-    assert calls == windowed_calls(main.size, s, lambda t: t - 1, solves)
+    assert calls == windowed_calls(main.size, s, lambda t: t - 1, solves) + [(main.size, "index")]
     lam = eigvalsh_tridiagonal(main, off, select="i", select_range=(1, 2))
     assert got == pytest.approx(lam[:1], abs=1e-7)
     assert lam[1] - lam[0] > 1.0

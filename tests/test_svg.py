@@ -45,10 +45,11 @@ def test_chart_dual_axis_and_hlines():
         [Series(xs, tuple(x ** 2 for x in xs), "#111", label="left"),
          Series(xs, tuple(100.0 * x for x in xs), "#222", label="right",
                 axis="right", dashed=True)],
-        hlines=((0.5, "#999", True, "left"),),
+        hlines=((0.5, "#999"),),
         title="two scales", xlabel="x", ylabel="L", ylabel_right="R")
     ET.fromstring(doc)
     assert doc.count("stroke-dasharray") >= 2
+    assert 'stroke="#999" stroke-width="1.2" stroke-dasharray="6 4"/>' in doc
     assert "R" in doc and "L" in doc
 
 
@@ -65,6 +66,23 @@ def test_chart_markers_render_circles():
                              markers=True)],
                      title="m", xlabel="x", ylabel="y")
     assert "<circle" in doc
+
+
+@pytest.mark.parametrize("axis", ["x", "left", "right"])
+@pytest.mark.parametrize("lo, hi", [
+    (0.0, 5e-324),                  # a subnormal span: a fifth of it rounds to 0
+    (0.0, 1e-306),                  # pixels per unit overflow to inf
+    (-1e308, 1e308),                # the padding overflows to inf
+    (-0.85e308, 0.85e308),          # finite padded ends, their distance inf
+    (1.0, 1.0000000000000002)])     # one ulp: a tick step would not move a tick
+def test_an_axis_range_that_cannot_be_drawn_is_refused(lo, hi, axis):
+    unit = (0.0, 1.0)
+    series = [Series((lo, hi) if axis == "x" else unit, (lo, hi) if axis == "left" else unit,
+                     "#000")]
+    if axis == "right":
+        series.append(Series(unit, (lo, hi), "#111", axis="right"))
+    with pytest.raises(ValueError, match=r"^axis range \[.*\] cannot be drawn$"):
+        line_chart(series)
 
 
 def test_decimate_keeps_endpoints_and_caps_size():
@@ -94,7 +112,7 @@ def _expected(series, hlines=()):
     out = []
     for s in series:
         ys = [float(v) for t in series if t.axis == s.axis for v in t.ys]
-        ys += [h[0] for h in hlines if h[3] == s.axis]
+        ys += [y for y, _ in hlines if s.axis == "left"]
         y_lo, y_hi = svg._padded(min(ys), max(ys))
         out.append(list(zip(
             _old_pixels(s.xs, x_lo, x_hi, svg._MARGIN_L, svg._WIDTH - svg._MARGIN_R),
@@ -121,7 +139,7 @@ def test_series_pixels_match_the_per_point_formula():
         [Series(xs, left, "#111", label="left", markers=True),
          Series(np.array(xs), np.array(right), "#222", label="right",
                 axis="right", dashed=True, markers=True)],
-        hlines=((hline, "#999", True, "left"),),
+        hlines=((hline, "#999"),),
         title="pixels", xlabel="x", ylabel="L", ylabel_right="R")
 
     x_lo, x_hi = svg._padded(min(xs), max(xs))
@@ -220,5 +238,5 @@ def test_profile_chart_potential_is_the_decimated_full_grid(level, records33, re
     polylines, _ = _drawn(report.profile_chart(prof))
     h_line = Series(xs, hs, "#000")
     v_line = Series(xv, vv, "#000", axis="right")
-    hlines = ((HALF_PI, "", True, "left"), (-HALF_PI, "", True, "left"))
+    hlines = ((HALF_PI, ""), (-HALF_PI, ""))
     assert polylines == _expected([h_line, v_line], hlines)

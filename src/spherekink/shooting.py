@@ -8,17 +8,21 @@ line by a two-stage process:
    slope at 0 for odd profiles, the height at 0 for even ones).  The count
    steps up as s decreases; each step is the parameter of a connecting
    orbit.  The scan grid s_k = cap (1 + BRACKET_RTOL)^-k, k = 0..K, runs
-   geometrically from the scan cap down to cap 2^-44, as the connecting
-   parameters of successive levels do, and one binary search over its
-   indices finds the neighbours s_{i-1} > s_i across which the count passes
-   the request: a bracket of relative width about 1e-3, in at most 15
-   counts.  Started from the bracket of the class's level two below
-   (shoot's prior, which run_sweep passes), it takes 8 or fewer where that
-   predicts the level.  Every trajectory runs scipy's compiled DOP853.  The
-   search only asks whether the count exceeds the request, so each run
-   stops once that is settled (at the sign change that settles it, or
-   earlier, once the Lyapunov function W says which zeros are left), keeps
-   no step record, and runs at the looser COUNT_RTOL under
+   geometrically from the scan cap down to cap 2^-SCAN_OCTAVES, as the
+   connecting parameters of successive levels do, and a binary search over
+   its indices finds the neighbours s_{i-1} > s_i across which the count
+   passes the request: a bracket of relative width about 1e-3.  Under the
+   hypothesis the levels of one class lie about L = _level_step indices
+   apart, so a lone search counts first where that law puts the level,
+   steps by L until the count changes side, and bisects that one step: 12
+   or 13 counts on the benchmark's levels, against at most 15 for the whole
+   grid, which it keeps elsewhere.  Started from the bracket of the class's
+   level two below (shoot's prior, which run_sweep passes), it takes 8 or
+   fewer where that predicts the level.  Every trajectory runs scipy's
+   compiled DOP853.  The search only asks whether the count exceeds the
+   request, so each run stops once that is settled (at the sign change that
+   settles it, or earlier, once the Lyapunov function W says which zeros
+   are left), keeps no step record, and runs at the looser COUNT_RTOL under
    COUNT_STEP_FACTOR times the seed's step cap: a count only says which
    side of a transition s lies on, so it only has to see each sign change,
    and its relative error in s, about steps * COUNT_RTOL, is far below the
@@ -85,6 +89,7 @@ ATOL = 1e-13
 COUNT_RTOL = 1e-6       # DOP853 relative tolerance of the scan's zero counts
 COUNT_STEP_FACTOR = 2.0  # the counts' step cap, in multiples of the seed's _max_step
 CONTINUATION_WINDOW = 32  # half-width, in scan indices, of a prior's first window
+SCAN_OCTAVES = 44       # the scan grid runs from scan_cap down to scan_cap 2^-SCAN_OCTAVES
 
 # verify_solution's thresholds, besides BOUNDARY_TOL.
 RESIDUAL_TOL = 1e-8     # interior residual max-norm
@@ -202,13 +207,14 @@ def _rhs(params: ProblemParams):
     integrate passes solve_ivp a copy, since solve_ivp keeps each stage's.
     """
     m1 = params.m - 1
-    om = params.omega
+    half_om = 0.5 * params.omega
+    tanh, sin = math.tanh, math.sin
     out = np.empty(2)
     if params.nu is None:
         def rhs(x, y):
             h, dh = y.tolist()
             out[0] = dh
-            out[1] = m1 * math.tanh(x) * dh - 0.5 * om * math.sin(2.0 * h)
+            out[1] = m1 * tanh(x) * dh - half_om * sin(2.0 * h)
             return out
     else:
         nu = params.nu
@@ -216,8 +222,7 @@ def _rhs(params: ProblemParams):
         def rhs(x, y):
             h, dh = y.tolist()
             out[0] = dh
-            out[1] = (m1 * math.tanh(x) * dh
-                      - 0.5 * om * (1.0 + float(nu(x))) * math.sin(2.0 * h))
+            out[1] = m1 * tanh(x) * dh - half_om * (1.0 + float(nu(x))) * sin(2.0 * h)
             return out
     return rhs
 
@@ -299,9 +304,11 @@ def _dop853(params: ProblemParams, rtol: float, max_step: float, solout,
     right-hand side and last solout, and 64 B per run.  The key is the
     problem by value (m, omega, nu's samples), not the ProblemParams
     object, since callers build a fresh one for equal values.  Each run
-    installs its own solout and start, so runs of different callers may
-    interleave on one integrator.  Runs in two threads at once would
-    overwrite each other's, so each thread builds its own.
+    installs its start, and its solout unless that is the one installed
+    (set_solout resets the integrator, as set_initial_value does again), so
+    runs of different callers may interleave on one integrator.  Runs in
+    two threads at once would overwrite each other's, so each thread builds
+    its own.
     """
     nu = params.nu
     key = (params.m, params.omega,
@@ -316,7 +323,8 @@ def _dop853(params: ProblemParams, rtol: float, max_step: float, solout,
             nsteps=2 ** 31 - 1)
 
     def run(y0, x_end: float) -> None:
-        dop.set_solout(solout)
+        if dop._integrator.solout is not solout:
+            dop.set_solout(solout)
         dop.set_initial_value(y0, 0.0)
         dop.integrate(x_end)
     return run
@@ -359,8 +367,9 @@ def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
     4e-7 and takes 8 steps to grow to the cap, some 100 evaluations a
     count.  The error test still shrinks a first step that is too long, and
     no step exceeds the cap, so the argument above holds as it stands.
-    Solved alone, the benchmark's 14 levels take 14-15 counts each, and
-    37,837 right-hand-side evaluations with the seeds' 10,923 (46,514
+    Solved alone, the benchmark's 14 levels take 12-13 counts each from the
+    level law (175 in all, against 208 for the whole grid's bisection), and
+    34,801 right-hand-side evaluations with the seeds' 10,923 (42,972
     without the early stops); in the benchmark's sweep, levels 3 and 4
     take 8 counts each from their priors (shoot).  The seed trajectory,
     which Newton starts from, keeps RTOL, the seed's cap and DOP853's own
@@ -368,7 +377,8 @@ def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
     and a different seed trajectory would move Newton's last bits.
 
     Every counter of one problem shares one compiled integrator with the
-    others at its settings (_dop853); its own solout goes in with each run.
+    others at its settings (_dop853); its own solout goes in with its first
+    run, and again only after another caller's ran.
     """
     state = [0.0, 0]            # h at the last accepted step, sign changes so far
     om = params.omega
@@ -490,19 +500,33 @@ def _level_step(params: ProblemParams) -> int:
 def shoot(req: SolveRequest, *, sign: int = 1, prior: Shot | None = None) -> Shot:
     """The bracket stage: the first pair of neighbours s_{i-1} > s_i of the
     scan grid, s_0 = scan_cap down to s_K, the first value at or below
-    scan_cap 2^-44, across which the zero count passes the request.
+    scan_cap 2^-SCAN_OCTAVES, across which the zero count passes the
+    request.
 
-    One binary search over the indices 0..K finds it in at most
+    A binary search over the indices 0..K finds it in at most
     ceil(log2(K + 2)) counts (15 at BRACKET_RTOL = 1e-3), so it assumes that
-    the count does not decrease as s decreases along the grid.  prior, the
-    Shot of the same class's level two below, only narrows where that search
-    starts: the level lies near the prior's index plus its measured step
-    (or _level_step while it has none), and two counts confirm a window of
-    CONTINUATION_WINDOW indices either side of that prediction.  A miss
-    doubles the window on the side that missed, again until one holds the
-    index or reaches past the end of the grid, which leaves the rest of the
-    grid to the search.  No prior is used outside the hypothesis, where rho
-    does not exist.  Every path finds the same index.
+    the count does not decrease as s decreases along the grid.  Under the
+    hypothesis two ways narrow where that search starts; outside it rho
+    does not exist, and the search takes the whole grid.  Every path finds
+    the same index.
+
+    Alone, the level lies near index want L, where want = req.zeros_half
+    and L = _level_step, the indices between two levels of a class.  The
+    first count is there, and steps of L toward the transition go on until
+    the count changes side, leaving one step to bisect: the steps plus at
+    most ceil(log2 L) counts, whatever K is.  The steps may make
+    ceil(log2(K + 2)) - ceil(log2 L) counts, their budget; a law that
+    misses by more leaves the rest of the grid to the bisection.  Where the
+    budget is below 3 (L above 4096 at SCAN_OCTAVES = 44, near the threshold
+    (m-1)^2/4 = omega), a first count and two steps would already cost what
+    the whole grid does, so the search takes the whole grid.
+
+    prior, the Shot of the same class's level two below, puts the level
+    near the prior's index plus its measured step (or _level_step while it
+    has none), and two counts confirm a window of CONTINUATION_WINDOW
+    indices either side of that prediction.  A miss doubles the window on
+    the side that missed, again until one holds the index or reaches past
+    the end of the grid, which leaves the rest of the grid to the search.
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
@@ -515,7 +539,7 @@ def shoot(req: SolveRequest, *, sign: int = 1, prior: Shot | None = None) -> Sho
         made += 1
         return counter(*_launch(sign * _scan_value(req, k), req)) > want
 
-    last = math.ceil(44.0 * math.log(2.0) / math.log(1.0 + BRACKET_RTOL))
+    last = math.ceil(SCAN_OCTAVES * math.log(2.0) / math.log(1.0 + BRACKET_RTOL))
     # the index lies in [lo, hi]: above(lo - 1) is False and above(hi) True,
     # with -1 and last + 1 standing for the ends of the grid
     lo, hi = 0, last + 1
@@ -535,6 +559,16 @@ def shoot(req: SolveRequest, *, sign: int = 1, prior: Shot | None = None) -> Sho
             if not tried or hi - lo < 2 * half:
                 break
             half *= 2
+    elif req.params.hypothesis():
+        step = max(1, _level_step(req.params))
+        budget = math.ceil(math.log2(last + 2)) - math.ceil(math.log2(step))
+        if budget >= 3:
+            k = min(want * step, last)
+            while lo <= k < hi and made < budget:
+                if above(k):
+                    hi, k = k, k - step
+                else:
+                    lo, k = k + 1, k + step
     i = bisect.bisect_left(range(last + 1), True, lo, hi, key=above)
     if i == 0:
         raise NoBracketFound(
@@ -587,7 +621,7 @@ def finish(req: SolveRequest, shot: Shot) -> Profile:
 
 def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
     """Connecting profile with the requested parity and total zero count:
-    the bracket stage from the whole scan grid, then the Newton stage.
+    the bracket stage without a prior, then the Newton stage.
 
     sign = -1 launches the scan with negated shooting parameters and returns
     the pointwise negation of the sign = +1 solution (the two are related by

@@ -16,6 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import ode
 
 from spherekink import report, shooting
 from spherekink.catalog import CATALOG, find_eigenmap
@@ -272,9 +273,9 @@ def reference_count(h0, dh0, params, cutoff):
 
 
 def last_index():
-    """K: the scan grid s_k = cap (1 + BRACKET_RTOL)^-k reaches cap 2^-44 at
-    k = K and not before."""
-    return math.ceil(44 * math.log(2) / math.log(1 + shooting.BRACKET_RTOL))
+    """K: the scan grid s_k = cap (1 + BRACKET_RTOL)^-k reaches its floor,
+    cap 2^-SCAN_OCTAVES, at k = K and not before."""
+    return math.ceil(shooting.SCAN_OCTAVES * math.log(2) / math.log(1 + shooting.BRACKET_RTOL))
 
 
 def grid_sample(req):
@@ -285,6 +286,15 @@ def grid_sample(req):
 def launched(req, seen):
     """The shooting parameter of each start that record_counts saw."""
     return [dh0 if req.symmetry_class == "odd" else h0 for _, _, _, h0, dh0, _ in seen]
+
+
+def whole_grid_shot(req, monkeypatch, **kwargs):
+    """shoot(req) by the binary search over the whole scan grid: a level
+    step far past the bound under which a lone search starts from the
+    level law."""
+    with monkeypatch.context() as patched:
+        patched.setattr(shooting, "_level_step", lambda params: 2 ** 60)
+        return shooting.shoot(req, **kwargs)
 
 
 def grid_index(req, s):
@@ -298,7 +308,7 @@ def test_scan_grid_reaches_the_cap_over_2_to_the_44():
     k = last_index()
     assert k == 30514
     assert shooting._scan_value(req, 0) == req.scan_cap()
-    assert shooting._scan_value(req, k) <= req.scan_cap() * 2.0 ** -44 < \
+    assert shooting._scan_value(req, k) <= req.scan_cap() * 2.0 ** -shooting.SCAN_OCTAVES < \
         shooting._scan_value(req, k - 1)
 
 
@@ -747,8 +757,10 @@ def test_loose_bracket_saves_integrations(monkeypatch):
 
 @pytest.mark.parametrize("params, zeros", BENCHMARK_LEVELS)
 def test_scan_is_a_binary_search(params, zeros, monkeypatch):
-    # a binary search over the K + 1 indices makes at most ceil(log2(K + 2))
-    # counts, 15 at BRACKET_RTOL = 1e-3, every one at a value of the grid
+    # the level law's steps and the binary search of the one step they
+    # leave make no more counts than a binary search over the K + 1
+    # indices, ceil(log2(K + 2)) = 15 at BRACKET_RTOL = 1e-3, every one at a
+    # value of the grid
     req = SolveRequest(params, "odd" if zeros % 2 else "even", zeros)
     seen = record_counts(monkeypatch)
     shot = shooting.shoot(req)
@@ -769,6 +781,110 @@ def test_bracket_is_a_pair_of_grid_neighbours(params, zeros):
     count = shooting._zero_counter(req.params, req.cutoff, NO_LIMIT)
     assert count(*shooting._launch(shot.hi, req)) <= req.zeros_half \
         < count(*shooting._launch(shot.lo, req))
+
+
+def test_a_lone_search_starts_from_the_level_law(monkeypatch):
+    # the first count is at index want L, then steps of L toward the
+    # transition: identity-3 level 4 (want 2, L = 2223, index 4555) changes
+    # side on its first step up, and the rest bisects that one step
+    req = SolveRequest(P33, "even", 4)
+    step = shooting._level_step(P33)
+    assert step == 2223
+    seen = record_counts(monkeypatch)
+    shot = shooting.shoot(req)
+    probes = [grid_index(req, s) for s in launched(req, seen)]
+    assert probes[:2] == [2 * step, 3 * step]
+    assert all(2 * step < k < 3 * step for k in probes[2:]), probes
+    assert 2 * step < shot.index <= 3 * step
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("params, zeros", BENCHMARK_LEVELS + NU_LEVELS)
+def test_law_search_finds_the_whole_grid_bracket(params, zeros, sign, monkeypatch):
+    # the level law only moves where the bisection starts: the same bracket,
+    # in at most as many counts, and at most 13 on the benchmark's levels
+    req = SolveRequest(params, class_of_level(zeros), zeros)
+    shot = shooting.shoot(req, sign=sign)
+    whole = whole_grid_shot(req, monkeypatch, sign=sign)
+    assert (shot.index, shot.lo, shot.hi) == (whole.index, whole.lo, whole.hi)
+    assert shot.counts <= whole.counts
+    if params.nu is None:
+        assert shot.counts <= 13, shot.counts
+
+
+@pytest.mark.parametrize("params", [ProblemParams(4, 2.427), ProblemParams(6, 6.5)],
+                         ids=["4-2.427", "6-6.5"])
+@pytest.mark.parametrize("zeros", [1, 2])
+def test_a_long_level_step_keeps_the_whole_grid_search(params, zeros, monkeypatch):
+    # near the threshold a level step is over 4096 indices: bisecting one
+    # step (13 counts or more) after three counts of steps saves nothing
+    # against the 15 of the whole grid, so the search is the whole grid's
+    assert shooting._level_step(params) > 4096
+    req = SolveRequest(params, class_of_level(zeros), zeros)
+    assert shooting.shoot(req) == whole_grid_shot(req, monkeypatch)
+
+
+@pytest.mark.parametrize("params, zeros", BENCHMARK_LEVELS)
+def test_a_deeper_scan_floor_costs_a_lone_search_nothing(params, zeros, monkeypatch):
+    # with the floor at 2^-90 the grid has K = 62415 indices: the law's
+    # search makes the same counts to the same bracket, while the whole
+    # grid's bisection takes one count more at its worst
+    req = SolveRequest(params, class_of_level(zeros), zeros)
+    shot = shooting.shoot(req)
+    whole = whole_grid_shot(req, monkeypatch)
+    monkeypatch.setattr(shooting, "SCAN_OCTAVES", 90)
+    assert last_index() == 62415
+    assert shooting.shoot(req) == shot
+    deeper = whole_grid_shot(req, monkeypatch)
+    assert (deeper.index, deeper.lo, deeper.hi) == (shot.index, shot.lo, shot.hi)
+    assert whole.counts < deeper.counts <= math.ceil(math.log2(last_index() + 2)) == 16
+
+
+@pytest.mark.parametrize("factor", [1 / 3, 3])
+@pytest.mark.parametrize("params, zeros", BENCHMARK_LEVELS)
+def test_a_law_off_by_a_factor_of_three_finds_the_same_bracket(params, zeros, factor,
+                                                               monkeypatch):
+    # a level step three times too short or too long puts the first count
+    # and the steps off the level, or, past the bound, leaves the search to
+    # the whole grid; either way the bracket is the whole grid's
+    req = SolveRequest(params, class_of_level(zeros), zeros)
+    whole = whole_grid_shot(req, monkeypatch)
+    law = shooting._level_step
+    monkeypatch.setattr(shooting, "_level_step", lambda p: round(factor * law(p)))
+    shot = shooting.shoot(req)
+    assert (shot.index, shot.lo, shot.hi) == (whole.index, whole.lo, whole.hi)
+
+
+def test_a_law_that_misses_leaves_the_rest_of_the_grid_to_the_bisection(monkeypatch):
+    # at (2, 1e4) odd levels 1 and 3 lie at indices 406 and 408, some 25
+    # level steps (L = 16) from where the law puts them: the steps stop at
+    # their budget of 11 counts and the bisection takes the rest of the
+    # grid, 26 counts where steps to the level would take 31
+    params = ProblemParams(2, 1e4)
+    assert shooting._level_step(params) == 16
+    budget = math.ceil(math.log2(last_index() + 2)) - 4
+    for zeros in (1, 3):
+        req = SolveRequest(params, "odd", zeros)
+        shot = shooting.shoot(req)
+        whole = whole_grid_shot(req, monkeypatch)
+        assert (shot.index, shot.lo, shot.hi) == (whole.index, whole.lo, whole.hi)
+        assert shot.counts <= budget + whole.counts == 26, shot.counts
+
+
+def test_a_lone_search_installs_its_solout_once(monkeypatch):
+    # each count is one run, so one set_initial_value; the counter's solout
+    # goes in on its first run and stays, since no other solout ran between
+    calls = {"set_solout": 0, "set_initial_value": 0}
+    for name in calls:
+        inner = getattr(ode, name)
+
+        def counted(self, *args, inner=inner, name=name):
+            calls[name] += 1
+            return inner(self, *args)
+        monkeypatch.setattr(ode, name, counted)
+    fresh_runners(monkeypatch)
+    shot = shooting.shoot(SolveRequest(HOPF32, "odd", 5))
+    assert calls == {"set_solout": 1, "set_initial_value": shot.counts}
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -805,8 +921,8 @@ def test_sweep_finds_each_bracket_the_plain_search_finds(params, monkeypatch):
     rep = run_sweep(SweepConfig(params, 10, cutoff=30.0, grid_size=6001))
     assert not rep.failures and sorted(shots) == list(range(1, 11))
     for z, shot in shots.items():
-        alone = shooting.shoot(SolveRequest(params, class_of_level(z), z,
-                                            cutoff=30.0, grid_size=6001))
+        alone = whole_grid_shot(SolveRequest(params, class_of_level(z), z,
+                                             cutoff=30.0, grid_size=6001), monkeypatch)
         assert (shot.index, shot.lo, shot.hi) == (alone.index, alone.lo, alone.hi), z
         assert (shot.step is None) == (z <= 2), z
         assert alone.step is None and alone.counts >= 14
@@ -818,14 +934,14 @@ def test_sweep_finds_each_bracket_the_plain_search_finds(params, monkeypatch):
 
 
 @pytest.mark.parametrize("miss", [-300, -100, 100, 300])
-def test_a_missed_window_doubles_on_the_side_that_missed(miss):
+def test_a_missed_window_doubles_on_the_side_that_missed(miss, monkeypatch):
     # a prediction `miss` indices from the bracket: the windows of +-32 and
     # +-64 indices miss it, and doubling on the side that missed holds it
     # within 128 (two counts past the first window) or 512 (four), leaving
     # fewer than 64 or 256 indices to bisect.  The search from the whole
     # grid takes 15 counts
     req = SolveRequest(P33, "even", 4)
-    alone = shooting.shoot(req)
+    alone = whole_grid_shot(req, monkeypatch)
     assert alone.counts == 15
     prior = shooting.Shot(alone.index - miss - 1, 1.0, 1.001, 8, 1, 1)
     shot = shooting.shoot(req, prior=prior)

@@ -13,20 +13,18 @@ line by a two-stage process:
    its indices finds the neighbours s_{i-1} > s_i across which the count
    passes the request: a bracket of relative width about 1e-3.  Under the
    hypothesis the levels of one class lie about L = _level_step indices
-   apart, so a lone search counts first where that law puts the level,
-   steps by L until the count changes side, and bisects that one step: 12
-   or 13 counts on the benchmark's levels, against at most 15 for the whole
-   grid, which it keeps elsewhere.  Started from the bracket of the class's
-   level two below (shoot's prior, which run_sweep passes), it takes 8 or
-   fewer where that predicts the level.  Every trajectory runs scipy's
-   compiled DOP853.  The search only asks whether the count exceeds the
-   request, so each run stops once that is settled (at the sign change that
-   settles it, or earlier, once the Lyapunov function W says which zeros
-   are left), keeps no step record, and runs at the looser COUNT_RTOL under
-   COUNT_STEP_FACTOR times the seed's step cap: a count only says which
-   side of a transition s lies on, so it only has to see each sign change,
-   and its relative error in s, about steps * COUNT_RTOL, is far below the
-   bracket's width.  The one seed trajectory runs at RTOL under the seed's
+   apart, so the search counts first where that law puts the level (from
+   the bracket of the class's level two below, shoot's prior, when
+   run_sweep passes one), gallops toward the transition with doubling
+   steps, and bisects the last step; outside it, the bisection takes the
+   whole grid.  Every trajectory runs scipy's compiled DOP853.  The search
+   only asks whether the count exceeds the request, so each run stops once
+   that is settled (at the sign change that settles it, or earlier, once
+   the Lyapunov function W says which zeros are left), keeps no step
+   record, and runs at the looser COUNT_RTOL under COUNT_STEP_FACTOR times
+   the seed's step cap: a count only says which side of a transition s
+   lies on, so it only has to see each sign change, and its relative error
+   in s, about steps * COUNT_RTOL, is far below the bracket's width.  The one seed trajectory runs at RTOL under the seed's
    cap and records every accepted step.
 
 2. The trajectory at the bracket end without an extra zero, blended into
@@ -88,7 +86,7 @@ RTOL = 1e-11            # DOP853 tolerances
 ATOL = 1e-13
 COUNT_RTOL = 1e-6       # DOP853 relative tolerance of the scan's zero counts
 COUNT_STEP_FACTOR = 2.0  # the counts' step cap, in multiples of the seed's _max_step
-CONTINUATION_WINDOW = 32  # half-width, in scan indices, of a prior's first window
+CONTINUATION_WINDOW = 32  # shoot's first step, in scan indices, from a prior's prediction
 SCAN_OCTAVES = 44       # the scan grid runs from scan_cap down to scan_cap 2^-SCAN_OCTAVES
 
 # verify_solution's thresholds, besides BOUNDARY_TOL.
@@ -367,14 +365,10 @@ def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
     4e-7 and takes 8 steps to grow to the cap, some 100 evaluations a
     count.  The error test still shrinks a first step that is too long, and
     no step exceeds the cap, so the argument above holds as it stands.
-    Solved alone, the benchmark's 14 levels take 12-13 counts each from the
-    level law (175 in all, against 208 for the whole grid's bisection), and
-    34,801 right-hand-side evaluations with the seeds' 10,923 (42,972
-    without the early stops); in the benchmark's sweep, levels 3 and 4
-    take 8 counts each from their priors (shoot).  The seed trajectory,
-    which Newton starts from, keeps RTOL, the seed's cap and DOP853's own
-    first step in its own run (_seed): its ramp costs one run per level,
-    and a different seed trajectory would move Newton's last bits.
+    The seed trajectory, which Newton starts from, keeps RTOL, the seed's
+    cap and DOP853's own first step in its own run (_seed): its ramp costs
+    one run per level, and a different seed trajectory would move Newton's
+    last bits.
 
     Every counter of one problem shares one compiled integrator with the
     others at its settings (_dop853); its own solout goes in with its first
@@ -497,36 +491,39 @@ def _level_step(params: ProblemParams) -> int:
     return round(m1 * math.pi / (2.0 * kappa) / math.log(1.0 + BRACKET_RTOL))
 
 
+def _start(req: SolveRequest, prior: Shot | None) -> tuple | None:
+    """(index, width): where shoot makes its first count, and its first step.
+
+    Under the hypothesis the levels of one class lie about L = _level_step
+    indices apart.  prior, the Shot of the same class's level two below,
+    puts the level near its index plus its measured step (or L while it has
+    none), within about CONTINUATION_WINDOW indices; alone, the level lies
+    near index want L (want = req.zeros_half), within about L.  Outside the
+    hypothesis rho does not exist: None, and the search takes the whole grid.
+    """
+    if not req.params.hypothesis():
+        return None
+    step = _level_step(req.params)
+    if prior is not None:
+        return prior.index + (step if prior.step is None else prior.step), CONTINUATION_WINDOW
+    return req.zeros_half * step, max(1, step)
+
+
 def shoot(req: SolveRequest, *, sign: int = 1, prior: Shot | None = None) -> Shot:
     """The bracket stage: the first pair of neighbours s_{i-1} > s_i of the
     scan grid, s_0 = scan_cap down to s_K, the first value at or below
     scan_cap 2^-SCAN_OCTAVES, across which the zero count passes the
-    request.
+    request.  The search assumes that the count does not decrease as s
+    decreases along the grid.
 
-    A binary search over the indices 0..K finds it in at most
-    ceil(log2(K + 2)) counts (15 at BRACKET_RTOL = 1e-3), so it assumes that
-    the count does not decrease as s decreases along the grid.  Under the
-    hypothesis two ways narrow where that search starts; outside it rho
-    does not exist, and the search takes the whole grid.  Every path finds
-    the same index.
-
-    Alone, the level lies near index want L, where want = req.zeros_half
-    and L = _level_step, the indices between two levels of a class.  The
-    first count is there, and steps of L toward the transition go on until
-    the count changes side, leaving one step to bisect: the steps plus at
-    most ceil(log2 L) counts, whatever K is.  The steps may make
-    ceil(log2(K + 2)) - ceil(log2 L) counts, their budget; a law that
-    misses by more leaves the rest of the grid to the bisection.  Where the
-    budget is below 3 (L above 4096 at SCAN_OCTAVES = 44, near the threshold
-    (m-1)^2/4 = omega), a first count and two steps would already cost what
-    the whole grid does, so the search takes the whole grid.
-
-    prior, the Shot of the same class's level two below, puts the level
-    near the prior's index plus its measured step (or _level_step while it
-    has none), and two counts confirm a window of CONTINUATION_WINDOW
-    indices either side of that prediction.  A miss doubles the window on
-    the side that missed, again until one holds the index or reaches past
-    the end of the grid, which leaves the rest of the grid to the search.
+    It counts first at _start's index, clamped into 0..K, then steps toward
+    the transition, doubling the step after each count, until the count
+    changes side, and bisects the last step: a level d indices from the
+    start costs about log2(width) + 2 log2(1 + d / width) counts, whatever
+    K is.  A step past the end of the grid leaves the rest of it to the
+    bisection, and without a start the bisection takes the whole grid, in at
+    most ceil(log2(K + 2)) counts (15 at BRACKET_RTOL = 1e-3).  Every start
+    finds the same index.
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
@@ -543,32 +540,18 @@ def shoot(req: SolveRequest, *, sign: int = 1, prior: Shot | None = None) -> Sho
     # the index lies in [lo, hi]: above(lo - 1) is False and above(hi) True,
     # with -1 and last + 1 standing for the ends of the grid
     lo, hi = 0, last + 1
-    use_prior = prior is not None and req.params.hypothesis()
-    if use_prior:
-        guess = prior.index + (_level_step(req.params) if prior.step is None else prior.step)
-        half = CONTINUATION_WINDOW
-        while True:
-            tried = False
-            for k in (guess - half, guess + half):
-                if lo <= k < hi:
-                    tried = True
-                    if above(k):
-                        hi = k
-                    else:
-                        lo = k + 1
-            if not tried or hi - lo < 2 * half:
-                break
-            half *= 2
-    elif req.params.hypothesis():
-        step = max(1, _level_step(req.params))
-        budget = math.ceil(math.log2(last + 2)) - math.ceil(math.log2(step))
-        if budget >= 3:
-            k = min(want * step, last)
-            while lo <= k < hi and made < budget:
-                if above(k):
-                    hi, k = k, k - step
-                else:
-                    lo, k = k + 1, k + step
+    start = _start(req, prior)
+    if start is not None:
+        k, width = start
+        k = min(max(k, 0), last)
+        # a count on the other side puts the next step past the last count's
+        # index, outside [lo, hi), which ends the gallop
+        while lo <= k < hi:
+            if above(k):
+                hi, k = k, k - width
+            else:
+                lo, k = k + 1, k + width
+            width *= 2
     i = bisect.bisect_left(range(last + 1), True, lo, hi, key=above)
     if i == 0:
         raise NoBracketFound(
@@ -581,7 +564,7 @@ def shoot(req: SolveRequest, *, sign: int = 1, prior: Shot | None = None) -> Sho
             f"{_scan_value(req, last):.3e}; the requested level may not exist "
             f"for these parameters")
     return Shot(i, _scan_value(req, i), _scan_value(req, i - 1), made, sign,
-                i - prior.index if use_prior else None)
+                i - prior.index if start is not None and prior is not None else None)
 
 
 def finish(req: SolveRequest, shot: Shot) -> Profile:

@@ -289,11 +289,10 @@ def launched(req, seen):
 
 
 def whole_grid_shot(req, monkeypatch, **kwargs):
-    """shoot(req) by the binary search over the whole scan grid: a level
-    step far past the bound under which a lone search starts from the
-    level law."""
+    """shoot(req) by the binary search over the whole scan grid: the search
+    with no start, as outside the hypothesis."""
     with monkeypatch.context() as patched:
-        patched.setattr(shooting, "_level_step", lambda params: 2 ** 60)
+        patched.setattr(shooting, "_start", lambda req, prior: None)
         return shooting.shoot(req, **kwargs)
 
 
@@ -816,12 +815,16 @@ def test_law_search_finds_the_whole_grid_bracket(params, zeros, sign, monkeypatc
                          ids=["4-2.427", "6-6.5"])
 @pytest.mark.parametrize("zeros", [1, 2])
 def test_a_long_level_step_keeps_the_whole_grid_search(params, zeros, monkeypatch):
-    # near the threshold a level step is over 4096 indices: bisecting one
-    # step (13 counts or more) after three counts of steps saves nothing
-    # against the 15 of the whole grid, so the search is the whole grid's
+    # near the threshold a level step is over 4096 indices: bisecting the
+    # gallop's last step takes 13 counts or more, so its first count and a
+    # step or two cost at most two counts more than the whole grid's 15,
+    # for the whole grid's bracket
     assert shooting._level_step(params) > 4096
     req = SolveRequest(params, class_of_level(zeros), zeros)
-    assert shooting.shoot(req) == whole_grid_shot(req, monkeypatch)
+    shot = shooting.shoot(req)
+    whole = whole_grid_shot(req, monkeypatch)
+    assert (shot.index, shot.lo, shot.hi) == (whole.index, whole.lo, whole.hi)
+    assert shot.counts <= whole.counts + 2, (shot.counts, whole.counts)
 
 
 @pytest.mark.parametrize("params, zeros", BENCHMARK_LEVELS)
@@ -845,8 +848,8 @@ def test_a_deeper_scan_floor_costs_a_lone_search_nothing(params, zeros, monkeypa
 def test_a_law_off_by_a_factor_of_three_finds_the_same_bracket(params, zeros, factor,
                                                                monkeypatch):
     # a level step three times too short or too long puts the first count
-    # and the steps off the level, or, past the bound, leaves the search to
-    # the whole grid; either way the bracket is the whole grid's
+    # and the gallop's first step off the level; the bracket is still the
+    # whole grid's
     req = SolveRequest(params, class_of_level(zeros), zeros)
     whole = whole_grid_shot(req, monkeypatch)
     law = shooting._level_step
@@ -857,18 +860,17 @@ def test_a_law_off_by_a_factor_of_three_finds_the_same_bracket(params, zeros, fa
 
 def test_a_law_that_misses_leaves_the_rest_of_the_grid_to_the_bisection(monkeypatch):
     # at (2, 1e4) odd levels 1 and 3 lie at indices 406 and 408, some 25
-    # level steps (L = 16) from where the law puts them: the steps stop at
-    # their budget of 11 counts and the bisection takes the rest of the
-    # grid, 26 counts where steps to the level would take 31
+    # level steps (L = 16) from where the law puts them: the gallop's
+    # doubling steps pass them within six counts, and the bisection of the
+    # last step takes no more in all than the whole grid's 15
     params = ProblemParams(2, 1e4)
     assert shooting._level_step(params) == 16
-    budget = math.ceil(math.log2(last_index() + 2)) - 4
     for zeros in (1, 3):
         req = SolveRequest(params, "odd", zeros)
         shot = shooting.shoot(req)
         whole = whole_grid_shot(req, monkeypatch)
         assert (shot.index, shot.lo, shot.hi) == (whole.index, whole.lo, whole.hi)
-        assert shot.counts <= budget + whole.counts == 26, shot.counts
+        assert shot.counts <= whole.counts == 15, shot.counts
 
 
 def test_a_lone_search_installs_its_solout_once(monkeypatch):
@@ -907,9 +909,10 @@ def test_sweep_finds_each_bracket_the_plain_search_finds(params, monkeypatch):
     # run_sweep starts each level's search from the shot of its class's
     # level two below; the index must be the one shoot finds from the whole
     # grid.  From level 3 on every level has a prior, and on (3,3) each takes
-    # at most 8 counts: two to confirm the window of +-32 indices, six to
-    # bisect it.  The closed-form step misses (4,18) level 3 by more than
-    # the window, so that map takes the miss path.
+    # at most 8 counts: its first count and a step of 32 indices that holds
+    # the index, then a bisection of that step.  The closed-form step misses
+    # (4,18) level 3 by more than the first step, so that map's gallop
+    # doubles its steps.
     shots = {}
     inner = report.shoot
 
@@ -935,10 +938,12 @@ def test_sweep_finds_each_bracket_the_plain_search_finds(params, monkeypatch):
 
 @pytest.mark.parametrize("miss", [-300, -100, 100, 300])
 def test_a_missed_window_doubles_on_the_side_that_missed(miss, monkeypatch):
-    # a prediction `miss` indices from the bracket: the windows of +-32 and
-    # +-64 indices miss it, and doubling on the side that missed holds it
-    # within 128 (two counts past the first window) or 512 (four), leaving
-    # fewer than 64 or 256 indices to bisect.  The search from the whole
+    # a prediction `miss` indices from the bracket: the gallop counts there,
+    # then steps of 32, 64, 128, ... indices toward the bracket.  After j
+    # steps it has gone 32 (2^j - 1) indices, so it passes the bracket on
+    # step j = 3 for a miss of 100 and j = 4 for 300, and the bisection of
+    # that last step of 32 2^(j-1) indices takes at most j + 4 counts:
+    # 1 + 3 + 7 = 11 and 1 + 4 + 8 = 13 in all.  The search from the whole
     # grid takes 15 counts
     req = SolveRequest(P33, "even", 4)
     alone = whole_grid_shot(req, monkeypatch)
@@ -946,7 +951,35 @@ def test_a_missed_window_doubles_on_the_side_that_missed(miss, monkeypatch):
     prior = shooting.Shot(alone.index - miss - 1, 1.0, 1.001, 8, 1, 1)
     shot = shooting.shoot(req, prior=prior)
     assert (shot.index, shot.lo, shot.hi) == (alone.index, alone.lo, alone.hi)
-    assert shot.counts <= (2 + 2 + 6 if abs(miss) == 100 else 2 + 4 + 8)
+    window = shooting.CONTINUATION_WINDOW
+    j = next(j for j in range(1, 20) if window * (2 ** j - 1) >= abs(miss))
+    schedule = 1 + j + (j + round(math.log2(window)) - 1)
+    assert schedule == (11 if abs(miss) == 100 else 13)
+    assert shot.counts <= schedule, shot.counts
+
+
+OFF_GRID = pytest.mark.parametrize("predicted", [-10 ** 6, 10 ** 6], ids=["below-0", "past-K"])
+
+
+@OFF_GRID
+def test_a_start_outside_the_grid_finds_the_whole_grid_bracket(predicted, monkeypatch):
+    # a prior whose prediction lies off the grid starts the gallop at the
+    # grid's nearer end
+    req = SolveRequest(P33, "even", 4)
+    whole = whole_grid_shot(req, monkeypatch)
+    shot = shooting.shoot(req, prior=shooting.Shot(predicted - 1, 1.0, 1.001, 8, 1, 1))
+    assert (shot.index, shot.lo, shot.hi, shot.sign) == (whole.index, whole.lo, whole.hi, 1)
+
+
+@OFF_GRID
+def test_a_start_outside_the_grid_raises_what_the_whole_grid_raises(predicted, monkeypatch):
+    # (8, 12.438) level 5 lies past the grid's end
+    req = SolveRequest(ProblemParams(8, 12.438), "odd", 5)
+    with pytest.raises(NoBracketFound, match="no transition to zero count > 2") as whole:
+        whole_grid_shot(req, monkeypatch)
+    with pytest.raises(NoBracketFound) as shot:
+        shooting.shoot(req, prior=shooting.Shot(predicted - 1, 1.0, 1.001, 8, 1, 1))
+    assert str(shot.value) == str(whole.value)
 
 
 def test_no_prior_outside_the_hypothesis():

@@ -21,13 +21,13 @@ line by a two-stage process:
    only asks whether the count exceeds the request, so each run stops once
    that is settled (at the sign change that settles it, or earlier, once
    the Lyapunov function W says which zeros are left), keeps no step
-   record, and runs at the looser COUNT_RTOL under COUNT_STEP_FACTOR times
-   the seed's step cap: a count only says which side of a transition s
+   record, and runs at COUNT_RTOL under COUNT_STEP_FACTOR times
+   integrate's step cap: a count only says which side of a transition s
    lies on, so it only has to see each sign change, and its relative error
-   in s, about steps * COUNT_RTOL, is far below the bracket's width.  The one seed trajectory runs at RTOL under the seed's
-   cap and records every accepted step.
+   in s, about steps * COUNT_RTOL, is far below the bracket's width.
 
-2. The trajectory at the bracket end without an extra zero, blended into
+2. The trajectory at the bracket end without an extra zero, one run on the
+   counts' own integrator that records every accepted step, blended into
    the linearised tail toward +-pi/2, seeds a damped Newton iteration on
    the central-difference discretisation of the boundary value problem on
    the half line [0, cutoff], which the class mirrors onto the full line.
@@ -82,10 +82,10 @@ EXIT_WALL = HALF_PI + EXIT_MARGIN   # a trajectory has exited once |h| > EXIT_WA
 BRACKET_RTOL = 1e-3     # ratio less one of neighbouring scan values: the bracket's relative width
 MAX_NEWTON_ITER = 25
 BOUNDARY_TOL = 1e-6     # largest accepted end gap pi/2 - |h|
-RTOL = 1e-11            # DOP853 tolerances
-ATOL = 1e-13
-COUNT_RTOL = 1e-6       # DOP853 relative tolerance of the scan's zero counts
-COUNT_STEP_FACTOR = 2.0  # the counts' step cap, in multiples of the seed's _max_step
+RTOL = 1e-11            # integrate's relative tolerance: the tests' continuum reference
+ATOL = 1e-13            # DOP853's absolute tolerance, integrate's and the compiled runs'
+COUNT_RTOL = 1e-6       # the compiled DOP853's relative tolerance: the counts' and the seed's
+COUNT_STEP_FACTOR = 2.0  # the compiled runs' step cap, in multiples of integrate's _max_step
 CONTINUATION_WINDOW = 32  # shoot's first step, in scan indices, from a prior's prediction
 SCAN_OCTAVES = 44       # the scan grid runs from scan_cap down to scan_cap 2^-SCAN_OCTAVES
 
@@ -286,45 +286,67 @@ def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float) -> Tr
 _runners = threading.local()    # .dop853: this thread's compiled integrators, by key
 
 
-def _dop853(params: ProblemParams, rtol: float, max_step: float, solout,
-            first_step: float = 0.0):
+def _dop853(params: ProblemParams, solout):
     """run(y0, x_end): one run of scipy's compiled DOP853 (Hairer's code,
     the method solve_ivp re-implements in Python) from y0 at x = 0 toward
-    x_end, at rtol and max_step, with integrate's ATOL.  solout(x, y) runs
-    after each accepted step, the start included, and stops the run by
-    returning -1.  first_step is the first step tried; the error test
-    shrinks it like any other step.  At 0 DOP853 picks it itself (HINIT,
-    Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+    x_end.  solout(x, y) runs after each accepted step, the start included,
+    and stops the run by returning -1.
 
-    The integrator behind run is built once for each problem and setting,
-    and every later run reuses it.  scipy's dop853 wrapper never frees an
-    integrator once it has run: it keeps about 1.3 KB of each, with its
-    right-hand side and last solout, and 64 B per run.  The key is the
-    problem by value (m, omega, nu's samples), not the ProblemParams
-    object, since callers build a fresh one for equal values.  Each run
-    installs its start, and its solout unless that is the one installed
-    (set_solout resets the integrator, as set_initial_value does again), so
-    runs of different callers may interleave on one integrator.  Runs in
-    two threads at once would overwrite each other's, so each thread builds
-    its own.
+    Every run, the counts' and the seed's, takes COUNT_RTOL with
+    integrate's ATOL, no step longer than the cap COUNT_STEP_FACTOR
+    _max_step, and tries its first step at that cap.  The cap,
+    1/sqrt(1 + omega) at factor 2, still leaves about three accepted steps
+    per shortest zero spacing pi/sqrt(omega (1 + nu)).  An error made along
+    a run maps back to a relative shift in s of about steps * COUNT_RTOL,
+    some 2e-5 for the few dozen accepted steps a run takes, 50 times below
+    the scan grid's spacing BRACKET_RTOL, and the seed strays up to about
+    3e-5 from integrate, below the O(dx^2) gap (1e-4 at dx = 0.01) between
+    the continuum orbit and the discrete solution that Newton closes anyway.
+    DOP853's own first step (HINIT, Hairer, Norsett & Wanner, Solving ODEs
+    I, II.4) weighs the launch component that is exactly 0 (h(0) of an odd
+    profile, h'(0) of an even one) by ATOL alone, so it starts near 4e-7 and
+    takes 8 steps to grow to the cap, some 100 evaluations a run.  The error
+    test still shrinks a first step that is too long, and no step exceeds
+    the cap, so the argument above holds as it stands.
+
+    The integrator behind run is built once for each problem, and every
+    later run reuses it.  scipy's dop853 wrapper never frees an integrator
+    once it has run: it keeps about 1.3 KB of each, with its right-hand
+    side and last solout.  The key is the problem by value (m, omega, nu's
+    samples), not the ProblemParams object, since callers build a fresh one
+    for equal values.  Each run goes to the integrator object of scipy's
+    ode (ode._integrator, a scipy.integrate._ode.dop853) through its run
+    method, past ode.set_initial_value: that calls the object's reset,
+    whose call_args hold a new bound method _solout each time, and the
+    compiled runner keeps a reference to the one each run passes it, 64 B
+    per run.  One reset at build time makes work, iwork and call_args;
+    each run then sets the object's solout attribute, which _solout calls,
+    so runs of different callers may interleave on one integrator, and
+    re-zeroes iwork, where the runner leaves its step statistics, as reset
+    does.  It passes a fresh y0, which the runner overwrites.  Runs in two
+    threads at once would overwrite each other's, so each thread builds its
+    own integrators.
     """
     nu = params.nu
     key = (params.m, params.omega,
            None if nu is None else (nu.grid.tobytes(), nu.values.tobytes()),
-           rtol, max_step, first_step)
+           COUNT_RTOL, COUNT_STEP_FACTOR)
     made = vars(_runners).setdefault("dop853", {})
-    dop = made.get(key)
-    if dop is None:
+    if key not in made:
+        cap = COUNT_STEP_FACTOR * _max_step(params)
+        rhs = _rhs(params)
         # solve_ivp has no step limit, so neither has this run
-        dop = made[key] = ode(_rhs(params)).set_integrator(
-            "dop853", rtol=rtol, atol=ATOL, max_step=max_step, first_step=first_step,
-            nsteps=2 ** 31 - 1)
+        dop = ode(rhs).set_integrator("dop853", rtol=COUNT_RTOL, atol=ATOL, max_step=cap,
+                                      first_step=cap, nsteps=2 ** 31 - 1)._integrator
+        dop.set_solout(solout)      # with a solout set, reset asks for one after each step
+        dop.reset(2, False)
+        made[key] = rhs, dop
+    rhs, dop = made[key]
 
     def run(y0, x_end: float) -> None:
-        if dop._integrator.solout is not solout:
-            dop.set_solout(solout)
-        dop.set_initial_value(y0, 0.0)
-        dop.integrate(x_end)
+        dop.solout = solout
+        dop.iwork[:] = 0
+        dop.run(rhs, None, np.array(y0, dtype=float), 0.0, x_end, (), ())
     return run
 
 
@@ -349,30 +371,16 @@ def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
       h'^2 >= 2W - omega > 0: h leaves the band with no zero left, and the
       run stops.
 
-    The run takes COUNT_RTOL, not RTOL, and COUNT_STEP_FACTOR times the
-    seed's step cap _max_step.  A count only decides which side of a
-    transition s lies on, so it only has to see each sign change of h, and
-    neighbouring values of the scan grid lie a relative BRACKET_RTOL apart.
-    The doubled cap, 1/sqrt(1 + omega), still leaves about three accepted
-    steps per shortest zero spacing pi/sqrt(omega (1 + nu)).  An error made
-    along a run maps back to a relative shift in s of about
-    steps * COUNT_RTOL, some 2e-5 for the few dozen accepted steps a run
-    takes, 50 times below that spacing.
+    The run takes _dop853's settings: COUNT_RTOL, COUNT_STEP_FACTOR times
+    _max_step as its step cap, and a first step at that cap.  A count only
+    decides which side of a transition s lies on, so it only has to see
+    each sign change of h, and neighbouring values of the scan grid lie a
+    relative BRACKET_RTOL apart.  The seed trajectory, which Newton starts
+    from, runs on the same integrator (_seed): Newton takes its accuracy
+    from the grid, not from the seed.
 
-    Each run tries its first step at that cap.  DOP853's own first step
-    weighs the launch component that is exactly 0 (h(0) of an odd profile,
-    h'(0) of an even one) by ATOL alone, so at COUNT_RTOL it starts near
-    4e-7 and takes 8 steps to grow to the cap, some 100 evaluations a
-    count.  The error test still shrinks a first step that is too long, and
-    no step exceeds the cap, so the argument above holds as it stands.
-    The seed trajectory, which Newton starts from, keeps RTOL, the seed's
-    cap and DOP853's own first step in its own run (_seed): its ramp costs
-    one run per level, and a different seed trajectory would move Newton's
-    last bits.
-
-    Every counter of one problem shares one compiled integrator with the
-    others at its settings (_dop853); its own solout goes in with its first
-    run, and again only after another caller's ran.
+    Every counter and seed of one problem shares one compiled integrator
+    (_dop853); each run installs its own solout.
     """
     state = [0.0, 0]            # h at the last accepted step, sign changes so far
     om = params.omega
@@ -401,8 +409,7 @@ def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
             return -1
         return 0
 
-    cap = COUNT_STEP_FACTOR * _max_step(params)
-    run = _dop853(params, COUNT_RTOL, cap, solout, first_step=cap)
+    run = _dop853(params, solout)
 
     def count(h0: float, dh0: float) -> int:
         _check_start(h0)
@@ -427,12 +434,15 @@ def _launch(s: float, req: SolveRequest) -> tuple:
 def _seed(s: float, req: SolveRequest) -> tuple:
     """(h_at, x_end, t_start) of the seed trajectory with shooting parameter s.
 
-    One compiled DOP853 run at RTOL, to integrate's exit wall, records
-    (x, h, h') after each accepted step; x_end is the last step.  h_at is
-    the quintic Hermite interpolant of (h, h', h'') on [0, x_end], with h''
-    from the equation.  A cubic through (h, h') alone would stray up to
-    3e-6 from solve_ivp's dense output on steps of 0.2, enough to change a
-    Newton iteration count; the quintic strays about 1e-9.  t_start is the
+    One run of the counts' compiled DOP853 (_dop853), to integrate's exit
+    wall, records (x, h, h') after each accepted step; x_end is the last
+    step.  h_at is the quintic Hermite interpolant of (h, h', h'') on
+    [0, x_end], with h'' from the equation.  At COUNT_RTOL it strays up to
+    about 3e-5 from integrate, below the O(dx^2) gap between the continuum
+    orbit and the discrete solution that Newton closes anyway, so Newton
+    takes as many iterations from it as from integrate's trajectory.  A
+    cubic through (h, h') alone would stray more between steps, the more
+    so on the cap's longer steps.  t_start is the
     step just before the last requested zero (0 with none): h has the
     limit's sign beyond that zero, and the opposite sign on the way to it.
     """
@@ -443,7 +453,7 @@ def _seed(s: float, req: SolveRequest) -> tuple:
         steps.append((x, h, dh))
         return -1 if abs(h) > EXIT_WALL else 0
 
-    _dop853(req.params, RTOL, _max_step(req.params), solout)(_launch(s, req), req.cutoff)
+    _dop853(req.params, solout)(_launch(s, req), req.cutoff)
     x, h, dh = np.array(steps).T
     # the integrator holds this solout, and so this list, until its next run
     steps.clear()
@@ -516,14 +526,14 @@ def shoot(req: SolveRequest, *, sign: int = 1, prior: Shot | None = None) -> Sho
     request.  The search assumes that the count does not decrease as s
     decreases along the grid.
 
-    It counts first at _start's index, clamped into 0..K, then steps toward
-    the transition, doubling the step after each count, until the count
-    changes side, and bisects the last step: a level d indices from the
-    start costs about log2(width) + 2 log2(1 + d / width) counts, whatever
-    K is.  A step past the end of the grid leaves the rest of it to the
-    bisection, and without a start the bisection takes the whole grid, in at
-    most ceil(log2(K + 2)) counts (15 at BRACKET_RTOL = 1e-3).  Every start
-    finds the same index.
+    It counts first at _start's index, then steps toward the transition,
+    doubling the step after each count, until the count changes side, and
+    bisects the last step: a level d indices from the start costs about
+    log2(width) + 2 log2(1 + d / width) counts, whatever K is.  A step past
+    the end of the grid leaves the rest of it to the bisection.  Without a
+    start, or with one outside 0..K, the bisection takes the whole grid, in
+    at most ceil(log2(K + 2)) counts (15 at BRACKET_RTOL = 1e-3).  Every
+    start finds the same index.
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
@@ -541,9 +551,10 @@ def shoot(req: SolveRequest, *, sign: int = 1, prior: Shot | None = None) -> Sho
     # with -1 and last + 1 standing for the ends of the grid
     lo, hi = 0, last + 1
     start = _start(req, prior)
+    if start is not None and not 0 <= start[0] <= last:
+        start = None        # off the grid: the gallop from its end costs more than the bisection
     if start is not None:
         k, width = start
-        k = min(max(k, 0), last)
         # a count on the other side puts the next step past the last count's
         # index, outside [lo, hi), which ends the gallop
         while lo <= k < hi:

@@ -147,6 +147,12 @@ def linear_tail(x, x0: float, h0: float, limit: float, lam: float):
     return limit - gap * expo, -lam * gap * expo
 
 
+def grid_spacing(cutoff: float, n: int) -> float:
+    """2 cutoff / (n - 1): the spacing of symmetric_grid(cutoff, n), which
+    the first step of half_grid(cutoff, n) equals bitwise."""
+    return 2.0 * cutoff / (n - 1)
+
+
 def half_grid(cutoff: float, n: int) -> np.ndarray:
     """The (n + 1) / 2 nodes x >= 0 of symmetric_grid(cutoff, n), from x = 0."""
     if not cutoff > 0:
@@ -226,7 +232,7 @@ class Profile:
 
     @property
     def dx(self) -> float:
-        return float(self.grid[1] - self.grid[0])
+        return grid_spacing(self.cutoff, self.n)
 
     @property
     def sup_norm(self) -> float:

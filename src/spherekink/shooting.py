@@ -70,6 +70,7 @@ from .core import (
     decay_rate,
     el_residual,
     energy,
+    grid_spacing,
     half_grid,
     linear_tail,
     lyapunov_W,
@@ -179,7 +180,7 @@ class SolveRequest:
     @property
     def newton_tol(self) -> float:
         """Residual max-norm the Newton finish must reach on this grid."""
-        return newton_tolerance(2.0 * self.cutoff / (self.grid_size - 1))
+        return newton_tolerance(grid_spacing(self.cutoff, self.grid_size))
 
     @property
     def zeros_half(self) -> int:
@@ -659,9 +660,8 @@ def newton_tolerance(dx: float) -> float:
     return 4.0 * np.finfo(float).eps * HALF_PI / (dx * dx)
 
 
-def _interior_residual(grid, u, params):
+def _interior_residual(grid, u, dx, params):
     """core.el_residual on second-order central differences, interior nodes."""
-    dx = grid[1] - grid[0]
     d2 = ((u[2:] - u[1:-1]) - (u[1:-1] - u[:-2])) / (dx * dx)
     d1 = (u[2:] - u[:-2]) / (2.0 * dx)
     return el_residual(grid[1:-1], u[1:-1], d1, d2, params)
@@ -680,7 +680,7 @@ def _newton(xs, u0, params, symmetry_class, limit, *, tol):
     first = 1 if symmetry_class == "odd" else 0
     lam = decay_rate(params)
     om = params.omega
-    dx = xs[1] - xs[0]
+    dx = xs[1] - xs[0]      # grid_spacing(X, N), bitwise
     # (m-1) tanh x, (omega/2)(1+nu), omega (1+nu) and the Robin row's
     # constants, each factor in core.el_residual's order; tanh and nu act
     # elementwise, so their samples on the whole grid are those of any slice
@@ -787,7 +787,7 @@ def verify_solution(prof: Profile) -> SolutionDiagnostics:
     """
     p = prof.params
     grid, h, dh = prof.grid, prof.h, prof.dh
-    r = _interior_residual(grid, h, p)
+    r = _interior_residual(grid, h, prof.dx, p)
     residual_max = float(np.max(np.abs(r)))
     residual_rms = float(np.sqrt(np.mean(r * r)))
 

@@ -62,7 +62,7 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
-from .core import ProblemParams, Profile, half_grid, sech, singular_profile
+from .core import ProblemParams, Profile, grid_spacing, half_grid, sech, singular_profile
 from .serialize import floats, integer, listed, number, reading, refuse_unknown
 
 NULL_BAND = 1e-6          # eigenvalues within +-band of 0 count toward the nullity
@@ -94,7 +94,7 @@ class SchrodingerProblem:
 
     @property
     def dx(self) -> float:
-        return float(self.grid[-1] - self.grid[-2])
+        return grid_spacing(self.cutoff, self.n)
 
     @property
     def cutoff(self) -> float:

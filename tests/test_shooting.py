@@ -26,6 +26,7 @@ from spherekink.core import (
     ProblemParams,
     Profile,
     energy,
+    grid_spacing,
     singular_profile,
     half_grid,
     resample,
@@ -42,7 +43,7 @@ from spherekink.shooting import (
     verify_solution,
 )
 from spherekink.report import SweepConfig, run_sweep
-from spherekink.spectral import morse_index
+from spherekink.spectral import build_schrodinger, morse_index
 
 from conftest import nu_params
 from reference import newton_reference
@@ -1081,6 +1082,20 @@ def test_a_boundary_gap_failure_names_a_cutoff_at_which_the_level_solves(params,
 
 
 # -- newton polish -----------------------------------------------------------------
+
+@pytest.mark.parametrize("cutoff, grid_size", [(20.0, 4001), (16.0, 1001), (21.0, 4201),
+                                               (30.0, 6001), (25.0, 10001), (20.0, 32001)])
+def test_one_grid_spacing(cutoff, grid_size):
+    # Newton's spacing (the first step of half_grid), the profile's, which
+    # verify scores it with, and the Schrodinger operator's are one number,
+    # bitwise, and Newton's stopping tolerance is taken at it
+    xs = half_grid(cutoff, grid_size)
+    prof = Profile(P33, "odd", cutoff, np.tanh(xs))
+    dx = xs[1] - xs[0]
+    assert prof.dx == build_schrodinger(prof).dx == dx == grid_spacing(cutoff, grid_size)
+    req = SolveRequest(P33, "odd", 1, cutoff=cutoff, grid_size=grid_size)
+    assert req.newton_tol == shooting.newton_tolerance(dx)
+
 
 def test_newton_polish_fixes_perturbed_profile(exact_profile):
     xs = half_grid(exact_profile.cutoff, exact_profile.n)

@@ -294,39 +294,35 @@ def _dop853(params: ProblemParams, solout):
     and stops the run by returning -1.
 
     Every run, the counts' and the seed's, takes COUNT_RTOL with
-    integrate's ATOL, no step longer than the cap COUNT_STEP_FACTOR
-    _max_step, and tries its first step at that cap.  The cap,
-    1/sqrt(1 + omega) at factor 2, still leaves about three accepted steps
-    per shortest zero spacing pi/sqrt(omega (1 + nu)).  An error made along
-    a run maps back to a relative shift in s of about steps * COUNT_RTOL,
-    some 2e-5 for the few dozen accepted steps a run takes, 50 times below
-    the scan grid's spacing BRACKET_RTOL, and the seed strays up to about
-    3e-5 from integrate, below the O(dx^2) gap (1e-4 at dx = 0.01) between
-    the continuum orbit and the discrete solution that Newton closes anyway.
-    DOP853's own first step (HINIT, Hairer, Norsett & Wanner, Solving ODEs
-    I, II.4) weighs the launch component that is exactly 0 (h(0) of an odd
-    profile, h'(0) of an even one) by ATOL alone, so it starts near 4e-7 and
-    takes 8 steps to grow to the cap, some 100 evaluations a run.  The error
-    test still shrinks a first step that is too long, and no step exceeds
-    the cap, so the argument above holds as it stands.
+    integrate's ATOL, and steps no longer than the cap COUNT_STEP_FACTOR
+    _max_step, 1/sqrt(1 + omega) at factor 2: still about three accepted
+    steps per shortest zero spacing pi/sqrt(omega (1 + nu)).  An error made
+    along a run maps back to a relative shift in s of about
+    steps * COUNT_RTOL, some 2e-5 for the few dozen steps a run takes, 50
+    times below the scan grid's spacing BRACKET_RTOL; the seed strays up to
+    about 3e-5 from integrate, below the O(dx^2) gap (1e-4 at dx = 0.01)
+    between the continuum orbit and the discrete solution, which Newton
+    closes anyway.  The first step tried is the cap.  DOP853's own (HINIT,
+    Hairer, Norsett & Wanner, Solving ODEs I, II.4) weighs the launch
+    component that is exactly 0 (h(0) of an odd profile, h'(0) of an even
+    one) by ATOL alone, so it starts near 4e-7 and takes 8 steps to grow to
+    the cap, some 100 evaluations a run.  The error test still shrinks a
+    first step that is too long.
 
-    The integrator behind run is built once for each problem, and every
-    later run reuses it.  scipy's dop853 wrapper never frees an integrator
-    once it has run: it keeps about 1.3 KB of each, with its right-hand
-    side and last solout.  The key is the problem by value (m, omega, nu's
-    samples), not the ProblemParams object, since callers build a fresh one
-    for equal values.  Each run goes to the integrator object of scipy's
-    ode (ode._integrator, a scipy.integrate._ode.dop853) through its run
-    method, past ode.set_initial_value: that calls the object's reset,
-    whose call_args hold a new bound method _solout each time, and the
-    compiled runner keeps a reference to the one each run passes it, 64 B
-    per run.  One reset at build time makes work, iwork and call_args;
-    each run then sets the object's solout attribute, which _solout calls,
-    so runs of different callers may interleave on one integrator, and
+    The integrator is built once for each problem and these settings,
+    keyed by value (m, omega, nu's samples), since callers build a fresh
+    ProblemParams for equal values, and every later run reuses it: scipy's
+    dop853 wrapper never frees one that has run (about 1.3 KB with its
+    right-hand side and last solout).  Runs bypass ode.set_initial_value,
+    whose reset puts a new bound method _solout in call_args, which the
+    compiled runner keeps, 64 B per run.  They rely on these internals of
+    scipy.integrate._ode.dop853, the object at ode._integrator: one reset
+    at build time makes its work, iwork and call_args; each run sets its
+    solout attribute, which _solout calls, so callers' runs may interleave;
     re-zeroes iwork, where the runner leaves its step statistics, as reset
-    does.  It passes a fresh y0, which the runner overwrites.  Runs in two
-    threads at once would overwrite each other's, so each thread builds its
-    own integrators.
+    does; and calls its run method with a fresh y0, which the runner
+    overwrites.  Runs in two threads at once would overwrite each other's,
+    so each thread builds its own integrators.
     """
     nu = params.nu
     key = (params.m, params.omega,
@@ -442,10 +438,10 @@ def _seed(s: float, req: SolveRequest) -> tuple:
     about 3e-5 from integrate, below the O(dx^2) gap between the continuum
     orbit and the discrete solution that Newton closes anyway, so Newton
     takes as many iterations from it as from integrate's trajectory.  A
-    cubic through (h, h') alone would stray more between steps, the more
-    so on the cap's longer steps.  t_start is the
-    step just before the last requested zero (0 with none): h has the
-    limit's sign beyond that zero, and the opposite sign on the way to it.
+    cubic through (h, h') alone would stray up to 1.3e-3 on the cap's
+    steps of up to 0.5, above that gap.  t_start is the step just before
+    the last requested zero (0 with none): h has the limit's sign beyond
+    that zero, and the opposite sign on the way to it.
     """
     steps = []
 

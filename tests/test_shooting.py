@@ -557,18 +557,18 @@ def test_count_takes_no_certain_zero_past_the_cutoff(h0, dh0, limit, cutoff):
 
 
 def test_sweeps_keep_little_memory():
-    # scipy's dop853 wrapper never frees an integrator once it has run.  With
-    # two integrators built per solve a K = 4 sweep left 18.8 KB behind, and
-    # 4 KB with one per problem and setting, while each run left the 64 B
-    # bound method of ode.set_initial_value's reset.  Runs now skip that reset.
+    # scipy's dop853 wrapper never frees an integrator once it has run, so a
+    # sweep must build none after the first, and its runs, which skip
+    # ode.set_initial_value, must not leave the 64 B bound method of its
+    # reset behind (about 3 KB a sweep): at most a third of that
     grown = traced_growth(lambda: run_sweep(SweepConfig(P33, 4)), 20)
-    assert grown / 20 <= 5 * 1024, f"{grown / 20:.0f} B per sweep"
+    assert grown / 20 <= 1024, f"{grown / 20:.0f} B per sweep"
 
 
 def test_lone_solves_keep_little_memory_per_run(monkeypatch):
     # a repeated solve builds no integrator, and its runs make no bound
-    # method for scipy's wrapper to keep: well under the 64 B per run that
-    # ode.set_initial_value cost
+    # method for scipy's wrapper to keep, which would be the 64 B per run of
+    # ode.set_initial_value's reset
     monkeypatch.setattr(shooting, "BRACKET_RTOL", 5e-15)    # many counts per solve
     req = SolveRequest(P33, "even", 2, cutoff=16.0, grid_size=1001)
     runs = dop853_runs(monkeypatch)
@@ -916,9 +916,9 @@ def test_a_law_that_misses_leaves_the_rest_of_the_grid_to_the_bisection(monkeypa
 def test_a_lone_search_leaves_nothing_behind(monkeypatch):
     # each count is one run on the problem's one integrator, which passes
     # the same bound method to every run: the seven searches that eight
-    # make past one leave less than 8 B per run, where each run's reset
-    # left 64 B before (the integrator holds the last search's solout, so
-    # one search leaves a few hundred bytes, once)
+    # make past one leave less than 8 B per run, where ode.set_initial_value's
+    # reset would leave 64 B (the integrator holds the last search's
+    # solout, so one search leaves a few hundred bytes, once)
     req = SolveRequest(HOPF32, "odd", 5)
     fresh_runners(monkeypatch)
     one, eight = (traced_growth(lambda: shooting.shoot(req), n) for n in (1, 8))
@@ -1001,8 +1001,8 @@ OFF_GRID = pytest.mark.parametrize("predicted", [-10 ** 6, 10 ** 6], ids=["below
 @OFF_GRID
 def test_a_start_outside_the_grid_finds_the_whole_grid_bracket(predicted, monkeypatch):
     # a prior whose prediction lies off the grid leaves the whole grid to the
-    # bisection: the same bracket in the same counts, where a gallop from
-    # the grid's nearer end took 21 (below 0) and 24 (past K) against 15
+    # bisection: the same bracket in the same 15 counts, where a gallop from
+    # the grid's nearer end would take 21 (below 0) and 24 (past K)
     req = SolveRequest(P33, "even", 4)
     whole = whole_grid_shot(req, monkeypatch)
     shot = shooting.shoot(req, prior=shooting.Shot(predicted - 1, 1.0, 1.001, 8, 1, 1))

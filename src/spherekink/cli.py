@@ -4,9 +4,9 @@ Subcommands: catalog | solve | sweep | index | singular-index | verify | plot.
 Global flags, before or after the subcommand: --out DIR, --quiet.
 
 Exit codes: 0 success, 1 usage error, 2 no shooting bracket (from sweep:
-every level failed), 3 polish failure, 4 verification failure (including a
-false instability hypothesis in singular-index), 5 some but not all levels
-of a sweep failed.
+every level failed), 3 polish failure (including a solve that verification
+refuses), 4 verification failure (from verify, and a false instability
+hypothesis in singular-index), 5 some but not all levels of a sweep failed.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .shooting import (
     PolishDiverged,
     SolveRequest,
     class_of_level,
-    find_solution,
     newton_polish,
+    solve_level,
     verify_solution,
 )
 from .spectral import (
@@ -187,24 +187,18 @@ def _cmd_catalog(args, parser) -> int:
 def _cmd_solve(args, parser) -> int:
     params = _problem_params(args, parser)
     cls = class_of_level(args.zeros)
-    prof = find_solution(SolveRequest(params, cls, args.zeros,
-                                      cutoff=args.cutoff, grid_size=args.grid))
+    _, prof, diag = solve_level(SolveRequest(params, cls, args.zeros,
+                                             cutoff=args.cutoff, grid_size=args.grid))
     path = Path(args.out_file or solution_name(args.zeros))
     if not path.is_absolute():
         path = Path(args.out_dir) / path
     path.parent.mkdir(parents=True, exist_ok=True)
     save_profile(prof, path)
-
-    diag = verify_solution(prof)
     if not args.quiet:
         print(f"solved {cls}/{args.zeros}: "
               f"energy={diag.energy_value:.12g} residual={diag.residual_max:.3e} "
               f"sup={prof.sup_norm:.12g}")
         print(f"wrote {path}")
-    if not diag.passed:
-        for f in diag.failures:
-            print(f"verification: {f}", file=sys.stderr)
-        return 4
     return 0
 
 

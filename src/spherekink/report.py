@@ -7,11 +7,11 @@ draws its SVG charts.  Output bytes are a pure function of the
 configuration: records are sorted, floats are written as their shortest
 exact repr, and nothing stamps wall-clock time.
 
-Each level's bracket search starts from the bracket of its class's level
-two below (shooting.shoot's prior), which only narrows where the search
-starts: every level gets the bracket find_solution finds for it alone.  A
-level that fails to bracket or polish becomes a failure entry rather than
-aborting the rest, and leaves the next level of its class without a prior.
+Each level is shooting.solve_level, as in solve, from the shot of its
+class's level two below (shoot's prior), which only narrows where the
+search starts: every level gets the bracket it gets alone.  A level that
+solve_level refuses becomes a failure entry rather than aborting the rest,
+and leaves the next level of its class without a prior.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .core import (
     ProblemParams,
     Profile,
     clearance,
-    energy,
     singular_energy,
     weighted_norm,
 )
@@ -55,8 +54,7 @@ from .shooting import (
     PolishDiverged,
     SolveRequest,
     class_of_level,
-    finish,
-    shoot,
+    solve_level,
 )
 from .spectral import (
     NULL_BAND,
@@ -140,15 +138,6 @@ def solution_name(zeros: int) -> str:
     return f"solution_{class_of_level(zeros)}_{zeros}.json"
 
 
-def _record(prof: Profile) -> SolutionRecord:
-    rec = SolutionRecord(prof, energy(prof), morse_index(prof), weighted_norm(prof))
-    if not rec.clearance > 0:
-        raise PolishDiverged(
-            f"clearance {rec.clearance!r} below the singular level is not "
-            f"positive; the level did not converge to a connecting profile")
-    return rec
-
-
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Solve all levels and assemble the report; it writes no file."""
     records = []
@@ -159,10 +148,14 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         req = SolveRequest(config.params, cls, zeros,
                            cutoff=config.cutoff, grid_size=config.grid_size)
         try:
-            shots[cls] = shot = shoot(req, prior=shots.pop(cls, None))
-            records.append(_record(finish(req, shot)))
+            shot, prof, diag = solve_level(req, prior=shots.pop(cls, None))
         except (NoBracketFound, PolishDiverged) as exc:
             failures.append((cls, zeros, str(exc)))
+            continue
+        shots[cls] = shot
+        rec = SolutionRecord(prof, diag.energy_value, morse_index(prof), weighted_norm(prof))
+        vars(rec)["clearance"] = diag.energy_margin     # verify's core.clearance, cached
+        records.append(rec)
     records.sort(key=lambda r: r.sequence_key)
     return SweepReport(config, tuple(records), tuple(sorted(failures)))
 

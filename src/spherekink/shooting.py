@@ -133,7 +133,7 @@ class NoBracketFound(RuntimeError):
 
 
 class PolishDiverged(RuntimeError):
-    """Newton polishing failed to converge or broke an invariant."""
+    """The Newton finish failed or broke an invariant, or verification refused it."""
 
 
 def class_of_level(zeros: int) -> str:
@@ -622,6 +622,18 @@ def find_solution(req: SolveRequest, *, sign: int = 1) -> Profile:
     return finish(req, shoot(req, sign=sign))
 
 
+def solve_level(req: SolveRequest, *, prior: Shot | None = None) -> tuple:
+    """(shot, profile, diagnostics): shoot from the prior, finish, and
+    verify_solution, whose refusal raises PolishDiverged naming its failures.
+    solve and sweep run it; find_solution is the same without verification."""
+    shot = shoot(req, prior=prior)
+    prof = finish(req, shot)
+    diag = verify_solution(prof)
+    if not diag.passed:
+        raise PolishDiverged("; ".join(diag.failures))
+    return shot, prof, diag
+
+
 def _initial_guess(h_at, x_end: float, t_start: float, req: SolveRequest,
                    xs: np.ndarray, limit: float) -> np.ndarray:
     """The seed trajectory on the half grid xs, with its tail blended.
@@ -808,7 +820,7 @@ def verify_solution(prof: Profile) -> SolutionDiagnostics:
         failures.append(f"boundary gap {gap:.3e} exceeds {BOUNDARY_TOL:.1e}")
     if w_violation > W_TOL:
         failures.append(f"Lyapunov monotonicity violated by {w_violation:.3e}")
-    if not singular and margin <= 0:
+    if not singular and not margin > 0:     # NaN too
         failures.append("energy does not sit strictly below the singular level")
     if excess > 0:
         failures.append(f"constraint band exceeded by {excess:.3e}")

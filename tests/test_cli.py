@@ -116,6 +116,18 @@ def test_solve_exit_two_when_no_bracket(capsys):
     assert "no bracket" in capsys.readouterr().err
 
 
+def test_solve_exit_three_and_no_file_when_verification_refuses(tmp_path, capsys):
+    # (3, 100) level 2 on the default grid: W falls by 1.4e-5 on x > 0
+    code = main(["--out", str(tmp_path), "solve", "--m", "3", "--omega", "100",
+                 "--zeros", "2"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("spherekink: polish failed: "
+                            "Lyapunov monotonicity violated by 1.406e-05\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_respects_eigenmap_lookup(tmp_path, capsys):
     code = main(["--quiet", "solve", "--eigenmap", "identity-3",
                  "--zeros", "1",
@@ -283,6 +295,33 @@ def test_sweep_exits_two_when_every_level_fails(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert [ln.partition(": ")[0] for ln in lines] == ["failed even/2", "failed odd/1",
                                                        "all levels failed"]
+
+
+def test_sweep_fails_the_levels_verification_refuses(tmp_path, capsys):
+    # (3, 100): level 2's W falls by 1.4e-5, the other levels pass
+    code = main(["--quiet", "sweep", "--m", "3", "--omega", "100", "--max-zeros", "4",
+                 "--out", str(tmp_path)])
+    assert code == 5
+    assert capsys.readouterr().err.splitlines() == [
+        "failed even/2: Lyapunov monotonicity violated by 1.406e-05"]
+    doc = read_json(tmp_path / "sweep.json")
+    assert sorted(r["zeros"] for r in doc["records"]) == [1, 3, 4]
+    assert not (tmp_path / "solution_even_2.json").exists()
+
+
+def test_sweep_publishes_no_level_of_an_unresolved_grid(tmp_path, capsys):
+    # (2, 1e4) on the default grid, omega dx^2 = 1, does not resolve the
+    # problem (level 2's profile has Morse index 0): verification refuses
+    # every level
+    code = main(["--quiet", "sweep", "--m", "2", "--omega", "10000", "--max-zeros", "4",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [ln.partition(": ")[0] for ln in lines] == [
+        "failed even/2", "failed even/4", "failed odd/1", "failed odd/3", "all levels failed"]
+    assert all(ln.partition(": ")[2].startswith("Lyapunov monotonicity violated by ")
+               for ln in lines[:4])
+    assert read_json(tmp_path / "sweep.json")["records"] == []
 
 
 def test_out_named_like_a_subcommand(tmp_path, monkeypatch, capsys):

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from conftest import json_leaves, other_kinds, put
 
-from spherekink import report
+from spherekink import report, shooting
 
-from spherekink.core import NuPerturbation, ProblemParams, clearance
+from spherekink.core import NuPerturbation, ProblemParams, clearance, energy
 from spherekink.report import (
     CSV_COLUMNS,
     NORM_SLACK,
@@ -25,7 +25,7 @@ from spherekink.report import (
     write_sweep_csv,
 )
 from spherekink.serialize import dumps, profile_to_doc, read_json, write_json
-from spherekink.shooting import class_of_level
+from spherekink.shooting import PolishDiverged, class_of_level
 
 P33 = ProblemParams(3, 3.0)
 SMALL = dict(cutoff=16.0, grid_size=2001)
@@ -133,6 +133,56 @@ def test_failures_are_collected_not_raised():
     cls, zeros, message = report.failures[0]
     assert (cls, zeros) == ("odd", 3)
     assert "transition" in message or "bracket" in message.lower()
+
+
+def test_a_record_takes_its_energy_and_clearance_from_verification(monkeypatch):
+    # verify_solution computes each once per level, and the record keeps them
+    derived = []
+    monkeypatch.setattr(report, "clearance", lambda prof: derived.append(prof))
+    rep = run_sweep(SweepConfig(P33, 2, **SMALL))
+    for rec in rep.records:
+        assert (rec.energy, rec.clearance) == (energy(rec.profile), clearance(rec.profile))
+    assert derived == []
+
+
+def _fail_level_two(stage):
+    """stage, shooting's finish or verify_solution, made to fail level 2."""
+    real = getattr(shooting, stage)
+
+    def finish(req, shot):
+        if req.total_zeros == 2:
+            raise PolishDiverged("refused")
+        return real(req, shot)
+
+    def verify_solution(prof):
+        diag = real(prof)
+        if prof.zero_count == 2:
+            return dataclasses.replace(diag, failures=("refused",), passed=False)
+        return diag
+    return {"finish": finish, "verify_solution": verify_solution}[stage]
+
+
+@pytest.mark.parametrize("stage", ["finish", "verify_solution"])
+def test_a_failed_level_leaves_its_class_without_a_prior(stage, monkeypatch):
+    # level 2 fails to polish, or verification refuses it: the failure is
+    # its message, and level 4's search starts from the level law, not from
+    # level 2's shot, and finds the bracket it finds alone
+    shots = {}
+    shoot = shooting.shoot
+
+    def recording(req, **kwargs):
+        shots[req.total_zeros] = shot = shoot(req, **kwargs)
+        return shot
+
+    monkeypatch.setattr(shooting, stage, _fail_level_two(stage))
+    with monkeypatch.context() as patched:
+        patched.setattr(shooting, "shoot", recording)
+        rep = run_sweep(SweepConfig(P33, 4))
+    assert rep.failures == (("even", 2, "refused"),)
+    assert [r.sequence_key for r in rep.records] == [("even", 4), ("odd", 1), ("odd", 3)]
+    assert shots[4].step is None and shots[3].step is not None
+    alone = shoot(shooting.SolveRequest(P33, "even", 4))
+    assert (shots[4].index, shots[4].lo, shots[4].hi) == (alone.index, alone.lo, alone.hi)
 
 
 @pytest.mark.parametrize("config", [

@@ -7,6 +7,7 @@ transition, and by the solves they seed), and the solved one-zero (3,3)
 profile against the closed form 2 atan(e^x) - pi/2.
 """
 
+import dataclasses
 import functools
 import gc
 import math
@@ -17,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spherekink import report, shooting
+from spherekink import shooting
 from spherekink.catalog import CATALOG, find_eigenmap
 from spherekink.core import (
     DEFAULT_CUTOFF,
@@ -40,15 +41,17 @@ from spherekink.shooting import (
     find_solution,
     integrate,
     newton_polish,
+    solve_level,
     verify_solution,
 )
 from spherekink.report import SweepConfig, run_sweep
 from spherekink.spectral import build_schrodinger, morse_index
 
-from conftest import nu_params
+from conftest import gudermann_profile, nu_params
 from reference import newton_reference
 
 P33 = ProblemParams(3, 3.0)
+ENERGY_FAILURE = "energy does not sit strictly below the singular level"
 
 
 def fresh_runners(monkeypatch):
@@ -952,14 +955,16 @@ def test_sweep_finds_each_bracket_the_plain_search_finds(params, monkeypatch):
     # (4,18) level 3 by more than the first step, so that map's gallop
     # doubles its steps.
     shots = {}
-    inner = report.shoot
+    inner = shooting.shoot
 
     def recording(req, **kwargs):
         shots[req.total_zeros] = shot = inner(req, **kwargs)
         return shot
 
-    monkeypatch.setattr(report, "shoot", recording)
-    rep = run_sweep(SweepConfig(params, 10, cutoff=30.0, grid_size=6001))
+    # only the sweep's shots: whole_grid_shot below calls shooting.shoot too
+    with monkeypatch.context() as patched:
+        patched.setattr(shooting, "shoot", recording)
+        rep = run_sweep(SweepConfig(params, 10, cutoff=30.0, grid_size=6001))
     assert not rep.failures and sorted(shots) == list(range(1, 11))
     for z, shot in shots.items():
         alone = whole_grid_shot(SolveRequest(params, class_of_level(z), z,
@@ -1053,6 +1058,41 @@ def test_fine_grids_solve_levels_one_to_four(cutoff, grid_size, monkeypatch):
         rep = morse_index(prof)
         assert (rep.index, rep.nullity_estimate) == (zeros, 0)
         assert energy(solve(zeros)) == pytest.approx(energy(prof), abs=1e-12)
+
+
+def test_finish_refuses_a_newton_result_with_the_wrong_zero_count(monkeypatch):
+    # level 3's Newton result folded onto h >= 0 loses its zeros on either
+    # side of the origin, and keeps its boundary gap
+    newton = shooting._newton
+
+    def folded(*args, **kwargs):
+        u, fnorm, iters = newton(*args, **kwargs)
+        return np.abs(u), fnorm, iters
+
+    monkeypatch.setattr(shooting, "_newton", folded)
+    with pytest.raises(PolishDiverged, match="^polished profile has 1 interior zeros, "
+                                             "requested 3$"):
+        find_solution(SolveRequest(P33, "odd", 3))
+
+
+def test_solve_level_is_find_solution_verified():
+    req = SolveRequest(P33, "even", 2)
+    shot, prof, diag = solve_level(req)
+    assert shot == shooting.shoot(req)
+    alone = find_solution(req)
+    assert (prof.half_h.tobytes(), prof.provenance) == (alone.half_h.tobytes(),
+                                                        alone.provenance)
+    assert diag == verify_solution(prof) and diag.passed
+
+
+def test_solve_level_refuses_what_verify_refuses():
+    # (3, 100) level 2 on the default grid: Newton converges and finish
+    # accepts it, but W falls by 1.4e-5 on x > 0, above W_TOL
+    req = SolveRequest(ProblemParams(3, 100.0), "even", 2)
+    failures = verify_solution(find_solution(req)).failures
+    assert len(failures) == 1
+    with pytest.raises(PolishDiverged, match=r"^Lyapunov monotonicity violated by 1\.406e-05$"):
+        solve_level(req)
 
 
 def test_boundary_gap_failure_propagates():
@@ -1288,3 +1328,49 @@ def test_verify_flags_wrong_boundary():
     assert any("boundary gap" in f for f in diag.failures)
     # one gap, h(X)'s, which the mirror makes h(-X)'s too
     assert diag.boundary_gap == HALF_PI - math.tanh(20.0)
+
+
+def test_verify_scores_an_end_value_off_the_equator_as_a_boundary_gap():
+    # h(X) = 0.5 lies between the equator test's 0.25 and pi/2: a gap, not
+    # the equator branch
+    prof = Profile(P33, "odd", 20.0, 0.5 * np.tanh(half_grid(20.0, 4001)))
+    diag = verify_solution(prof)
+    assert not diag.singular_branch
+    assert f"boundary gap {HALF_PI - 0.5:.3e} exceeds 1.0e-06" in diag.failures
+    assert not any("equator" in f for f in diag.failures)
+
+
+def test_verify_flags_a_falling_lyapunov_quantity():
+    # the one-zero profile of (3, 3) scored as a solution for omega = 0.5:
+    # along it W' = h' ((m-1) tanh(x) h' - (m-omega)/2 sin 2h) < 0 for omega < 1
+    h = gudermann_profile().half_h
+    diag = verify_solution(Profile(ProblemParams(3, 0.5), "odd", 20.0, h))
+    assert diag.w_violation > shooting.W_TOL
+    assert f"Lyapunov monotonicity violated by {diag.w_violation:.3e}" in diag.failures
+
+
+def test_verify_flags_a_profile_past_the_constraint_band(ground33):
+    # a profile may hold values up to TOL_CONSTRAINT past pi/2, which
+    # verify refuses
+    half_h = ground33.half_h.copy()
+    half_h[-1] = HALF_PI + 5e-10
+    diag = verify_solution(Profile(P33, "odd", ground33.cutoff, half_h))
+    assert diag.constraint_excess == pytest.approx(5e-10, rel=1e-6)
+    assert f"constraint band exceeded by {diag.constraint_excess:.3e}" in diag.failures
+
+
+def test_verify_flags_energy_above_the_singular_level(records33):
+    # level 2 squeezed onto a quarter of its window: four times the gradient
+    # energy puts it above the singular level
+    prof = records33[("even", 2)].profile
+    squeezed = dataclasses.replace(prof, cutoff=prof.cutoff / 4.0)
+    diag = verify_solution(squeezed)
+    assert diag.energy_margin < 0.0 and not diag.singular_branch
+    assert ENERGY_FAILURE in diag.failures
+
+
+@pytest.mark.parametrize("margin", [0.0, math.nan])
+def test_verify_refuses_a_clearance_that_is_not_positive(margin, ground33, monkeypatch):
+    # the one clearance rule of solve and sweep: a NaN clearance is refused too
+    monkeypatch.setattr(shooting, "clearance", lambda prof: margin)
+    assert verify_solution(ground33).failures == (ENERGY_FAILURE,)

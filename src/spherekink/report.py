@@ -153,9 +153,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             failures.append((cls, zeros, str(exc)))
             continue
         shots[cls] = shot
-        rec = SolutionRecord(prof, diag.energy_value, morse_index(prof), weighted_norm(prof))
-        vars(rec)["clearance"] = diag.energy_margin     # verify's core.clearance, cached
-        records.append(rec)
+        records.append(SolutionRecord(prof, diag.energy_value, morse_index(prof),
+                                      weighted_norm(prof)))
     records.sort(key=lambda r: r.sequence_key)
     return SweepReport(config, tuple(records), tuple(sorted(failures)))
 

@@ -630,7 +630,7 @@ def solve_level(req: SolveRequest, *, prior: Shot | None = None) -> tuple:
     prof = finish(req, shot)
     diag = verify_solution(prof)
     if not diag.passed:
-        raise PolishDiverged("; ".join(diag.failures))
+        raise PolishDiverged("verification refused: " + "; ".join(diag.failures))
     return shot, prof, diag
 
 

@@ -3,18 +3,18 @@
 Each mutant replaces one snippet of one package module.  For each, this
 script copies src/, tests/ and pyproject.toml into a temporary directory,
 applies the mutant there and runs `python -m pytest -x -q` on the copy.  The
-mutant is killed when pytest reports a failed test (exit code 1).  A mutant
-that the suite passes, a pytest run that ends any other way, and a snippet
-that does not occur exactly once in its module each fail the script, so a
-refactor that moves a snippet shows here instead of leaving a mutant that
-breaks nothing.  pytest does not collect this file (it has no test_ prefix).
+mutant is killed when pytest reports a failed test (exit code 1).  The
+unmutated copy runs first and must pass, so that a kill is the mutant's
+doing and not a failure the suite has anyway.  A mutant that the suite
+passes, a pytest run that ends any other way, and a snippet that does not
+occur exactly once in its module each fail the script, so a refactor that
+moves a snippet shows here instead of leaving a mutant that breaks nothing.
+pytest does not collect this file (it has no test_ prefix).
 
-    python tests/mutants.py             # every mutant
-    python tests/mutants.py --list      # their names
-    python tests/mutants.py NAME ...    # the named ones
+    python tests/mutants.py
 
-A kill takes a few seconds to about half a minute with -x; a survivor costs
-the whole suite.
+The unmutated run costs the whole suite; a kill takes a few seconds to
+about half a minute with -x, and a survivor costs the whole suite.
 """
 
 from __future__ import annotations
@@ -80,43 +80,44 @@ def apply(dest: Path, module: str, snippet: str, replacement: str) -> None:
     path.write_text(text.replace(snippet, replacement), encoding="utf-8")
 
 
-def run(name: str, module: str, snippet: str, replacement: str) -> bool:
-    """True when the suite kills the mutant."""
-    with tempfile.TemporaryDirectory(prefix=f"mutant-{name}-") as tmp:
+def pytest_copy(mutant: tuple = ()) -> tuple:
+    """(pytest's exit code, its output tail, seconds) on a copy with the
+    mutant (module, snippet, replacement) applied; () leaves it unmutated."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         dest = Path(tmp)
         copy_tree(dest)
-        apply(dest, module, snippet, replacement)
+        if mutant:
+            apply(dest, *mutant)
         env = dict(os.environ, PYTHONPATH=str(dest / "src"))
         start = time.perf_counter()
         done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q",
                                "-p", "no:cacheprovider"],
                               cwd=dest, env=env, capture_output=True, text=True)
         took = time.perf_counter() - start
-    if done.returncode == 1:
-        print(f"killed    {name} ({took:.1f} s)", flush=True)
-        return True
-    outcome = "survived" if done.returncode == 0 else f"pytest exit {done.returncode}"
-    print(f"{outcome:<9} {name} ({took:.1f} s)\n{done.stdout[-2000:]}{done.stderr[-2000:]}",
-          flush=True)
-    return False
+    return done.returncode, f"{done.stdout[-2000:]}{done.stderr[-2000:]}", took
 
 
-def main(argv: list) -> int:
-    if argv == ["--list"]:
-        print("\n".join(name for name, *_ in MUTANTS))
-        return 0
-    known = {name: mutant for name, *mutant in MUTANTS}
-    unknown = [name for name in argv if name not in known]
-    if unknown:
-        raise SystemExit(f"unknown mutants: {', '.join(unknown)}")
-    chosen = argv or list(known)
-    missed = [name for name in chosen if not run(name, *known[name])]
-    if missed:
-        print(f"{len(missed)} of {len(chosen)} mutants not killed: {', '.join(missed)}")
+def main() -> int:
+    code, tail, took = pytest_copy()
+    if code != 0:
+        print(f"the unmutated suite does not pass (pytest exit {code}, {took:.1f} s)\n{tail}")
         return 1
-    print(f"all {len(chosen)} mutants killed")
+    print(f"passed    unmutated ({took:.1f} s)", flush=True)
+    missed = []
+    for name, *mutant in MUTANTS:
+        code, tail, took = pytest_copy(mutant)
+        if code == 1:
+            print(f"killed    {name} ({took:.1f} s)", flush=True)
+            continue
+        outcome = "survived" if code == 0 else f"pytest exit {code}"
+        print(f"{outcome:<9} {name} ({took:.1f} s)\n{tail}", flush=True)
+        missed.append(name)
+    if missed:
+        print(f"{len(missed)} of {len(MUTANTS)} mutants not killed: {', '.join(missed)}")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -123,7 +123,7 @@ def test_solve_exit_three_and_no_file_when_verification_refuses(tmp_path, capsys
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("spherekink: polish failed: "
+    assert captured.err == ("spherekink: polish failed: verification refused: "
                             "Lyapunov monotonicity violated by 1.406e-05\n")
     assert list(tmp_path.iterdir()) == []
 
@@ -303,7 +303,7 @@ def test_sweep_fails_the_levels_verification_refuses(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 5
     assert capsys.readouterr().err.splitlines() == [
-        "failed even/2: Lyapunov monotonicity violated by 1.406e-05"]
+        "failed even/2: verification refused: Lyapunov monotonicity violated by 1.406e-05"]
     doc = read_json(tmp_path / "sweep.json")
     assert sorted(r["zeros"] for r in doc["records"]) == [1, 3, 4]
     assert not (tmp_path / "solution_even_2.json").exists()
@@ -319,7 +319,8 @@ def test_sweep_publishes_no_level_of_an_unresolved_grid(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert [ln.partition(": ")[0] for ln in lines] == [
         "failed even/2", "failed even/4", "failed odd/1", "failed odd/3", "all levels failed"]
-    assert all(ln.partition(": ")[2].startswith("Lyapunov monotonicity violated by ")
+    assert all(ln.partition(": ")[2].startswith(
+        "verification refused: Lyapunov monotonicity violated by ")
                for ln in lines[:4])
     assert read_json(tmp_path / "sweep.json")["records"] == []
 

@@ -135,14 +135,11 @@ def test_failures_are_collected_not_raised():
     assert "transition" in message or "bracket" in message.lower()
 
 
-def test_a_record_takes_its_energy_and_clearance_from_verification(monkeypatch):
-    # verify_solution computes each once per level, and the record keeps them
-    derived = []
-    monkeypatch.setattr(report, "clearance", lambda prof: derived.append(prof))
+def test_a_record_carries_its_profiles_energy_and_clearance():
+    # the energy is verify_solution's, the clearance the record's own
     rep = run_sweep(SweepConfig(P33, 2, **SMALL))
     for rec in rep.records:
         assert (rec.energy, rec.clearance) == (energy(rec.profile), clearance(rec.profile))
-    assert derived == []
 
 
 def _fail_level_two(stage):
@@ -162,8 +159,10 @@ def _fail_level_two(stage):
     return {"finish": finish, "verify_solution": verify_solution}[stage]
 
 
-@pytest.mark.parametrize("stage", ["finish", "verify_solution"])
-def test_a_failed_level_leaves_its_class_without_a_prior(stage, monkeypatch):
+@pytest.mark.parametrize("stage, message", [("finish", "refused"),
+                                            ("verify_solution", "verification refused: refused")],
+                         ids=["finish", "verify_solution"])
+def test_a_failed_level_leaves_its_class_without_a_prior(stage, message, monkeypatch):
     # level 2 fails to polish, or verification refuses it: the failure is
     # its message, and level 4's search starts from the level law, not from
     # level 2's shot, and finds the bracket it finds alone
@@ -178,7 +177,7 @@ def test_a_failed_level_leaves_its_class_without_a_prior(stage, monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(shooting, "shoot", recording)
         rep = run_sweep(SweepConfig(P33, 4))
-    assert rep.failures == (("even", 2, "refused"),)
+    assert rep.failures == (("even", 2, message),)
     assert [r.sequence_key for r in rep.records] == [("even", 4), ("odd", 1), ("odd", 3)]
     assert shots[4].step is None and shots[3].step is not None
     alone = shoot(shooting.SolveRequest(P33, "even", 4))

@@ -1091,7 +1091,8 @@ def test_solve_level_refuses_what_verify_refuses():
     req = SolveRequest(ProblemParams(3, 100.0), "even", 2)
     failures = verify_solution(find_solution(req)).failures
     assert len(failures) == 1
-    with pytest.raises(PolishDiverged, match=r"^Lyapunov monotonicity violated by 1\.406e-05$"):
+    with pytest.raises(PolishDiverged, match=r"^verification refused: "
+                                             r"Lyapunov monotonicity violated by 1\.406e-05$"):
         solve_level(req)
 
 

@@ -236,11 +236,10 @@ def _cmd_index(args, parser) -> int:
     cutoff = args.cutoff if args.cutoff is not None else prof.cutoff
     n = args.grid if args.grid is not None else prof.n
     if cutoff != prof.cutoff or n != prof.n:
-        prof = resample(prof, cutoff, n)
-        # the request's grid sets the tolerance newton_polish stops at
+        # the request refuses a bad grid before resampling, and sets newton_polish's tolerance
         req = SolveRequest(prof.params, class_of_level(prof.zero_count),
                            prof.zero_count, cutoff=cutoff, grid_size=n)
-        prof = newton_polish(prof, req)
+        prof = newton_polish(resample(prof, cutoff, n), req)
     rep = morse_index(prof)
     print(dumps(report_to_doc(rep)))
     return 0

@@ -105,7 +105,7 @@ class NuPerturbation:
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Domain dimension m >= 2, eigenvalue omega > 0, optional perturbation."""
+    """Domain dimension m >= 2, eigenvalue 0 < omega < inf, optional perturbation."""
 
     m: int
     omega: float
@@ -116,8 +116,8 @@ class ProblemParams:
             raise ValueError("m must be an integer >= 2")
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "omega", float(self.omega))
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
+        if not 0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
 
     def nu_at(self, x):
         """nu sampled at x (scalar or array); zero when unset."""
@@ -153,13 +153,19 @@ def grid_spacing(cutoff: float, n: int) -> float:
     return 2.0 * cutoff / (n - 1)
 
 
+def finite_cutoff(cutoff: float) -> float:
+    """cutoff as a float; ValueError unless it is positive and finite."""
+    if not 0.0 < cutoff < math.inf:
+        raise ValueError("cutoff must be positive and finite")
+    return float(cutoff)
+
+
 def half_grid(cutoff: float, n: int) -> np.ndarray:
     """The (n + 1) / 2 nodes x >= 0 of symmetric_grid(cutoff, n), from x = 0."""
-    if not cutoff > 0:
-        raise ValueError("cutoff must be positive")
+    cutoff = finite_cutoff(cutoff)
     if n < 3 or n % 2 == 0:
         raise ValueError("grid size must be odd and >= 3")
-    return np.linspace(0.0, float(cutoff), (n + 1) // 2)
+    return np.linspace(0.0, cutoff, (n + 1) // 2)
 
 
 def symmetric_grid(cutoff: float, n: int) -> np.ndarray:
@@ -198,15 +204,13 @@ class Profile:
     provenance: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "cutoff", float(self.cutoff))
+        object.__setattr__(self, "cutoff", finite_cutoff(self.cutoff))
         object.__setattr__(self, "half_h", _frozen(np.array(self.half_h, dtype=float)))
         half_h = self.half_h
         if self.symmetry_class not in ("even", "odd"):
             raise ValueError(f"symmetry_class must be 'even' or 'odd', not {self.symmetry_class!r}")
         if half_h.ndim != 1 or half_h.size < 3:
             raise ValueError("half_h must be a 1-d array of >= 3 values")
-        if not 0.0 < self.cutoff < math.inf:
-            raise ValueError("cutoff must be positive")
         if not np.all(np.abs(half_h) <= HALF_PI + TOL_CONSTRAINT):
             raise ValueError("profile leaves the band |h| <= pi/2")
         if self.symmetry_class == "odd" and half_h[0] != 0.0:

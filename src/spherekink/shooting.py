@@ -70,6 +70,7 @@ from .core import (
     decay_rate,
     el_residual,
     energy,
+    finite_cutoff,
     grid_spacing,
     half_grid,
     linear_tail,
@@ -165,17 +166,27 @@ class SolveRequest:
         if self.symmetry_class != class_of_level(self.total_zeros):
             raise ValueError(f"{self.symmetry_class} class requires an "
                              f"{self.symmetry_class} total zero count")
-        if math.tanh(self.cutoff) < 0.999:
+        if math.tanh(finite_cutoff(self.cutoff)) < 0.999:
             raise ValueError("cutoff too small: need tanh(cutoff) >= 0.999")
         if self.grid_size < 5 or self.grid_size % 2 == 0:
             raise ValueError("grid_size must be odd and >= 5")
+        # the finest grid whose stopping tolerance verify_solution accepts
+        finest = 1 + 2 * int(self.cutoff / math.sqrt(newton_tolerance(1.0) / RESIDUAL_TOL))
         if self.newton_tol > RESIDUAL_TOL:
-            # finest spacing whose stopping tolerance verify_solution accepts
-            dx_min = math.sqrt(newton_tolerance(1.0) / RESIDUAL_TOL)
             raise ValueError(
                 f"grid_size {self.grid_size} too fine for cutoff {self.cutoff:g}: Newton "
                 f"stops at residual {self.newton_tol:.3e}, above the certificate's "
-                f"{RESIDUAL_TOL:.0e}; use grid_size <= {1 + 2 * int(self.cutoff / dx_min)}")
+                f"{RESIDUAL_TOL:.0e}; use grid_size <= {finest}")
+        nu = self.params.nu
+        rough = (self.params.omega * (1.0 + (0 if nu is None else np.max(nu.values, initial=0.0)))
+                 * grid_spacing(self.cutoff, self.grid_size) ** 2)
+        if rough >= 4.0:
+            reach = 0.25 * (self.grid_size - 1) * math.sqrt(rough)   # (N - 1) / 2 must exceed it
+            fix = (f"use grid_size >= {3 + 2 * int(reach)}" if reach < (finest - 1) // 2
+                   else f"no grid_size <= {finest}, the certificate's bound, does")
+            raise ValueError(f"grid_size {self.grid_size} too coarse for omega {self.params.omega:g}: "
+                             f"omega (1 + max nu) dx^2 = {rough:.3g} >= 4, where the "
+                             f"central-difference recurrence stops oscillating; {fix}")
 
     @property
     def newton_tol(self) -> float:

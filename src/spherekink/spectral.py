@@ -41,12 +41,11 @@ quotient with a small residual, and one count just below it certifies
 which eigenvalue it is.  Where that count reads another index, or the
 residual stays large, the index-range call runs instead.
 
-A report counts at -10 null bands first.  The blocks' coarse copies at
-the finer spacing guess that count in O(N/s), and the margin pair for the
-guess settles it where the pair clears the shift on both sides by the
-width it is placed to: the pair's own certifying counts then fix the
-count, and no whole-block count is made for it.  Otherwise, as where no
-stride fits, the count is made.
+A report takes one of two paths.  Where the margin pair for the count at
+-10 null bands that the coarse copies guess, in O(N/s), clears the widest
+band on both sides by the width it is placed to, its certifying counts fix
+the index and an empty band, with no whole-block count.  Otherwise, as
+where no stride fits, the six counts at +-10, +-1 and +-0.1 bands are made.
 
 For the equator branch, where V tends to (m-1)^2/4 - omega < 0 at both
 ends, families of disjoint tent functions placed in the far field give an
@@ -62,7 +61,8 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
-from .core import ProblemParams, Profile, grid_spacing, half_grid, sech, singular_profile
+from .core import (ProblemParams, Profile, finite_cutoff, grid_spacing, half_grid, sech,
+                   singular_profile)
 from .serialize import floats, integer, listed, number, reading, refuse_unknown
 
 NULL_BAND = 1e-6          # eigenvalues within +-band of 0 count toward the nullity
@@ -333,48 +333,33 @@ def schrodinger_index(problem: SchrodingerProblem) -> SpectralReport:
     Weyl's inequality no change of the potential smaller in max-norm than
     their distance from -NULL_BAND can change the index.
 
-    The count c at -10 NULL_BAND comes first, and the margin pair for it.
-    c is guessed from the blocks' coarse copies (_coarse_count) and taken
-    without a whole-block count when the pair, each eigenvalue placed within
-    w = _width, clears -10 NULL_BAND by w on both sides: lambda_{c-1} + w <
-    -10 NULL_BAND < lambda_c - w (the upper inequality alone at c = 0).  Where no
-    stride fits, the guess is n - 2 or more, or the pair does not clear the
-    shift, c is counted, and the pair made again if it differs from the
-    guess.  Either way c and its pair are the same.  c puts lambda_c at or
-    above -10 NULL_BAND; when the pair places lambda_c above +10 NULL_BAND
-    as well, no eigenvalue lies in the widest band, so the index is c and
-    the nullity is 0 at every band.  Otherwise the count at +10 NULL_BAND
-    follows.  A count never decreases as the shift grows, so when the two
-    are equal every count between them equals them; only when they differ
-    are the four inner counts made, and the pair made again if the index is
-    not c.
+    The coarse copies guess the count c at -10 NULL_BAND (_coarse_count).
+    When the pair for c, placed within w = _width, clears the widest band by
+    w (lambda_c - w > 10 NULL_BAND, and lambda_{c-1} + w < -10 NULL_BAND for
+    c > 0), its certifying counts fix the index c and an empty band, with no
+    whole-block count.  Otherwise the six counts at +-10, +-1 and +-0.1
+    NULL_BAND are made, and the pair found again for an index other than c.
     """
     wide, narrow, tol = 10.0 * NULL_BAND, 0.1 * NULL_BAND, 0.1 * NULL_BAND
-    s, width = _stride(problem), _width(problem, tol)
+    width = _width(problem, tol)
 
     def straddling(index):
-        # the matrix has n - 2 eigenvalues: with all of them below the
-        # band, the margin is the highest alone
+        # with all n - 2 eigenvalues below the band, the margin is the highest alone
         return eigenvalues_below(problem, min(index + 1, problem.n - 2), max(index - 1, 0),
                                  tol=tol)
 
-    guess = _coarse_count(problem, s, -wide)
-    margin = straddling(guess) if guess is not None and guess < problem.n - 2 else None
-    certified = (margin is not None and margin[-1] - width > -wide
-                 and (guess == 0 or margin[0] + width < -wide))
-    below = guess if certified else negative_count(problem, -wide)
-    if margin is None or below != guess:
-        margin = straddling(below)
-    clear = margin[-1] - width > wide
-    above = below if clear else negative_count(problem, wide)
-    if below == above:
-        index, nullity, sensitivity = below, 0, ((wide, 0), (narrow, 0))
+    guess = _coarse_count(problem, _stride(problem), -wide)
+    margin = None if guess is None else straddling(guess)
+    if (margin is not None and margin[-1] - width > wide
+            and (guess == 0 or margin[0] + width < -wide)):
+        index, nullity, sensitivity = guess, 0, ((wide, 0), (narrow, 0))
     else:
-        index = negative_count(problem, -NULL_BAND)
-        nullity = negative_count(problem, NULL_BAND) - index
-        sensitivity = ((wide, above - below),
-                       (narrow, negative_count(problem, narrow) - negative_count(problem, -narrow)))
-        if index != below:
+        count = {b: negative_count(problem, b)
+                 for b in (-wide, wide, -NULL_BAND, NULL_BAND, -narrow, narrow)}
+        index = count[-NULL_BAND]
+        nullity = count[NULL_BAND] - index
+        sensitivity = tuple((b, count[b] - count[-b]) for b in (wide, narrow))
+        if index != guess:
             margin = straddling(index)
     flags = []
     if nullity >= 2:
@@ -402,7 +387,7 @@ def truncated_singular_count(params: ProblemParams, cutoff: float) -> int:
     comparable; under the instability condition the count grows without
     bound as the cutoff does.
     """
-    n = 2 * int(round(NODES_PER_UNIT * cutoff)) + 1
+    n = 2 * int(round(NODES_PER_UNIT * finite_cutoff(cutoff))) + 1
     prof = singular_profile(params, cutoff=cutoff, n=n)
     return negative_count(build_schrodinger(prof), 0.0)
 
@@ -492,7 +477,7 @@ def witness_subspace(params: ProblemParams, k: int) -> WitnessFamily:
     with epsilon = |far-field floor|/2.  A tent of half-width a with
     a^2 > 3/epsilon has flat-form value 2a + int V F^2 <= 2a - 2 epsilon a^3/3
     < 0; half-width 2 sqrt(3/epsilon) is used for margin.  Tent i occupies
-    [K + 2ai, K + 2a(i+1)].
+    [K + 2ai, K + 2a(i+1)]; a family that rounding leaves not negative is refused.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -504,17 +489,18 @@ def witness_subspace(params: ProblemParams, k: int) -> WitnessFamily:
     m1 = params.m - 1
     beta = 0.25 * m1 * m1 + 0.5 * m1
     starts = tuple(kk + 2.0 * a * i for i in range(1, k + 1))
-    funcs = []
     diag = []
     quad_err = 0.0
     for c in starts:
         coarse = _tent_sech2_integral(c, a, QUAD_DIVISIONS // 2)
         fine = _tent_sech2_integral(c, a, QUAD_DIVISIONS)
         quad_err = max(quad_err, abs(fine - coarse))
-        q = 2.0 * a + floor * (2.0 * a ** 3 / 3.0) - beta * fine
-        funcs.append(WitnessFunction(c, a))
-        diag.append(q)
+        diag.append(2.0 * a + floor * (2.0 * a ** 3 / 3.0) - beta * fine)
+    if not all(q < 0.0 for q in diag):
+        raise ValueError(f"no witness family at omega = {params.omega:g}: tents of half-width "
+                         f"{a:.3g} give a Gram diagonal entry {max(diag):.3g}, not negative")
     return WitnessFamily(params=params, epsilon=epsilon,
                          threshold_radius=kk, half_width=a, starts=starts,
-                         functions=tuple(funcs), gram_diagonal=tuple(diag),
+                         functions=tuple(WitnessFunction(c, a) for c in starts),
+                         gram_diagonal=tuple(diag),
                          quadrature_error=quad_err)

@@ -50,6 +50,12 @@ MUTANTS = (
      "RESIDUAL_TOL = 1e-8 ", "RESIDUAL_TOL = 1e-6 "),
     ("no-nullity-flag", "spectral.py",
      "if nullity >= 2:", "if False:"),
+    ("certified-upper-without-width", "spectral.py",
+     "margin[-1] - width > wide", "margin[-1] > wide"),
+    ("certified-lower-without-width", "spectral.py",
+     "margin[0] + width < -wide", "margin[0] < -wide"),
+    ("certified-without-lower-clause", "spectral.py",
+     "and (guess == 0 or margin[0] + width < -wide)", ""),
     ("verify-without-w-clause", "shooting.py",
      "if w_violation > W_TOL:", "if False:"),
     ("verify-without-constraint-band", "shooting.py",

@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from spherekink import cli
 from spherekink.cli import main
 from spherekink.core import ProblemParams, half_grid, singular_profile
 from spherekink.serialize import load_profile, read_json, save_profile, write_json
@@ -83,6 +85,41 @@ def test_solve_refuses_a_grid_finer_than_the_certificate(capsys):
     err = capsys.readouterr().err
     assert "too fine for cutoff 20" in err
     assert "use grid_size <= 107091" in err
+
+
+@pytest.mark.parametrize("omega, named", [
+    # a grid of 4475 nodes puts omega dx^2 just under 4
+    ("5e4", "omega (1 + max nu) dx^2 = 5 >= 4, where the central-difference recurrence "
+            "stops oscillating; use grid_size >= 4475"),
+    # 1e307 dx^2 >= 4 on every grid the certificate allows
+    ("1e307", "no grid_size <= 107091, the certificate's bound, does"),
+])
+@pytest.mark.parametrize("command", [["solve", "--zeros", "1"], ["sweep", "--max-zeros", "2"]])
+def test_an_omega_the_grid_cannot_resolve_is_refused_before_any_run(command, omega, named,
+                                                                    tmp_path, capsys):
+    argv = ["--out", str(tmp_path), command[0], "--m", "3", "--omega", omega, *command[1:]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"spherekink: error: grid_size 4001 too coarse for omega {float(omega):g}")
+    assert err.endswith(named + "\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["solve", "--zeros", "1"], ["sweep", "--max-zeros", "2"],
+                                     ["singular-index"]])
+def test_an_omega_that_is_not_finite_is_refused(command, tmp_path, capsys):
+    argv = ["--out", str(tmp_path), command[0], "--m", "3", "--omega", "inf", *command[1:]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "spherekink: error: omega must be positive and finite\n"
+
+
+def test_a_witness_family_that_underflows_is_refused(capsys):
+    # at omega = 1e250 the tents' half-width a is 4.9e-125, so a^3 underflows
+    # and the flat-form value 2a - ... reads positive
+    assert main(["singular-index", "--m", "3", "--omega", "1e250"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("refused: no witness family at omega = 1e+250")
+    assert "not negative" in err
 
 
 def test_solve_writes_verified_solution(solved, capsys):
@@ -244,8 +281,33 @@ def test_singular_index_refuses_stable_regime(capsys):
 
 
 def test_singular_index_names_a_bad_cutoff(capsys):
-    assert main(["singular-index", "--m", "3", "--omega", "3", "--cutoff", "-1"]) == 1
-    assert capsys.readouterr().err == "spherekink: error: cutoff must be positive\n"
+    for cutoff in ("-1", "inf", "nan"):
+        assert main(["singular-index", "--m", "3", "--omega", "3", "--cutoff", cutoff]) == 1
+        assert capsys.readouterr().err == "spherekink: error: cutoff must be positive and finite\n"
+
+
+@pytest.mark.parametrize("command", [["solve", "--m", "3", "--omega", "3", "--zeros", "1"],
+                                     ["sweep", "--m", "3", "--omega", "3", "--max-zeros", "2"],
+                                     ["index", "--solution"]])
+@pytest.mark.parametrize("cutoff", ["inf", "nan"])
+def test_a_cutoff_that_is_not_finite_is_refused_before_any_grid(command, cutoff, solved,
+                                                                tmp_path, capsys):
+    if command[0] == "index":
+        command = command + [str(solved)]
+    # an error filter turns numpy's overflow warning from sizing a grid into a failure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--out", str(tmp_path), *command, "--cutoff", cutoff]) == 1
+    assert capsys.readouterr().err == "spherekink: error: cutoff must be positive and finite\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_index_refuses_a_grid_before_resampling(solved, monkeypatch, capsys):
+    resampled = []
+    monkeypatch.setattr(cli, "resample", lambda *args: resampled.append(args))
+    assert main(["index", "--solution", str(solved), "--grid", "200001"]) == 1
+    assert "use grid_size <= 85673" in capsys.readouterr().err
+    assert resampled == []
 
 
 # -- sweep -------------------------------------------------------------------------

@@ -1269,6 +1269,26 @@ def test_request_refuses_a_grid_finer_than_the_certificate(cutoff, largest):
         SolveRequest(P33, "odd", 1, cutoff=cutoff, grid_size=largest + 2)
 
 
+@pytest.mark.parametrize("height, resolved, refused", [
+    (None, 39990.0, 40010.0), (0.5, 26600.0, 26700.0), (-0.5, 39990.0, 40010.0)])
+def test_request_refuses_a_grid_that_cannot_resolve_omega(height, resolved, refused):
+    # the central-difference recurrence about h = 0 oscillates only while
+    # omega (1 + max(nu, 0)) dx^2 < 4, and dx = 0.01 on the default grid;
+    # the grid size the refusal names is the smallest that resolves omega
+    def request(omega, grid_size=DEFAULT_GRID_SIZE):
+        nu = None if height is None else nu_params(height).nu
+        return SolveRequest(ProblemParams(3, omega, nu), "odd", 1, grid_size=grid_size)
+
+    request(resolved)
+    with pytest.raises(ValueError, match=r"^grid_size 4001 too coarse for omega .* "
+                                         r"use grid_size >= \d+$") as refusal:
+        request(refused)
+    named = int(str(refusal.value).rsplit(" ", 1)[1])
+    request(refused, named)
+    with pytest.raises(ValueError, match="too coarse for omega"):
+        request(refused, named - 2)
+
+
 def test_newton_polish_preserves_declared_parity(exact_profile):
     req = SolveRequest(P33, "odd", 1)
     polished = newton_polish(exact_profile, req)

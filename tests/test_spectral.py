@@ -233,6 +233,11 @@ def test_morse_index_rejects_coarse_grids():
         morse_index(gudermann_profile(n=999))
 
 
+# the shifts of a report's plain path, in the order it counts at them
+PLAIN_SHIFTS = [-10.0 * NULL_BAND, 10.0 * NULL_BAND, -NULL_BAND, NULL_BAND,
+                -0.1 * NULL_BAND, 0.1 * NULL_BAND]
+
+
 def record_shifts(monkeypatch):
     """List of the shifts of every negative_count call made from here on."""
     shifts = []
@@ -271,19 +276,32 @@ def test_a_genuine_level_makes_no_negative_count(zeros, records33, monkeypatch):
     assert rep.band_sensitivity == ((10.0 * NULL_BAND, 0), (0.1 * NULL_BAND, 0))
 
 
+@pytest.mark.parametrize("zeros", range(1, 9))
+def test_a_deep_level_makes_no_negative_count(zeros, records55, monkeypatch):
+    # (5,5) levels 1-8 at X=30, N=6001 take the certified path too, each
+    # eigenvalue of the pair found from its coarse estimate
+    prof = records55[zeros].profile
+    shifts = record_shifts(monkeypatch)
+    _, fallbacks = record_lapack(monkeypatch)
+    rep = morse_index(prof)
+    assert shifts == [] and fallbacks == []
+    assert (rep.index, rep.nullity_estimate, rep.flags) == (zeros, 0, ())
+    assert rep.band_sensitivity == ((10.0 * NULL_BAND, 0), (0.1 * NULL_BAND, 0))
+
+
 @pytest.mark.parametrize("miss", [-1, 1, None])
 @pytest.mark.parametrize("zeros", [1, 2, 3, 4])
 def test_a_wrong_guess_falls_back_to_the_same_report(zeros, miss, records33, monkeypatch):
     # a guess one too low or one too high finds a pair that does not clear
     # -10 NULL_BAND on both sides, and no guess finds no pair: the report
-    # then counts at -10 NULL_BAND and finds the pair for that count
+    # then makes its six plain counts and finds the pair for the index
     prob = build_schrodinger(records33[("odd" if zeros % 2 else "even", zeros)].profile)
     want = schrodinger_index(prob)
     monkeypatch.setattr(spectral, "_coarse_count",
                         lambda *args: None if miss is None else zeros + miss)
     shifts = record_shifts(monkeypatch)
     assert report_to_doc(schrodinger_index(prob)) == report_to_doc(want)
-    assert shifts == [-10.0 * NULL_BAND]
+    assert shifts == PLAIN_SHIFTS
 
 
 def test_a_guess_that_misses_the_spike_states_is_counted_again():
@@ -300,7 +318,7 @@ def test_a_guess_that_misses_the_spike_states_is_counted_again():
 def test_an_eigenvalue_within_tol_above_the_wide_band_is_counted(k, monkeypatch):
     # the well 4 - 8 sech^2 x, shifted so that eigenvalue k sits 0.05 NULL_BAND
     # above +10 NULL_BAND: the margin pair, placed within 0.1 NULL_BAND, cannot
-    # tell it from one inside the band, so the count at +10 NULL_BAND is made
+    # tell it from one inside the band, so the six plain counts are made
     g = half_grid(8.0, 401)
     v = 4.0 - 8.0 / np.cosh(g) ** 2
     at = 10.05 * NULL_BAND
@@ -309,9 +327,37 @@ def test_an_eigenvalue_within_tol_above_the_wide_band_is_counted(k, monkeypatch)
     assert lam[k] == pytest.approx(at, abs=1e-11)
     shifts = record_shifts(monkeypatch)
     rep = schrodinger_index(prob)
-    assert shifts == [-10.0 * NULL_BAND, 10.0 * NULL_BAND]
+    assert shifts == PLAIN_SHIFTS
     assert (rep.index, rep.nullity_estimate, rep.flags) == (k, 0, ())
     assert np.max(np.abs(np.array(rep.margin_eigenvalues) - lam[max(k - 1, 0):k + 1])) < 1e-7
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("past, certified", [(0.05, False), (0.2, True)])
+def test_a_right_guess_takes_the_certified_path_only_clear_of_the_wide_band(
+        k, side, past, certified, monkeypatch):
+    # the well 4 - 8 sech^2 x, shifted so that eigenvalue k sits `past` NULL_BAND
+    # outside +10 NULL_BAND (side 1) or -10 NULL_BAND (side -1), and the coarse
+    # guess set to the true count at -10 NULL_BAND (the copies' own guess is
+    # one too high here): the pair, placed within w = 0.1 NULL_BAND, clears
+    # the widest band by w at 0.2 NULL_BAND, not at 0.05
+    g = half_grid(8.0, 401)
+    v = 4.0 - 8.0 / np.cosh(g) ** 2
+    at = side * (10.0 + past) * NULL_BAND
+    prob = SchrodingerProblem(g, v + (at - dense_eigs(SchrodingerProblem(g, v))[k]))
+    lam = dense_eigs(prob)
+    assert lam[k] == pytest.approx(at, abs=1e-11)
+    index = k if side > 0 else k + 1
+    assert spectral._width(prob, 0.1 * NULL_BAND) == 0.1 * NULL_BAND
+    monkeypatch.setattr(spectral, "_coarse_count", lambda *args: index)
+    shifts = record_shifts(monkeypatch)
+    rep = schrodinger_index(prob)
+    assert shifts == ([] if certified else PLAIN_SHIFTS)
+    assert (rep.index, rep.nullity_estimate, rep.flags) == (index, 0, ())
+    assert rep.band_sensitivity == ((10.0 * NULL_BAND, 0), (0.1 * NULL_BAND, 0))
+    assert np.max(np.abs(np.array(rep.margin_eigenvalues)
+                         - lam[max(index - 1, 0):index + 1])) < 1e-7
 
 
 def test_report_flags_fire_at_the_fixed_band(monkeypatch):

@@ -247,6 +247,8 @@ def _cmd_index(args, parser) -> int:
 
 def _cmd_singular_index(args, parser) -> int:
     params = ProblemParams(args.m, args.omega)
+    if args.dims < 0:       # a usage error, not a refused family
+        raise ValueError(f"--dims must be >= 0, not {args.dims}")
     try:
         fam = witness_subspace(params, args.dims)
     except ValueError as exc:

@@ -20,15 +20,20 @@ line by a two-stage process:
    whole grid.  Every trajectory runs scipy's compiled DOP853.  The search
    only asks whether the count exceeds the request, so each run stops once
    that is settled (at the sign change that settles it, or earlier, once
-   the Lyapunov function W says which zeros are left), keeps no step
-   record, and runs at COUNT_RTOL under COUNT_STEP_FACTOR times
-   integrate's step cap: a count only says which side of a transition s
-   lies on, so it only has to see each sign change, and its relative error
-   in s, about steps * COUNT_RTOL, is far below the bracket's width.
+   the Lyapunov function W says which zeros are left) and keeps no step
+   record: a count only says which side of a transition s lies on, so it
+   only has to see each sign change.  The counts that steer the gallop and
+   the bisection run loose, at STEER_RTOL under STEER_STEP_FACTOR times
+   integrate's step cap, and may answer wrongly within a few scan steps of
+   a transition.  Two counts at COUNT_RTOL under COUNT_STEP_FACTOR times
+   the cap, whose relative error in s, about steps * COUNT_RTOL, is far
+   below the bracket's width, certify the bracket's two ends; where one
+   fails, the same search goes on from it at those settings.  So the
+   bracket is the one those counts alone find.
 
 2. The trajectory at the bracket end without an extra zero, one run on the
-   counts' own integrator that records every accepted step, blended into
-   the linearised tail toward +-pi/2, seeds a damped Newton iteration on
+   certifying counts' integrator that records every accepted step, blended
+   into the linearised tail toward +-pi/2, seeds a damped Newton iteration on
    the central-difference discretisation of the boundary value problem on
    the half line [0, cutoff], which the class mirrors onto the full line.
    Row 0 is the class's condition at x = 0: for an even profile the
@@ -86,8 +91,10 @@ MAX_NEWTON_ITER = 25
 BOUNDARY_TOL = 1e-6     # largest accepted end gap pi/2 - |h|
 RTOL = 1e-11            # integrate's relative tolerance: the tests' continuum reference
 ATOL = 1e-13            # DOP853's absolute tolerance, integrate's and the compiled runs'
-COUNT_RTOL = 1e-6       # the compiled DOP853's relative tolerance: the counts' and the seed's
-COUNT_STEP_FACTOR = 2.0  # the compiled runs' step cap, in multiples of integrate's _max_step
+COUNT_RTOL = 1e-6       # the compiled DOP853's rtol: the certifying counts' and the seed's
+COUNT_STEP_FACTOR = 2.0  # their step cap, in multiples of integrate's _max_step
+STEER_RTOL = 1e-3       # the relative tolerance of the counts that only steer shoot's search
+STEER_STEP_FACTOR = 4.0  # their step cap, in multiples of _max_step
 CONTINUATION_WINDOW = 32  # shoot's first step, in scan indices, from a prior's prediction
 SCAN_OCTAVES = 44       # the scan grid runs from scan_cap down to scan_cap 2^-SCAN_OCTAVES
 
@@ -298,27 +305,32 @@ def integrate(h0: float, dh0: float, params: ProblemParams, cutoff: float) -> Tr
 _runners = threading.local()    # .dop853: this thread's compiled integrators, by key
 
 
-def _dop853(params: ProblemParams, solout):
+def _dop853(params: ProblemParams, solout, rtol: float = COUNT_RTOL,
+            step_factor: float = COUNT_STEP_FACTOR):
     """run(y0, x_end): one run of scipy's compiled DOP853 (Hairer's code,
     the method solve_ivp re-implements in Python) from y0 at x = 0 toward
     x_end.  solout(x, y) runs after each accepted step, the start included,
     and stops the run by returning -1.
 
-    Every run, the counts' and the seed's, takes COUNT_RTOL with
-    integrate's ATOL, and steps no longer than the cap COUNT_STEP_FACTOR
-    _max_step, 1/sqrt(1 + omega) at factor 2: still about three accepted
-    steps per shortest zero spacing pi/sqrt(omega (1 + nu)).  An error made
-    along a run maps back to a relative shift in s of about
+    A run takes rtol with integrate's ATOL, and steps no longer than the
+    cap step_factor _max_step.  The defaults, COUNT_RTOL under
+    COUNT_STEP_FACTOR = 2, serve the seed and every count that decides a
+    bracket: a cap of 1/sqrt(1 + omega), still about three accepted steps
+    per shortest zero spacing pi/sqrt(omega (1 + nu)).  An error made along
+    such a run maps back to a relative shift in s of about
     steps * COUNT_RTOL, some 2e-5 for the few dozen steps a run takes, 50
     times below the scan grid's spacing BRACKET_RTOL; the seed strays up to
     about 3e-5 from integrate, below the O(dx^2) gap (1e-4 at dx = 0.01)
     between the continuum orbit and the discrete solution, which Newton
-    closes anyway.  The first step tried is the cap.  DOP853's own (HINIT,
-    Hairer, Norsett & Wanner, Solving ODEs I, II.4) weighs the launch
-    component that is exactly 0 (h(0) of an odd profile, h'(0) of an even
-    one) by ATOL alone, so it starts near 4e-7 and takes 8 steps to grow to
-    the cap, some 100 evaluations a run.  The error test still shrinks a
-    first step that is too long.
+    closes anyway.  shoot's steering counts run at STEER_RTOL under
+    STEER_STEP_FACTOR = 4, the longest steps DOP853's error control then
+    accepts: their answers only choose where the search counts next.  The
+    first step tried is the cap.  DOP853's own (HINIT, Hairer, Norsett &
+    Wanner, Solving ODEs I, II.4) weighs the launch component that is
+    exactly 0 (h(0) of an odd profile, h'(0) of an even one) by ATOL alone,
+    so it starts near 4e-7 and takes 8 steps to grow to the cap, some 100
+    evaluations a run.  The error test still shrinks a first step that is
+    too long.
 
     The integrator is built once for each problem and these settings,
     keyed by value (m, omega, nu's samples), since callers build a fresh
@@ -338,13 +350,13 @@ def _dop853(params: ProblemParams, solout):
     nu = params.nu
     key = (params.m, params.omega,
            None if nu is None else (nu.grid.tobytes(), nu.values.tobytes()),
-           COUNT_RTOL, COUNT_STEP_FACTOR)
+           rtol, step_factor)
     made = vars(_runners).setdefault("dop853", {})
     if key not in made:
-        cap = COUNT_STEP_FACTOR * _max_step(params)
+        cap = step_factor * _max_step(params)
         rhs = _rhs(params)
         # solve_ivp has no step limit, so neither has this run
-        dop = ode(rhs).set_integrator("dop853", rtol=COUNT_RTOL, atol=ATOL, max_step=cap,
+        dop = ode(rhs).set_integrator("dop853", rtol=rtol, atol=ATOL, max_step=cap,
                                       first_step=cap, nsteps=2 ** 31 - 1)._integrator
         dop.set_solout(solout)      # with a solout set, reset asks for one after each step
         dop.reset(2, False)
@@ -358,7 +370,8 @@ def _dop853(params: ProblemParams, solout):
     return run
 
 
-def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
+def _zero_counter(params: ProblemParams, cutoff: float, limit: int,
+                  rtol: float = COUNT_RTOL, step_factor: float = COUNT_STEP_FACTOR):
     """count(h0, dh0): min(limit, the zero_count_half that integrate
     reports), without the dense output and events the search never uses.
 
@@ -379,16 +392,19 @@ def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
       h'^2 >= 2W - omega > 0: h leaves the band with no zero left, and the
       run stops.
 
-    The run takes _dop853's settings: COUNT_RTOL, COUNT_STEP_FACTOR times
-    _max_step as its step cap, and a first step at that cap.  A count only
-    decides which side of a transition s lies on, so it only has to see
-    each sign change of h, and neighbouring values of the scan grid lie a
-    relative BRACKET_RTOL apart.  The seed trajectory, which Newton starts
-    from, runs on the same integrator (_seed): Newton takes its accuracy
-    from the grid, not from the seed.
+    The run takes rtol and a step cap of step_factor times _max_step, with
+    a first step at that cap (_dop853).  The defaults, COUNT_RTOL and
+    COUNT_STEP_FACTOR, are the certifying counts': a count only decides
+    which side of a transition s lies on, so it only has to see each sign
+    change of h, and neighbouring values of the scan grid lie a relative
+    BRACKET_RTOL apart.  The seed trajectory, which Newton starts from, runs
+    on the same integrator (_seed): Newton takes its accuracy from the
+    grid, not from the seed.  shoot steers its search with a second
+    counter at STEER_RTOL and STEER_STEP_FACTOR, whose answers may be wrong
+    within a few scan steps of a transition and decide no bracket.
 
-    Every counter and seed of one problem shares one compiled integrator
-    (_dop853); each run installs its own solout.
+    Every counter and seed of one problem and settings shares one compiled
+    integrator (_dop853); each run installs its own solout.
     """
     state = [0.0, 0]            # h at the last accepted step, sign changes so far
     om = params.omega
@@ -417,7 +433,7 @@ def _zero_counter(params: ProblemParams, cutoff: float, limit: int):
             return -1
         return 0
 
-    run = _dop853(params, solout)
+    run = _dop853(params, solout, rtol, step_factor)
 
     def count(h0: float, dh0: float) -> int:
         _check_start(h0)
@@ -442,10 +458,10 @@ def _launch(s: float, req: SolveRequest) -> tuple:
 def _seed(s: float, req: SolveRequest) -> tuple:
     """(h_at, x_end, t_start) of the seed trajectory with shooting parameter s.
 
-    One run of the counts' compiled DOP853 (_dop853), to integrate's exit
-    wall, records (x, h, h') after each accepted step; x_end is the last
-    step.  h_at is the quintic Hermite interpolant of (h, h', h'') on
-    [0, x_end], with h'' from the equation.  At COUNT_RTOL it strays up to
+    One run of the certifying counts' compiled DOP853 (_dop853), to
+    integrate's exit wall, records (x, h, h') after each accepted step;
+    x_end is the last step.  h_at is the quintic Hermite interpolant of
+    (h, h', h'') on [0, x_end], with h'' from the equation.  At COUNT_RTOL it strays up to
     about 3e-5 from integrate, below the O(dx^2) gap between the continuum
     orbit and the discrete solution that Newton closes anyway, so Newton
     takes as many iterations from it as from integrate's trajectory.  A
@@ -488,7 +504,7 @@ def _scan_value(req: SolveRequest, k: int) -> float:
 class Shot:
     """What the bracket stage decided: the bracket (lo, hi) = (s_i, s_{i-1})
     of the scan grid at index i, in magnitude, for launches of the given
-    sign, and the zero counts the search made.  step is i less the prior's
+    sign, and the zero counts the search made, steering and certifying.  step is i less the prior's
     index when the search started from a prior, else None."""
 
     index: int
@@ -540,30 +556,39 @@ def shoot(req: SolveRequest, *, sign: int = 1, prior: Shot | None = None) -> Sho
     log2(width) + 2 log2(1 + d / width) counts, whatever K is.  A step past
     the end of the grid leaves the rest of it to the bisection.  Without a
     start, or with one outside 0..K, the bisection takes the whole grid, in
-    at most ceil(log2(K + 2)) counts (15 at BRACKET_RTOL = 1e-3).  Every
-    start finds the same index.
+    at most ceil(log2(K + 2)) counts (15 at BRACKET_RTOL = 1e-3).
+
+    These steering counts run at STEER_RTOL under STEER_STEP_FACTOR times
+    _max_step, so near a transition they may answer wrongly.  Only the
+    counts at the default settings certify: i is the bracket once they read
+    the count at or below the request at s_{i-1} and above it at s_i (the
+    grid's ends, -1 and K + 1, read so without a count).  Where one of the
+    two does not, the same search goes on from that end at the default
+    settings, first with a step of one index.  So every start, and every
+    steering answer, finds the index that the default counts alone find.
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     want = req.zeros_half
-    counter = _zero_counter(req.params, req.cutoff, want + 1)
     made = 0
 
-    def above(k: int) -> bool:
-        nonlocal made
-        made += 1
-        return counter(*_launch(sign * _scan_value(req, k), req)) > want
+    def counts_above(rtol: float, step_factor: float):
+        counter = _zero_counter(req.params, req.cutoff, want + 1, rtol, step_factor)
 
+        def above(k: int) -> bool:
+            nonlocal made
+            made += 1
+            return counter(*_launch(sign * _scan_value(req, k), req)) > want
+        return above
+
+    steer = counts_above(STEER_RTOL, STEER_STEP_FACTOR)
+    exact = counts_above(COUNT_RTOL, COUNT_STEP_FACTOR)
     last = math.ceil(SCAN_OCTAVES * math.log(2.0) / math.log(1.0 + BRACKET_RTOL))
-    # the index lies in [lo, hi]: above(lo - 1) is False and above(hi) True,
-    # with -1 and last + 1 standing for the ends of the grid
-    lo, hi = 0, last + 1
-    start = _start(req, prior)
-    if start is not None and not 0 <= start[0] <= last:
-        start = None        # off the grid: the gallop from its end costs more than the bisection
-    if start is not None:
-        k, width = start
-        # a count on the other side puts the next step past the last count's
+
+    def search(above, lo: int, hi: int, k: int, width: int) -> int:
+        # the index lies in [lo, hi]: above(lo - 1) is False and above(hi)
+        # True, with -1 and last + 1 standing for the ends of the grid.  A
+        # count on the other side puts the next step past the last count's
         # index, outside [lo, hi), which ends the gallop
         while lo <= k < hi:
             if above(k):
@@ -571,7 +596,18 @@ def shoot(req: SolveRequest, *, sign: int = 1, prior: Shot | None = None) -> Sho
             else:
                 lo, k = k + 1, k + width
             width *= 2
-    i = bisect.bisect_left(range(last + 1), True, lo, hi, key=above)
+        return bisect.bisect_left(range(last + 1), True, lo, hi, key=above)
+
+    start = _start(req, prior)
+    if start is not None and not 0 <= start[0] <= last:
+        start = None        # off the grid: the gallop from its end costs more than the bisection
+    # k = -1 skips the gallop and leaves the whole grid to the bisection
+    k, width = (-1, 1) if start is None else start
+    i = search(steer, 0, last + 1, k, width)
+    if i > 0 and exact(i - 1):              # the transition lies before i
+        i = search(exact, 0, i - 1, i - 2, 1)
+    elif i <= last and not exact(i):        # it lies past i
+        i = search(exact, i + 1, last + 1, i + 1, 1)
     if i == 0:
         raise NoBracketFound(
             f"zero count already exceeds {want} at the scan cap "

@@ -385,9 +385,14 @@ def truncated_singular_count(params: ProblemParams, cutoff: float) -> int:
 
     Node density is fixed per unit length so counts at different cutoffs are
     comparable; under the instability condition the count grows without
-    bound as the cutoff does.
+    bound as the cutoff does.  The grid needs three spacings on the half
+    line, so a cutoff below 3 / NODES_PER_UNIT is refused before it is built.
     """
-    n = 2 * int(round(NODES_PER_UNIT * finite_cutoff(cutoff))) + 1
+    smallest = 3 / NODES_PER_UNIT
+    if finite_cutoff(cutoff) < smallest:
+        raise ValueError(f"cutoff {cutoff:g} too small for the truncated count's grid of "
+                         f"{NODES_PER_UNIT} nodes per unit length; use a cutoff >= {smallest:g}")
+    n = 2 * int(round(NODES_PER_UNIT * cutoff)) + 1
     prof = singular_profile(params, cutoff=cutoff, n=n)
     return negative_count(build_schrodinger(prof), 0.0)
 

@@ -66,6 +66,10 @@ MUTANTS = (
      "singular = abs(float(h[-1])) < 0.25", "singular = abs(float(h[-1])) < 1.0"),
     ("finish-without-zero-count", "shooting.py",
      "if prof.zero_count != req.total_zeros:", "if False:"),
+    ("steering-bracket-uncertified", "shooting.py",
+     "exact = counts_above(COUNT_RTOL, COUNT_STEP_FACTOR)", "exact = lambda k: k >= i"),
+    ("certifying-counts-at-steering-settings", "shooting.py",
+     "exact = counts_above(COUNT_RTOL, COUNT_STEP_FACTOR)", "exact = steer"),
 )
 
 

@@ -284,6 +284,25 @@ def test_singular_index_names_a_bad_cutoff(capsys):
     for cutoff in ("-1", "inf", "nan"):
         assert main(["singular-index", "--m", "3", "--omega", "3", "--cutoff", cutoff]) == 1
         assert capsys.readouterr().err == "spherekink: error: cutoff must be positive and finite\n"
+    # the count's grid has 100 nodes per unit length and needs three
+    # spacings on the half line: the message names the cutoff and the
+    # smallest one accepted, not the grid it never builds
+    for cutoff in ("1e-3", "0.02", "0.029"):
+        assert main(["singular-index", "--m", "3", "--omega", "3", "--cutoff", cutoff]) == 1
+        assert capsys.readouterr().err == (
+            f"spherekink: error: cutoff {float(cutoff):g} too small for the truncated count's "
+            f"grid of 100 nodes per unit length; use a cutoff >= 0.03\n")
+    assert main(["singular-index", "--m", "3", "--omega", "3", "--cutoff", "0.03"]) == 0
+    assert json.loads(capsys.readouterr().out)["cutoff"] == 0.03
+
+
+def test_singular_index_refuses_negative_dims_as_a_usage_error(capsys):
+    # a negative family size is the caller's mistake (exit 1), not a family
+    # that the hypothesis or rounding refuses (exit 4)
+    assert main(["singular-index", "--m", "3", "--omega", "3", "--dims", "-1"]) == 1
+    assert capsys.readouterr().err == "spherekink: error: --dims must be >= 0, not -1\n"
+    assert main(["singular-index", "--m", "3", "--omega", "3", "--dims", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == 0
 
 
 @pytest.mark.parametrize("command", [["solve", "--m", "3", "--omega", "3", "--zeros", "1"],

@@ -62,19 +62,28 @@ def fresh_runners(monkeypatch):
     return vars(shooting._runners).setdefault("dop853", {})
 
 
+STEERING = (shooting.STEER_RTOL, shooting.STEER_STEP_FACTOR)    # shoot's steering counts
+CERTIFYING = (shooting.COUNT_RTOL, shooting.COUNT_STEP_FACTOR)    # the default settings
+# the counts at the default settings that settle a bracket a steering search
+# found: one at each of its ends where both hold
+CERTIFIED = 2
+
+
 def record_counts(monkeypatch):
-    """List that collects (params, cutoff, limit, h0, dh0, count) for every
-    compiled zero count made from here on."""
+    """List that collects (params, cutoff, limit, settings, h0, dh0, count)
+    for every compiled zero count made from here on, settings being the
+    counter's (rtol, step_factor)."""
     fresh_runners(monkeypatch)
     seen = []
     build = shooting._zero_counter
 
-    def recording(params, cutoff, limit):
-        count = build(params, cutoff, limit)
+    def recording(params, cutoff, limit, *settings):
+        count = build(params, cutoff, limit, *settings)
+        settings = tuple(settings) + CERTIFYING[len(settings):]
 
         def counted(h0, dh0):
             n = count(h0, dh0)
-            seen.append((params, cutoff, limit, h0, dh0, n))
+            seen.append((params, cutoff, limit, settings, h0, dh0, n))
             return n
         return counted
 
@@ -108,11 +117,11 @@ def step_positions(monkeypatch):
     xs = []
     build = shooting._dop853
 
-    def tracking(params, solout):
+    def tracking(params, solout, *settings):
         def tracked(x, y):
             xs.append(x)
             return solout(x, y)
-        return build(params, tracked)
+        return build(params, tracked, *settings)
 
     monkeypatch.setattr(shooting, "_dop853", tracking)
     return xs
@@ -286,9 +295,11 @@ def grid_sample(req):
     return [shooting._scan_value(req, int(k)) for k in np.linspace(0, last_index(), 65).round()]
 
 
-def launched(req, seen):
-    """The shooting parameter of each start that record_counts saw."""
-    return [dh0 if req.symmetry_class == "odd" else h0 for _, _, _, h0, dh0, _ in seen]
+def launched(req, seen, settings=None):
+    """The shooting parameter of each start that record_counts saw, of the
+    counts at the given settings only when they are given."""
+    return [dh0 if req.symmetry_class == "odd" else h0
+            for _, _, _, made, h0, dh0, _ in seen if settings in (None, made)]
 
 
 def whole_grid_shot(req, monkeypatch, **kwargs):
@@ -318,18 +329,21 @@ def test_scan_grid_reaches_the_cap_over_2_to_the_44():
                                            (HOPF32, 3), (HOPF32, 4),
                                            (EICONAL4, 3), (EICONAL4, 4)])
 def test_compiled_count_matches_integrate_along_the_scan(params, zeros, monkeypatch):
-    # every point a solve counts at, and 65 points of its scan grid, against
-    # integrate's count capped at the solve's limit
+    # every point a solve counts at with the default settings, and 65 points
+    # of its scan grid, against integrate's count capped at the solve's
+    # limit.  The steering counts only choose where the search counts next,
+    # so they are not held to integrate
     seen = record_counts(monkeypatch)
     req = SolveRequest(params, "odd" if zeros % 2 else "even", zeros)
     find_solution(req)
     count = shooting._zero_counter(req.params, req.cutoff, req.zeros_half + 1)
     for s in grid_sample(req):
         count(*shooting._launch(s, req))
-    assert len(seen) > 20
-    for p, cutoff, limit, h0, dh0, n in seen:
+    assert len(seen) > 20 and any(made == STEERING for _, _, _, made, _, _, _ in seen)
+    for p, cutoff, limit, made, h0, dh0, n in seen:
         assert limit == req.zeros_half + 1
-        assert n == min(reference_count(h0, dh0, p, cutoff), limit), (h0, dh0)
+        if made == CERTIFYING:
+            assert n == min(reference_count(h0, dh0, p, cutoff), limit), (h0, dh0)
 
 
 @pytest.mark.parametrize("spec", [s for s in CATALOG if s.omega is not None],
@@ -362,6 +376,14 @@ BENCHMARK_LEVELS = ([pytest.param(P33, z, id=f"identity-3-{z}") for z in (1, 2, 
 NU_LEVELS = [pytest.param(nu_params(), z, id=f"nu-{z}") for z in (1, 2, 3)]
 
 
+def at_integrates_settings(monkeypatch):
+    """Run every compiled DOP853 run from here on, the steering counts', the
+    certifying counts' and the seed's, at integrate's RTOL and step cap."""
+    build = shooting._dop853
+    monkeypatch.setattr(shooting, "_dop853", lambda params, solout, *settings:
+                        build(params, solout, shooting.RTOL, 1.0))
+
+
 @pytest.mark.parametrize("params, zeros", BENCHMARK_LEVELS + NU_LEVELS)
 def test_count_tolerance_keeps_every_solve(params, zeros, monkeypatch):
     # runs at COUNT_RTOL and the doubled step cap must make every search
@@ -372,8 +394,7 @@ def test_count_tolerance_keeps_every_solve(params, zeros, monkeypatch):
     req = SolveRequest(params, "odd" if zeros % 2 else "even", zeros)
     shot = shooting.shoot(req)
     loose = shooting.finish(req, shot)
-    monkeypatch.setattr(shooting, "COUNT_RTOL", shooting.RTOL)
-    monkeypatch.setattr(shooting, "COUNT_STEP_FACTOR", 1.0)
+    at_integrates_settings(monkeypatch)
     tight_shot = shooting.shoot(req)
     tight = shooting.finish(req, tight_shot)
     assert (tight_shot.index, tight_shot.lo, tight_shot.hi) == (shot.index, shot.lo, shot.hi)
@@ -426,17 +447,18 @@ def test_seed_matches_integrate_where_both_run(params, symmetry_class, zeros, s)
 
 
 def test_count_tolerance_cuts_integrator_work(monkeypatch):
-    # hopf-3-2 level 5, the seed trajectory included: 1967 right-hand-side
-    # evaluations with the runs at COUNT_RTOL and the doubled step cap,
-    # against 9767 with them at integrate's settings (0.20).  Runs at 1e-8
-    # under integrate's cap make 3985 (0.41).
+    # hopf-3-2 level 5, the seed trajectory included: 1407 right-hand-side
+    # evaluations with the steering counts at STEER_RTOL under four times
+    # integrate's step cap and the other runs at COUNT_RTOL under twice it,
+    # against 11373 with every run at integrate's settings (0.12).  Every
+    # run at 1e-8 under integrate's cap, with no steering counts, makes 3985
+    # of that level's 9767 (0.41).
     calls = rhs_positions(monkeypatch)
     req = SolveRequest(HOPF32, "odd", 5)
     find_solution(req)
     loose = len(calls)
     calls.clear()
-    monkeypatch.setattr(shooting, "COUNT_RTOL", shooting.RTOL)
-    monkeypatch.setattr(shooting, "COUNT_STEP_FACTOR", 1.0)
+    at_integrates_settings(monkeypatch)
     find_solution(req)
     assert loose <= 0.42 * len(calls), f"{loose} against {len(calls)}"
 
@@ -477,18 +499,20 @@ def test_the_seed_runs_at_the_counts_cost(params, zeros, seed_rtol, solve_rtol, 
                          [pytest.param(HOPF32, "odd", 5, id="hopf-3-2-5"),
                           pytest.param(P33, "even", 2, id="identity-3-2")])
 def test_counts_start_at_their_step_cap(params, symmetry_class, zeros, monkeypatch):
-    # a count's first step is tried at its cap.  DOP853's own first step
-    # weighs the launch component that is exactly 0 by ATOL alone, starts
-    # near 4e-7 and takes 8 steps to ramp up to the cap.
+    # a count's first step is tried at its cap, the steering counts' as well
+    # as the certifying ones'.  DOP853's own first step weighs the launch
+    # component that is exactly 0 by ATOL alone, starts near 4e-7 and takes
+    # 8 steps to ramp up to the cap.
     req = SolveRequest(params, symmetry_class, zeros)
     shot = shooting.shoot(req)
-    cap = shooting.COUNT_STEP_FACTOR * shooting._max_step(params)
     xs = step_positions(monkeypatch)
-    count = shooting._zero_counter(params, req.cutoff, req.zeros_half + 1)
-    for s in (shot.lo, shot.hi):
-        xs.clear()
-        count(*shooting._launch(s, req))
-        assert xs[0] == 0.0 and xs[1] >= cap / 8, (s, xs[:3])
+    for rtol, factor in (CERTIFYING, STEERING):
+        cap = factor * shooting._max_step(params)
+        count = shooting._zero_counter(params, req.cutoff, req.zeros_half + 1, rtol, factor)
+        for s in (shot.lo, shot.hi):
+            xs.clear()
+            count(*shooting._launch(s, req))
+            assert xs[0] == 0.0 and xs[1] >= cap / 8, (s, factor, xs[:3])
 
 
 def check_early_stops(params, starts, monkeypatch):
@@ -585,18 +609,19 @@ def test_lone_solves_keep_little_memory_per_run(monkeypatch):
 def test_equal_problems_share_their_integrators(monkeypatch):
     runners = fresh_runners(monkeypatch)
     find_solution(SolveRequest(P33, "even", 2))
-    assert len(runners) == 1            # the counts' and the seed's
+    # the steering counts', and the certifying counts' and the seed's
+    assert sorted(key[-2:] for key in runners) == sorted([CERTIFYING, STEERING])
     built = dict(runners)
     find_solution(SolveRequest(ProblemParams(3, 3), "even", 2))
     assert runners == built
     # a nu rebuilt from the same samples is the same problem
     for params in (nu_params(), nu_params()):
         shooting._zero_counter(params, 20.0, NO_LIMIT)(0.0, 0.9)
-    assert len(runners) == 2
+    assert len(runners) == 3
     # another omega, or nu with other samples, is another problem
     shooting._zero_counter(ProblemParams(3, 3.5), 20.0, NO_LIMIT)(0.0, 0.9)
     shooting._zero_counter(nu_params(0.3), 20.0, NO_LIMIT)(0.0, 0.9)
-    assert len(runners) == 4
+    assert len(runners) == 5
 
 
 def test_counters_and_seeds_of_one_problem_interleave(monkeypatch):
@@ -773,8 +798,8 @@ def test_loose_bracket_matches_tight_bracket(zeros, records33, monkeypatch):
 
 
 def test_loose_bracket_saves_integrations(monkeypatch):
-    # deterministic: at most 15 counts and one seed, all on the compiled
-    # DOP853
+    # deterministic: at most 15 steering counts, CERTIFIED counts at the
+    # default settings and one seed, all on the compiled DOP853
     seen = record_counts(monkeypatch)
     calls = []
     inner = shooting.integrate
@@ -801,14 +826,17 @@ def test_loose_bracket_saves_integrations(monkeypatch):
 @pytest.mark.parametrize("params, zeros", BENCHMARK_LEVELS)
 def test_scan_is_a_binary_search(params, zeros, monkeypatch):
     # the level law's steps and the binary search of the one step they
-    # leave make no more counts than a binary search over the K + 1
-    # indices, ceil(log2(K + 2)) = 15 at BRACKET_RTOL = 1e-3, every one at a
-    # value of the grid
+    # leave make no more steering counts than a binary search over the K + 1
+    # indices, ceil(log2(K + 2)) = 15 at BRACKET_RTOL = 1e-3, and CERTIFIED
+    # counts at the default settings settle the bracket (eiconal-4 level 4's
+    # steering bracket lies one index too deep: one count finds it wrong and
+    # one more places it); every count is at a value of the grid
     req = SolveRequest(params, "odd" if zeros % 2 else "even", zeros)
     seen = record_counts(monkeypatch)
     shot = shooting.shoot(req)
-    values = launched(req, seen)
-    assert 1 <= len(values) <= math.ceil(math.log2(last_index() + 2)) == 15, len(values)
+    values, steering = launched(req, seen), launched(req, seen, STEERING)
+    assert 1 <= len(steering) <= math.ceil(math.log2(last_index() + 2)) == 15, len(steering)
+    assert len(values) - len(steering) == CERTIFIED
     assert all(grid_index(req, s) is not None for s in values), values
     assert shot.counts == len(values)
 
@@ -845,14 +873,80 @@ def test_a_lone_search_starts_from_the_level_law(monkeypatch):
 @pytest.mark.parametrize("params, zeros", BENCHMARK_LEVELS + NU_LEVELS)
 def test_law_search_finds_the_whole_grid_bracket(params, zeros, sign, monkeypatch):
     # the level law only moves where the bisection starts: the same bracket,
-    # in at most as many counts, and at most 13 on the benchmark's levels
+    # in at most as many counts, and at most 13 steering counts and CERTIFIED
+    # ones on the benchmark's levels
     req = SolveRequest(params, class_of_level(zeros), zeros)
     shot = shooting.shoot(req, sign=sign)
     whole = whole_grid_shot(req, monkeypatch, sign=sign)
     assert (shot.index, shot.lo, shot.hi) == (whole.index, whole.lo, whole.hi)
     assert shot.counts <= whole.counts
     if params.nu is None:
-        assert shot.counts <= 13, shot.counts
+        assert shot.counts <= 13 + CERTIFIED, shot.counts
+
+
+def steer_wrongly(monkeypatch, answer):
+    """From here on shoot's steering counter answers answer(count, limit,
+    h0, dh0), count being a counter at the default settings."""
+    build = shooting._zero_counter
+
+    def steering(params, cutoff, limit, *settings):
+        if settings != STEERING:
+            return build(params, cutoff, limit, *settings)
+        count = build(params, cutoff, limit)
+        return lambda h0, dh0: answer(count, limit, h0, dh0)
+
+    monkeypatch.setattr(shooting, "_zero_counter", steering)
+
+
+def exactly(count, limit, h0, dh0):
+    """The steering answer of the search at the default settings alone."""
+    return count(h0, dh0)
+
+
+@pytest.mark.parametrize("steps", [-3, 3])
+@pytest.mark.parametrize("params, zeros", BENCHMARK_LEVELS)
+def test_steering_counts_cannot_move_a_bracket(params, zeros, steps, monkeypatch):
+    # steering counts that answer as if s lay `steps` scan values deeper
+    # (3) or higher (-3) lead the search three indices off the bracket, on
+    # the high side or the deep one: the counts at the default settings
+    # must refuse that bracket and go on to the one they alone find, for
+    # the level alone and from its prior in a sweep, the level two below
+    req = SolveRequest(params, class_of_level(zeros), zeros)
+
+    def shots():
+        alone = shooting.shoot(req)
+        if zeros <= 2:
+            return [alone]
+        prior = shooting.shoot(SolveRequest(params, class_of_level(zeros - 2), zeros - 2))
+        return [alone, shooting.shoot(req, prior=prior)]
+
+    with monkeypatch.context() as patched:
+        steer_wrongly(patched, exactly)
+        want = shots()
+    shift = (1.0 + shooting.BRACKET_RTOL) ** -steps
+    steer_wrongly(monkeypatch, lambda count, limit, h0, dh0: count(
+        math.copysign(min(abs(h0) * shift, HALF_PI), h0), dh0 * shift))
+    got = shots()
+    assert [(s.index, s.lo, s.hi, s.step) for s in got] == \
+        [(s.index, s.lo, s.hi, s.step) for s in want]
+
+
+def test_steering_counts_cannot_make_a_bracket_where_none_is(monkeypatch):
+    # (8, 12.438) level 5 lies past the grid's end.  Steering counts that
+    # read the count above the request at the grid's last four values lead
+    # the search to a bracket there, which the counts at the default
+    # settings must refuse, raising what they alone raise
+    req = SolveRequest(ProblemParams(8, 12.438), "odd", 5)
+    with monkeypatch.context() as patched:
+        steer_wrongly(patched, exactly)
+        with pytest.raises(NoBracketFound, match="no transition to zero count > 2") as alone:
+            shooting.shoot(req)
+    floor = shooting._scan_value(req, last_index() - 3)
+    steer_wrongly(monkeypatch, lambda count, limit, h0, dh0:
+                  limit if dh0 <= floor else count(h0, dh0))
+    with pytest.raises(NoBracketFound) as steered:
+        shooting.shoot(req)
+    assert str(steered.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("params", [ProblemParams(4, 2.427), ProblemParams(6, 6.5)],
@@ -875,7 +969,7 @@ def test_a_long_level_step_keeps_the_whole_grid_search(params, zeros, monkeypatc
 def test_a_deeper_scan_floor_costs_a_lone_search_nothing(params, zeros, monkeypatch):
     # with the floor at 2^-90 the grid has K = 62415 indices: the law's
     # search makes the same counts to the same bracket, while the whole
-    # grid's bisection takes one count more at its worst
+    # grid's bisection takes one steering count more at its worst
     req = SolveRequest(params, class_of_level(zeros), zeros)
     shot = shooting.shoot(req)
     whole = whole_grid_shot(req, monkeypatch)
@@ -884,7 +978,8 @@ def test_a_deeper_scan_floor_costs_a_lone_search_nothing(params, zeros, monkeypa
     assert shooting.shoot(req) == shot
     deeper = whole_grid_shot(req, monkeypatch)
     assert (deeper.index, deeper.lo, deeper.hi) == (shot.index, shot.lo, shot.hi)
-    assert whole.counts < deeper.counts <= math.ceil(math.log2(last_index() + 2)) == 16
+    assert whole.counts < deeper.counts <= math.ceil(math.log2(last_index() + 2)) + CERTIFIED
+    assert math.ceil(math.log2(last_index() + 2)) == 16
 
 
 @pytest.mark.parametrize("factor", [1 / 3, 3])
@@ -906,7 +1001,8 @@ def test_a_law_that_misses_leaves_the_rest_of_the_grid_to_the_bisection(monkeypa
     # at (2, 1e4) odd levels 1 and 3 lie at indices 406 and 408, some 25
     # level steps (L = 16) from where the law puts them: the gallop's
     # doubling steps pass them within six counts, and the bisection of the
-    # last step takes no more in all than the whole grid's 15
+    # last step takes no more in all than the whole grid's 15 steering counts
+    # (both certify with CERTIFIED counts more)
     params = ProblemParams(2, 1e4)
     assert shooting._level_step(params) == 16
     for zeros in (1, 3):
@@ -914,7 +1010,7 @@ def test_a_law_that_misses_leaves_the_rest_of_the_grid_to_the_bisection(monkeypa
         shot = shooting.shoot(req)
         whole = whole_grid_shot(req, monkeypatch)
         assert (shot.index, shot.lo, shot.hi) == (whole.index, whole.lo, whole.hi)
-        assert shot.counts <= whole.counts == 15, shot.counts
+        assert shot.counts <= whole.counts == 15 + CERTIFIED, shot.counts
 
 
 def test_a_lone_search_leaves_nothing_behind(monkeypatch):
@@ -950,8 +1046,9 @@ def test_sweep_finds_each_bracket_the_plain_search_finds(params, monkeypatch):
     # run_sweep starts each level's search from the shot of its class's
     # level two below; the index must be the one shoot finds from the whole
     # grid.  From level 3 on every level has a prior, and on (3,3) each takes
-    # at most 8 counts: its first count and a step of 32 indices that holds
-    # the index, then a bisection of that step.  The closed-form step misses
+    # at most 8 steering counts: its first count and a step of 32 indices
+    # that holds the index, then a bisection of that step; CERTIFIED counts
+    # settle the bracket.  The closed-form step misses
     # (4,18) level 3 by more than the first step, so that map's gallop
     # doubles its steps.
     shots = {}
@@ -974,7 +1071,7 @@ def test_sweep_finds_each_bracket_the_plain_search_finds(params, monkeypatch):
         assert alone.step is None and alone.counts >= 14
         assert shot.counts <= alone.counts, (z, shot.counts, alone.counts)
     if params == ProblemParams(3, 3.0):
-        assert all(shots[z].counts <= 8 for z in range(3, 11)), shots
+        assert all(shots[z].counts <= 8 + CERTIFIED for z in range(3, 11)), shots
     if params == ProblemParams(4, 18.0):
         assert abs(shots[3].step - shooting._level_step(params)) > shooting.CONTINUATION_WINDOW
 
@@ -986,11 +1083,11 @@ def test_a_missed_window_doubles_on_the_side_that_missed(miss, monkeypatch):
     # steps it has gone 32 (2^j - 1) indices, so it passes the bracket on
     # step j = 3 for a miss of 100 and j = 4 for 300, and the bisection of
     # that last step of 32 2^(j-1) indices takes at most j + 4 counts:
-    # 1 + 3 + 7 = 11 and 1 + 4 + 8 = 13 in all.  The search from the whole
-    # grid takes 15 counts
+    # 1 + 3 + 7 = 11 and 1 + 4 + 8 = 13 steering counts in all.  The search
+    # from the whole grid takes 15.  Both certify with CERTIFIED counts more
     req = SolveRequest(P33, "even", 4)
     alone = whole_grid_shot(req, monkeypatch)
-    assert alone.counts == 15
+    assert alone.counts == 15 + CERTIFIED
     prior = shooting.Shot(alone.index - miss - 1, 1.0, 1.001, 8, 1, 1)
     shot = shooting.shoot(req, prior=prior)
     assert (shot.index, shot.lo, shot.hi) == (alone.index, alone.lo, alone.hi)
@@ -998,7 +1095,7 @@ def test_a_missed_window_doubles_on_the_side_that_missed(miss, monkeypatch):
     j = next(j for j in range(1, 20) if window * (2 ** j - 1) >= abs(miss))
     schedule = 1 + j + (j + round(math.log2(window)) - 1)
     assert schedule == (11 if abs(miss) == 100 else 13)
-    assert shot.counts <= schedule, shot.counts
+    assert shot.counts <= schedule + CERTIFIED, shot.counts
 
 
 OFF_GRID = pytest.mark.parametrize("predicted", [-10 ** 6, 10 ** 6], ids=["below-0", "past-K"])
@@ -1007,13 +1104,14 @@ OFF_GRID = pytest.mark.parametrize("predicted", [-10 ** 6, 10 ** 6], ids=["below
 @OFF_GRID
 def test_a_start_outside_the_grid_finds_the_whole_grid_bracket(predicted, monkeypatch):
     # a prior whose prediction lies off the grid leaves the whole grid to the
-    # bisection: the same bracket in the same 15 counts, where a gallop from
-    # the grid's nearer end would take 21 (below 0) and 24 (past K)
+    # bisection: the same bracket in the same 15 steering counts (and
+    # CERTIFIED more), where a gallop from the grid's nearer end would take
+    # 21 (below 0) and 24 (past K)
     req = SolveRequest(P33, "even", 4)
     whole = whole_grid_shot(req, monkeypatch)
     shot = shooting.shoot(req, prior=shooting.Shot(predicted - 1, 1.0, 1.001, 8, 1, 1))
     assert (shot.index, shot.lo, shot.hi, shot.sign) == (whole.index, whole.lo, whole.hi, 1)
-    assert shot == whole and shot.counts == 15
+    assert shot == whole and shot.counts == 15 + CERTIFIED
 
 
 @OFF_GRID

@@ -286,6 +286,22 @@ def el_residual(x, h, dh, d2h, params: ProblemParams):
     return d2h - (m - 1) * np.tanh(x) * dh + 0.5 * om * (1.0 + params.nu_at(x)) * np.sin(2.0 * np.asarray(h, dtype=float))
 
 
+def couplings(drift, dx: float):
+    """Row i's weights on nodes i+1 and i-1 in the central difference of
+    v'' - drift v' at spacing dx, the Newton and Morse matrices' couplings."""
+    return 1.0 / dx ** 2 - drift / (2.0 * dx), 1.0 / dx ** 2 + drift / (2.0 * dx)
+
+
+def require_real_couplings(peak: float, cutoff: float, n: int):
+    """Refuse the grid of n nodes on [-cutoff, cutoff] on which a drift of
+    peak turns a coupling nonpositive (dx peak >= 2), naming one that fits."""
+    reach = peak * grid_spacing(cutoff, n)
+    if not reach < 2.0:
+        raise ValueError(f"grid too coarse for a drift of {peak:g}: its couplings are real "
+                         f"only while dx max|drift| < 2, not {reach:.4g}; use a grid size "
+                         f"N >= {2 * math.ceil(0.5 * cutoff * peak + 0.5) + 1}")
+
+
 def lyapunov_W(x, h, dh, params: ProblemParams):
     """W = (1/2)(h')^2 + (omega/2)(1+nu) sin^2 h.
 

@@ -72,6 +72,7 @@ from .core import (
     Profile,
     ProblemParams,
     clearance,
+    couplings,
     decay_rate,
     el_residual,
     energy,
@@ -80,6 +81,7 @@ from .core import (
     half_grid,
     linear_tail,
     lyapunov_W,
+    require_real_couplings,
 )
 
 
@@ -194,6 +196,9 @@ class SolveRequest:
             raise ValueError(f"grid_size {self.grid_size} too coarse for omega {self.params.omega:g}: "
                              f"omega (1 + max nu) dx^2 = {rough:.3g} >= 4, where the "
                              f"central-difference recurrence stops oscillating; {fix}")
+        # the Morse count (spectral) symmetrises Newton's couplings
+        require_real_couplings((self.params.m - 1) * math.tanh(self.cutoff), self.cutoff,
+                               self.grid_size)
 
     @property
     def newton_tol(self) -> float:
@@ -749,8 +754,7 @@ def _newton(xs, u0, params, symmetry_class, limit, *, tol):
     du = np.empty(xs.size - 1)
     dl = np.empty(xs.size - 1)
     du[0] = dl[-1] = 2.0 / dx ** 2
-    du[1:] = 1.0 / dx ** 2 - mt[1:-1] / (2.0 * dx)
-    dl[:-1] = 1.0 / dx ** 2 + mt[1:-1] / (2.0 * dx)
+    du[1:], dl[:-1] = couplings(mt[1:-1], dx)
     du, dl = du[first:], dl[first:]
 
     def residual(u):

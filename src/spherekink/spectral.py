@@ -1,13 +1,16 @@
 """Second-variation analysis: Morse index, nullity, and witness subspaces.
 
-The Hessian of the weighted energy at a profile h acts on variations v that
-vanish at the ends.  Substituting w = v sech^((m-1)/2)x turns the weighted
-form into the flat quadratic form of a Schrodinger operator -w'' + V w with
+The Hessian of the weighted energy at a profile h, on variations v that
+vanish at the ends, is minus the profile equation's Jacobian: -v'' + d v'
++ V v with d = (m-1) tanh x and V = -omega (1+nu) cos(2h).  Its matrix is
+minus the one the Newton finish solves with, both built on core.couplings,
+with Dirichlet ends for Newton's Robin row.  A diagonal similarity makes it
+symmetric, coupling i, i+1 -sqrt((1/dx^2 - d_i/(2dx))(1/dx^2 + d_(i+1)/(2dx))),
+real while dx max|d| < 2.  (The flat form -w'' + V w of potential_samples,
+after w = v sech^((m-1)/2)x, is the profile chart's curve and the tests'
+second discretisation, whose eigenvalues agree to O(dx^2).)
 
-    V(x) = (m-1)^2/4 - ((m-1)^2/4 + (m-1)/2) sech^2 x - omega (1+nu) cos(2h).
-
-Index and nullity are then read off the tridiagonal central-difference
-matrix of that operator on the symmetric grid by Sylvester inertia counts:
+Index and nullity are read off that matrix by Sylvester inertia counts:
 A - sigma I has as many negative LDL^T pivots as eigenvalues below sigma.
 LAPACK's stebz makes a count in one compiled O(N) pass per shift that reads
 only pivot signs; no iterative eigensolve is trusted for counting.  An
@@ -21,35 +24,24 @@ each placed within a tenth of the band and its index certified by a count.
 They show how far the potential must move before the index can change, and
 where the upper one lies clear above the band they settle the nullity.
 
-V is even for a profile of class even or odd, so a SchrodingerProblem holds
-it on [0, X], and the matrix is built as its two reflection blocks (Cantoni
-& Butler 1976): an even block on the nodes 0..X-dx, its first coupling
-sqrt 2 times the others, and an odd block on the nodes dx..X-dx.  Its
-eigenvalues are simple and eigenvector j changes sign exactly j times
-(Sturm oscillation): an even one's sign changes pair off across the centre,
-and an odd one, zero there between entries of opposite sign, has an odd
-number.  So the eigenvalues alternate between the blocks, lambda_0 even,
-lambda_1 odd, and so on, and a count is the sum of the blocks' counts.
+V is even and d odd for a profile of class even or odd, so a
+SchrodingerProblem holds both on [0, X], and the matrix is built as its two
+reflection blocks (Cantoni & Butler 1976): an even block on the nodes
+0..X-dx, its first coupling sqrt 2 times the formula's, and an odd block on
+the nodes dx..X-dx.  Its eigenvalues are simple and eigenvector j changes
+sign exactly j times (Sturm oscillation): an even one's sign changes pair
+off across the centre, and an odd one, zero there between entries of
+opposite sign, has an odd number.  So the eigenvalues alternate between the
+blocks, lambda_0 even, lambda_1 odd, and so on, and a count is the sum of
+the blocks' counts.  A block's eigenvalues are estimated on two coarse
+copies, the same block on every s-th and 2s-th node, s dx about
+COARSE_SPACING, and found from there (eigenvalues_below); where the margin
+pair confirms the copies' guess, a report makes no whole-block count
+(schrodinger_index).
 
-stebz asked for eigenvalues by index first bisects the index range's ends
-down from the Gershgorin bound, about 4/dx^2, most of the cost of a call.
-So each block's wanted eigenvalues are first located on two coarser copies
-of the block, at spacings about COARSE_SPACING and twice that, and
-extrapolated to the fine grid (Richardson).  Inverse iteration at that
-estimate, one LU factorisation and two or three solves, finds a Rayleigh
-quotient with a small residual, and one count just below it certifies
-which eigenvalue it is.  Where that count reads another index, or the
-residual stays large, the index-range call runs instead.
-
-A report takes one of two paths.  Where the margin pair for the count at
--10 null bands that the coarse copies guess, in O(N/s), clears the widest
-band on both sides by the width it is placed to, its certifying counts fix
-the index and an empty band, with no whole-block count.  Otherwise, as
-where no stride fits, the six counts at +-10, +-1 and +-0.1 bands are made.
-
-For the equator branch, where V tends to (m-1)^2/4 - omega < 0 at both
-ends, families of disjoint tent functions placed in the far field give an
-explicit negative-definite subspace of any requested dimension.
+For the equator branch, where the flat potential tends to (m-1)^2/4 - omega
+< 0 at both ends, families of disjoint tent functions placed in the far
+field give an explicit negative-definite subspace of any requested dimension.
 """
 
 from __future__ import annotations
@@ -61,12 +53,14 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
-from .core import (ProblemParams, Profile, finite_cutoff, grid_spacing, half_grid, sech,
-                   singular_profile)
+from .core import (ProblemParams, Profile, couplings, finite_cutoff, grid_spacing, half_grid,
+                   require_real_couplings, sech, singular_profile)
 from .serialize import floats, integer, listed, number, reading, refuse_unknown
 
 NULL_BAND = 1e-6          # eigenvalues within +-band of 0 count toward the nullity
-NODES_PER_UNIT = 100       # grid density of truncated_singular_count
+NODES_PER_UNIT = 100       # least grid density of truncated_singular_count
+FLOOR_SHIFT = 1e-3         # most that count's grid lets the drift raise its far-field floor
+SINGULAR_MAX_NODES = 1_000_001  # largest grid that count builds
 QUAD_DIVISIONS = 64        # Simpson divisions per tent; half as many give the error estimate
 COARSE_SPACING = 0.04      # node spacing of the finer coarse copy that estimates an eigenvalue
 MAX_SOLVES = 4             # inverse iteration solves before an estimate falls back to bisection
@@ -75,22 +69,27 @@ ROUNDOFF = 64 * np.finfo(float).eps  # times |T|: the narrowest width that place
 
 @dataclass(frozen=True)
 class SchrodingerProblem:
-    """Flat-form operator -d^2/dx^2 + V on [-X, X], Dirichlet ends, for an
-    even V held on the half line: grid is half_grid(X, n), from x = 0, and
-    n and dx (Profile.dx, bitwise) are those of symmetric_grid(X, n)."""
+    """-d^2/dx^2 + drift d/dx + V on [-X, X], Dirichlet ends, for an even V
+    and odd drift (none: the flat form) held on the half line: grid is
+    half_grid(X, n), from x = 0, and n and dx (Profile.dx, bitwise) are
+    those of symmetric_grid(X, n).  dx max|drift| >= 2 is refused."""
 
     grid: np.ndarray
     potential: np.ndarray
+    drift: np.ndarray | None = None
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
         v = np.asarray(self.potential, dtype=float)
-        if g.ndim != 1 or g.shape != v.shape or g.size < 4 or g[0] != 0.0:
-            raise ValueError("need a matching 1-d grid on [0, X] and potential, >= 4 samples")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("potential must be finite")
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "potential", v)
+        d = np.zeros_like(g) if self.drift is None else np.asarray(self.drift, dtype=float)
+        if g.ndim != 1 or not g.shape == v.shape == d.shape or g.size < 4 or g[0] or d[0]:
+            raise ValueError("need a matching 1-d grid on [0, X] and potential, >= 4 samples, "
+                             "and drift, 0 at x = 0")
+        if not np.all(np.isfinite(v)) or not np.all(np.isfinite(d)):
+            raise ValueError("potential and drift must be finite")
+        for name, a in (("grid", g), ("potential", v), ("drift", d)):
+            object.__setattr__(self, name, a)
+        require_real_couplings(float(np.max(np.abs(d))), self.cutoff, self.n)
 
     @property
     def dx(self) -> float:
@@ -106,6 +105,7 @@ class SchrodingerProblem:
 
 
 def potential_samples(x, h, params: ProblemParams) -> np.ndarray:
+    """The flat form's potential (module docstring): the chart's curve, read by no count."""
     m1 = params.m - 1
     corner = 0.25 * m1 * m1
     return (corner - (corner + 0.5 * m1) * sech(x) ** 2
@@ -113,21 +113,28 @@ def potential_samples(x, h, params: ProblemParams) -> np.ndarray:
 
 
 def build_schrodinger(prof: Profile) -> SchrodingerProblem:
-    """Potential of the flat-form Hessian along the profile's half line."""
+    """Minus Newton's Jacobian at the profile, Dirichlet at X: potential
+    -omega (1+nu) cos(2h) and drift (m-1) tanh x along its half line."""
     xs = half_grid(prof.cutoff, prof.n)
-    return SchrodingerProblem(xs, potential_samples(xs, prof.half_h, prof.params))
+    p = prof.params
+    return SchrodingerProblem(xs, -p.omega * (1.0 + p.nu_at(xs)) * np.cos(2.0 * prof.half_h),
+                              (p.m - 1) * np.tanh(xs))
 
 
 # -- inertia counting ---------------------------------------------------------
 
-def _blocks(problem: SchrodingerProblem):
-    """The even and odd blocks (main, off) of the interior-node FD matrix on
-    [-X, X].  Row 0 of an even vector reads main[0] v[0] + 2 off[0] v[1];
-    scaling v[0] by sqrt 2 makes it symmetric."""
-    main = 2.0 / problem.dx ** 2 + problem.potential[:-1]
-    off = np.full(main.size - 1, -1.0 / problem.dx ** 2)
+def _blocks(problem: SchrodingerProblem, stride: int = 1):
+    """The even and odd blocks (main, off) of the symmetrised interior-node
+    FD matrix on [-X, X] (module docstring), or of its coarse copy on every
+    stride-th node at spacing stride dx.  Row 0 of an even vector has the
+    ghost node v_-1 = v_1 and drift 0, so it reads main[0] v_0 - 2 up_0 v_1:
+    symmetrised, sqrt 2 times the plain coupling."""
+    h = stride * problem.dx
+    up, down = couplings(problem.drift[::stride], h)
+    main = 2.0 / h ** 2 + problem.potential[:-1:stride]
+    off = -np.sqrt(up[:-2] * down[1:-1])
     even_off = off.copy()
-    even_off[0] *= math.sqrt(2.0)
+    even_off[:1] *= math.sqrt(2.0)
     return (main, even_off), (main[1:], off[1:])
 
 
@@ -145,9 +152,8 @@ def _stebz(main, off, by_index: bool, low, high, tol: float) -> np.ndarray:
 
 def _count_below(main, off, shift: float) -> int:
     """Number of eigenvalues of the tridiagonal main, off below shift (see
-    negative_count).  off[0] is its largest off-diagonal entry, so vl lies
-    below the Gershgorin bound."""
-    vl = float(np.min(main)) - 2.0 * abs(float(off[0])) - 1.0
+    negative_count); vl lies below the Gershgorin bound."""
+    vl = float(np.min(main)) - 2.0 * float(np.max(np.abs(off))) - 1.0
     if shift <= vl:
         return 0
     return _stebz(main, off, False, vl, shift, shift - vl).size
@@ -169,36 +175,27 @@ def negative_count(problem: SchrodingerProblem, shift: float = 0.0) -> int:
 
 
 def _stride(problem: SchrodingerProblem):
-    """The stride s of _windowed's coarse copies: of the d >= 2 within a
+    """The stride s of the coarse copies (_blocks): of the d >= 2 within a
     factor 2 of r = round(COARSE_SPACING / dx) such that 2d divides the half
-    line's spacings, the one nearest r (the smaller on a tie), else None."""
+    line's spacings and the copy at 2d has real couplings (2d dx max|drift|
+    < 2), the one nearest r (the smaller on a tie), else None."""
     r = round(COARSE_SPACING / problem.dx)
     spacings = problem.grid.size - 1
-    fits = [d for d in range(2, 2 * r + 1) if 2 * d >= r and spacings % (2 * d) == 0]
+    reach = problem.dx * float(np.max(np.abs(problem.drift)))
+    fits = [d for d in range(2, 2 * r + 1)
+            if 2 * d >= r and spacings % (2 * d) == 0 and 2 * d * reach < 2.0]
     return min(fits, key=lambda d: (abs(d - r), d), default=None)
-
-
-def _coarse(main, off, dx: float, stride: int, even: bool):
-    """The copy (main, off) of a block at spacing stride dx: its potential at
-    every stride-th node, from the even block's mirror node or the odd
-    block's node stride dx, the mirror node's sqrt 2 coupling kept."""
-    first = 0 if even else stride - 1
-    sub = main[first::stride] - 2.0 / dx ** 2 * (1.0 - 1.0 / stride ** 2)
-    # each coupling is -1/dx^2 (sqrt 2 at a mirror node); at spacing
-    # stride dx it is 1/stride^2 of that
-    return sub, off[first::stride][:sub.size - 1] / stride ** 2
 
 
 def _coarse_count(problem: SchrodingerProblem, s, shift: float):
     """negative_count(problem, shift) as the blocks' coarse copies at stride
     s read it, in O(N/s), or None where no stride fits (s is None) or a
-    copy has fewer than two nodes.  The copies place a smooth state's
-    eigenvalue about C (s dx)^2 low and miss a state narrower than s dx, so
+    copy has fewer than two nodes.  The copies move a smooth state's
+    eigenvalue by about C (s dx)^2 and miss a state narrower than s dx, so
     the guess may be off either way; schrodinger_index checks it."""
     if s is None:
         return None
-    copies = [_coarse(main, off, problem.dx, s, b == 0)
-              for b, (main, off) in enumerate(_blocks(problem))]
+    copies = _blocks(problem, s)
     if any(sub.size < 2 for sub, _ in copies):
         return None
     return sum(_count_below(sub, sub_off, shift) for sub, sub_off in copies)
@@ -234,15 +231,15 @@ def _inverse_iteration(main, off, mu: float, width: float):
     return None
 
 
-def _windowed(main, off, dx: float, s: int, even: bool, lo: int, hi: int, width: float):
+def _windowed(main, off, copies, s: int, lo: int, hi: int, width: float):
     """Eigenvalues lo..hi of one block (see eigenvalues_below), or None when
     the estimates placed for them do not lead to them.
 
-    The block's coarse copies at strides s and 2s (_coarse) have its
-    Dirichlet ends, as s and 2s divide the half line's spacings (_stride).
-    The central difference underestimates an eigenvalue by about C H^2 at
-    spacing H, so the copies' eigenvalues l_s and l_2s extrapolate to the
-    block's as mu = l_s + (l_s - l_2s)(1 - 1/s^2)/3.
+    copies are the block's coarse copies at strides s and 2s (_blocks), with
+    its Dirichlet ends, as s and 2s divide the half line's spacings (_stride).
+    The central difference moves an eigenvalue by about C H^2 at spacing
+    H, so the copies' eigenvalues l_s and l_2s extrapolate to the block's
+    as mu = l_s + (l_s - l_2s)(1 - 1/s^2)/3.
     Inverse iteration at mu (_inverse_iteration) gives rho with a residual r
     <= width / 2.  T is symmetric, so some eigenvalue lies within r of rho;
     one count at rho - width that reads k then puts eigenvalue k in
@@ -250,8 +247,7 @@ def _windowed(main, off, dx: float, s: int, even: bool, lo: int, hi: int, width:
     down from the Gershgorin bound and no bisection.
     """
     coarse = []
-    for stride in (s, 2 * s):
-        sub, sub_off = _coarse(main, off, dx, stride, even)
+    for sub, sub_off in copies:
         # stebz wants an off-diagonal, so at least two nodes
         if sub.size <= max(hi, 1):
             return None
@@ -269,39 +265,37 @@ def _windowed(main, off, dx: float, s: int, even: bool, lo: int, hi: int, width:
 def _width(problem: SchrodingerProblem, tol: float) -> float:
     """How close eigenvalues_below places each eigenvalue: the larger of
     tol and the rounding floor ROUNDOFF |T|, below which a residual or a
-    count cannot resolve; max |V| + 5/dx^2 bounds either block's norm."""
-    norm = float(np.max(np.abs(problem.potential))) + 5.0 / problem.dx ** 2
+    count cannot resolve.  With dx max|drift| < 2 each coupling is below
+    2/dx^2, so max |V| + 6/dx^2 bounds either block's norm."""
+    norm = float(np.max(np.abs(problem.potential))) + 6.0 / problem.dx ** 2
     return max(tol, ROUNDOFF * norm)
 
 
 def eigenvalues_below(problem: SchrodingerProblem, count: int, first: int = 0,
                       tol: float = 0.0) -> np.ndarray:
-    """Eigenvalues first..count-1 of the Dirichlet FD matrix, ascending.
+    """Eigenvalues first..count-1 of the Dirichlet FD matrix, ascending:
+    by default each within _width's rounding floor, with a positive tol
+    within tol.  Eigenvalue j is entry j // 2 of block j mod 2 (module
+    docstring), so each block gives its share of the range.
 
-    By default the lowest `count` to full precision, each within the
-    rounding floor of _width; a positive tol places each within tol
-    instead.  Index and nullity are certified by negative_count.
-
-    Eigenvalue j is entry j // 2 of block j mod 2 (module docstring), so
-    each block gives its share of the range, placed by j.
-
-    A block finds its share by inverse iteration from estimates that two
-    coarse copies of it place, each certified by one count (_windowed).
-    Where no stride fits the grid (_stride), an estimate does not lead to
-    its eigenvalue, or the copies are too small to hold the share, one
-    index-range call (LAPACK stebz, bisection down from the Gershgorin
-    bound) finds it instead.
+    A block finds its share by inverse iteration from estimates that its
+    coarse copies place, each certified by one count (_windowed).  Where no
+    stride fits (_stride), an estimate does not lead to its eigenvalue, or
+    the copies are too small for the share, one index-range stebz call finds
+    it instead, bisecting down from the Gershgorin bound, about 4/dx^2: most
+    of such a call's cost.
     """
     if count <= first:
         return np.zeros(0)
     s = _stride(problem)
     width = _width(problem, tol)
     out = np.empty(count - first)
-    for b, (main, off) in enumerate(_blocks(problem)):
+    copies = zip(_blocks(problem, s), _blocks(problem, 2 * s)) if s else (None, None)
+    for b, ((main, off), coarse) in enumerate(zip(_blocks(problem), copies)):
         # block b holds j = 2k + b for k = lo..hi within first..count-1
         lo, hi = (first - b + 1) // 2, (count - 1 - b) // 2
         if lo <= hi:
-            found = _windowed(main, off, problem.dx, s, b == 0, lo, hi, width) if s else None
+            found = _windowed(main, off, coarse, s, lo, hi, width) if s else None
             if found is None:
                 found = _stebz(main, off, True, lo, hi, tol)
             out[2 * lo + b - first::2] = found
@@ -380,20 +374,35 @@ def morse_index(prof: Profile) -> SpectralReport:
     return schrodinger_index(build_schrodinger(prof))
 
 
-def truncated_singular_count(params: ProblemParams, cutoff: float) -> int:
-    """Negative-direction count of the equator branch truncated at the cutoff.
+def singular_grid_size(params: ProblemParams, cutoff: float) -> int:
+    """Node count of truncated_singular_count's grid on [-cutoff, cutoff].
 
-    Node density is fixed per unit length so counts at different cutoffs are
-    comparable; under the instability condition the count grows without
-    bound as the cutoff does.  The grid needs three spacings on the half
-    line, so a cutoff below 3 / NODES_PER_UNIT is refused before it is built.
+    Its density per unit length depends on m alone, so counts at different
+    cutoffs are comparable: NODES_PER_UNIT, or more where the symmetrised
+    coupling (1/dx^2) sqrt(1 - ((m-1) dx/2)^2) would raise the far field's
+    floor (m-1)^2/4 - omega, by about (m-1)^4 dx^2/64, past FLOOR_SHIFT.  The
+    grid needs three spacings on the half line and at most
+    SINGULAR_MAX_NODES nodes; other cutoffs are refused before it is built.
     """
-    smallest = 3 / NODES_PER_UNIT
+    density = max(NODES_PER_UNIT, math.ceil((params.m - 1) ** 2 / (8.0 * math.sqrt(FLOOR_SHIFT))))
+    smallest = 3 / density
     if finite_cutoff(cutoff) < smallest:
         raise ValueError(f"cutoff {cutoff:g} too small for the truncated count's grid of "
-                         f"{NODES_PER_UNIT} nodes per unit length; use a cutoff >= {smallest:g}")
-    n = 2 * int(round(NODES_PER_UNIT * cutoff)) + 1
-    prof = singular_profile(params, cutoff=cutoff, n=n)
+                         f"{density} nodes per unit length; use a cutoff >= {smallest:g}")
+    n = 2 * int(round(density * cutoff)) + 1
+    if n > SINGULAR_MAX_NODES:
+        largest = math.floor(100 * (SINGULAR_MAX_NODES // 2) / density) / 100
+        raise ValueError(f"cutoff {cutoff:g} too large for the truncated count's grid of "
+                         f"{density} nodes per unit length at m = {params.m}: {n} nodes, "
+                         f"above {SINGULAR_MAX_NODES}; use a cutoff <= {largest:g}")
+    return n
+
+
+def truncated_singular_count(params: ProblemParams, cutoff: float) -> int:
+    """Negative-direction count of the equator branch truncated at the
+    cutoff, on singular_grid_size's grid.  Under the instability condition
+    the count grows without bound as the cutoff does."""
+    prof = singular_profile(params, cutoff=cutoff, n=singular_grid_size(params, cutoff))
     return negative_count(build_schrodinger(prof), 0.0)
 
 

@@ -70,6 +70,8 @@ MUTANTS = (
      "exact = counts_above(COUNT_RTOL, COUNT_STEP_FACTOR)", "exact = lambda k: k >= i"),
     ("certifying-counts-at-steering-settings", "shooting.py",
      "exact = counts_above(COUNT_RTOL, COUNT_STEP_FACTOR)", "exact = steer"),
+    ("morse-operator-without-drift", "spectral.py",
+     "(p.m - 1) * np.tanh(xs))", "0.0 * xs)"),
 )
 
 

@@ -4,9 +4,13 @@
   bilinear form, in the weighted picture and in the flat Schrodinger one;
   hessian_fd_check holds the first to a centred second difference of the
   energy (acceptance criterion 7).
+* flat_form: the second variation's second discretisation, the flat
+  operator -w'' + V w of potential_samples with no drift, whose
+  eigenvalues are those of build_schrodinger's Jacobian form to O(dx^2).
 * full_tridiagonal and dense_eigs: the FD matrix of a SchrodingerProblem on
-  the whole symmetric grid, its potential mirrored, and its spectrum by a
-  dense eigensolver, so that no reflection block enters the oracle.
+  the whole symmetric grid, its potential mirrored and its drift mirrored
+  odd, symmetrised, and its spectrum by a dense eigensolver, so that no
+  reflection block enters the oracle.
 * poschl_teller_phase and singular_count: the equator branch's truncated
   count in closed form, from the transmission phase of its Poschl-Teller
   well (ROADMAP item 18).
@@ -35,13 +39,16 @@ from spherekink.core import (
     derivative_samples,
     el_residual,
     energy_arrays,
+    grid_spacing,
+    half_grid,
     weight,
 )
 from spherekink import shooting
 from spherekink.spectral import (
-    NODES_PER_UNIT,
     SchrodingerProblem,
     WitnessFamily,
+    potential_samples,
+    singular_grid_size,
     witness_subspace,
 )
 
@@ -72,6 +79,13 @@ def hessian_form(prof: Profile, v, w) -> float:
     integrand = (dv * dw - p.omega * (1.0 + p.nu_at(prof.grid))
                  * np.cos(2.0 * prof.h) * v * w) * weight(prof.grid, p.m)
     return float(simpson(integrand, x=prof.grid))
+
+
+def flat_form(prof: Profile) -> SchrodingerProblem:
+    """The Hessian at prof after the substitution w = v sech^((m-1)/2) x:
+    -w'' + V w on its half line, V = potential_samples, no drift."""
+    xs = half_grid(prof.cutoff, prof.n)
+    return SchrodingerProblem(xs, potential_samples(xs, prof.half_h, prof.params))
 
 
 def full_line(problem: SchrodingerProblem):
@@ -112,11 +126,18 @@ def hessian_fd_check(prof: Profile, v, t: float) -> float:
 # -- the Hessian as a matrix --------------------------------------------------
 
 def full_tridiagonal(problem: SchrodingerProblem):
-    """Main diagonal and off-diagonal of the interior-node FD matrix on the
-    whole symmetric grid, built from the mirrored potential."""
+    """Main diagonal and off-diagonal of the interior-node FD matrix of
+    -w'' + d w' + V w on the whole symmetric grid, from the mirrored
+    potential and the drift d mirrored odd.  Row i couples to node i+1 by
+    -(1/dx^2 - d_i/(2dx)) and to node i-1 by -(1/dx^2 + d_i/(2dx)); the
+    symmetric matrix of the same spectrum has off-diagonal entry i the
+    signed geometric mean of the pair between nodes i and i+1."""
     _, v = full_line(problem)
-    main = 2.0 / problem.dx ** 2 + v[1:-1]
-    return main, np.full(main.size - 1, -1.0 / problem.dx ** 2)
+    d = np.concatenate([-problem.drift[:0:-1], problem.drift])
+    dx = problem.dx
+    main = 2.0 / dx ** 2 + v[1:-1]
+    right, left = 1.0 / dx ** 2 - 0.5 * d / dx, 1.0 / dx ** 2 + 0.5 * d / dx
+    return main, -np.sqrt(right[1:-2] * left[2:-1])
 
 
 def dense_eigs(problem: SchrodingerProblem) -> np.ndarray:
@@ -141,16 +162,18 @@ def singular_count(params: ProblemParams, cutoff: float) -> float:
     """(2 q X + phi) / pi, whose floor is the number of negative eigenvalues
     of truncated_singular_count's matrix, for (m-1)^2/4 < omega.
 
-    On the equator branch V = -kappa^2 - a(a+1) sech^2 x with a = (m-1)/2
-    and kappa^2 = omega - a^2.  A zero-energy solution of the FD equation
-    oscillates at the lattice wavenumber q = (2/dx) arcsin(kappa dx/2), and
-    crossing the well adds the phase phi = poschl_teller_phase(a, kappa).
-    By Sturm oscillation the solution that vanishes at x = -X has that many
-    zeros in (-X, X).
+    On the equator branch the flat form's V = -kappa^2 - a(a+1) sech^2 x
+    with a = (m-1)/2 and kappa^2 = omega - a^2.  A zero-energy solution of
+    its FD equation oscillates at the lattice wavenumber
+    q = (2/dx) arcsin(kappa dx/2), and crossing the well adds the phase
+    phi = poschl_teller_phase(a, kappa).  By Sturm oscillation the solution
+    that vanishes at x = -X has that many zeros in (-X, X).  The count's
+    Jacobian form differs by its far field's floor, which singular_grid_size
+    keeps within FLOOR_SHIFT of the flat form's.
     """
     a = 0.5 * (params.m - 1)
     kappa = math.sqrt(params.omega - a * a)
-    dx = cutoff / round(NODES_PER_UNIT * cutoff)
+    dx = grid_spacing(cutoff, singular_grid_size(params, cutoff))
     q = 2.0 / dx * math.asin(0.5 * kappa * dx)
     return (2.0 * q * cutoff + poschl_teller_phase(a, kappa)) / math.pi
 

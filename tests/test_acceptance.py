@@ -22,17 +22,17 @@ import warnings
 import numpy as np
 import pytest
 from conftest import gudermann_profile
-from reference import dense_eigs, hessian_fd_check, symmetric_witnesses
+from reference import dense_eigs, flat_form, hessian_fd_check, symmetric_witnesses
 from scipy.integrate import quad
 
-from spherekink.core import ProblemParams, energy, resample, singular_energy
+from spherekink.core import ProblemParams, energy, resample, singular_energy, singular_profile
 from spherekink.report import SweepConfig, convergence_check, run_sweep, write_report
 from spherekink.shooting import SolveRequest, find_solution, newton_polish
 from spherekink.spectral import (
     SchrodingerProblem,
+    build_schrodinger,
     morse_index,
     negative_count,
-    potential_samples,
     truncated_singular_count,
     witness_subspace,
 )
@@ -329,13 +329,16 @@ def test_criterion_08_oracle_equivalence():
     problems = []
     checked = 0
     # half lines of 25, 50 and 100 nodes on [0, 10]; dense_eigs diagonalises
-    # the whole matrix on [-10, 10], the counts come from its two blocks
+    # the whole matrix on [-10, 10], the counts come from its two blocks.
+    # The equator map's operator is the package's, minus Newton's Jacobian,
+    # and its flat form
     for n in (25, 50, 100):
         g = np.linspace(0.0, 10.0, n)
-        for label, v in (("V=+1", np.full(n, 1.0)),
-                         ("V=-1", np.full(n, -1.0)),
-                         ("equator", potential_samples(g, np.zeros(n), P33))):
-            prob = SchrodingerProblem(g, v)
+        equator = singular_profile(P33, cutoff=10.0, n=2 * n - 1)
+        for label, prob in (("V=+1", SchrodingerProblem(g, np.full(n, 1.0))),
+                            ("V=-1", SchrodingerProblem(g, np.full(n, -1.0))),
+                            ("equator", build_schrodinger(equator)),
+                            ("equator, flat", flat_form(equator))):
             dense = dense_eigs(prob)
             for shift in (0.0, -0.5, 2.0):
                 want = int(np.sum(dense < shift))

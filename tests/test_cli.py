@@ -262,7 +262,50 @@ def test_index_with_resampling_counts_zeros_when_unrecorded(solved, tmp_path, ca
     assert doc["n"] == 2401
 
 
+def test_index_names_a_grid_fine_enough_for_a_large_m(tmp_path, capsys):
+    # m = 60 at X = 20, N = 1001: dx (m-1) = 2.36, where the Jacobian's
+    # coupling 1/dx^2 - (m-1) tanh x / (2 dx) turns negative
+    path = tmp_path / "m60.json"
+    save_profile(singular_profile(ProblemParams(60, 900.0), cutoff=20.0, n=1001), path)
+    assert main(["index", "--solution", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "spherekink: error: grid too coarse for a drift of 59: its couplings are real only "
+        "while dx max|drift| < 2, not 2.36; use a grid size N >= 1183\n")
+
+
+@pytest.mark.parametrize("command", [["solve", "--zeros", "1"], ["sweep", "--max-zeros", "2"]])
+def test_a_grid_too_coarse_for_the_drift_is_refused_before_any_run(command, tmp_path, capsys):
+    # m = 25 at X = 20, N = 401: omega dx^2 = 1.5 passes, but dx (m-1) = 2.4,
+    # where the Morse count's couplings are not real
+    argv = ["--out", str(tmp_path), command[0], "--m", "25", "--omega", "150",
+            "--cutoff", "20", "--grid", "401", *command[1:]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "spherekink: error: grid too coarse for a drift of 24: its couplings are real only "
+        "while dx max|drift| < 2, not 2.4; use a grid size N >= 483\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_index_refuses_a_grid_too_coarse_for_the_drift_before_resampling(tmp_path, capsys,
+                                                                         monkeypatch):
+    path = tmp_path / "m60.json"
+    save_profile(singular_profile(ProblemParams(60, 900.0), cutoff=20.0, n=1201), path)
+    monkeypatch.setattr("spherekink.cli.resample", None)    # never reached
+    assert main(["index", "--solution", str(path), "--grid", "1001"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "spherekink: error: grid too coarse for a drift of 59")
+
+
 # -- singular-index ------------------------------------------------------------------
+
+def test_singular_index_names_a_cutoff_its_grid_can_hold(capsys):
+    # m = 81 needs 25299 nodes per unit length (spectral.singular_grid_size),
+    # so more than the grid's 1000001 nodes at X = 20
+    assert main(["singular-index", "--m", "81", "--omega", "1601", "--dims", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "spherekink: error: cutoff 20 too large for the truncated count's grid of 25299 "
+        "nodes per unit length at m = 81: 1011961 nodes, above 1000001; use a cutoff <= 19.76\n")
+
 
 def test_singular_index_reports_witnesses(capsys):
     assert main(["singular-index", "--m", "3", "--omega", "3",

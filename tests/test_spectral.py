@@ -1,15 +1,19 @@
 """Spectral counts, eigenvalue extraction, quadratic forms, witness families.
 
-Two independent oracles anchor this file:
+The package counts on minus Newton's Jacobian, symmetrised.  Three
+independent oracles anchor this file:
 
-* the potential along the one-zero (3,3) profile is exactly
+* the flat form's potential along the one-zero (3,3) profile is exactly
   4 - 8 sech^2 x, a reflectionless well whose bound states are
-  4 - ((sqrt(33) - 1)/2 - n)^2 for n = 0, 1, 2;
+  4 - ((sqrt(33) - 1)/2 - n)^2 for n = 0, 1, 2, the eigenvalues of either
+  form in the continuum;
+* the flat form itself (reference.flat_form) is a second discretisation of
+  the same operator: its counts match, its eigenvalues to O(dx^2);
 * on small grids the tridiagonal matrix is rebuilt densely on the whole
-  symmetric grid, its potential mirrored, and handed to numpy's symmetric
-  eigensolver, so the Sturm counts and the eigenvalues, which the
-  package takes from the two reflection blocks, can be compared against a
-  full diagonalisation.
+  symmetric grid, its potential mirrored and its drift mirrored odd, and
+  handed to numpy's symmetric eigensolver, so the Sturm counts and the
+  eigenvalues, which the package takes from the two reflection blocks, can
+  be compared against a full diagonalisation.
 
 On grids too fine for a dense matrix, the margin pair is checked against
 shift-invert Lanczos (ARPACK on a sparse LU factorisation), which makes no
@@ -23,7 +27,9 @@ import numpy as np
 import pytest
 from conftest import gudermann_profile, record_lapack
 from reference import (
+    _jacobian_banded,
     dense_eigs,
+    flat_form,
     full_line,
     full_tridiagonal,
     hessian_fd_check,
@@ -41,15 +47,18 @@ from scipy.sparse.linalg import eigsh
 from spherekink.core import (
     NuPerturbation,
     ProblemParams,
+    grid_spacing,
     half_grid,
     resample,
     singular_profile,
     symmetric_grid,
 )
 from spherekink import spectral
+from spherekink.report import SweepConfig, run_sweep
 from spherekink.shooting import SolveRequest, find_solution, newton_polish
 from spherekink.spectral import (
     COARSE_SPACING,
+    FLOOR_SHIFT,
     NULL_BAND,
     SchrodingerProblem,
     WitnessFunction,
@@ -60,6 +69,7 @@ from spherekink.spectral import (
     potential_samples,
     report_to_doc,
     schrodinger_index,
+    singular_grid_size,
     truncated_singular_count,
     witness_subspace,
 )
@@ -92,9 +102,15 @@ def test_build_schrodinger_carries_metadata():
     assert prob.cutoff == 20.0
     # V on the half line, at the symmetric grid's own spacing
     assert np.array_equal(prob.grid, prof.grid[2000:])
-    assert np.array_equal(prob.potential,
-                          potential_samples(prof.grid, prof.h, prof.params)[2000:])
+    # minus Newton's Jacobian: sin h = tanh x, so -3 cos 2h = 3 - 6 sech^2 x
+    assert np.max(np.abs(prob.potential - (3.0 - 6.0 / np.cosh(prob.grid) ** 2))) < 1e-12
+    assert np.array_equal(prob.drift, 2.0 * np.tanh(prob.grid))
     assert prob.dx == prof.dx
+    # the flat form, the tests' second discretisation
+    flat = flat_form(prof)
+    assert np.array_equal(flat.grid, prob.grid) and not np.any(flat.drift)
+    assert np.array_equal(flat.potential,
+                          potential_samples(prof.grid, prof.h, prof.params)[2000:])
 
 
 def test_problem_rejects_nonfinite_potential():
@@ -120,6 +136,37 @@ def test_problem_is_a_half_line_of_at_least_four_nodes():
         assert np.max(np.abs(eigenvalues_below(prob, count) - lam[:count])) < 1e-9 / prob.dx ** 2
 
 
+def test_a_grid_too_coarse_for_the_drift_is_refused_with_one_that_fits():
+    # m = 60 at X = 20, N = 1001: dx (m-1) = 2.36, where the coupling
+    # 1/dx^2 - (m-1) tanh x / (2 dx) turns negative and its square root NaN
+    params = ProblemParams(60, 900.0)
+    with pytest.raises(ValueError, match=r"dx max\|drift\| < 2, not 2.36; use a grid size "
+                                         r"N >= 1183$"):
+        build_schrodinger(singular_profile(params, cutoff=20.0, n=1001))
+    prob = build_schrodinger(singular_profile(params, cutoff=20.0, n=1183))
+    assert 1.99 < prob.dx * np.max(prob.drift) < 2.0
+    assert all(np.all(off < 0.0) for _, off in spectral._blocks(prob))
+
+
+@pytest.mark.parametrize("reach, stride", [(20.0, 4), (30.0, 2), (60.0, None)])
+def test_a_coarse_copy_keeps_its_couplings_real(reach, stride, monkeypatch):
+    # X = 4 at dx = 0.01: the rounded stride r = 4 fits, and so do 2, 5 and 8.
+    # The copy at twice the stride, spacing 2 s dx, has real couplings only
+    # while 2 s dx max|drift| < 2: stride 4 up to a drift of 25, stride 2
+    # up to 50.  Past both no stride is left, and the report counts plainly
+    g = half_grid(4.0, 801)
+    prob = SchrodingerProblem(g, 1.0 - 8.0 / np.cosh(g) ** 2 - 0.25 * reach ** 2,
+                              reach * np.tanh(g))
+    assert spectral._stride(prob) == stride
+    shifts = record_shifts(monkeypatch)
+    rep = schrodinger_index(prob)
+    lam = dense_eigs(prob)
+    assert stride is not None or shifts == PLAIN_SHIFTS
+    assert (rep.index, rep.nullity_estimate) == (np.sum(lam < -NULL_BAND), 0)
+    assert np.max(np.abs(np.array(rep.margin_eigenvalues)
+                         - lam[max(rep.index - 1, 0):rep.index + 1])) < 1e-7
+
+
 # -- counting against dense diagonalisation ----------------------------------------
 
 @pytest.mark.parametrize("n", [51, 101, 201])
@@ -128,16 +175,18 @@ def test_negative_count_matches_dense_eigensolver(n, records33):
     problems = [SchrodingerProblem(g, v) for v in (
         np.full(g.size, 1.0),
         np.full(g.size, -1.0),
-        potential_samples(g, np.zeros(g.size), P33),
         4.0 - 8.0 / np.cosh(g) ** 2)]
-    # a solved level's own potential, index 4, resampled to at most 801 nodes
+    # the equator map's Poschl-Teller well in both forms, and a solved
+    # level's own operator, index 4, resampled to at most 801 nodes
+    equator = singular_profile(P33, cutoff=6.0, n=n)
+    problems += [flat_form(equator), build_schrodinger(equator)]
     prof = records33[("even", 4)].profile
     problems.append(build_schrodinger(resample(prof, prof.cutoff, 4 * n - 3)))
     for prob in problems:
         lam = dense_eigs(prob)
         main, off = full_tridiagonal(prob)
-        below = float(np.min(main)) - 2.0 * abs(float(off[0])) - 1.0   # Gershgorin
-        above = float(np.max(main)) + 2.0 * abs(float(off[0])) + 1.0
+        reach = 2.0 * float(np.max(np.abs(off))) + 1.0
+        below, above = float(np.min(main)) - reach, float(np.max(main)) + reach   # Gershgorin
         assert negative_count(prob, below) == 0
         assert negative_count(prob, above) == prob.n - 2
         for shift in (0.0, -0.5, 1.0, 4.0, NULL_BAND, -NULL_BAND):
@@ -162,8 +211,7 @@ def test_negative_count_survives_an_exactly_zero_pivot():
 
 
 def test_eigenvalues_below_match_dense_eigensolver():
-    g = half_grid(6.0, 201)
-    prob = SchrodingerProblem(g, potential_samples(g, np.zeros(101), P33))
+    prob = flat_form(singular_profile(P33, cutoff=6.0, n=201))
     got = eigenvalues_below(prob, 5)
     ref = np.sort(dense_eigs(prob))[:5]
     assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-9
@@ -177,8 +225,7 @@ def test_eigenvalues_below_zero_request():
 
 
 def test_eigenvalues_below_from_an_index():
-    g = half_grid(6.0, 201)
-    prob = SchrodingerProblem(g, potential_samples(g, np.zeros(101), P33))
+    prob = flat_form(singular_profile(P33, cutoff=6.0, n=201))
     ref = np.sort(dense_eigs(prob))[3:6]
     got = eigenvalues_below(prob, 6, 3)
     assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-9
@@ -190,6 +237,36 @@ def test_positive_box_has_no_negative_directions():
     g = half_grid(10.0, 1001)
     prob = SchrodingerProblem(g, np.full(501, 1.0))
     assert negative_count(prob, 0.0) == 0
+
+
+def test_the_symmetrised_matrix_has_the_jacobians_spectrum():
+    # minus the central-difference Jacobian on the whole grid of 201 nodes,
+    # as it stands, unsymmetrised, by numpy's general eigensolver, whose
+    # error on a matrix that is not normal reaches 1e-7 here
+    prof = gudermann_profile(n=201)
+    x, dx = prof.grid[1:-1], prof.dx
+    d, v = 2.0 * np.tanh(x), -3.0 * np.cos(2.0 * prof.h[1:-1])
+    a = (np.diag(2.0 / dx ** 2 + v) - np.diag(1.0 / dx ** 2 - d[:-1] / (2.0 * dx), 1)
+         - np.diag(1.0 / dx ** 2 + d[1:] / (2.0 * dx), -1))
+    lam = np.linalg.eigvals(a)
+    assert np.max(np.abs(lam.imag)) < 1e-9
+    assert np.max(np.abs(np.sort(lam.real) - dense_eigs(build_schrodinger(prof)))) < 1e-6
+
+
+@pytest.mark.parametrize("zeros", [1, 2, 3, 4])
+def test_the_morse_matrix_is_minus_newtons_jacobian(zeros, records33):
+    # row for row against reference.newton_reference's banded Jacobian on
+    # the half grid: the same diagonal negated, and each symmetrised
+    # coupling the geometric mean of the two it joins
+    prof = records33[("odd" if zeros % 2 else "even", zeros)].profile
+    xs = half_grid(prof.cutoff, prof.n)
+    ab = _jacobian_banded(xs, prof.half_h, prof.params, 0, 0.0)
+    (main, even_off), (_, off) = spectral._blocks(build_schrodinger(prof))
+    assert np.max(np.abs(main + ab[1, :-1]) * prof.dx ** 2) < 1e-15
+    # ab[0, j + 1] is row j's coupling to j + 1, ab[2, j] row j + 1's to j
+    coupled = ab[0, 1:-1] * ab[2, :-2]
+    assert np.max(np.abs(even_off ** 2 - coupled) / coupled) < 1e-14
+    assert np.array_equal(off, even_off[1:])
 
 
 # -- reflectionless-well oracle -----------------------------------------------------
@@ -390,6 +467,51 @@ def test_report_flags_fire_at_the_fixed_band(monkeypatch):
     assert len(rep.flags) == 1 and "nullity_estimate 2" in rep.flags[0]
 
 
+@pytest.mark.parametrize("m, omega, top", [(3, 3.0, 12), (2, 2.0, 8), (4, 18.0, 8)])
+def test_every_level_of_a_deep_sweep_takes_the_certified_path(m, omega, top, monkeypatch):
+    # the deep sweeps at X=30, N=6001 besides (5,5), which
+    # test_a_deep_level_makes_no_negative_count counts
+    shifts = record_shifts(monkeypatch)
+    rep = run_sweep(SweepConfig(ProblemParams(m, omega), top, cutoff=30.0, grid_size=6001))
+    assert not rep.failures and shifts == []
+    assert sorted((r.sequence_key[1], r.spectral.index, r.spectral.nullity_estimate)
+                  for r in rep.records) == [(k, k, 0) for k in range(1, top + 1)]
+
+
+# -- the flat form: a second discretisation -------------------------------------------
+
+@pytest.fixture(scope="module")
+def records22():
+    return {rec.sequence_key[1]: rec for rec in run_sweep(SweepConfig(P22, 4)).records}
+
+
+@pytest.mark.parametrize("zeros", [1, 2, 3, 4])
+def test_the_flat_form_counts_what_the_jacobian_counts(zeros, records33, records22):
+    # index, nullity, and the split of the negative directions between the
+    # even and odd sectors, (zeros + 1) // 2 even and zeros // 2 odd
+    for prof in (records33[("odd" if zeros % 2 else "even", zeros)].profile,
+                 records22[zeros].profile):
+        for prob in (build_schrodinger(prof), flat_form(prof)):
+            rep = schrodinger_index(prob)
+            assert (rep.index, rep.nullity_estimate) == (zeros, 0)
+            for shift in (-NULL_BAND, NULL_BAND):
+                assert [spectral._count_below(main, off, shift)
+                        for main, off in spectral._blocks(prob)] == [(zeros + 1) // 2, zeros // 2]
+
+
+@pytest.mark.parametrize("zeros", [1, 2])
+def test_the_two_discretisations_agree_to_second_order(zeros, margin_profiles):
+    # refining the grid 4x shrinks the gap between the two forms' margin
+    # pairs 16x (16.0 measured at both levels)
+    gap = []
+    for n in (4001, 16001):
+        prof = margin_profiles[n, zeros]
+        pairs = [schrodinger_index(p).margin_eigenvalues
+                 for p in (build_schrodinger(prof), flat_form(prof))]
+        gap.append(float(np.max(np.abs(np.subtract(*pairs)))))
+    assert 12.0 <= gap[0] / gap[1] <= 20.0
+
+
 # -- the margin pair ---------------------------------------------------------------
 
 def straddling_pair(problem):
@@ -437,6 +559,13 @@ def test_margin_pair_matches_lanczos(n, zeros, margin_profiles):
     assert len(pair) == 2 and pair[0] < -NULL_BAND <= pair[1]
     ref = straddling_pair(build_schrodinger(prof))
     assert np.max(np.abs(np.array(pair) - ref)) < 1e-7
+
+
+def test_every_refined_level_takes_the_certified_path(margin_profiles, monkeypatch):
+    # the index-refine benchmark's reports: identity-3 levels 1-4 at N = 16001
+    shifts = record_shifts(monkeypatch)
+    assert [morse_index(margin_profiles[16001, k]).index for k in range(1, 5)] == [1, 2, 3, 4]
+    assert shifts == []
 
 
 def test_margin_pair_matches_dense_eigensolver(margin_profiles):
@@ -674,7 +803,7 @@ def test_singular_count_grows_with_cutoff():
 # within SINGULAR_MARGIN of an integer is skipped, since the FD count there
 # may fall either side
 SINGULAR_MAPS = ((3, 3.0), (2, 2.0), (4, 18.0), (3, 8.0), (5, 5.0), (4, 4.0), (2, 5.0),
-                 (6, 10.0), (3, 2.5), (7, 12.0))
+                 (6, 10.0), (3, 2.5), (7, 12.0), (25, 144.75), (50, 601.0))
 SINGULAR_CUTOFFS = (8.0, 12.5, 17.77, 23.31, 34.06, 45.0)
 SINGULAR_MARGIN = 0.02
 
@@ -694,7 +823,18 @@ def test_singular_count_matches_the_poschl_teller_phase():
                 continue
             assert truncated_singular_count(params, cutoff) == math.floor(law), (m, omega, cutoff)
             checked += 1
-    assert checked + len(skipped) == 60 and len(skipped) <= 6, skipped
+    assert checked + len(skipped) == 72 and len(skipped) <= 6, skipped
+
+
+def test_singular_grid_keeps_the_drift_within_its_floor_shift():
+    # the Jacobian form's far field sits about (m-1)^4 dx^2/64 above the flat
+    # form's; at 100 nodes per unit length that read 17 negatives at
+    # (25, 144.75), X = 20, for the Poschl-Teller law's 21.44
+    for m in (2, 3, 6, 7, 25, 50, 80):
+        n = singular_grid_size(ProblemParams(m, (m - 1) ** 2 / 4 + 0.75), 20.0)
+        dx = grid_spacing(20.0, n)
+        assert (m - 1) ** 4 * dx ** 2 / 64 <= FLOOR_SHIFT
+        assert n == 4001 if m <= 6 else n > 4001
 
 
 @pytest.mark.parametrize("a", [1, 2, 3])
@@ -756,7 +896,7 @@ def test_weighted_and_flat_forms_agree():
     w = np.sin(g) / np.cosh(g) ** 3
     v = w * np.cosh(g)              # m = 3: half weight is sech
     qv = hessian_form(prof, v, v)
-    qw = schrodinger_form(build_schrodinger(prof), w, w)
+    qw = schrodinger_form(flat_form(prof), w, w)
     assert qw == pytest.approx(qv, rel=1e-7)
 
 
@@ -815,7 +955,7 @@ def test_witness_values_against_quadrature_oracle():
 def test_witness_values_against_flat_form():
     fam = witness_subspace(P33, 3)
     prof = singular_profile(P33, cutoff=60.0, n=12001)
-    prob = build_schrodinger(prof)
+    prob = flat_form(prof)
     grid, _ = full_line(prob)
     samples = [f(grid) for f in fam.functions]
     for w, q in zip(samples, fam.gram_diagonal):
